@@ -12,16 +12,15 @@ plus synthetic signal generators with exact ground truth, an
 autocorrelation pitch tracker, and a benchmark harness (window-size SRER
 sweeps, multi-model comparison tables) behind the `sinemodel` CLI.
 """
-from ._kernels import USE_NUMBA
-from .core import (SRER_MAX_DB, FrameGrid, PartialTrack, SampledSignal,
+from .core import (SRER_MAX_DB, PartialTrack, SampledSignal,
                    WindowVector, interp_amplitude_linear,
                    interp_frequency_spline, make_window,
                    phase_by_freq_integration, phase_cubic_mq, sample_track,
                    srer, synthesize_tracks, wrap_phase)
 from .eaqhm import (AdaptationState, BasisFunctionSet, EaQHMConfig,
                     QHMFrameSolution, adapt, build_ls_system, eaqhm_analyze,
-                    eaqhm_synthesize, freq_correction, init_harmonic, ls_solve)
-from .edsm import (DampedSinusoid, EDSMConfig, EDSMFrame, Pole, build_hankel,
+                    freq_correction, init_harmonic, ls_solve)
+from .edsm import (DampedSinusoid, EDSMConfig, EDSMFrame, build_hankel,
                    components_to_poles, edsm_analyze, edsm_synthesize,
                    esprit_poles, poles_to_components, vandermonde_amplitudes)
 from .errors import (AnalysisError, AudioIOError, IllConditionedError,
@@ -39,12 +38,12 @@ from .sm import (SMConfig, SpectralPeak, analyze_frame_fft, sm_analyze,
 __version__ = "0.1.0"
 
 __all__ = [
-    "USE_NUMBA", "SRER_MAX_DB", "__version__",
+    "SRER_MAX_DB", "__version__",
     # errors
     "SineModelError", "UsageError", "AudioIOError", "AnalysisError",
     "IllConditionedError",
     # core
-    "SampledSignal", "WindowVector", "FrameGrid", "PartialTrack",
+    "SampledSignal", "WindowVector", "PartialTrack",
     "make_window", "srer", "wrap_phase", "interp_amplitude_linear",
     "interp_frequency_spline", "phase_by_freq_integration", "phase_cubic_mq",
     "sample_track", "synthesize_tracks",
@@ -55,13 +54,13 @@ __all__ = [
     "SMConfig", "SpectralPeak", "analyze_frame_fft", "track_partials",
     "sm_peaks", "sm_analyze", "sm_synthesize",
     # edsm
-    "Pole", "DampedSinusoid", "EDSMFrame", "EDSMConfig", "build_hankel",
+    "DampedSinusoid", "EDSMFrame", "EDSMConfig", "build_hankel",
     "esprit_poles", "vandermonde_amplitudes", "poles_to_components",
     "components_to_poles", "edsm_analyze", "edsm_synthesize",
     # eaqhm
     "EaQHMConfig", "BasisFunctionSet", "QHMFrameSolution", "AdaptationState",
     "build_ls_system", "ls_solve", "freq_correction", "init_harmonic",
-    "adapt", "eaqhm_analyze", "eaqhm_synthesize",
+    "adapt", "eaqhm_analyze",
     # pitch
     "F0Track", "estimate_f0", "average_pitch_period",
     # harness

@@ -1,102 +1,23 @@
-"""Loop-bound numeric kernels with two interchangeable implementations.
+"""Loop-bound numeric kernels, vectorized with numpy.
 
-Each kernel exists as a plain-Python loop (JIT-compiled when numba is
-available) and a vectorized numpy fallback.  The active set is chosen once
-at import time: SINEMODEL_NUMBA=0 forces the numpy path, anything else uses
-numba when importable.  Linear-algebra heavy steps (SVD, eigen, solves) are
-deliberately not here; BLAS/LAPACK already owns them.
-
-Both implementations of every kernel are exported so the benchmark suite
-and the equivalence tests can compare them directly.
+Callers reach these through the module (``_kernels.hankel_build(...)``), so
+each name is looked up at call time.  Linear-algebra heavy steps (SVD,
+eigen, solves) are deliberately not here; BLAS/LAPACK already owns them.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time choice
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("SINEMODEL_NUMBA", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-)
+from numpy.lib.stride_tricks import sliding_window_view
 
 
-# ---------------------------------------------------------------------------
-# plain-loop implementations (numba-compilable)
-# ---------------------------------------------------------------------------
-
-def _accumulate_cosine_loop(out: np.ndarray, start: int, amp: np.ndarray,
-                            phase: np.ndarray) -> None:
-    for i in range(amp.shape[0]):
-        out[start + i] += amp[i] * np.cos(phase[i])
-
-
-def _trapezoid_phase_loop(freq_hz: np.ndarray, fs: float, phi0: float) -> np.ndarray:
-    n = freq_hz.shape[0]
-    phase = np.empty(n, dtype=np.float64)
-    if n == 0:
-        return phase
-    phase[0] = phi0
-    c = np.pi / fs  # 2*pi/fs * 1/2 for the trapezoid rule
-    for i in range(1, n):
-        phase[i] = phase[i - 1] + c * (freq_hz[i - 1] + freq_hz[i])
-    return phase
-
-
-def _autocorr_norm_loop(frame: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
-    n = frame.shape[0]
-    nlags = lag_max - lag_min + 1
-    r = np.zeros(nlags, dtype=np.float64)
-    e0_full = 0.0
-    for i in range(n):
-        e0_full += frame[i] * frame[i]
-    if e0_full == 0.0:
-        return r
-    for j in range(nlags):
-        lag = lag_min + j
-        m = n - lag
-        if m <= 0:
-            continue
-        num = 0.0
-        e1 = 0.0
-        e2 = 0.0
-        for i in range(m):
-            num += frame[i] * frame[i + lag]
-            e1 += frame[i] * frame[i]
-            e2 += frame[i + lag] * frame[i + lag]
-        den = np.sqrt(e1 * e2)
-        if den > 0.0:
-            r[j] = num / den
-    return r
-
-
-def _hankel_build_loop(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    X = np.empty((rows, cols), dtype=np.float64)
-    for r in range(rows):
-        for c in range(cols):
-            X[r, c] = x[r + c]
-    return X
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def _accumulate_cosine_np(out: np.ndarray, start: int, amp: np.ndarray,
-                          phase: np.ndarray) -> None:
+def accumulate_cosine(out: np.ndarray, start: int, amp: np.ndarray,
+                      phase: np.ndarray) -> None:
+    """out[start:start + len(amp)] += amp * cos(phase), in place."""
     out[start:start + amp.shape[0]] += amp * np.cos(phase)
 
 
-def _trapezoid_phase_np(freq_hz: np.ndarray, fs: float, phi0: float) -> np.ndarray:
+def trapezoid_phase(freq_hz: np.ndarray, fs: float, phi0: float) -> np.ndarray:
+    """Phase track from phi0 by trapezoid integration of freq_hz at rate fs."""
     n = freq_hz.shape[0]
     phase = np.empty(n, dtype=np.float64)
     if n == 0:
@@ -108,7 +29,9 @@ def _trapezoid_phase_np(freq_hz: np.ndarray, fs: float, phi0: float) -> np.ndarr
     return phase
 
 
-def _autocorr_norm_np(frame: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
+def autocorr_norm(frame: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
+    """Normalized autocorrelation at lags lag_min..lag_max; lags past the
+    frame and an all-zero frame give 0."""
     n = frame.shape[0]
     nlags = lag_max - lag_min + 1
     r = np.zeros(nlags, dtype=np.float64)
@@ -129,44 +52,6 @@ def _autocorr_norm_np(frame: np.ndarray, lag_min: int, lag_max: int) -> np.ndarr
     return r
 
 
-def _hankel_build_np(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    from numpy.lib.stride_tricks import sliding_window_view
-
+def hankel_build(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Hankel matrix X[r, c] = x[r + c] of shape (rows, cols), as a copy."""
     return sliding_window_view(x[:rows + cols - 1], cols).astype(np.float64, copy=True)
-
-
-# ---------------------------------------------------------------------------
-# selection
-# ---------------------------------------------------------------------------
-
-NUMPY_IMPLS = {
-    "accumulate_cosine": _accumulate_cosine_np,
-    "trapezoid_phase": _trapezoid_phase_np,
-    "autocorr_norm": _autocorr_norm_np,
-    "hankel_build": _hankel_build_np,
-}
-
-_LOOP_IMPLS = {
-    "accumulate_cosine": _accumulate_cosine_loop,
-    "trapezoid_phase": _trapezoid_phase_loop,
-    "autocorr_norm": _autocorr_norm_loop,
-    "hankel_build": _hankel_build_loop,
-}
-
-
-def compile_numba_impls() -> dict:
-    """JIT-compile the loop kernels; requires numba."""
-    if not HAVE_NUMBA:  # pragma: no cover
-        raise RuntimeError("numba is not installed")
-    return {name: numba.njit(cache=True)(fn) for name, fn in _LOOP_IMPLS.items()}
-
-
-if USE_NUMBA:
-    _ACTIVE = compile_numba_impls()
-else:
-    _ACTIVE = NUMPY_IMPLS
-
-accumulate_cosine = _ACTIVE["accumulate_cosine"]
-trapezoid_phase = _ACTIVE["trapezoid_phase"]
-autocorr_norm = _ACTIVE["autocorr_norm"]
-hankel_build = _ACTIVE["hankel_build"]

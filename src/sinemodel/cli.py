@@ -15,16 +15,16 @@ import tempfile
 import numpy as np
 
 from . import audio_io
-from .core import PartialTrack, SampledSignal, srer, synthesize_tracks
-from .eaqhm import EaQHMConfig, adapt, init_harmonic
-from .edsm import EDSMConfig, EDSMFrame, edsm_analyze, edsm_synthesize
+from .core import PartialTrack, SampledSignal, srer
+from .eaqhm import EaQHMConfig
+from .edsm import EDSMConfig, EDSMFrame, full_band_orders
 from .errors import AnalysisError, AudioIOError, UsageError
 from .generators import (AMFMSpec, ChirpSpec, default_damped_spec, gen_amfm,
                          gen_damped_sum, gen_stationary_plus_chirp)
 from .harness import (SweepSpec, export, generate_standins, parse_multiples,
-                      run_comparison, run_window_sweep)
+                      run_comparison, run_model, run_window_sweep)
 from .pitch import average_pitch_period, estimate_f0
-from .sm import SMConfig, sm_peaks, sm_synthesize, track_partials
+from .sm import MAX_JUMP_HZ, SMConfig, sm_peaks, sm_synthesize, track_partials
 
 _SCALE_CEILING = 0.99  # generated WAVs are rescaled to this peak to avoid clipping
 
@@ -103,16 +103,17 @@ def _f0_for(args, signal: SampledSignal):
 def _cmd_analyze(args) -> None:
     signal = audio_io.read_wav(args.infile)
     fs = signal.fs
-    n = signal.samples.shape[0]
     hop_ms = args.hop if args.hop is not None else 1.0
     if args.model == "sm":
+        # the sm dump needs every frame's peaks, so sm skips run_model
         cfg = SMConfig(window_ms=args.window if args.window else 30.0,
                        hop_ms=hop_ms,
                        max_peaks=args.partials if args.partials else 100)
         times, peak_lists = sm_peaks(signal, cfg)
         hop = max(1, int(round(cfg.hop_ms * fs / 1000.0)))
-        tracks = track_partials(peak_lists, times, cfg.max_jump_hz, hop / fs)
-        y = sm_synthesize(tracks, n, fs)
+        tracks = track_partials(peak_lists, times, MAX_JUMP_HZ, hop / fs)
+        y = sm_synthesize(tracks, signal.samples.shape[0], fs)
+        srer_db = srer(signal.samples, y)
         audio_io.write_sm_json(args.params, tracks, times, peak_lists, fs)
     elif args.model == "edsm":
         f0track = _f0_for(args, signal)
@@ -120,13 +121,9 @@ def _cmd_analyze(args) -> None:
             window = max(8, int(round(args.window * fs / 1000.0)))
         else:
             window = max(8, int(round(0.75 * average_pitch_period(f0track) * fs)))
-        if args.partials:
-            order = args.partials
-        else:
-            from .harness import _full_band_orders
-            order = _full_band_orders(f0track, signal, window)
-        frames = edsm_analyze(signal, EDSMConfig(window_samples=window, order=order))
-        y = edsm_synthesize(frames, n, fs)
+        order = args.partials if args.partials else full_band_orders(f0track, signal, window)
+        cfg = EDSMConfig(window_samples=window, order=order)
+        srer_db, frames, y, _ = run_model("edsm", signal, f0track, cfg)
         audio_io.write_frames_json(args.params, frames, fs)
     else:
         f0track = _f0_for(args, signal)
@@ -137,13 +134,12 @@ def _cmd_analyze(args) -> None:
                             if args.window else None),
             max_partials=args.partials,
             max_adaptations=args.max_adapt if args.max_adapt is not None else 10)
-        state = adapt(signal, init_harmonic(signal, f0track, cfg), f0track, cfg)
-        y = synthesize_tracks(state.tracks, n, fs)
+        srer_db, state, y, _ = run_model("eaqhm", signal, f0track, cfg)
         audio_io.write_eaqhm_json(args.params, state.tracks, state.srer_history,
                                   state.iteration, fs)
     audio_io.write_wav(args.resynth, SampledSignal(samples=np.clip(y, -1.0, 1.0),
                                                    fs=fs))
-    print(f"model={args.model} srer_db={srer(signal.samples, y):.3f}")
+    print(f"model={args.model} srer_db={srer_db:.3f}")
 
 
 def _cmd_srer(args) -> None:

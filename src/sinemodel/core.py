@@ -68,36 +68,6 @@ class WindowVector:
 
 
 @dataclass(frozen=True)
-class FrameGrid:
-    """Analysis frame layout: center sample indices plus half-lengths."""
-
-    centers: np.ndarray       # int sample indices, strictly increasing
-    half_lengths: np.ndarray  # per-frame half length in samples
-    hop: int                  # nominal hop in samples
-
-    def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=np.int64)
-        half = np.asarray(self.half_lengths, dtype=np.int64)
-        if centers.ndim != 1 or half.shape != centers.shape:
-            raise UsageError("frame grid centers/half_lengths must be matching 1-D arrays")
-        if centers.size > 1 and not np.all(np.diff(centers) > 0):
-            raise UsageError("frame centers must be strictly increasing")
-        if self.hop < 1:
-            raise UsageError(f"hop must be >= 1 sample, got {self.hop}")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "half_lengths", half)
-
-    def __len__(self) -> int:
-        return self.centers.shape[0]
-
-    def bounds(self, i: int, n_samples: int) -> tuple[int, int]:
-        """Frame support [start, stop) clipped to the signal bounds."""
-        c = int(self.centers[i])
-        t = int(self.half_lengths[i])
-        return max(0, c - t), min(n_samples, c + t + 1)
-
-
-@dataclass(frozen=True)
 class PartialTrack:
     """One partial: anchor arrays plus the birth/death span it covers."""
 

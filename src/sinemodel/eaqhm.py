@@ -31,6 +31,11 @@ from .errors import AnalysisError, IllConditionedError, UsageError
 from .pitch import F0Track
 
 _AMP_EPS = 1e-10  # guards the per-frame center normalization of dead partials
+SRER_THRESHOLD_DB = 0.1    # adaptation stops once an iterate improves by less
+SRER_CEILING_DB = 150.0    # past this, the residual is numerical noise
+COND_BOUND = 1e10          # on the real normal matrix of a frame fit
+NYQUIST_MARGIN_HZ = 200.0  # partials stay this far below fs/2
+COL_RATIO = 2.0 / 3.0      # LS columns capped at this fraction of the frame
 
 
 @dataclass(frozen=True)
@@ -42,12 +47,7 @@ class EaQHMConfig:
     adapt_window_kind: str = "hamming"
     max_partials: int = None         # None: full band from the local f0
     max_adaptations: int = 10
-    srer_threshold_db: float = 0.1   # stop once an iterate improves by less
-    srer_ceiling_db: float = 150.0   # past this, residual is numerical noise
     f_guard_hz: float = None         # conditioning guard; None: local f0
-    cond_bound: float = 1e10         # on the real normal matrix of a frame fit
-    nyquist_margin_hz: float = 200.0
-    col_ratio: float = 2.0 / 3.0     # LS columns capped at this fraction of the frame
 
     def __post_init__(self):
         if self.max_adaptations < 0:
@@ -103,16 +103,16 @@ def build_ls_system(frame: np.ndarray, basis: BasisFunctionSet, window: np.ndarr
     return np.hstack([e0, t[:, None] * e0]), w, frame
 
 
-def ls_solve(e: np.ndarray, window: np.ndarray, target: np.ndarray,
-             cond_bound: float = 1e10) -> tuple[np.ndarray, np.ndarray]:
+def ls_solve(e: np.ndarray, window: np.ndarray,
+             target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted LS solve of target ~ E [a; b] via the normal equations.
 
     E may be real or complex; the LAPACK routines follow its dtype.  Columns
     are equilibrated to unit norm first (exact algebra, keeps the condition
     check about basis structure, not units).  Raises IllConditionedError
     carrying LAPACK's condition estimate of the normal matrix when it exceeds
-    cond_bound.  The frame fits of init_harmonic and adapt pass the real
-    design of _solve_mirrored, so there cond_bound applies to its real
+    COND_BOUND.  The frame fits of init_harmonic and adapt pass the real
+    design of _solve_mirrored, so there COND_BOUND applies to its real
     normal matrix.
     """
     w = window.values if hasattr(window, "values") else np.asarray(window, dtype=np.float64)
@@ -130,9 +130,9 @@ def ls_solve(e: np.ndarray, window: np.ndarray, target: np.ndarray,
     anorm = float(np.max(np.sum(np.abs(r), axis=0)))
     rcond, info = pocon(chol, anorm, uplo=b"L")
     cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
-    if info != 0 or not np.isfinite(cond) or cond > cond_bound:
+    if info != 0 or not np.isfinite(cond) or cond > COND_BOUND:
         raise IllConditionedError(
-            f"normal equations condition {cond:.3e} exceeds bound {cond_bound:.1e}", cond)
+            f"normal equations condition {cond:.3e} exceeds bound {COND_BOUND:.1e}", cond)
     c, info = potrs(chol, rhs[:, None], lower=1)
     if info != 0:
         raise IllConditionedError("normal-equations solve failed", cond)
@@ -159,7 +159,7 @@ def freq_correction(a, b):
 
 
 def _solve_mirrored(seg: np.ndarray, amp_cols: np.ndarray, phase_cols: np.ndarray,
-                    window, t: np.ndarray, cond_bound: float) -> QHMFrameSolution:
+                    window, t: np.ndarray) -> QHMFrameSolution:
     """Solve one frame against components k=1..m plus DC, each paired with
     its conjugate so the fit of the real target is two-sided.
 
@@ -175,7 +175,7 @@ def _solve_mirrored(seg: np.ndarray, amp_cols: np.ndarray, phase_cols: np.ndarra
     np.multiply(amp_cols, np.cos(phase_cols), out=e[:, 1:m + 1])
     np.multiply(amp_cols, np.sin(phase_cols), out=e[:, m + 1:p])
     np.multiply(t[:, None], e[:, :p], out=e[:, p:])
-    c, d = ls_solve(e, window, seg, cond_bound)
+    c, d = ls_solve(e, window, seg)
     a = np.concatenate((c[:1], (c[1:m + 1] - 1j * c[m + 1:]) / 2.0))
     b = np.concatenate((d[:1], (d[1:m + 1] - 1j * d[m + 1:]) / 2.0))
     eta = np.concatenate(([0.0], freq_correction(a[1:], b[1:])))
@@ -216,7 +216,7 @@ def _frame_layout(n: int, fs: float, f0track: F0Track,
         guard_f = config.f_guard_hz if config.f_guard_hz is not None else f0_l
         if w_eff < 2.0 * fs / guard_f:
             continue  # shorter than two periods of the guard frequency
-        k_budget = int((config.col_ratio * w_eff / 2.0 - 1.0) // 2)
+        k_budget = int((COL_RATIO * w_eff / 2.0 - 1.0) // 2)
         if k_budget < 1:
             continue
         frames.append(_Frame(center=c, lo=lo, hi=hi, f0=f0_l, k_budget=k_budget))
@@ -265,7 +265,7 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
             phase_cols = 2.0 * np.pi * fr.f0 * t[:, None] * ks[None, :]
             amp_cols = np.ones_like(phase_cols)
             try:
-                sol = _solve_mirrored(seg, amp_cols, phase_cols, w, t, config.cond_bound)
+                sol = _solve_mirrored(seg, amp_cols, phase_cols, w, t)
             except IllConditionedError:
                 skipped += 1
                 continue
@@ -288,7 +288,7 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
 
 
 def _partial_count(fr: _Frame, fs: float, config: EaQHMConfig) -> int:
-    band = int((fs / 2.0 - config.nyquist_margin_hz) / fr.f0)
+    band = int((fs / 2.0 - NYQUIST_MARGIN_HZ) / fr.f0)
     k = band if config.max_partials is None else min(config.max_partials, band)
     return min(k, fr.k_budget)
 
@@ -304,7 +304,7 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
         amp_all[k], freq_all[k], phase_all[k] = sample_track(tr, fs, 0, n - 1)
     frames = _frame_layout(n, fs, f0track, config)
     windows: dict[int, np.ndarray] = {}
-    f_ceiling = fs / 2.0 - config.nyquist_margin_hz
+    f_ceiling = fs / 2.0 - NYQUIST_MARGIN_HZ
     anchors: dict[int, list[tuple[float, float, float, float]]] = {}
     solved_any = False
     with single_threaded_blas():
@@ -330,7 +330,7 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
             phase_cols = phase_all[idx, fr.lo:fr.hi + 1].T - phase_all[idx, fr.center]
             t_c = fr.center / fs
             try:
-                sol = _solve_mirrored(seg, amp_cols, phase_cols, w, t, config.cond_bound)
+                sol = _solve_mirrored(seg, amp_cols, phase_cols, w, t)
             except IllConditionedError:
                 # keep the previous iterate's values at this frame
                 for k in eligible:
@@ -374,7 +374,7 @@ def adapt(signal: SampledSignal, tracks: list[PartialTrack], f0track: F0Track,
     current = list(tracks)
     best_srer = srer(x, synthesize_tracks(current, n, fs))
     state = AdaptationState(iteration=0, srer_history=[best_srer], tracks=current)
-    if best_srer >= config.srer_ceiling_db:
+    if best_srer >= SRER_CEILING_DB:
         return state  # already at the double-precision noise floor
     for it in range(1, config.max_adaptations + 1):
         new_tracks = _adaptation_pass(x, fs, current, f0track, config)
@@ -387,7 +387,7 @@ def adapt(signal: SampledSignal, tracks: list[PartialTrack], f0track: F0Track,
         current = new_tracks
         state.srer_history.append(s)
         state.tracks = new_tracks
-        if improvement < config.srer_threshold_db or s >= config.srer_ceiling_db:
+        if improvement < SRER_THRESHOLD_DB or s >= SRER_CEILING_DB:
             break
     return state
 
@@ -397,7 +397,3 @@ def eaqhm_analyze(signal: SampledSignal, f0track: F0Track,
     """Harmonic initialization followed by the adaptation loop."""
     return adapt(signal, init_harmonic(signal, f0track, config), f0track, config)
 
-
-def eaqhm_synthesize(tracks, n_samples: int, fs: float) -> np.ndarray:
-    """Resynthesis by frequency integration with anchor-phase reconciliation."""
-    return synthesize_tracks(tracks, n_samples, fs, phase_mode="freq_integration")

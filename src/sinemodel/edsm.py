@@ -18,26 +18,12 @@ import scipy.linalg
 from . import _kernels
 from .core import TWO_PI, SampledSignal
 from .errors import AnalysisError, UsageError
+from .pitch import F0Track
 
 RANK_RTOL = 1e-10      # singular values below this fraction of the largest are noise
 _REAL_POLE_TOL = 1e-9  # |Im z| below this (relative) makes a pole real
 _COND_WARN = 1e12
 _LOG_RANGE = 600.0     # |delta| * frame_len ceiling; exp(600) stays finite in float64
-
-
-@dataclass(frozen=True)
-class Pole:
-    """Complex pole; delta/omega are per-sample."""
-
-    z: complex
-
-    @property
-    def delta(self) -> float:
-        return float(np.log(abs(self.z)))
-
-    @property
-    def omega(self) -> float:
-        return float(np.angle(self.z))
 
 
 @dataclass(frozen=True)
@@ -261,21 +247,11 @@ def components_to_poles(components, fs: float) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(poles, dtype=np.complex128), np.asarray(alphas, dtype=np.complex128)
 
 
-def report_amplitude(comp: DampedSinusoid, window_len: int) -> complex:
-    """Whole-window complex amplitude under the two-case reporting convention:
-    a*exp(-delta_w + i*phi) when the per-window damping delta_w >= 0, else
-    a*exp(i*phi).  Reporting only; synthesis always uses the raw pair."""
-    delta_w = comp.delta * window_len
-    if delta_w >= 0:
-        return comp.a * np.exp(-delta_w) * np.exp(1j * comp.phase)
-    return comp.a * np.exp(1j * comp.phase)
-
-
 # ---------------------------------------------------------------------------
 # frame-based analysis / synthesis
 # ---------------------------------------------------------------------------
 
-def _frame_orders(order, n_frames: int, fs: float) -> list[int]:
+def _frame_orders(order, n_frames: int) -> list[int]:
     if order is None:
         raise UsageError("EDSM needs an order: an int or a per-frame sequence")
     if np.isscalar(order):
@@ -283,6 +259,19 @@ def _frame_orders(order, n_frames: int, fs: float) -> list[int]:
     orders = [int(k) for k in order]
     if len(orders) != n_frames:
         raise UsageError(f"per-frame order list has {len(orders)} entries, need {n_frames}")
+    return orders
+
+
+def full_band_orders(f0track: F0Track, signal: SampledSignal,
+                     window: int) -> list[int]:
+    """Per-frame sinusoid counts fs / (2 f0) for non-overlapping frames of
+    `window` samples, with f0 read at each frame's center."""
+    n = signal.samples.shape[0]
+    orders = []
+    for start in range(0, n, window):
+        center = min(start + window // 2, n - 1)
+        f0 = max(float(f0track.f0_at(center / signal.fs)), 1.0)
+        orders.append(max(1, int(signal.fs / (2.0 * f0))))
     return orders
 
 
@@ -300,7 +289,7 @@ def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> list[EDSMFrame]:
     n = x.shape[0]
     w = int(config.window_samples)
     starts = list(range(0, n, w))
-    orders = _frame_orders(config.order, len(starts), signal.fs)
+    orders = _frame_orders(config.order, len(starts))
     frames: list[EDSMFrame] = []
     for start, k_sin in zip(starts, orders):
         length = min(w, n - start)
@@ -336,12 +325,10 @@ def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> list[EDSMFrame]:
     return frames
 
 
-def edsm_synthesize(frames, n_samples: int, fs: float,
-                    damp_clamp: float = None) -> np.ndarray:
+def edsm_synthesize(frames, n_samples: int, fs: float) -> np.ndarray:
     """Concatenative resynthesis; each frame is rendered over its own support.
 
-    Damping is clamped so exp(delta * n) stays finite over the frame; an
-    explicit damp_clamp tightens that bound further.
+    Damping is clamped so exp(delta * n) stays finite over the frame.
     """
     out = np.zeros(int(n_samples), dtype=np.float64)
     for fr in frames:
@@ -350,8 +337,6 @@ def edsm_synthesize(frames, n_samples: int, fs: float,
             continue
         n = np.arange(stop - fr.start, dtype=np.float64)
         bound = _LOG_RANGE / max(stop - fr.start - 1, 1)
-        if damp_clamp is not None:
-            bound = min(bound, float(damp_clamp))
         seg = np.zeros(n.shape[0], dtype=np.float64)
         for c in fr.components:
             delta = float(np.clip(c.delta, -bound, bound))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import PartialTrack, SampledSignal, srer, synthesize_tracks
 from .eaqhm import EaQHMConfig, adapt, init_harmonic
-from .edsm import EDSMConfig, EDSMFrame, edsm_analyze, edsm_synthesize
+from .edsm import (EDSMConfig, EDSMFrame, edsm_analyze, edsm_synthesize,
+                   full_band_orders)
 from .errors import IllConditionedError, UsageError
 from .generators import AMFMSpec, ChirpSpec, gen_amfm, gen_stationary_plus_chirp
 from .pitch import F0Track, average_pitch_period, estimate_f0
@@ -26,6 +27,12 @@ from .sm import SMConfig, sm_analyze, sm_synthesize
 
 MODELS = ("sm", "edsm", "eaqhm")
 CELL_STATUSES = ("ok", "ill_conditioned", "failed")
+
+
+def _check_models(models: Sequence[str]) -> None:
+    bad = [m for m in models if m not in MODELS]
+    if bad:
+        raise UsageError(f"unknown model(s): {', '.join(bad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +58,7 @@ class SweepSpec:
         if not mult or any(m <= 0 for m in mult) or list(mult) != sorted(mult):
             raise UsageError("multiples must be positive and ascending")
         object.__setattr__(self, "multiples", mult)
-        bad = [m for m in self.models if m not in MODELS]
-        if bad:
-            raise UsageError(f"unknown model(s): {', '.join(bad)}")
+        _check_models(self.models)
 
 
 @dataclass(frozen=True)
@@ -129,22 +134,10 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-def _full_band_orders(f0track: F0Track, signal: SampledSignal,
-                      window: int) -> list[int]:
-    n = signal.samples.shape[0]
-    orders = []
-    for start in range(0, n, window):
-        center = min(start + window // 2, n - 1)
-        f0 = max(float(f0track.f0_at(center / signal.fs)), 1.0)
-        orders.append(max(1, int(signal.fs / (2.0 * f0))))
-    return orders
-
-
 def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
                 multiple: float, t_min: float, spec: SweepSpec,
                 counts: dict) -> SweepCell:
     w = sweep_window_samples(multiple, t_min, spec.fs)
-    n = signal.samples.shape[0]
     count = counts.get(model)
     try:
         if model == "sm":
@@ -152,25 +145,19 @@ def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
                            hop_ms=spec.hop_ms,
                            fft_size=max(2048, _next_pow2(w)),
                            max_peaks=count if count else 100)
-            tracks = sm_analyze(signal, cfg)
-            y = sm_synthesize(tracks, n, signal.fs)
         elif model == "edsm":
-            order = count if count else _full_band_orders(f0track, signal, w)
+            order = count if count else full_band_orders(f0track, signal, w)
             # sweeps follow the known-order convention: the requested order
             # is used as-is, with no rank-based trimming
             cfg = EDSMConfig(window_samples=w, order=order, rank_rtol=0.0)
-            frames = edsm_analyze(signal, cfg)
-            y = edsm_synthesize(frames, n, signal.fs)
         else:
             cfg = EaQHMConfig(hop_ms=spec.hop_ms, window_samples=w,
                               init_window_kind="hamming",
                               adapt_window_kind="hamming",
                               max_partials=count,
                               f_guard_hz=1.0 / t_min)
-            state = adapt(signal, init_harmonic(signal, f0track, cfg), f0track, cfg)
-            y = synthesize_tracks(state.tracks, n, signal.fs)
-        return SweepCell(model=model, multiple=multiple,
-                         srer_db=srer(signal.samples, y), status="ok")
+        srer_db, _, _, _ = run_model(model, signal, f0track, cfg)
+        return SweepCell(model=model, multiple=multiple, srer_db=srer_db, status="ok")
     except IllConditionedError:
         return SweepCell(model=model, multiple=multiple, srer_db=None,
                          status="ill_conditioned")
@@ -244,29 +231,36 @@ def compare_configs(signal: SampledSignal, f0track: F0Track):
                          max_partials=None, max_adaptations=10)
     period_s = average_pitch_period(f0track)
     window = max(8, int(round(0.75 * period_s * signal.fs)))
-    orders = _full_band_orders(f0track, signal, window)
+    orders = full_band_orders(f0track, signal, window)
     ed_cfg = EDSMConfig(window_samples=window, order=orders)
     return sm_cfg, ed_cfg, ea_cfg
 
 
-def _run_model(model: str, signal: SampledSignal, f0track: F0Track,
-               sm_cfg, ed_cfg, ea_cfg) -> tuple[float, int, float]:
+def run_model(model: str, signal: SampledSignal, f0track: F0Track, cfg):
+    """Analyze `signal` with one model under `cfg` (its SMConfig, EDSMConfig
+    or EaQHMConfig) and resynthesize it.
+
+    Returns (srer_db, result, resynthesis, param_count); result is the sm
+    track list, the edsm frame list or the eaqhm AdaptationState.  f0track
+    is used by eaqhm only.  Every stage is looked up in this module at call
+    time, so it can be rebound to trace a run.
+    """
     n = signal.samples.shape[0]
-    t0 = time.perf_counter()
     if model == "sm":
-        tracks = sm_analyze(signal, sm_cfg)
-        y = sm_synthesize(tracks, n, signal.fs)
-        params = _track_param_count(tracks)
+        result = sm_analyze(signal, cfg)
+        y = sm_synthesize(result, n, signal.fs)
+        params = _track_param_count(result)
     elif model == "edsm":
-        frames = edsm_analyze(signal, ed_cfg)
-        y = edsm_synthesize(frames, n, signal.fs)
-        params = _frame_param_count(frames)
+        result = edsm_analyze(signal, cfg)
+        y = edsm_synthesize(result, n, signal.fs)
+        params = _frame_param_count(result)
+    elif model == "eaqhm":
+        result = adapt(signal, init_harmonic(signal, f0track, cfg), f0track, cfg)
+        y = synthesize_tracks(result.tracks, n, signal.fs)
+        params = _track_param_count(result.tracks)
     else:
-        state = adapt(signal, init_harmonic(signal, f0track, ea_cfg), f0track, ea_cfg)
-        y = synthesize_tracks(state.tracks, n, signal.fs)
-        params = _track_param_count(state.tracks)
-    elapsed = time.perf_counter() - t0
-    return srer(signal.samples, y), params, elapsed
+        raise UsageError(f"unknown model {model!r}")
+    return srer(signal.samples, y), result, y, params
 
 
 def run_comparison(files: Sequence, models: Sequence[str] = MODELS,
@@ -277,6 +271,7 @@ def run_comparison(files: Sequence, models: Sequence[str] = MODELS,
     "unanalyzable" instead of aborting the run.
     """
     from .audio_io import read_wav
+    _check_models(models)
     rows: list[ComparisonRow] = []
     for path in files:
         file_id = str(path)
@@ -285,7 +280,7 @@ def run_comparison(files: Sequence, models: Sequence[str] = MODELS,
             f0track = estimate_f0(signal, f_min=f_min, f_max=f_max)
             if not f0track.any_voiced:
                 raise UsageError("no voiced frames")
-            sm_cfg, ed_cfg, ea_cfg = compare_configs(signal, f0track)
+            configs = dict(zip(MODELS, compare_configs(signal, f0track)))
         except Exception:
             rows.append(ComparisonRow(file_id=file_id, status="unanalyzable"))
             continue
@@ -295,8 +290,10 @@ def run_comparison(files: Sequence, models: Sequence[str] = MODELS,
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", category=RuntimeWarning)
             for model in models:
+                t0 = time.perf_counter()
                 try:
-                    s, p, dt = _run_model(model, signal, f0track, sm_cfg, ed_cfg, ea_cfg)
+                    s, _, _, p = run_model(model, signal, f0track, configs[model])
+                    dt = time.perf_counter() - t0
                 except Exception:
                     s, p, dt = None, None, None
                 srer_db[model] = s

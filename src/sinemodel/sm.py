@@ -18,6 +18,8 @@ from .core import TWO_PI, PartialTrack, SampledSignal, make_window, synthesize_t
 from .errors import UsageError
 
 _LOG_FLOOR = 1e-200
+THRESHOLD_DB = -60.0  # peaks must clear the frame's spectral max minus this
+MAX_JUMP_HZ = 30.0    # largest frequency step a track continues across
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,6 @@ class SMConfig:
     hop_ms: float = 1.0
     fft_size: int = 2048
     max_peaks: int = 100
-    threshold_db: float = -60.0   # relative to the frame's spectral max
-    max_jump_hz: float = 30.0
     window_samples: int = None    # overrides window_ms when set (forced odd)
 
     def __post_init__(self):
@@ -51,7 +51,7 @@ class SMConfig:
 
 
 def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
-                      max_peaks: int, threshold_db: float = -60.0) -> list[SpectralPeak]:
+                      max_peaks: int) -> list[SpectralPeak]:
     """Pick at most max_peaks spectral peaks from one frame.
 
     The window is sum-normalized so a unit cosine yields a 0.5 spectral
@@ -77,30 +77,26 @@ def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
     mag = 20.0 * np.log10(np.maximum(np.abs(spectrum), _LOG_FLOOR))
     interior = np.arange(1, mag.shape[0] - 1)
     is_peak = (mag[interior] > mag[interior - 1]) & (mag[interior] > mag[interior + 1])
-    above = mag[interior] > mag.max() + threshold_db
+    above = mag[interior] > mag.max() + THRESHOLD_DB
     peak_bins = interior[is_peak & above]
     if peak_bins.size == 0:
         return []
+    left, mid, right = mag[peak_bins - 1], mag[peak_bins], mag[peak_bins + 1]
+    den = left - 2.0 * mid + right
+    p = np.divide(0.5 * (left - right), den, out=np.zeros_like(den), where=den != 0.0)
+    p = np.clip(p, -1.0, 1.0)
+    frac_bin = peak_bins + p
+    freq = frac_bin * fs / fft_size
+    amp = 2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0)
+    inside = np.flatnonzero((freq > 0.0) & (freq < fs / 2.0))
+    # the max_peaks loudest (ties keep bin order), then ordered by frequency
+    keep = inside[np.argsort(-amp[inside], kind="stable")[:max_peaks]]
+    keep = keep[np.argsort(freq[keep], kind="stable")]
     phase_spec = np.unwrap(np.angle(spectrum))
-    peaks: list[SpectralPeak] = []
-    for b in peak_bins:
-        left, mid, right = mag[b - 1], mag[b], mag[b + 1]
-        den = left - 2.0 * mid + right
-        p = 0.0 if den == 0.0 else 0.5 * (left - right) / den
-        p = float(np.clip(p, -1.0, 1.0))
-        frac_bin = b + p
-        freq = frac_bin * fs / fft_size
-        if not (0.0 < freq < fs / 2.0):
-            continue
-        amp = 2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0)
-        phase = float(wrap_phase(np.interp(frac_bin, np.arange(phase_spec.shape[0]),
-                                           phase_spec)))
-        peaks.append(SpectralPeak(freq_hz=float(freq), amp=float(amp),
-                                  phase=phase, bin=float(frac_bin)))
-    peaks.sort(key=lambda pk: -pk.amp)
-    peaks = peaks[:max_peaks]
-    peaks.sort(key=lambda pk: pk.freq_hz)
-    return peaks
+    phase = wrap_phase(np.interp(frac_bin[keep], np.arange(phase_spec.shape[0]),
+                                 phase_spec))
+    return [SpectralPeak(freq_hz=float(f), amp=float(a), phase=float(ph), bin=float(b))
+            for f, a, ph, b in zip(freq[keep], amp[keep], phase, frac_bin[keep])]
 
 
 class _TrackBuilder:
@@ -223,7 +219,7 @@ def sm_peaks(signal: SampledSignal,
     else:
         centers = np.array([n // 2])
     peak_lists = [analyze_frame_fft(padded[c:c + w_len], window, config.fft_size,
-                                    fs, config.max_peaks, config.threshold_db)
+                                    fs, config.max_peaks)
                   for c in centers]
     return centers / fs, peak_lists
 
@@ -232,7 +228,7 @@ def sm_analyze(signal: SampledSignal, config: SMConfig = SMConfig()) -> list[Par
     """Frame the signal, pick peaks, and connect them into partial tracks."""
     hop = max(1, int(round(config.hop_ms * signal.fs / 1000.0)))
     times, peak_lists = sm_peaks(signal, config)
-    return track_partials(peak_lists, times, config.max_jump_hz, hop / signal.fs)
+    return track_partials(peak_lists, times, MAX_JUMP_HZ, hop / signal.fs)
 
 
 def sm_synthesize(tracks, n_samples: int, fs: float) -> np.ndarray:

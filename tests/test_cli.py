@@ -98,6 +98,20 @@ def test_analyze_edsm_with_precomputed_f0(tone_wav, tmp_path, capsys):
     assert json.loads(params.read_text())["type"] == "edsm_frames"
 
 
+def test_analyze_eaqhm(tone_wav, tmp_path, capsys):
+    params = tmp_path / "ea.json"
+    resynth = tmp_path / "ea.wav"
+    assert main(["analyze", "--model", "eaqhm", "--in", str(tone_wav),
+                 "--max-adapt", "1", "--partials", "2",
+                 "--params", str(params), "--resynth", str(resynth)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("model=eaqhm srer_db=")
+    dump = json.loads(params.read_text())
+    assert dump["type"] == "eaqhm_analysis"
+    assert dump["iterations"] <= 1
+    assert float(out.rsplit("=", 1)[-1]) == round(dump["srer_history"][-1], 3)
+
+
 def test_analyze_unvoiced_input_is_analysis_error(tmp_path, capsys):
     noise = _noise_wav(tmp_path)
     code = main(["analyze", "--model", "eaqhm", "--in", str(noise),

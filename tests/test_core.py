@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sinemodel.core import (SRER_MAX_DB, FrameGrid, PartialTrack, SampledSignal,
+from sinemodel.core import (SRER_MAX_DB, PartialTrack, SampledSignal,
                             interp_amplitude_linear, interp_frequency_spline,
                             make_window, phase_by_freq_integration,
                             phase_cubic_mq, sample_track, srer,
@@ -43,17 +43,6 @@ def test_partial_track_validation():
         PartialTrack(times=[0.0, 1.0], amps=[1, 1], freqs=[0, 100], phases=[0, 0])
     tr = PartialTrack(times=[0.5, 1.0], amps=[1, 1], freqs=[100, 100], phases=[0, 0])
     assert tr.birth == 0.5 and tr.death == 1.0
-
-
-def test_frame_grid():
-    grid = FrameGrid(centers=[10, 30], half_lengths=[8, 8], hop=20)
-    assert len(grid) == 2
-    assert grid.bounds(0, 100) == (2, 19)
-    assert grid.bounds(0, 15) == (2, 15)  # clipped at the signal end
-    with pytest.raises(UsageError):
-        FrameGrid(centers=[30, 10], half_lengths=[8, 8], hop=20)
-    with pytest.raises(UsageError):
-        FrameGrid(centers=[10], half_lengths=[8], hop=0)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_real_frame_design_matches_complex_mirrored_system():
              + rng.normal(0.0, 0.01, (n, m)))
     seg = rng.normal(size=n)
     w = np.hamming(n)
-    sol = eaqhm._solve_mirrored(seg, amp, phase, w, t, 1e10)
+    sol = eaqhm._solve_mirrored(seg, amp, phase, w, t)
 
     amp_full = np.hstack([amp[:, ::-1], np.ones((n, 1)), amp])
     phase_full = np.hstack([-phase[:, ::-1], np.zeros((n, 1)), phase])

@@ -5,8 +5,8 @@ import pytest
 from sinemodel.core import SampledSignal, srer
 from sinemodel.edsm import (EDSMConfig, EDSMFrame, DampedSinusoid, build_hankel,
                             components_to_poles, edsm_analyze, edsm_synthesize,
-                            esprit_poles, report_amplitude,
-                            poles_to_components, vandermonde_amplitudes)
+                            esprit_poles, poles_to_components,
+                            vandermonde_amplitudes)
 from sinemodel.errors import AnalysisError, UsageError
 from sinemodel.generators import DampedSumSpec, gen_damped_sum
 
@@ -140,14 +140,6 @@ def test_components_poles_roundtrip():
 def test_component_amplitude_must_be_nonnegative():
     with pytest.raises(UsageError):
         DampedSinusoid(a=-0.1, delta=0.0, freq_hz=100.0, phase=0.0)
-
-
-def test_whole_window_amplitude_convention():
-    c = DampedSinusoid(a=0.5, delta=0.001, freq_hz=100.0, phase=0.3)
-    expect = 0.5 * np.exp(-0.1) * np.exp(0.3j)
-    assert report_amplitude(c, 100) == pytest.approx(expect)
-    d = DampedSinusoid(a=0.5, delta=-0.001, freq_hz=100.0, phase=0.3)
-    assert report_amplitude(d, 100) == pytest.approx(0.5 * np.exp(0.3j))
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,11 @@ def test_run_comparison_empty_list():
     assert run_comparison([]) == []
 
 
+def test_run_comparison_rejects_unknown_model():
+    with pytest.raises(UsageError, match="unknown model"):
+        run_comparison([], models=("sm", "svm"))
+
+
 def test_generate_standins(tmp_path):
     paths = generate_standins(tmp_path)
     assert [p.rsplit("/", 1)[-1] for p in paths] == [

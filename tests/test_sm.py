@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from sinemodel.core import SampledSignal, make_window, srer
+from sinemodel.core import SampledSignal, make_window, srer, wrap_phase
 from sinemodel.errors import UsageError
-from sinemodel.sm import (SMConfig, SpectralPeak, analyze_frame_fft, sm_analyze,
-                          sm_peaks, sm_synthesize, track_partials)
+from sinemodel.sm import (THRESHOLD_DB, SMConfig, SpectralPeak, analyze_frame_fft,
+                          sm_analyze, sm_peaks, sm_synthesize, track_partials)
 
 FS = 16000.0
 
@@ -38,6 +38,59 @@ def test_frame_peak_cap_and_ordering():
     assert len(peaks) == 2
     freqs = [p.freq_hz for p in peaks]
     assert freqs == sorted(freqs)
+
+
+def _frame_peaks_ref(frame, window, fft_size, fs, max_peaks):
+    """analyze_frame_fft one local maximum at a time: interpolate every
+    maximum, then keep the max_peaks loudest, ordered by frequency."""
+    w = window.values
+    xw = frame * (w / np.sum(w))
+    half_hi, half_lo = (w.shape[0] + 1) // 2, w.shape[0] // 2
+    buf = np.zeros(fft_size)
+    buf[:half_hi] = xw[half_lo:]
+    buf[-half_lo:] = xw[:half_lo]
+    spectrum = np.fft.rfft(buf)
+    mag = 20.0 * np.log10(np.maximum(np.abs(spectrum), 1e-200))
+    phase_spec = np.unwrap(np.angle(spectrum))
+    peaks = []
+    for b in range(1, mag.shape[0] - 1):
+        left, mid, right = mag[b - 1], mag[b], mag[b + 1]
+        if not (mid > left and mid > right and mid > mag.max() + THRESHOLD_DB):
+            continue
+        den = left - 2.0 * mid + right
+        p = 0.0 if den == 0.0 else 0.5 * (left - right) / den
+        p = float(np.clip(p, -1.0, 1.0))
+        frac_bin = b + p
+        freq = frac_bin * fs / fft_size
+        if not (0.0 < freq < fs / 2.0):
+            continue
+        amp = 2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0)
+        phase = float(wrap_phase(np.interp(frac_bin, np.arange(phase_spec.shape[0]),
+                                           phase_spec)))
+        peaks.append(SpectralPeak(freq_hz=float(freq), amp=float(amp),
+                                  phase=phase, bin=float(frac_bin)))
+    peaks.sort(key=lambda pk: -pk.amp)
+    return sorted(peaks[:max_peaks], key=lambda pk: pk.freq_hz)
+
+
+def test_frame_peaks_match_scalar_reference():
+    rng = np.random.default_rng(7)
+    for L, kind, nfft, max_peaks in ((301, "hamming", 2048, 1), (481, "hann", 2048, 100),
+                                     (481, "blackman", 4096, 5), (63, "hann", 64, 3)):
+        window = make_window(kind, L)
+        t = (np.arange(L) - L // 2) / FS
+        for _ in range(10):
+            frame = rng.normal(0.0, 0.01, L)
+            for _ in range(int(rng.integers(1, 6))):
+                frame += rng.uniform(0.1, 1.0) * np.cos(
+                    2 * np.pi * rng.uniform(50.0, 7000.0) * t + rng.uniform(-np.pi, np.pi))
+            got = analyze_frame_fft(frame, window, nfft, FS, max_peaks)
+            want = _frame_peaks_ref(frame, window, nfft, FS, max_peaks)
+            assert len(got) == len(want) > 0
+            for field in ("freq_hz", "amp", "phase", "bin"):
+                np.testing.assert_array_max_ulp(
+                    np.array([getattr(pk, field) for pk in got]),
+                    np.array([getattr(pk, field) for pk in want]), maxulp=4)
 
 
 def test_frame_analysis_edge_cases():
