@@ -33,22 +33,14 @@ def autocorr_norm(frame: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
     """Normalized autocorrelation at lags lag_min..lag_max; lags past the
     frame and an all-zero frame give 0."""
     n = frame.shape[0]
-    nlags = lag_max - lag_min + 1
-    r = np.zeros(nlags, dtype=np.float64)
+    r = np.zeros(lag_max - lag_min + 1, dtype=np.float64)
     if not np.any(frame):
         return r
     full = np.correlate(frame, frame, mode="full")[n - 1:]
     csq = np.concatenate(([0.0], np.cumsum(frame * frame)))
-    for j in range(nlags):
-        lag = lag_min + j
-        m = n - lag
-        if m <= 0:
-            continue
-        e1 = csq[m]
-        e2 = csq[n] - csq[lag]
-        den = np.sqrt(e1 * e2)
-        if den > 0.0:
-            r[j] = full[lag] / den
+    lags = np.arange(lag_min, min(lag_max + 1, n))
+    den = np.sqrt(csq[n - lags] * (csq[n] - csq[lags]))
+    np.divide(full[lags], den, out=r[:lags.shape[0]], where=den > 0.0)
     return r
 
 

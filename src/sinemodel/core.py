@@ -192,9 +192,9 @@ def phase_by_freq_integration(freq_hz: np.ndarray, fs: float, phi0: float = 0.0,
                               anchor_phases: np.ndarray = None) -> np.ndarray:
     """Per-sample phase as the trapezoid integral of 2*pi*f/fs.
 
-    With anchors, the integrated phase is pinned to each anchor phase
-    modulo 2*pi; every span's residual is spread linearly across it so the
-    curve stays continuous.
+    With anchors (sample indices in non-decreasing order), the integrated
+    phase is pinned to each anchor phase modulo 2*pi; every span's residual
+    is spread linearly across it so the curve stays continuous.
     """
     freq_hz = np.asarray(freq_hz, dtype=np.float64)
     phase = _kernels.trapezoid_phase(freq_hz, float(fs), float(phi0))
@@ -206,13 +206,17 @@ def phase_by_freq_integration(freq_hz: np.ndarray, fs: float, phi0: float = 0.0,
         raise UsageError("anchor index/phase arrays must have equal length")
     if np.any(idx < 0) or np.any(idx >= freq_hz.shape[0]):
         raise UsageError("anchor index out of range")
+    if np.any(np.diff(idx) < 0):
+        raise UsageError("anchor indices must be non-decreasing")
     phase += tgt[0] - phase[idx[0]]
-    for j in range(idx.shape[0] - 1):
-        ia, ib = int(idx[j]), int(idx[j + 1])
-        r = float(wrap_phase(tgt[j + 1] - phase[ib]))
-        span = ib - ia
-        phase[ia + 1:ib + 1] += r * (np.arange(1, span + 1) / span)
-        phase[ib + 1:] += r
+    # span j's residual r[j] ramps in over samples idx[j]+1..idx[j+1] and
+    # holds after them; ramp_base[j] sums the residuals of the earlier spans
+    r = np.append(wrap_phase(np.diff(tgt) - np.diff(phase[idx])), 0.0)
+    span = np.append(np.diff(idx), 1)
+    ramp_base = np.concatenate(([0.0], np.cumsum(r[:-1])))
+    s = np.arange(idx[0] + 1, phase.shape[0])
+    j = np.searchsorted(idx, s) - 1  # last anchor strictly before s
+    phase[idx[0] + 1:] += ramp_base[j] + r[j] * ((s - idx[j]) / span[j])
     return phase
 
 
@@ -222,10 +226,11 @@ def phase_cubic_mq(dt: float, phi1: float, f1: float, phi2: float, f2: float,
 
     dt is the anchor spacing in seconds; tau holds evaluation offsets in
     [0, dt].  Endpoint phases are met modulo 2*pi and endpoint frequencies
-    exactly.
+    exactly.  The arguments broadcast, so one call can evaluate many spans.
     """
-    if dt <= 0:
-        raise UsageError(f"anchor spacing must be positive, got {dt}")
+    dt = np.asarray(dt, dtype=np.float64)
+    if np.any(dt <= 0):
+        raise UsageError(f"anchor spacing must be positive, got {np.min(dt)}")
     w1 = TWO_PI * f1
     w2 = TWO_PI * f2
     m = np.round(((phi1 + w1 * dt - phi2) + (w2 - w1) * dt / 2.0) / TWO_PI)
@@ -249,55 +254,41 @@ def sample_track(track: PartialTrack, fs: float, n0: int,
     phase the trapezoid integral of frequency pinned to the anchor phases
     modulo 2*pi.  Beyond the anchor span, amplitude and frequency hold their
     endpoint values and phase keeps advancing at the endpoint frequency.
+    A sample's values do not depend on the requested range.
     """
     if n1 < n0:
         raise UsageError("empty sample range")
-    t = np.arange(n0, n1 + 1, dtype=np.float64) / fs
-    amp = interp_amplitude_linear(track.times, track.amps, t)
+    anchors = np.round(track.times * fs).astype(np.int64)
+    lo = min(n0, int(anchors[0]))
+    hi = max(n1, int(anchors[-1]))
+    t = np.arange(lo, hi + 1, dtype=np.float64) / fs
     freq = interp_frequency_spline(track.times, track.freqs, t)
-    idx = np.round(track.times * fs).astype(np.int64) - n0
-    keep = (idx >= 0) & (idx < t.shape[0])
-    if np.any(keep):
-        phase = phase_by_freq_integration(freq, fs, phi0=track.phases[0],
-                                          anchor_idx=idx[keep],
-                                          anchor_phases=track.phases[keep])
-    elif t[0] > track.times[-1]:
-        phase = track.phases[-1] + TWO_PI * track.freqs[-1] * (t - track.times[-1])
-    elif t[-1] < track.times[0]:
-        phase = track.phases[0] - TWO_PI * track.freqs[0] * (track.times[0] - t)
-    else:
-        # range falls between two anchors: integrate from the left anchor's
-        # sample so the trapezoid grid stays uniform, then slice
-        ia = int(np.searchsorted(track.times, t[0]) - 1)
-        m_a = int(np.round(track.times[ia] * fs))
-        tt = np.arange(m_a, n1 + 1, dtype=np.float64) / fs
-        ff = interp_frequency_spline(track.times, track.freqs, tt)
-        phase = phase_by_freq_integration(ff, fs, phi0=track.phases[ia])[n0 - m_a:]
-    return amp, freq, phase
+    phase = phase_by_freq_integration(freq, fs, phi0=track.phases[0],
+                                      anchor_idx=anchors - lo,
+                                      anchor_phases=track.phases)
+    sl = slice(n0 - lo, n1 - lo + 1)
+    amp = interp_amplitude_linear(track.times, track.amps, t[sl])
+    return amp, freq[sl], phase[sl]
 
 
 def _track_phase_cubic(track: PartialTrack, n0: int, t: np.ndarray,
                        fs: float) -> np.ndarray:
-    phase = np.empty(t.shape[0], dtype=np.float64)
+    """Cubic phase at samples n0, n0+1, ... (times t): span j covers anchor
+    samples [m_j, m_j+1), the last span also its end sample; before the
+    first and after the last anchor (everywhere, for a lone anchor) phase
+    advances at the endpoint frequency."""
     times, freqs, phases = track.times, track.freqs, track.phases
-    if times.shape[0] == 1:
-        return phases[0] + TWO_PI * freqs[0] * (t - times[0])
-    anchor_samp = np.round(times * fs).astype(np.int64) - n0
-    # before the first / after the last anchor: constant-frequency advance
-    first, last = int(anchor_samp[0]), int(anchor_samp[-1])
-    if first > 0:
-        phase[:first] = phases[0] + TWO_PI * freqs[0] * (t[:first] - times[0])
-    if last < t.shape[0] - 1:
-        phase[last + 1:] = phases[-1] + TWO_PI * freqs[-1] * (t[last + 1:] - times[-1])
-    for j in range(times.shape[0] - 1):
-        ia = max(int(anchor_samp[j]), 0)
-        ib = min(int(anchor_samp[j + 1]), t.shape[0] - 1)
-        if ib < 0 or ia > t.shape[0] - 1 or ib < ia:
-            continue
-        stop = ib + 1 if j == times.shape[0] - 2 else ib
-        tau = t[ia:stop] - times[j]
-        phase[ia:stop] = phase_cubic_mq(times[j + 1] - times[j], phases[j],
-                                        freqs[j], phases[j + 1], freqs[j + 1], tau)
+    n_spans = times.shape[0] - 1
+    anchors = np.round(times * fs).astype(np.int64) - n0
+    lo = int(np.clip(anchors[0], 0, t.shape[0]))
+    hi = int(np.clip(anchors[-1] + 1, lo, t.shape[0])) if n_spans else lo
+    phase = np.empty(t.shape[0], dtype=np.float64)
+    phase[:lo] = phases[0] + TWO_PI * freqs[0] * (t[:lo] - times[0])
+    phase[hi:] = phases[-1] + TWO_PI * freqs[-1] * (t[hi:] - times[-1])
+    j = np.minimum(np.searchsorted(anchors, np.arange(lo, hi), side="right") - 1,
+                   n_spans - 1)
+    phase[lo:hi] = phase_cubic_mq(times[j + 1] - times[j], phases[j], freqs[j],
+                                  phases[j + 1], freqs[j + 1], t[lo:hi] - times[j])
     return phase
 
 
@@ -317,24 +308,21 @@ def synthesize_tracks(tracks, n_samples: int, fs: float,
     """
     if phase_mode not in ("freq_integration", "cubic"):
         raise UsageError(f"unknown phase mode {phase_mode!r}")
-    out = np.zeros(int(n_samples), dtype=np.float64)
+    n_samples = int(n_samples)
+    out = np.zeros(n_samples, dtype=np.float64)
     for track in tracks:
-        n0 = int(np.round(track.times[0] * fs))
-        n1 = int(np.round(track.times[-1] * fs))
-        if track.amps[0] > 0:
-            n0 = min(n0, 0)
-        if track.amps[-1] > 0:
-            n1 = max(n1, int(n_samples) - 1)
-        lo = max(n0, 0)
-        hi = min(n1, n_samples - 1)
+        lo, hi = 0, n_samples - 1
+        if track.amps[0] == 0:
+            lo = max(int(np.round(track.times[0] * fs)), lo)
+        if track.amps[-1] == 0:
+            hi = min(int(np.round(track.times[-1] * fs)), hi)
         if hi < lo:
             continue
         if phase_mode == "freq_integration":
-            amp, _, phase = sample_track(track, fs, n0, n1)
+            amp, _, phase = sample_track(track, fs, lo, hi)
         else:
-            t = np.arange(n0, n1 + 1, dtype=np.float64) / fs
+            t = np.arange(lo, hi + 1, dtype=np.float64) / fs
             amp = interp_amplitude_linear(track.times, track.amps, t)
-            phase = _track_phase_cubic(track, n0, t, fs)
-        sl = slice(lo - n0, hi - n0 + 1)
-        _kernels.accumulate_cosine(out, lo, amp[sl], phase[sl])
+            phase = _track_phase_cubic(track, lo, t, fs)
+        _kernels.accumulate_cosine(out, lo, amp, phase)
     return out

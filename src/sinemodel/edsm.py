@@ -55,18 +55,16 @@ class EDSMConfig:
     """Frame-wise analysis settings.
 
     order counts sinusoids per frame (the exponential order is twice that)
-    and is capped by each frame's Hankel capacity.  damp_clamp, when set,
-    discards poles whose per-sample |delta| exceeds it; by default only
-    poles that cannot be rendered without overflow are discarded, because
-    over-ordered frames rely on strongly damped poles to reach their fit
-    quality.
+    and is capped by each frame's Hankel capacity.  Each frame's Hankel
+    matrix has L//2 columns for a frame of L samples.  Only poles that
+    cannot be rendered over the frame without overflow are discarded,
+    because over-ordered frames rely on strongly damped poles to reach
+    their fit quality.
     """
 
     window_samples: int
     order: object = None        # sinusoids per frame: int, per-frame sequence, or None
-    n_cols: int = None          # Hankel column count, default L//2
     rank_rtol: float = RANK_RTOL
-    damp_clamp: float = None    # optional |delta| bound per sample
 
     def __post_init__(self):
         if self.window_samples < 4:
@@ -302,18 +300,14 @@ def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> list[EDSMFrame]:
             continue
         if seg.shape[0] < 8:
             seg = np.concatenate([seg, np.zeros(8 - seg.shape[0])])
-        n_cols = seg.shape[0] // 2 if config.n_cols is None else min(config.n_cols,
-                                                                     seg.shape[0] - 2)
+        n_cols = seg.shape[0] // 2
         k_cap = min(n_cols, seg.shape[0] - n_cols + 1) - 1
         k_use = min(k_exp, k_cap)
         poles, k_eff = esprit_poles(seg, k_use, n_cols=n_cols, rank_rtol=config.rank_rtol)
         if poles.shape[0]:
-            # keep poles renderable over this frame; an optional clamp can
-            # additionally restrict to near-stationary envelopes
+            # keep poles renderable over this frame
             mag = np.abs(poles)
             bound = _LOG_RANGE / max(seg.shape[0] - 1, 1)
-            if config.damp_clamp is not None:
-                bound = min(bound, float(config.damp_clamp))
             keep = (mag > 0) & (np.abs(np.log(np.maximum(mag, 1e-300))) <= bound)
             poles = poles[keep]
         if k_eff == 0 or poles.shape[0] == 0:

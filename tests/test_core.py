@@ -2,14 +2,121 @@
 import numpy as np
 import pytest
 
-from sinemodel.core import (SRER_MAX_DB, PartialTrack, SampledSignal,
-                            interp_amplitude_linear, interp_frequency_spline,
-                            make_window, phase_by_freq_integration,
-                            phase_cubic_mq, sample_track, srer,
-                            synthesize_tracks, wrap_phase)
+from sinemodel import _kernels
+from sinemodel.core import (SRER_MAX_DB, TWO_PI, PartialTrack, SampledSignal,
+                            _track_phase_cubic, interp_amplitude_linear,
+                            interp_frequency_spline, make_window,
+                            phase_by_freq_integration, phase_cubic_mq,
+                            sample_track, srer, synthesize_tracks, wrap_phase)
 from sinemodel.errors import UsageError
 
 FS = 16000.0
+
+
+# ---------------------------------------------------------------------------
+# loop references: the track renderer one anchor span at a time
+# ---------------------------------------------------------------------------
+
+def _phase_by_freq_integration_ref(freq_hz, fs, phi0, anchor_idx, anchor_phases):
+    phase = _kernels.trapezoid_phase(freq_hz, float(fs), float(phi0))
+    idx = np.asarray(anchor_idx, dtype=np.int64)
+    tgt = np.asarray(anchor_phases, dtype=np.float64)
+    phase += tgt[0] - phase[idx[0]]
+    for j in range(idx.shape[0] - 1):
+        ia, ib = int(idx[j]), int(idx[j + 1])
+        r = float(wrap_phase(tgt[j + 1] - phase[ib]))
+        span = ib - ia
+        phase[ia + 1:ib + 1] += r * (np.arange(1, span + 1) / span)
+        phase[ib + 1:] += r
+    return phase
+
+
+def _track_phase_cubic_ref(track, n0, t, fs):
+    phase = np.empty(t.shape[0], dtype=np.float64)
+    times, freqs, phases = track.times, track.freqs, track.phases
+    if times.shape[0] == 1:
+        return phases[0] + TWO_PI * freqs[0] * (t - times[0])
+    anchor_samp = np.round(times * fs).astype(np.int64) - n0
+    first, last = int(anchor_samp[0]), int(anchor_samp[-1])
+    if first > 0:
+        phase[:first] = phases[0] + TWO_PI * freqs[0] * (t[:first] - times[0])
+    if last < t.shape[0] - 1:
+        phase[last + 1:] = phases[-1] + TWO_PI * freqs[-1] * (t[last + 1:] - times[-1])
+    for j in range(times.shape[0] - 1):
+        ia = max(int(anchor_samp[j]), 0)
+        ib = min(int(anchor_samp[j + 1]), t.shape[0] - 1)
+        if ib < 0 or ia > t.shape[0] - 1 or ib < ia:
+            continue
+        stop = ib + 1 if j == times.shape[0] - 2 else ib
+        tau = t[ia:stop] - times[j]
+        phase[ia:stop] = phase_cubic_mq(times[j + 1] - times[j], phases[j],
+                                        freqs[j], phases[j + 1], freqs[j + 1], tau)
+    return phase
+
+
+def _render_range(track, n_samples, fs):
+    """Samples n0..n1 that cover every anchor and, unless a zero-amplitude
+    end anchor stops it there, the signal edge on that side."""
+    n0 = int(np.round(track.times[0] * fs))
+    n1 = int(np.round(track.times[-1] * fs))
+    if track.amps[0] > 0:
+        n0 = min(n0, 0)
+    if track.amps[-1] > 0:
+        n1 = max(n1, n_samples - 1)
+    return n0, n1
+
+
+def _synthesize_tracks_ref(tracks, n_samples, fs, phase_mode):
+    out = np.zeros(n_samples)
+    for track in tracks:
+        n0, n1 = _render_range(track, n_samples, fs)
+        lo, hi = max(n0, 0), min(n1, n_samples - 1)
+        if hi < lo:
+            continue
+        t = np.arange(n0, n1 + 1, dtype=np.float64) / fs
+        amp = interp_amplitude_linear(track.times, track.amps, t)
+        if phase_mode == "cubic":
+            phase = _track_phase_cubic_ref(track, n0, t, fs)
+        else:
+            phase = _phase_by_freq_integration_ref(
+                interp_frequency_spline(track.times, track.freqs, t), fs,
+                track.phases[0], np.round(track.times * fs).astype(np.int64) - n0,
+                track.phases)
+        sl = slice(lo - n0, hi - n0 + 1)
+        _kernels.accumulate_cosine(out, lo, amp[sl], phase[sl])
+    return out
+
+
+def _random_track(rng, n_anchors, t0, ramps=False):
+    # two in five odd gaps are under half a sample, so anchor pairs (never
+    # three anchors) share a sample
+    gaps = rng.uniform(5e-4, 8e-3, n_anchors)
+    short = (rng.random(n_anchors) < 0.4) & (np.arange(n_anchors) % 2 == 1)
+    gaps[short] = rng.uniform(1e-6, 3e-5, n_anchors)[short]
+    times = t0 + np.cumsum(gaps) - gaps[0]
+    amps = rng.uniform(0.1, 1.0, n_anchors)
+    if ramps:
+        amps[0] = amps[-1] = 0.0
+    return PartialTrack(times=times, amps=amps,
+                        freqs=rng.uniform(50.0, 4000.0, n_anchors),
+                        phases=rng.uniform(-np.pi, np.pi, n_anchors))
+
+
+def _parity_tracks():
+    rng = np.random.default_rng(2024)
+    tracks = [
+        PartialTrack(times=[0.01], amps=[0.5], freqs=[300.0], phases=[1.0]),
+        PartialTrack(times=[0.01], amps=[0.0], freqs=[300.0], phases=[1.0]),
+        # two anchors on sample 160, then the last two on sample 480
+        PartialTrack(times=[0.01, 0.0100125, 0.02, 0.03, 0.03001],
+                     amps=[0.0, 1.0, 0.8, 0.6, 0.0], freqs=[200, 210, 190, 205, 200],
+                     phases=[0.0, 2.0, -1.0, 3.0, 0.5]),
+    ]
+    for i in range(30):
+        # starts before 0 or past the 0.1 s signal put anchors outside it
+        tracks.append(_random_track(rng, int(rng.integers(1, 40)),
+                                    rng.uniform(-0.02, 0.12), ramps=i % 2 == 1))
+    return tracks
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +313,26 @@ def test_phase_integration_anchor_validation():
     with pytest.raises(UsageError):
         phase_by_freq_integration(np.zeros(10), FS, anchor_idx=np.array([99]),
                                   anchor_phases=np.array([0.0]))
+    with pytest.raises(UsageError):  # decreasing
+        phase_by_freq_integration(np.zeros(10), FS, anchor_idx=np.array([2, 5, 4]),
+                                  anchor_phases=np.array([0.0, 1.0, 2.0]))
+
+
+def test_phase_integration_matches_loop_reference():
+    rng = np.random.default_rng(99)
+    for n_anchors in (1, 2, 5, 60):
+        for _ in range(10):
+            n = int(rng.integers(100, 3000))
+            freq = rng.uniform(20.0, 5000.0, n)
+            # about a fifth of the anchor samples carry a second anchor
+            idx = np.sort(rng.choice(n, n_anchors, replace=False))
+            idx = np.sort(np.concatenate((idx, idx[rng.random(n_anchors) < 0.2])))
+            tgt = rng.uniform(-np.pi, np.pi, idx.shape[0])
+            phi0 = rng.uniform(-10.0, 10.0)
+            ref = _phase_by_freq_integration_ref(freq, FS, phi0, idx, tgt)
+            ph = phase_by_freq_integration(freq, FS, phi0=phi0, anchor_idx=idx,
+                                           anchor_phases=tgt)
+            np.testing.assert_allclose(ph, ref, rtol=0, atol=1e-9)
 
 
 def test_phase_cubic_degenerates_to_linear():
@@ -232,6 +359,19 @@ def test_phase_cubic_endpoint_conditions():
     assert d1 == pytest.approx(2 * np.pi * f2, rel=1e-4)
     with pytest.raises(UsageError):
         phase_cubic_mq(0.0, phi1, f1, phi2, f2, tau)
+
+
+def test_phase_cubic_broadcasts_over_spans():
+    rng = np.random.default_rng(5)
+    dt = rng.uniform(1e-3, 1e-2, 40)
+    phi1, phi2 = rng.uniform(-np.pi, np.pi, (2, 40))
+    f1, f2 = rng.uniform(50.0, 4000.0, (2, 40))
+    tau = rng.uniform(0.0, 1.0, 40) * dt
+    ph = phase_cubic_mq(dt, phi1, f1, phi2, f2, tau)
+    for i in range(40):
+        assert ph[i] == phase_cubic_mq(dt[i], phi1[i], f1[i], phi2[i], f2[i], tau[i])
+    with pytest.raises(UsageError):
+        phase_cubic_mq(np.array([0.01, -0.01]), 0.0, 100.0, 0.0, 100.0, 0.0)
 
 
 def test_cubic_resynthesis_of_stationary_tone():
@@ -293,6 +433,53 @@ def test_sample_track_interior_gap():
     np.testing.assert_allclose(phase, 2 * np.pi * 100.0 * t, atol=1e-6)
     with pytest.raises(UsageError):
         sample_track(track, FS, 10, 9)
+
+
+def test_sample_track_is_independent_of_the_range():
+    rng = np.random.default_rng(11)
+    track = _random_track(rng, 100, 0.005)
+    first, last = np.round(track.times[[0, -1]] * FS).astype(int)
+    n0, n1 = first - 200, last + 200
+    full = sample_track(track, FS, n0, n1)
+    inner = np.round(track.times[40:42] * FS).astype(int)
+    ranges = [(500, 1200),                          # mid-track start and end
+              (n0, (first + last) // 2),            # ends mid-track
+              ((first + last) // 2, n1),            # starts mid-track
+              (inner[0] + 1, inner[1] - 1),         # between two anchors
+              (n0, first - 50), (last + 50, n1)]    # wholly before, after
+    for a, b in ranges:
+        part = sample_track(track, FS, a, b)
+        sl = slice(a - n0, b - n0 + 1)
+        np.testing.assert_array_equal(part[0], full[0][sl])
+        np.testing.assert_array_equal(part[1], full[1][sl])
+        np.testing.assert_allclose(part[2], full[2][sl], rtol=0, atol=1e-9)
+
+
+def test_track_phase_matches_loop_references():
+    n = 1600  # 0.1 s
+    for track in _parity_tracks():
+        n0, n1 = _render_range(track, n, FS)
+        t = np.arange(n0, n1 + 1, dtype=np.float64) / FS
+        np.testing.assert_array_equal(_track_phase_cubic(track, n0, t, FS),
+                                      _track_phase_cubic_ref(track, n0, t, FS))
+        anchors = np.round(track.times * FS).astype(np.int64) - n0
+        freq = interp_frequency_spline(track.times, track.freqs, t)
+        ref = _phase_by_freq_integration_ref(freq, FS, track.phases[0], anchors,
+                                             track.phases)
+        np.testing.assert_allclose(sample_track(track, FS, n0, n1)[2], ref,
+                                   rtol=0, atol=1e-9)
+
+
+def test_synthesize_tracks_matches_loop_references():
+    n = 1600
+    tracks = _parity_tracks()
+    np.testing.assert_array_equal(synthesize_tracks(tracks, n, FS, phase_mode="cubic"),
+                                  _synthesize_tracks_ref(tracks, n, FS, "cubic"))
+    # a phase error e moves each track's samples by at most amp * e
+    np.testing.assert_allclose(
+        synthesize_tracks(tracks, n, FS),
+        _synthesize_tracks_ref(tracks, n, FS, "freq_integration"),
+        rtol=0, atol=1e-9 * sum(float(np.max(tr.amps)) for tr in tracks))
 
 
 def test_synthesize_tracks_edge_extension():
