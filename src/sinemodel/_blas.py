@@ -8,8 +8,8 @@ build lowered to one thread and put back to its previous count afterwards.
 The builds are found in this process's own memory map (numpy and scipy each
 may ship one) and driven through their exported thread-count symbols via
 ctypes.  Where there is no memory map or no such symbol, nothing changes.
-The limit is reference-counted, so concurrent callers on a thread pool share
-it and the last one out restores the counts.
+The limit is reference-counted, so concurrent callers on their own threads
+share it and the last one out restores the counts.
 """
 from __future__ import annotations
 

@@ -228,6 +228,13 @@ def phase_cubic_mq(dt: float, phi1: float, f1: float, phi2: float, f2: float,
     [0, dt].  Endpoint phases are met modulo 2*pi and endpoint frequencies
     exactly.  The arguments broadcast, so one call can evaluate many spans.
     """
+    w1, a, b = _cubic_coeffs(dt, phi1, f1, phi2, f2)
+    tau = np.asarray(tau, dtype=np.float64)
+    return phi1 + w1 * tau + a * tau**2 + b * tau**3
+
+
+def _cubic_coeffs(dt, phi1, f1, phi2, f2):
+    """Per-span (w1, a, b) of phase_cubic_mq's phi1 + w1*tau + a*tau**2 + b*tau**3."""
     dt = np.asarray(dt, dtype=np.float64)
     if np.any(dt <= 0):
         raise UsageError(f"anchor spacing must be positive, got {np.min(dt)}")
@@ -237,8 +244,7 @@ def phase_cubic_mq(dt: float, phi1: float, f1: float, phi2: float, f2: float,
     d = phi2 - phi1 - w1 * dt + TWO_PI * m
     a = 3.0 / dt**2 * d - (w2 - w1) / dt
     b = -2.0 / dt**3 * d + (w2 - w1) / dt**2
-    tau = np.asarray(tau, dtype=np.float64)
-    return phi1 + w1 * tau + a * tau**2 + b * tau**3
+    return w1, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +291,12 @@ def _track_phase_cubic(track: PartialTrack, n0: int, t: np.ndarray,
     phase = np.empty(t.shape[0], dtype=np.float64)
     phase[:lo] = phases[0] + TWO_PI * freqs[0] * (t[:lo] - times[0])
     phase[hi:] = phases[-1] + TWO_PI * freqs[-1] * (t[hi:] - times[-1])
+    w1, a, b = _cubic_coeffs(np.diff(times), phases[:-1], freqs[:-1],
+                             phases[1:], freqs[1:])
     j = np.minimum(np.searchsorted(anchors, np.arange(lo, hi), side="right") - 1,
                    n_spans - 1)
-    phase[lo:hi] = phase_cubic_mq(times[j + 1] - times[j], phases[j], freqs[j],
-                                  phases[j + 1], freqs[j + 1], t[lo:hi] - times[j])
+    tau = t[lo:hi] - times[j]
+    phase[lo:hi] = phases[j] + w1[j] * tau + a[j] * tau**2 + b[j] * tau**3
     return phase
 
 

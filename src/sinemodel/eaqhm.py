@@ -36,6 +36,7 @@ SRER_CEILING_DB = 150.0    # past this, the residual is numerical noise
 COND_BOUND = 1e10          # on the real normal matrix of a frame fit
 NYQUIST_MARGIN_HZ = 200.0  # partials stay this far below fs/2
 COL_RATIO = 2.0 / 3.0      # LS columns capped at this fraction of the frame
+ADAPT_WINDOW_KIND = "hamming"
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class EaQHMConfig:
     window_periods: float = 3.0      # pitch-adaptive window span, local f0 periods
     window_samples: int = None       # fixed window (overrides window_periods)
     init_window_kind: str = "blackman"
-    adapt_window_kind: str = "hamming"
     max_partials: int = None         # None: full band from the local f0
     max_adaptations: int = 10
     f_guard_hz: float = None         # conditioning guard; None: local f0
@@ -322,7 +322,7 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
             w_len = fr.hi - fr.lo + 1
             w = windows.get(w_len)
             if w is None:
-                w = make_window(config.adapt_window_kind, w_len).values
+                w = make_window(ADAPT_WINDOW_KIND, w_len).values
                 windows[w_len] = w
             ci = fr.center - fr.lo
             amp_cols = amp_all[idx, fr.lo:fr.hi + 1].T

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,13 +19,14 @@ from .core import PartialTrack, SampledSignal, srer, synthesize_tracks
 from .eaqhm import EaQHMConfig, adapt, init_harmonic
 from .edsm import (EDSMConfig, EDSMFrame, edsm_analyze, edsm_synthesize,
                    full_band_orders)
-from .errors import IllConditionedError, UsageError
+from .errors import IllConditionedError, SineModelError, UsageError
 from .generators import AMFMSpec, ChirpSpec, gen_amfm, gen_stationary_plus_chirp
 from .pitch import F0Track, average_pitch_period, estimate_f0
 from .sm import SMConfig, sm_analyze, sm_synthesize
 
 MODELS = ("sm", "edsm", "eaqhm")
 CELL_STATUSES = ("ok", "ill_conditioned", "failed")
+SWEEP_HOP_MS = 1.0
 
 
 def _check_models(models: Sequence[str]) -> None:
@@ -45,11 +45,8 @@ class SweepSpec:
     models: tuple[str, ...] = MODELS
     multiples: tuple[float, ...] = tuple(np.arange(1, 11) * 0.5)
     t_min_s: float = None             # inferred for the named generators
-    hop_ms: float = 1.0
     partials: dict = field(default_factory=dict)  # per-model counts; None = full band
     seed: int = 0
-    fs: float = 16000.0
-    max_workers: int = 4
 
     def __post_init__(self):
         if self.t_min_s is not None and self.t_min_s <= 0:
@@ -114,9 +111,9 @@ def _resolve_source(spec: SweepSpec):
     if spec.source in _GENERATOR_DEFAULTS:
         t_min, band, counts = _GENERATOR_DEFAULTS[spec.source]
         if spec.source == "chirp":
-            signal, _ = gen_stationary_plus_chirp(ChirpSpec(fs=spec.fs))
+            signal, _ = gen_stationary_plus_chirp(ChirpSpec())
         else:
-            signal, _ = gen_amfm(AMFMSpec(fs=spec.fs, seed=spec.seed))
+            signal, _ = gen_amfm(AMFMSpec(seed=spec.seed))
     else:
         from .audio_io import read_wav
         signal = read_wav(spec.source)
@@ -135,14 +132,13 @@ def _next_pow2(n: int) -> int:
 
 
 def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
-                multiple: float, t_min: float, spec: SweepSpec,
-                counts: dict) -> SweepCell:
-    w = sweep_window_samples(multiple, t_min, spec.fs)
+                multiple: float, t_min: float, counts: dict) -> SweepCell:
+    w = sweep_window_samples(multiple, t_min, signal.fs)
     count = counts.get(model)
     try:
         if model == "sm":
             cfg = SMConfig(window_samples=w, window_kind="hamming",
-                           hop_ms=spec.hop_ms,
+                           hop_ms=SWEEP_HOP_MS,
                            fft_size=max(2048, _next_pow2(w)),
                            max_peaks=count if count else 100)
         elif model == "edsm":
@@ -151,9 +147,8 @@ def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
             # is used as-is, with no rank-based trimming
             cfg = EDSMConfig(window_samples=w, order=order, rank_rtol=0.0)
         else:
-            cfg = EaQHMConfig(hop_ms=spec.hop_ms, window_samples=w,
+            cfg = EaQHMConfig(hop_ms=SWEEP_HOP_MS, window_samples=w,
                               init_window_kind="hamming",
-                              adapt_window_kind="hamming",
                               max_partials=count,
                               f_guard_hz=1.0 / t_min)
         srer_db, _, _, _ = run_model(model, signal, f0track, cfg)
@@ -161,7 +156,7 @@ def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
     except IllConditionedError:
         return SweepCell(model=model, multiple=multiple, srer_db=None,
                          status="ill_conditioned")
-    except Exception:
+    except SineModelError:
         return SweepCell(model=model, multiple=multiple, srer_db=None,
                          status="failed")
 
@@ -169,27 +164,20 @@ def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
 def run_window_sweep(spec: SweepSpec) -> SRERCurve:
     """One SRER cell per (model, window multiple).
 
-    Cells run on a bounded worker pool; assembly order follows the spec
-    (model-major, then multiples ascending) regardless of completion order.
-    A failing cell never aborts the sweep: it carries status
+    Cells run one after another on the calling thread, in spec order
+    (model-major, then multiples ascending).  A cell whose analysis raises
+    a SineModelError never aborts the sweep: it carries status
     "ill_conditioned" (window below the adaptive model's conditioning
-    bound) or "failed".
+    bound) or "failed".  Any other exception propagates.
     """
     signal, t_min, band, counts = _resolve_source(spec)
     f0track = None
     if "eaqhm" in spec.models or "edsm" in spec.models:
         f0track = estimate_f0(signal, f_min=band[0], f_max=band[1])
-    jobs = [(model, multiple) for model in spec.models
-            for multiple in spec.multiples]
-    # warning filters are process-global, so suppress per-frame conditioning
-    # chatter here rather than racing catch_warnings across worker threads
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", category=RuntimeWarning)
-        with ThreadPoolExecutor(max_workers=spec.max_workers) as pool:
-            futures = [pool.submit(_sweep_cell, signal, f0track, model, multiple,
-                                   t_min, spec, counts)
-                       for model, multiple in jobs]
-            rows = tuple(f.result() for f in futures)
+        rows = tuple(_sweep_cell(signal, f0track, model, multiple, t_min, counts)
+                     for model in spec.models for multiple in spec.multiples)
     return SRERCurve(rows=rows)
 
 
@@ -227,7 +215,6 @@ def compare_configs(signal: SampledSignal, f0track: F0Track):
                       fft_size=2048, max_peaks=100)
     ea_cfg = EaQHMConfig(hop_ms=1.0, window_periods=3.0,
                          init_window_kind="blackman",
-                         adapt_window_kind="hamming",
                          max_partials=None, max_adaptations=10)
     period_s = average_pitch_period(f0track)
     window = max(8, int(round(0.75 * period_s * signal.fs)))
@@ -281,7 +268,7 @@ def run_comparison(files: Sequence, models: Sequence[str] = MODELS,
             if not f0track.any_voiced:
                 raise UsageError("no voiced frames")
             configs = dict(zip(MODELS, compare_configs(signal, f0track)))
-        except Exception:
+        except SineModelError:
             rows.append(ComparisonRow(file_id=file_id, status="unanalyzable"))
             continue
         srer_db: dict = {}
@@ -294,7 +281,7 @@ def run_comparison(files: Sequence, models: Sequence[str] = MODELS,
                 try:
                     s, _, _, p = run_model(model, signal, f0track, configs[model])
                     dt = time.perf_counter() - t0
-                except Exception:
+                except SineModelError:
                     s, p, dt = None, None, None
                 srer_db[model] = s
                 params[model] = p

@@ -71,8 +71,7 @@ def _pick_lag(r: np.ndarray, lo: int) -> tuple[float, float]:
 
 
 def estimate_f0(signal: SampledSignal, f_min: float = 60.0, f_max: float = 500.0,
-                hop_ms: float = 5.0,
-                voicing_threshold: float = VOICING_THRESHOLD) -> F0Track:
+                hop_ms: float = 5.0) -> F0Track:
     """Frame-wise autocorrelation pitch track.
 
     Needs at least 2/f_min seconds of signal.  The returned track is
@@ -104,7 +103,7 @@ def estimate_f0(signal: SampledSignal, f_min: float = 60.0, f_max: float = 500.0
         frame = frame - np.mean(frame)
         r = _kernels.autocorr_norm(frame, lo, hi)
         lag, corr = _pick_lag(r, lo)
-        if corr >= voicing_threshold and lag > 0:
+        if corr >= VOICING_THRESHOLD and lag > 0:
             cand = fs / lag
             if f_min <= cand <= f_max:
                 f0[i] = cand

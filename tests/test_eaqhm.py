@@ -176,7 +176,7 @@ def test_frame_loops_restore_blas_thread_counts(monkeypatch, tmp_path):
     assert inside and all(set(c.values()) == {1} for c in inside)
     monkeypatch.undo()
 
-    # concurrent eaqhm cells on the sweep's worker pool
+    # a sweep of eaqhm cells
     signal, _ = gen_stationary_plus_chirp(ChirpSpec(
         stationary_duration=0.15, chirp_duration=0.15, chirp_f_end=235.0))
     path = tmp_path / "chirp.wav"

@@ -1,13 +1,16 @@
 """Sweep and comparison harness plumbing."""
+import threading
+
 import numpy as np
 import pytest
 
-from sinemodel import audio_io
+from sinemodel import audio_io, harness
 from sinemodel.core import PartialTrack, SampledSignal
+from sinemodel.eaqhm import ADAPT_WINDOW_KIND
 from sinemodel.edsm import DampedSinusoid, EDSMFrame
 from sinemodel.errors import UsageError
-from sinemodel.harness import (ComparisonRow, SRERCurve, SweepCell, SweepSpec,
-                               _frame_param_count, _track_param_count,
+from sinemodel.harness import (MODELS, ComparisonRow, SRERCurve, SweepCell,
+                               SweepSpec, _frame_param_count, _track_param_count,
                                compare_configs, export, generate_standins,
                                parse_multiples, run_comparison,
                                run_window_sweep, sweep_window_samples)
@@ -112,6 +115,53 @@ def test_sweep_isolates_failing_cells(tmp_path):
     assert curve.cell("eaqhm", 1.0).status == "failed"
 
 
+def test_sweep_runs_cells_in_spec_order_on_the_calling_thread(monkeypatch, tone_wav):
+    calls = []
+
+    def record(signal, f0track, model, multiple, *rest):
+        calls.append((model, multiple, threading.get_ident()))
+        return SweepCell(model=model, multiple=multiple, srer_db=1.0, status="ok")
+
+    monkeypatch.setattr(harness, "_sweep_cell", record)
+    spec = SweepSpec(source=str(tone_wav), models=("edsm", "sm"),
+                     multiples=(1.0, 2.0, 3.0), t_min_s=0.01)
+    curve = run_window_sweep(spec)
+    order = [(m, x) for m in spec.models for x in spec.multiples]
+    assert [(c[0], c[1]) for c in calls] == order
+    assert {c[2] for c in calls} == {threading.get_ident()}
+    assert [(r.model, r.multiple) for r in curve.rows] == order
+
+
+def test_sweep_sizes_windows_from_the_wav_rate(monkeypatch, tmp_path):
+    fs = 44100.0
+    t = np.arange(int(0.5 * fs)) / fs
+    path = tmp_path / "tone44k.wav"
+    audio_io.write_wav(path, SampledSignal(
+        samples=0.5 * np.cos(2 * np.pi * 150.0 * t), fs=fs))
+    windows = []
+
+    def record(model, signal, f0track, cfg):
+        windows.append((model, cfg.window_samples))
+        return 10.0, None, None, 0
+
+    monkeypatch.setattr(harness, "run_model", record)
+    spec = SweepSpec(source=str(path), models=MODELS, multiples=(1.0, 2.0),
+                     t_min_s=0.01)
+    run_window_sweep(spec)
+    # 1 and 2 periods of 10 ms at 44.1 kHz, rounded up to odd counts
+    assert windows == [(m, w) for m in MODELS for w in (443, 883)]
+
+
+def test_sweep_propagates_programming_errors(monkeypatch, tone_wav):
+    def bug(*args):
+        raise TypeError("bug in a model")
+
+    monkeypatch.setattr(harness, "run_model", bug)
+    with pytest.raises(TypeError, match="bug in a model"):
+        run_window_sweep(SweepSpec(source=str(tone_wav), models=("sm",),
+                                   multiples=(1.0,), t_min_s=0.01))
+
+
 def test_sweep_wav_source_requires_t_min(tone_wav):
     with pytest.raises(UsageError):
         run_window_sweep(SweepSpec(source=str(tone_wav), models=("sm",),
@@ -129,7 +179,7 @@ def test_compare_configs_protocol(tone):
     assert sm_cfg.fft_size == 2048 and sm_cfg.max_peaks == 100
     assert ea_cfg.window_periods == 3.0
     assert ea_cfg.init_window_kind == "blackman"
-    assert ea_cfg.adapt_window_kind == "hamming"
+    assert ADAPT_WINDOW_KIND == "hamming"
     assert ea_cfg.max_adaptations == 10
     # rectangular frames of 0.75 of the average pitch period, full-band order
     assert ed_cfg.window_samples == pytest.approx(0.75 * FS / 150.0, abs=1.0)
@@ -153,6 +203,15 @@ def test_run_comparison_marks_unanalyzable(tmp_path):
     rows = run_comparison([path], models=("sm",))
     assert rows[0].status == "unanalyzable"
     assert rows[0].srer_db == {}
+
+
+def test_run_comparison_propagates_programming_errors(monkeypatch, tone_wav):
+    def bug(*args):
+        raise TypeError("bug in a model")
+
+    monkeypatch.setattr(harness, "run_model", bug)
+    with pytest.raises(TypeError, match="bug in a model"):
+        run_comparison([tone_wav], models=("sm",))
 
 
 def test_run_comparison_empty_list():
