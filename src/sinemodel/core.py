@@ -133,11 +133,23 @@ def _as_samples(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _unit_spread(v: np.ndarray) -> tuple[float, int]:
+    """(d, k) with population std(v) = d * 2**k: the std of v rescaled by a
+    power of two (exact) to unit peak, so its squares cannot underflow.
+    d is exactly 0 when v is constant."""
+    if np.ptp(v) == 0.0:
+        return 0.0, 0
+    k = int(np.frexp(np.max(np.abs(v)))[1])
+    return float(np.std(np.ldexp(v, -k))), k
+
+
 def srer(reference, estimate) -> float:
     """Signal-to-reconstruction-error ratio in dB.
 
     20*log10(std(x) / std(x - s)) with the population std (mean removed).
-    A zero-error reconstruction reports the finite sentinel SRER_MAX_DB.
+    A zero-error reconstruction (x - s constant) reports the finite sentinel
+    SRER_MAX_DB; a constant reference with a non-constant error reports
+    -SRER_MAX_DB.
     """
     x = _as_samples(reference)
     s = _as_samples(estimate)
@@ -145,13 +157,13 @@ def srer(reference, estimate) -> float:
         raise UsageError(f"length mismatch: reference {x.shape} vs estimate {s.shape}")
     if x.size == 0:
         raise UsageError("empty signals")
-    num = float(np.std(x))
-    den = float(np.std(x - s))
+    num, k_num = _unit_spread(x)
+    den, k_den = _unit_spread(x - s)
     if den == 0.0:
         return SRER_MAX_DB
     if num == 0.0:
         return -SRER_MAX_DB
-    return float(20.0 * np.log10(num / den))
+    return float(20.0 * (np.log10(num / den) + (k_num - k_den) * np.log10(2.0)))
 
 
 def wrap_phase(phi):

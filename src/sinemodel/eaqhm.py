@@ -10,7 +10,10 @@ re-anchoring the tracks from the solutions, keeping the best-SRER iterate.
 Basis columns are normalized per frame: amplitude is divided by its value
 at the frame center and phase is zeroed there, so |a_k| and arg(a_k) are
 directly the frame-center amplitude and phase anchors.  The LS time
-variable is in seconds, which makes eta_k come out in Hz.
+variable is in seconds, which makes eta_k come out in Hz.  An adaptation
+pass samples (A+eps) cos(phase) and (A+eps) sin(phase) of every track once;
+a frame's columns are those rows rotated by the frame-center phase, so no
+frame evaluates cos or sin of its own phase block.
 
 Every frame system is a few hundred samples wide, so the frame loops of
 init_harmonic and of each adaptation pass run on single-threaded OpenBLAS
@@ -29,6 +32,9 @@ from .core import (PartialTrack, SampledSignal, make_window, sample_track, srer,
                    synthesize_tracks, wrap_phase)
 from .errors import AnalysisError, IllConditionedError, UsageError
 from .pitch import F0Track
+
+_POTRF, _POCON, _POTRS = get_lapack_funcs(("potrf", "pocon", "potrs"),
+                                          dtype=np.float64)
 
 _AMP_EPS = 1e-10  # guards the per-frame center normalization of dead partials
 SRER_THRESHOLD_DB = 0.1    # adaptation stops once an iterate improves by less
@@ -57,18 +63,6 @@ class EaQHMConfig:
 
 
 @dataclass(frozen=True)
-class BasisFunctionSet:
-    """Sampled instantaneous amplitude/phase per component, one column each."""
-
-    amp: np.ndarray    # (n_samples, n_components)
-    phase: np.ndarray
-
-    def __post_init__(self):
-        if self.amp.shape != self.phase.shape or self.amp.ndim != 2:
-            raise UsageError("basis amp/phase must be matching 2-D arrays")
-
-
-@dataclass(frozen=True)
 class QHMFrameSolution:
     """Per-frame complex amplitudes/slopes and frequency corrections, k=0..K."""
 
@@ -88,52 +82,36 @@ class AdaptationState:
 # least-squares machinery
 # ---------------------------------------------------------------------------
 
-def build_ls_system(frame: np.ndarray, basis: BasisFunctionSet, window: np.ndarray,
-                    t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble E_e = [E_e0 | E_e1] with (E_e0)_{n,k} = amp_k(t_n) e^{i phase_k(t_n)}
-    and E_e1 = t_n * E_e0.  Returns (E_e, window, frame) validated and aligned;
-    t is the frame-local time axis in seconds."""
-    frame = np.asarray(frame, dtype=np.float64)
-    w = window.values if hasattr(window, "values") else np.asarray(window, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    n = frame.shape[0]
-    if basis.amp.shape[0] != n or w.shape[0] != n or t.shape[0] != n:
-        raise UsageError("frame, basis, window and time axis must share sample count")
-    e0 = basis.amp * np.exp(1j * basis.phase)
-    return np.hstack([e0, t[:, None] * e0]), w, frame
-
-
 def ls_solve(e: np.ndarray, window: np.ndarray,
              target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted LS solve of target ~ E [a; b] via the normal equations.
 
-    E may be real or complex; the LAPACK routines follow its dtype.  Columns
-    are equilibrated to unit norm first (exact algebra, keeps the condition
-    check about basis structure, not units).  Raises IllConditionedError
-    carrying LAPACK's condition estimate of the normal matrix when it exceeds
-    COND_BOUND.  The frame fits of init_harmonic and adapt pass the real
-    design of _solve_mirrored, so there COND_BOUND applies to its real
-    normal matrix.
+    E is real: the frame fits pass the real design of _solve_mirrored, and
+    COND_BOUND applies to its normal matrix.  Columns are equilibrated to
+    unit norm first (exact algebra, keeps the condition check about basis
+    structure, not units).  Raises IllConditionedError carrying LAPACK's
+    condition estimate of the normal matrix when it exceeds COND_BOUND.
     """
+    if np.iscomplexobj(e):
+        raise UsageError("ls_solve takes a real design matrix")
     w = window.values if hasattr(window, "values") else np.asarray(window, dtype=np.float64)
-    ew = e * w[:, None]
+    es = e * w[:, None]
     yw = np.asarray(target, dtype=np.float64) * w
-    scale = np.linalg.norm(ew, axis=0)
+    scale = np.linalg.norm(es, axis=0)
     scale[scale == 0.0] = 1.0
-    es = ew / scale
-    r = es.conj().T @ es
-    rhs = es.conj().T @ yw
-    potrf, pocon, potrs = get_lapack_funcs(("potrf", "pocon", "potrs"), (r,))
-    chol, info = potrf(r, lower=1)
+    es /= scale
+    r = es.T @ es
+    rhs = es.T @ yw
+    chol, info = _POTRF(r, lower=1)
     if info != 0:
         raise IllConditionedError("normal equations not positive definite", np.inf)
     anorm = float(np.max(np.sum(np.abs(r), axis=0)))
-    rcond, info = pocon(chol, anorm, uplo=b"L")
+    rcond, info = _POCON(chol, anorm, uplo=b"L")
     cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
     if info != 0 or not np.isfinite(cond) or cond > COND_BOUND:
         raise IllConditionedError(
             f"normal equations condition {cond:.3e} exceeds bound {COND_BOUND:.1e}", cond)
-    c, info = potrs(chol, rhs[:, None], lower=1)
+    c, info = _POTRS(chol, rhs[:, None], lower=1)
     if info != 0:
         raise IllConditionedError("normal-equations solve failed", cond)
     c = c[:, 0] / scale
@@ -158,28 +136,48 @@ def freq_correction(a, b):
     return out
 
 
-def _solve_mirrored(seg: np.ndarray, amp_cols: np.ndarray, phase_cols: np.ndarray,
+def _solve_mirrored(seg: np.ndarray, cos_cols: np.ndarray, sin_cols: np.ndarray,
                     window, t: np.ndarray) -> QHMFrameSolution:
     """Solve one frame against components k=1..m plus DC, each paired with
     its conjugate so the fit of the real target is two-sided.
 
-    For a real target that mirrored complex fit is conjugate-symmetric, so
-    it is solved as the real design [1 | A cos | A sin | t | t A cos | t A sin]
-    (Pantazis, Rosec & Stylianou 2011) at a quarter of the flops, and mapped
-    back by a_0 = c_0, a_k = (c_k - i s_k) / 2, likewise for b.  Returns the
-    k=0..m half; conjugate coefficients are implicit."""
-    n, m = amp_cols.shape
+    cos_cols and sin_cols are the (n, m) columns A_k cos(phase_k) and
+    A_k sin(phase_k).  For a real target the mirrored complex fit is
+    conjugate-symmetric, so it is solved as the real design
+    [1 | A cos | A sin | t | t A cos | t A sin] (Pantazis, Rosec & Stylianou
+    2011) at a quarter of the flops, and mapped back by a_0 = c_0,
+    a_k = (c_k - i s_k) / 2, likewise for b.  Returns the k=0..m half;
+    conjugate coefficients are implicit."""
+    n, m = cos_cols.shape
     p = 2 * m + 1
     e = np.empty((n, 2 * p))
     e[:, 0] = 1.0
-    np.multiply(amp_cols, np.cos(phase_cols), out=e[:, 1:m + 1])
-    np.multiply(amp_cols, np.sin(phase_cols), out=e[:, m + 1:p])
+    e[:, 1:m + 1] = cos_cols
+    e[:, m + 1:p] = sin_cols
     np.multiply(t[:, None], e[:, :p], out=e[:, p:])
     c, d = ls_solve(e, window, seg)
     a = np.concatenate((c[:1], (c[1:m + 1] - 1j * c[m + 1:]) / 2.0))
     b = np.concatenate((d[:1], (d[1:m + 1] - 1j * d[m + 1:]) / 2.0))
     eta = np.concatenate(([0.0], freq_correction(a[1:], b[1:])))
     return QHMFrameSolution(a=a, b=b, eta=eta)
+
+
+def _rotated_columns(c_rows: np.ndarray, s_rows: np.ndarray, amp_c: np.ndarray,
+                     phase_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A frame's (A+eps)/(A_c+eps) cos(phase - phase_c) and sin twin.
+
+    c_rows and s_rows are (n, m) samples of C = (A+eps) cos(phase) and
+    S = (A+eps) sin(phase); amp_c and phase_c are the m values at the frame
+    center.  By angle addition the columns are C cos(phase_c) + S sin(phase_c)
+    and S cos(phase_c) - C sin(phase_c), each over A_c + eps."""
+    g = 1.0 / (amp_c + _AMP_EPS)
+    cc = np.cos(phase_c) * g
+    sc = np.sin(phase_c) * g
+    cos_cols = c_rows * cc
+    cos_cols += s_rows * sc
+    sin_cols = s_rows * cc
+    sin_cols -= c_rows * sc
+    return cos_cols, sin_cols
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +244,14 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
         raise IllConditionedError(
             "no analysis frame satisfies the two-period window-length guard",
             float("inf"))
+    k_maxes = [_partial_count(fr, fs, config) for fr in frames]
+    # anchors per (frame, harmonic); NaN where the frame gave none
+    amps = np.full((len(frames), max(0, max(k_maxes))), np.nan)
+    phases = np.full_like(amps, np.nan)
     windows: dict[int, np.ndarray] = {}
-    anchors: dict[int, list[tuple[float, float, float, float]]] = {}
     skipped = 0
     with single_threaded_blas():
-        for fr in frames:
-            k_max = _partial_count(fr, fs, config)
+        for j, (fr, k_max) in enumerate(zip(frames, k_maxes)):
             if k_max < 1:
                 continue
             idx = np.arange(fr.lo, fr.hi + 1)
@@ -263,27 +263,26 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
                 windows[fr.hi - fr.lo + 1] = w
             ks = np.arange(1, k_max + 1, dtype=np.float64)
             phase_cols = 2.0 * np.pi * fr.f0 * t[:, None] * ks[None, :]
-            amp_cols = np.ones_like(phase_cols)
             try:
-                sol = _solve_mirrored(seg, amp_cols, phase_cols, w, t)
+                sol = _solve_mirrored(seg, np.cos(phase_cols), np.sin(phase_cols), w, t)
             except IllConditionedError:
                 skipped += 1
                 continue
-            t_c = fr.center / fs
-            for k in range(1, k_max + 1):
-                a_k = sol.a[k]
-                anchors.setdefault(k, []).append(
-                    (t_c, 2.0 * abs(a_k), k * fr.f0, float(np.angle(a_k))))
+            amps[j, :k_max] = 2.0 * np.abs(sol.a[1:])
+            phases[j, :k_max] = np.angle(sol.a[1:])
     if skipped:
         warnings.warn(f"harmonic initialization skipped {skipped} ill-conditioned "
                       f"frame(s) of {len(frames)}", RuntimeWarning, stacklevel=2)
-    if not anchors:
-        raise AnalysisError("harmonic initialization failed on every frame")
+    times = np.array([fr.center for fr in frames]) / fs
+    f0s = np.array([fr.f0 for fr in frames])
     tracks: list[PartialTrack] = []
-    for k in sorted(anchors):
-        vals = np.asarray(anchors[k], dtype=np.float64)
-        tracks.append(PartialTrack(times=vals[:, 0], amps=vals[:, 1],
-                                   freqs=vals[:, 2], phases=vals[:, 3]))
+    for k in range(amps.shape[1]):
+        keep = ~np.isnan(amps[:, k])
+        if keep.any():
+            tracks.append(PartialTrack(times=times[keep], amps=amps[keep, k],
+                                       freqs=(k + 1) * f0s[keep], phases=phases[keep, k]))
+    if not tracks:
+        raise AnalysisError("harmonic initialization failed on every frame")
     return tracks
 
 
@@ -297,26 +296,36 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
                      f0track: F0Track, config: EaQHMConfig) -> list[PartialTrack]:
     n = x.shape[0]
     n_tracks = len(tracks)
-    amp_all = np.empty((n_tracks, n))
-    freq_all = np.empty((n_tracks, n))
-    phase_all = np.empty((n_tracks, n))
-    for k, tr in enumerate(tracks):
-        amp_all[k], freq_all[k], phase_all[k] = sample_track(tr, fs, 0, n - 1)
     frames = _frame_layout(n, fs, f0track, config)
+    centers = np.array([fr.center for fr in frames], dtype=np.int64)
+    # C = (A+eps) cos(phase) and S = (A+eps) sin(phase), one row per track,
+    # and the track values at every frame center, one row per frame
+    c_all = np.empty((n_tracks, n))
+    s_all = np.empty((n_tracks, n))
+    amp_c = np.empty((centers.size, n_tracks))
+    freq_c = np.empty_like(amp_c)
+    phase_c = np.empty_like(amp_c)
+    for k, tr in enumerate(tracks):
+        amp, freq, phase = sample_track(tr, fs, 0, n - 1)
+        amp_c[:, k], freq_c[:, k], phase_c[:, k] = amp[centers], freq[centers], phase[centers]
+        amp += _AMP_EPS
+        np.multiply(amp, np.cos(phase), out=c_all[k])
+        np.multiply(amp, np.sin(phase), out=s_all[k])
+    # new anchors per (frame, track); NaN where the track was not eligible
+    amps = np.full_like(amp_c, np.nan)
+    freqs = np.full_like(amp_c, np.nan)
+    phases = np.full_like(amp_c, np.nan)
     windows: dict[int, np.ndarray] = {}
     f_ceiling = fs / 2.0 - NYQUIST_MARGIN_HZ
-    anchors: dict[int, list[tuple[float, float, float, float]]] = {}
     solved_any = False
     with single_threaded_blas():
-        for fr in frames:
-            eligible = [k for k in range(n_tracks) if freq_all[k, fr.center] < f_ceiling]
-            eligible.sort(key=lambda k: freq_all[k, fr.center])
+        for j, fr in enumerate(frames):
             budget = fr.k_budget if config.max_partials is None \
                 else min(config.max_partials, fr.k_budget)
-            eligible = eligible[:budget]
-            if not eligible:
+            order = np.argsort(freq_c[j], kind="stable")
+            idx = order[freq_c[j, order] < f_ceiling][:budget]
+            if idx.size == 0:
                 continue
-            idx = np.asarray(eligible)
             t = (np.arange(fr.lo, fr.hi + 1) - fr.center) / fs
             seg = x[fr.lo:fr.hi + 1]
             w_len = fr.hi - fr.lo + 1
@@ -324,38 +333,33 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
             if w is None:
                 w = make_window(ADAPT_WINDOW_KIND, w_len).values
                 windows[w_len] = w
-            ci = fr.center - fr.lo
-            amp_cols = amp_all[idx, fr.lo:fr.hi + 1].T
-            amp_cols = (amp_cols + _AMP_EPS) / (amp_cols[ci] + _AMP_EPS)
-            phase_cols = phase_all[idx, fr.lo:fr.hi + 1].T - phase_all[idx, fr.center]
-            t_c = fr.center / fs
+            cos_cols, sin_cols = _rotated_columns(
+                c_all[idx, fr.lo:fr.hi + 1].T, s_all[idx, fr.lo:fr.hi + 1].T,
+                amp_c[j, idx], phase_c[j, idx])
             try:
-                sol = _solve_mirrored(seg, amp_cols, phase_cols, w, t)
+                sol = _solve_mirrored(seg, cos_cols, sin_cols, w, t)
             except IllConditionedError:
                 # keep the previous iterate's values at this frame
-                for k in eligible:
-                    anchors.setdefault(k, []).append(
-                        (t_c, amp_all[k, fr.center], freq_all[k, fr.center],
-                         float(wrap_phase(phase_all[k, fr.center]))))
+                amps[j, idx] = amp_c[j, idx]
+                freqs[j, idx] = freq_c[j, idx]
+                phases[j, idx] = wrap_phase(phase_c[j, idx])
                 continue
             solved_any = True
             eta = np.clip(sol.eta[1:], -fr.f0 / 2.0, fr.f0 / 2.0)
-            for j, k in enumerate(eligible):
-                a_k = sol.a[j + 1]
-                new_f = float(np.clip(freq_all[k, fr.center] + eta[j], 1.0, fs / 2.0 - 1.0))
-                anchors.setdefault(k, []).append(
-                    (t_c, 2.0 * abs(a_k), new_f, float(np.angle(a_k))))
+            amps[j, idx] = 2.0 * np.abs(sol.a[1:])
+            freqs[j, idx] = np.clip(freq_c[j, idx] + eta, 1.0, fs / 2.0 - 1.0)
+            phases[j, idx] = np.angle(sol.a[1:])
     if not solved_any:
         raise AnalysisError("adaptation pass failed on every frame")
+    times = centers / fs
     out: list[PartialTrack] = []
     for k, tr in enumerate(tracks):
-        vals = anchors.get(k)
-        if not vals:
+        keep = ~np.isnan(amps[:, k])
+        if not keep.any():
             out.append(tr)  # never eligible this pass; carry unchanged
             continue
-        arr = np.asarray(vals, dtype=np.float64)
-        out.append(PartialTrack(times=arr[:, 0], amps=arr[:, 1],
-                                freqs=arr[:, 2], phases=arr[:, 3]))
+        out.append(PartialTrack(times=times[keep], amps=amps[keep, k],
+                                freqs=freqs[keep, k], phases=phases[keep, k]))
     return out
 
 

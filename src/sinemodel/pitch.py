@@ -70,6 +70,17 @@ def _pick_lag(r: np.ndarray, lo: int) -> tuple[float, float]:
     return float(lo + j), g
 
 
+def _nearest_voiced(voiced: np.ndarray) -> np.ndarray:
+    """Index of the nearest voiced frame for every frame, the earlier one on
+    a tie; needs at least one voiced frame."""
+    vi = np.flatnonzero(voiced)
+    frames = np.arange(voiced.shape[0])
+    pos = np.searchsorted(vi, frames)
+    before = vi[np.maximum(pos - 1, 0)]
+    after = vi[np.minimum(pos, vi.shape[0] - 1)]
+    return np.where(frames - before <= after - frames, before, after)
+
+
 def estimate_f0(signal: SampledSignal, f_min: float = 60.0, f_max: float = 500.0,
                 hop_ms: float = 5.0) -> F0Track:
     """Frame-wise autocorrelation pitch track.
@@ -109,11 +120,8 @@ def estimate_f0(signal: SampledSignal, f_min: float = 60.0, f_max: float = 500.0
                 f0[i] = cand
                 voiced[i] = True
     if np.any(voiced):
-        vi = np.flatnonzero(voiced)
         # unvoiced frames inherit the nearest voiced estimate
-        nearest = vi[np.argmin(np.abs(np.arange(f0.shape[0])[:, None] - vi[None, :]),
-                               axis=1)]
-        f0 = f0[nearest]
+        f0 = f0[_nearest_voiced(voiced)]
         if f0.shape[0] >= _MEDFILT_FRAMES:
             f0 = medfilt(f0, _MEDFILT_FRAMES)
         f0 = np.clip(f0, f_min, f_max)

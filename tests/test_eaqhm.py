@@ -1,20 +1,57 @@
 """Adaptive quasi-harmonic analysis: LS machinery and the adaptation loop."""
 import sys
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from sinemodel import eaqhm
 from sinemodel._blas import blas_thread_counts, single_threaded_blas
-from sinemodel.core import SampledSignal, srer, synthesize_tracks
-from sinemodel.eaqhm import (BasisFunctionSet, EaQHMConfig, adapt,
-                             build_ls_system, eaqhm_analyze, freq_correction,
+from sinemodel.core import (PartialTrack, SampledSignal, make_window, sample_track,
+                            srer, synthesize_tracks, wrap_phase)
+from sinemodel.eaqhm import (EaQHMConfig, adapt, eaqhm_analyze, freq_correction,
                              init_harmonic, ls_solve)
 from sinemodel.errors import AnalysisError, IllConditionedError, UsageError
+from sinemodel.generators import AMFMSpec, gen_amfm
 from sinemodel.pitch import F0Track, estimate_f0
 
 FS = 16000.0
+
+
+# ---------------------------------------------------------------------------
+# plain references: the complex mirrored system the real frame design replaces
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BasisFunctionSet:
+    """Sampled instantaneous amplitude/phase per component, one column each."""
+
+    amp: np.ndarray    # (n_samples, n_components)
+    phase: np.ndarray
+
+
+def build_ls_system(frame, basis, window, t):
+    """E_e = [E_e0 | E_e1] with (E_e0)_{n,k} = amp_k(t_n) e^{i phase_k(t_n)} and
+    E_e1 = t_n * E_e0; returns (E_e, window, frame)."""
+    n = frame.shape[0]
+    if basis.amp.shape[0] != n or window.shape[0] != n or t.shape[0] != n:
+        raise UsageError("frame, basis, window and time axis must share sample count")
+    e0 = basis.amp * np.exp(1j * basis.phase)
+    return np.hstack([e0, t[:, None] * e0]), window, frame
+
+
+def complex_ls_solve(e, window, target):
+    """Weighted LS of target ~ E [a; b] for a complex E, through the
+    equilibrated normal equations."""
+    ew = e * window[:, None]
+    scale = np.linalg.norm(ew, axis=0)
+    es = ew / scale
+    c = cho_solve(cho_factor(es.conj().T @ es, lower=True),
+                  es.conj().T @ (target * window)) / scale
+    m = e.shape[1] // 2
+    return c[:m], c[m:]
 
 
 def _const_f0(n, f0, hop=80):
@@ -88,16 +125,21 @@ def test_ls_solve_recovers_coefficients():
     n = 200
     t = (np.arange(n) - n // 2) / FS
     w1, w2 = 2 * np.pi * 300.0, 2 * np.pi * 900.0
-    # conjugate-mirrored basis keeps the target real
-    e = np.stack([np.exp(1j * w1 * t), np.exp(-1j * w1 * t),
-                  np.exp(1j * w2 * t), np.exp(-1j * w2 * t)], axis=1)
+    # the real twin of the conjugate-mirrored basis: 2 Re(a e^{iwt}) is
+    # 2 Re(a) cos(wt) - 2 Im(a) sin(wt)
+    e = np.stack([np.cos(w1 * t), np.sin(w1 * t), np.cos(w2 * t), np.sin(w2 * t)],
+                 axis=1)
     e = np.hstack([e, t[:, None] * e])
-    a = np.array([0.4 * np.exp(0.3j), 0.4 * np.exp(-0.3j),
-                  0.25 * np.exp(-1.0j), 0.25 * np.exp(1.0j)])
-    b = np.array([2.0 * np.exp(0.1j), 2.0 * np.exp(-0.1j),
-                  -1.5 * np.exp(0.6j), -1.5 * np.exp(-0.6j)])
-    y = (e @ np.concatenate([a, b])).real
-    a_est, b_est = ls_solve(e, np.hamming(n), y)
+    a = np.array([0.4 * np.exp(0.3j), 0.25 * np.exp(-1.0j)])
+    b = np.array([2.0 * np.exp(0.1j), -1.5 * np.exp(0.6j)])
+
+    def real_coeffs(z):
+        return np.stack([2 * z.real, -2 * z.imag], axis=1).ravel()
+
+    y = e @ np.concatenate([real_coeffs(a), real_coeffs(b)])
+    c, d = ls_solve(e, np.hamming(n), y)
+    a_est = (c[0::2] - 1j * c[1::2]) / 2
+    b_est = (d[0::2] - 1j * d[1::2]) / 2
     np.testing.assert_allclose(a_est, a, atol=1e-10)
     np.testing.assert_allclose(b_est, b, atol=1e-7)
 
@@ -105,11 +147,17 @@ def test_ls_solve_recovers_coefficients():
 def test_ls_solve_rejects_degenerate_basis():
     n = 64
     t = (np.arange(n) - n // 2) / FS
-    col = np.exp(1j * 2 * np.pi * 100.0 * t)
+    col = np.cos(2 * np.pi * 100.0 * t)
     e = np.stack([col, col], axis=1)  # duplicated column
     with pytest.raises(IllConditionedError) as info:
-        ls_solve(e, np.ones(n), col.real)
+        ls_solve(e, np.ones(n), col)
     assert info.value.condition > 1e10 or np.isinf(info.value.condition)
+
+
+def test_ls_solve_rejects_complex_design():
+    e = np.ones((8, 2), dtype=np.complex128)
+    with pytest.raises(UsageError):
+        ls_solve(e, np.ones(8), np.ones(8))
 
 
 def test_real_frame_design_matches_complex_mirrored_system():
@@ -123,17 +171,132 @@ def test_real_frame_design_matches_complex_mirrored_system():
              + rng.normal(0.0, 0.01, (n, m)))
     seg = rng.normal(size=n)
     w = np.hamming(n)
-    sol = eaqhm._solve_mirrored(seg, amp, phase, w, t)
+    sol = eaqhm._solve_mirrored(seg, amp * np.cos(phase), amp * np.sin(phase), w, t)
 
     amp_full = np.hstack([amp[:, ::-1], np.ones((n, 1)), amp])
     phase_full = np.hstack([-phase[:, ::-1], np.zeros((n, 1)), phase])
     e, w_, y = build_ls_system(seg, BasisFunctionSet(amp=amp_full, phase=phase_full),
                                w, t)
-    a_full, b_full = ls_solve(e, w_, y)
+    a_full, b_full = complex_ls_solve(e, w_, y)
     a, b = a_full[m:], b_full[m:]
     eta = np.concatenate(([0.0], freq_correction(a[1:], b[1:])))
     for got, want in ((sol.a, a), (sol.b, b), (sol.eta, eta)):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# ---------------------------------------------------------------------------
+# adaptation pass against a per-frame cos(phase - phase_c) reference
+# ---------------------------------------------------------------------------
+
+def test_rotated_columns_match_direct_trig_over_60s():
+    # phases reach 3e6 rad over 60 s; rotating the once-sampled (A+eps) cos/sin
+    # rows by the center phase must match cos/sin of the phase difference
+    f = np.array([7900.0, 4000.5, 123.4])
+    f_am = np.array([0.7, 2.0, 5.0])
+    top = 0.0
+    for center in np.linspace(160, 60 * FS - 161, 40).astype(int):
+        t = np.arange(center - 160, center + 161) / FS   # one 321-sample frame
+        phase = 2 * np.pi * f[:, None] * t + 0.3 * np.sin(2 * np.pi * 3.0 * t)
+        amp = 1.0 + 0.5 * np.cos(2 * np.pi * f_am[:, None] * t)
+        top = max(top, phase.max())
+        cos_cols, sin_cols = eaqhm._rotated_columns(
+            ((amp + eaqhm._AMP_EPS) * np.cos(phase)).T,
+            ((amp + eaqhm._AMP_EPS) * np.sin(phase)).T, amp[:, 160], phase[:, 160])
+        ratio = ((amp + eaqhm._AMP_EPS) / (amp[:, 160:161] + eaqhm._AMP_EPS)).T
+        diff = (phase - phase[:, 160:161]).T
+        np.testing.assert_allclose(cos_cols, ratio * np.cos(diff), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(sin_cols, ratio * np.sin(diff), rtol=0, atol=1e-8)
+    assert top > 2.9e6
+
+
+def _reference_adaptation_pass(x, fs, tracks, f0track, config):
+    """One adaptation pass that samples every track, then builds each frame's
+    columns from cos and sin of its own (phase - center phase) block and keeps
+    per-track anchor lists."""
+    n = x.shape[0]
+    sampled = [sample_track(tr, fs, 0, n - 1) for tr in tracks]
+    amp_all = np.array([s[0] for s in sampled])
+    freq_all = np.array([s[1] for s in sampled])
+    phase_all = np.array([s[2] for s in sampled])
+    f_ceiling = fs / 2.0 - eaqhm.NYQUIST_MARGIN_HZ
+    anchors = {}
+    for fr in eaqhm._frame_layout(n, fs, f0track, config):
+        eligible = [k for k in range(len(tracks)) if freq_all[k, fr.center] < f_ceiling]
+        eligible.sort(key=lambda k: freq_all[k, fr.center])
+        budget = fr.k_budget if config.max_partials is None \
+            else min(config.max_partials, fr.k_budget)
+        eligible = eligible[:budget]
+        if not eligible:
+            continue
+        t = (np.arange(fr.lo, fr.hi + 1) - fr.center) / fs
+        w = make_window(eaqhm.ADAPT_WINDOW_KIND, fr.hi - fr.lo + 1).values
+        amp_cols = amp_all[eligible, fr.lo:fr.hi + 1].T
+        amp_cols = (amp_cols + eaqhm._AMP_EPS) / (amp_cols[fr.center - fr.lo] + eaqhm._AMP_EPS)
+        phase_cols = phase_all[eligible, fr.lo:fr.hi + 1].T - phase_all[eligible, fr.center]
+        t_c = fr.center / fs
+        try:
+            sol = eaqhm._solve_mirrored(x[fr.lo:fr.hi + 1], amp_cols * np.cos(phase_cols),
+                                        amp_cols * np.sin(phase_cols), w, t)
+        except IllConditionedError:
+            for k in eligible:
+                anchors.setdefault(k, []).append(
+                    (t_c, amp_all[k, fr.center], freq_all[k, fr.center],
+                     float(wrap_phase(phase_all[k, fr.center]))))
+            continue
+        eta = np.clip(sol.eta[1:], -fr.f0 / 2.0, fr.f0 / 2.0)
+        for j, k in enumerate(eligible):
+            a_k = sol.a[j + 1]
+            new_f = float(np.clip(freq_all[k, fr.center] + eta[j], 1.0, fs / 2.0 - 1.0))
+            anchors.setdefault(k, []).append((t_c, 2.0 * abs(a_k), new_f, float(np.angle(a_k))))
+    out = []
+    for k, tr in enumerate(tracks):
+        if k not in anchors:
+            out.append(tr)
+            continue
+        arr = np.asarray(anchors[k])
+        out.append(PartialTrack(times=arr[:, 0], amps=arr[:, 1], freqs=arr[:, 2],
+                                phases=arr[:, 3]))
+    return out
+
+
+def test_adaptation_pass_matches_per_frame_reference(monkeypatch):
+    sig, _ = gen_amfm(AMFMSpec(n_partials=4, f0=220.0, f_c=4.0, rho=0.6,
+                               duration=2.0, fs=FS))
+    f0t = estimate_f0(sig, f_min=150.0, f_max=320.0)
+    cfg = EaQHMConfig()  # no partial cap, so only the Nyquist margin excludes `above`
+    # four harmonic tracks plus one above the Nyquist margin
+    above = PartialTrack(times=[0.0, 2.0], amps=[0.1, 0.1], freqs=[7900.0, 7900.0],
+                         phases=[0.0, 0.0])
+    tracks = init_harmonic(sig, f0t, EaQHMConfig(max_partials=4)) + [above]
+    calls = {"n": 0}
+    solve = eaqhm.ls_solve
+
+    def refuse_one(e, window, target):
+        # the 700th frame solve of a pass is ill-conditioned
+        calls["n"] += 1
+        if calls["n"] == 700:
+            raise IllConditionedError("forced", np.inf)
+        return solve(e, window, target)
+
+    monkeypatch.setattr(eaqhm, "ls_solve", refuse_one)
+    got = eaqhm._adaptation_pass(sig.samples, FS, tracks, f0t, cfg)
+    assert calls["n"] > 700
+    calls["n"] = 0
+    want = _reference_adaptation_pass(sig.samples, FS, tracks, f0t, cfg)
+    assert len(got) == len(want) == 5
+    assert got[4] is above and want[4] is above
+    # every frame has eligible tracks here, so solve 700 is frame 700
+    forced = eaqhm._frame_layout(sig.samples.shape[0], FS, f0t, cfg)[699].center
+    for g, r, tr in zip(got[:4], want[:4], tracks):
+        np.testing.assert_array_equal(g.times, r.times)
+        np.testing.assert_allclose(g.freqs, r.freqs, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(g.amps, r.amps, rtol=0, atol=1e-9)
+        assert np.max(np.abs(wrap_phase(g.phases - r.phases))) <= 1e-9
+        # the forced frame keeps the previous iterate's values
+        j = int(np.flatnonzero(g.times == forced / FS)[0])
+        amp, freq, phase = sample_track(tr, FS, forced, forced)
+        assert (g.amps[j], g.freqs[j]) == (amp[0], freq[0])
+        assert g.phases[j] == pytest.approx(float(wrap_phase(phase[0])), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Autocorrelation f0 tracking."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sinemodel import pitch
 from sinemodel.core import SampledSignal
 from sinemodel.errors import AnalysisError, UsageError
 from sinemodel.pitch import F0Track, average_pitch_period, estimate_f0
@@ -77,3 +80,58 @@ def test_f0_at_interpolates():
 def test_f0track_validation():
     with pytest.raises(UsageError):
         F0Track(times=np.zeros(3), f0=np.zeros(2), voiced=np.zeros(3, bool))
+
+
+def _argmin_nearest_voiced(voiced):
+    """Reference fill: a frames x voiced distance matrix, argmin per frame
+    (the first minimum, so ties go to the earlier voiced frame)."""
+    vi = np.flatnonzero(voiced)
+    return vi[np.argmin(np.abs(np.arange(voiced.shape[0])[:, None] - vi[None, :]), axis=1)]
+
+
+def test_nearest_voiced_matches_argmin_reference():
+    rng = np.random.default_rng(3)
+    masks = [rng.random(n) < p for n in (1, 2, 7, 50, 400) for p in (0.02, 0.3, 0.9)]
+    masks += [np.eye(9, dtype=bool)[k] for k in (0, 4, 8)]      # one voiced frame
+    masks.append(np.array([0, 1, 0, 0, 1, 0, 0, 0, 1, 0], dtype=bool))  # ties
+    masks = [m for m in masks if m.any()]
+    assert len(masks) >= 12
+    for m in masks:
+        np.testing.assert_array_equal(pitch._nearest_voiced(m), _argmin_nearest_voiced(m))
+
+
+def _pitch_test_inputs():
+    t = np.arange(8000) / FS
+    gated = np.cos(2 * np.pi * 200.0 * t)
+    gated[4000:] = 0.0
+    return [np.cos(2 * np.pi * 150.0 * t),
+            sum(np.cos(2 * np.pi * 150.0 * k * t + 0.1 * k) / k for k in range(1, 6)),
+            np.random.default_rng(0).normal(0, 0.1, 8000), gated]
+
+
+def test_estimate_f0_fill_matches_argmin_reference(monkeypatch):
+    # the inputs of the tests above give the same f0 with the reference fill
+    got = [estimate_f0(SampledSignal(samples=x, fs=FS), f_min=70.0, f_max=400.0)
+           for x in _pitch_test_inputs()]
+    monkeypatch.setattr(pitch, "_nearest_voiced", _argmin_nearest_voiced)
+    for x, g in zip(_pitch_test_inputs(), got):
+        want = estimate_f0(SampledSignal(samples=x, fs=FS), f_min=70.0, f_max=400.0)
+        np.testing.assert_array_equal(g.f0, want.f0)
+        np.testing.assert_array_equal(g.voiced, want.voiced)
+
+
+def test_estimate_f0_memory_stays_bounded_on_60s():
+    # a frames x voiced matrix would need about 1 GB here
+    t = np.arange(int(60 * FS)) / FS
+    x = np.cos(2 * np.pi * 150.0 * t)
+    x[int(20 * FS):int(30 * FS)] = 0.0
+    sig = SampledSignal(samples=x, fs=FS)
+    del t, x
+    tracemalloc.start()
+    try:
+        track = estimate_f0(sig, f_min=70.0, f_max=400.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert track.any_voiced and not track.voiced.all()
+    assert peak < 50e6
