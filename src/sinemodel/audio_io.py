@@ -24,7 +24,7 @@ from scipy.io import wavfile
 from .core import PartialTrack, SampledSignal
 from .edsm import DampedSinusoid, EDSMFrame
 from .errors import AudioIOError
-from .pitch import F0Track
+from .pitch import F0Track, _nearest_voiced
 
 _INT16_FULL = 32767.0
 
@@ -96,7 +96,11 @@ def write_f0_csv(path, track: F0Track) -> None:
 
 
 def read_f0_csv(path) -> F0Track:
-    """Inverse of write_f0_csv; any row with f0 > 0 counts as voiced."""
+    """Inverse of write_f0_csv; any row with f0 > 0 counts as voiced.
+
+    Unvoiced rows carry the nearest voiced f0 (the earlier one on a tie),
+    or 1 Hz when no row is voiced.
+    """
     times: list[float] = []
     f0: list[float] = []
     try:
@@ -118,12 +122,7 @@ def read_f0_csv(path) -> F0Track:
         raise AudioIOError(f"{path}: f0 CSV has no data rows")
     f0_arr = np.asarray(f0, dtype=np.float64)
     voiced = f0_arr > 0
-    # unvoiced rows need a positive placeholder to satisfy track validation
-    if voiced.any():
-        fill = float(f0_arr[voiced].mean())
-    else:
-        fill = 1.0
-    f0_arr = np.where(voiced, f0_arr, fill)
+    f0_arr = f0_arr[_nearest_voiced(voiced)] if voiced.any() else np.ones_like(f0_arr)
     return F0Track(times=np.asarray(times), f0=f0_arr, voiced=voiced)
 
 

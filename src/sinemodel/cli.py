@@ -16,15 +16,15 @@ import numpy as np
 
 from . import audio_io
 from .core import PartialTrack, SampledSignal, srer
-from .eaqhm import EaQHMConfig
-from .edsm import EDSMConfig, EDSMFrame, full_band_orders
+from .edsm import EDSMFrame, full_band_orders
 from .errors import AnalysisError, AudioIOError, UsageError
 from .generators import (AMFMSpec, ChirpSpec, default_damped_spec, gen_amfm,
                          gen_damped_sum, gen_stationary_plus_chirp)
-from .harness import (SweepSpec, export, generate_standins, parse_multiples,
-                      run_comparison, run_model, run_window_sweep)
-from .pitch import average_pitch_period, estimate_f0
-from .sm import MAX_JUMP_HZ, SMConfig, sm_peaks, sm_synthesize, track_partials
+from .harness import (MODELS, PITCH_BAND_HZ, SweepSpec, compare_configs, export,
+                      generate_standins, parse_multiples, run_comparison,
+                      run_model, run_window_sweep)
+from .pitch import estimate_f0
+from .sm import SMConfig, sm_peaks, sm_synthesize, track_partials
 
 _SCALE_CEILING = 0.99  # generated WAVs are rescaled to this peak to avoid clipping
 
@@ -94,49 +94,46 @@ def _cmd_pitch(args) -> None:
     print(f"wrote {args.out} ({len(track)} frames, {n_v} voiced)")
 
 
-def _f0_for(args, signal: SampledSignal):
-    if args.f0:
-        return audio_io.read_f0_csv(args.f0)
-    return estimate_f0(signal)
+def _replace_given(cfg, **flags):
+    """cfg with each flag the user gave (not None) applied."""
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_analyze(args) -> None:
+    """One model under the comparison protocol, changed only by the flags given."""
     signal = audio_io.read_wav(args.infile)
     fs = signal.fs
-    hop_ms = args.hop if args.hop is not None else 1.0
+    window = None if args.window is None else int(round(args.window * fs / 1000.0))
     if args.model == "sm":
+        cfg = _replace_given(SMConfig(), window_ms=args.window, hop_ms=args.hop,
+                             max_peaks=args.partials)
         # the sm dump needs every frame's peaks, so sm skips run_model
-        cfg = SMConfig(window_ms=args.window if args.window else 30.0,
-                       hop_ms=hop_ms,
-                       max_peaks=args.partials if args.partials else 100)
         times, peak_lists = sm_peaks(signal, cfg)
         hop = max(1, int(round(cfg.hop_ms * fs / 1000.0)))
-        tracks = track_partials(peak_lists, times, MAX_JUMP_HZ, hop / fs)
+        tracks = track_partials(peak_lists, times, hop / fs)
         y = sm_synthesize(tracks, signal.samples.shape[0], fs)
         srer_db = srer(signal.samples, y)
         audio_io.write_sm_json(args.params, tracks, times, peak_lists, fs)
-    elif args.model == "edsm":
-        f0track = _f0_for(args, signal)
-        if args.window:
-            window = max(8, int(round(args.window * fs / 1000.0)))
-        else:
-            window = max(8, int(round(0.75 * average_pitch_period(f0track) * fs)))
-        order = args.partials if args.partials else full_band_orders(f0track, signal, window)
-        cfg = EDSMConfig(window_samples=window, order=order)
-        srer_db, frames, y, _ = run_model("edsm", signal, f0track, cfg)
-        audio_io.write_frames_json(args.params, frames, fs)
     else:
-        f0track = _f0_for(args, signal)
-        cfg = EaQHMConfig(
-            hop_ms=hop_ms,
-            window_periods=args.window_periods if args.window_periods else 3.0,
-            window_samples=(max(9, int(round(args.window * fs / 1000.0)) | 1)
-                            if args.window else None),
-            max_partials=args.partials,
-            max_adaptations=args.max_adapt if args.max_adapt is not None else 10)
-        srer_db, state, y, _ = run_model("eaqhm", signal, f0track, cfg)
-        audio_io.write_eaqhm_json(args.params, state.tracks, state.srer_history,
-                                  state.iteration, fs)
+        f0track = (audio_io.read_f0_csv(args.f0) if args.f0
+                   else estimate_f0(signal, *PITCH_BAND_HZ))
+        cfg = dict(zip(MODELS, compare_configs(signal, f0track)))[args.model]
+        if args.model == "edsm":
+            if window is not None:
+                window = max(8, window)
+                cfg = dataclasses.replace(cfg, window_samples=window,
+                                          order=full_band_orders(f0track, signal, window))
+            cfg = _replace_given(cfg, order=args.partials)
+            srer_db, frames, y, _ = run_model("edsm", signal, f0track, cfg)
+            audio_io.write_frames_json(args.params, frames, fs)
+        else:
+            cfg = _replace_given(
+                cfg, hop_ms=args.hop, window_periods=args.window_periods,
+                window_samples=None if window is None else max(9, window | 1),
+                max_partials=args.partials, max_adaptations=args.max_adapt)
+            srer_db, state, y, _ = run_model("eaqhm", signal, f0track, cfg)
+            audio_io.write_eaqhm_json(args.params, state.tracks, state.srer_history,
+                                      state.iteration, fs)
     audio_io.write_wav(args.resynth, SampledSignal(samples=np.clip(y, -1.0, 1.0),
                                                    fs=fs))
     print(f"model={args.model} srer_db={srer_db:.3f}")
@@ -205,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV (time_s, f0_hz)")
     p.set_defaults(func=_cmd_pitch)
 
-    p = sub.add_parser("analyze", help="analyze and resynthesize with one model")
-    p.add_argument("--model", required=True, choices=("sm", "edsm", "eaqhm"))
+    p = sub.add_parser("analyze", help="analyze and resynthesize with one model "
+                                        "under the comparison protocol")
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--in", dest="infile", required=True, help="input WAV")
     p.add_argument("--f0", help="f0 CSV (estimated internally when omitted)")
     g = p.add_mutually_exclusive_group()
@@ -227,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="SRER versus window size, per model")
     p.add_argument("--signal", required=True, choices=("chirp", "amfm"))
-    p.add_argument("--models", default="sm,edsm,eaqhm",
-                   help="comma-separated subset of sm,edsm,eaqhm")
+    p.add_argument("--models", default=",".join(MODELS),
+                   help=f"comma-separated subset of {','.join(MODELS)}")
     p.add_argument("--multiples", default="0.5:0.5:5",
                    help="window multiples of the minimum period, "
                         "start:step:stop or a comma list")

@@ -88,10 +88,10 @@ def build_hankel(frame: np.ndarray, n_cols: int) -> np.ndarray:
     return _kernels.hankel_build(x, rows, n_cols)
 
 
-def esprit_poles(frame: np.ndarray, k_exp: int, n_cols: int = None,
+def esprit_poles(frame: np.ndarray, k_exp: int,
                  rank_rtol: float = RANK_RTOL) -> tuple[np.ndarray, int]:
     """Estimate up to k_exp poles from one frame via the shift-invariance of
-    the Hankel matrix's right singular basis.
+    the right singular basis of its Hankel matrix with L//2 columns.
 
     Returns (poles, k_eff) where k_eff <= k_exp is the order kept after
     dropping singular values below rank_rtol times the largest.
@@ -102,7 +102,7 @@ def esprit_poles(frame: np.ndarray, k_exp: int, n_cols: int = None,
         raise UsageError(f"k_exp must be >= 1, got {k_exp}")
     if not np.any(x):
         raise AnalysisError("cannot estimate poles of an all-zero frame")
-    n = length // 2 if n_cols is None else int(n_cols)
+    n = length // 2
     rows = length - n + 1
     if n < 2 or rows < 2:
         raise UsageError(f"frame of {length} samples too short for N={n}")
@@ -173,16 +173,16 @@ def poles_to_components(poles: np.ndarray, alphas: np.ndarray,
     A pair (z, conj(z)) with amplitudes (alpha, conj(alpha)) renders as
     2|alpha| exp(delta n) cos(omega n + arg alpha).  Real poles map to f=0
     (or fs/2 for negative real z) with the phase folded into {0, pi}.
+    Every complex pole needs its exact conjugate among the poles, as the
+    eigenvalues of a real matrix have.
     """
     poles = np.asarray(poles, dtype=np.complex128)
     alphas = np.asarray(alphas, dtype=np.complex128)
     if poles.shape != alphas.shape:
         raise UsageError("poles and amplitudes must align")
     comps: list[DampedSinusoid] = []
-    used = np.zeros(poles.shape[0], dtype=bool)
     is_real = np.abs(poles.imag) <= _REAL_POLE_TOL * (1.0 + np.abs(poles))
     for i in np.flatnonzero(is_real):
-        used[i] = True
         z, al = poles[i], alphas[i]
         mag = abs(z)
         if mag <= 0:
@@ -192,36 +192,21 @@ def poles_to_components(poles: np.ndarray, alphas: np.ndarray,
         a = abs(al.real)
         phase = 0.0 if al.real >= 0 else np.pi
         comps.append(DampedSinusoid(a=a, delta=delta, freq_hz=freq, phase=phase))
-    pos = [i for i in np.flatnonzero(~used) if np.angle(poles[i]) > 0]
-    neg = [i for i in np.flatnonzero(~used) if np.angle(poles[i]) <= 0]
-    for i in pos:
-        used[i] = True
-        zi, ai = poles[i], alphas[i]
-        best, best_d = -1, np.inf
-        for j in neg:
-            d = abs(poles[j] - zi.conjugate())
-            if d < best_d:
-                best, best_d = j, d
-        if best >= 0:
-            neg.remove(best)
-            used[best] = True
-            zj, aj = poles[best], alphas[best]
-            delta = 0.5 * (np.log(abs(zi)) + np.log(abs(zj)))
-            omega = 0.5 * (np.angle(zi) - np.angle(zj))
-            a = abs(ai) + abs(aj)
-        else:
-            # unpaired complex pole of a real frame; render its real part
-            delta = float(np.log(abs(zi)))
-            omega = float(np.angle(zi))
-            a = 2.0 * abs(ai)
-        comps.append(DampedSinusoid(a=float(a), delta=float(delta),
+    # a real frame's poles come in exact conjugate pairs: sorting both
+    # half-planes the same way lines each pole up with its conjugate
+    up = np.flatnonzero(~is_real & (poles.imag > 0))
+    lo = np.flatnonzero(~is_real & (poles.imag < 0))
+    up = up[np.lexsort((poles[up].imag, poles[up].real))]
+    lo = lo[np.lexsort((-poles[lo].imag, poles[lo].real))]
+    if up.shape != lo.shape or not np.array_equal(poles[lo], poles[up].conj()):
+        raise UsageError("complex poles must come in exact conjugate pairs")
+    for i, j in zip(up, lo):
+        zi, ai, zj, aj = poles[i], alphas[i], poles[j], alphas[j]
+        delta = 0.5 * (np.log(abs(zi)) + np.log(abs(zj)))
+        omega = 0.5 * (np.angle(zi) - np.angle(zj))
+        comps.append(DampedSinusoid(a=float(abs(ai) + abs(aj)), delta=float(delta),
                                     freq_hz=float(omega * fs / TWO_PI),
                                     phase=float(np.angle(ai))))
-    for j in neg:  # leftover negative-frequency poles, conjugate them up
-        zj, aj = poles[j], alphas[j]
-        comps.append(DampedSinusoid(a=2.0 * abs(aj), delta=float(np.log(abs(zj))),
-                                    freq_hz=float(-np.angle(zj) * fs / TWO_PI),
-                                    phase=float(-np.angle(aj))))
     comps.sort(key=lambda c: (c.freq_hz, -c.a))
     return tuple(comps)
 
@@ -303,7 +288,7 @@ def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> list[EDSMFrame]:
         n_cols = seg.shape[0] // 2
         k_cap = min(n_cols, seg.shape[0] - n_cols + 1) - 1
         k_use = min(k_exp, k_cap)
-        poles, k_eff = esprit_poles(seg, k_use, n_cols=n_cols, rank_rtol=config.rank_rtol)
+        poles, k_eff = esprit_poles(seg, k_use, rank_rtol=config.rank_rtol)
         if poles.shape[0]:
             # keep poles renderable over this frame
             mag = np.abs(poles)

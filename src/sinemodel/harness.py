@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,6 +26,7 @@ from .sm import SMConfig, sm_analyze, sm_synthesize
 MODELS = ("sm", "edsm", "eaqhm")
 CELL_STATUSES = ("ok", "ill_conditioned", "failed")
 SWEEP_HOP_MS = 1.0
+PITCH_BAND_HZ = (70.0, 400.0)  # f0 search band of comparisons, analyses and sweeps
 
 
 def _check_models(models: Sequence[str]) -> None:
@@ -103,7 +103,7 @@ def sweep_window_samples(multiple: float, t_min_s: float, fs: float) -> int:
 _GENERATOR_DEFAULTS = {
     # t_min (s), pitch search band (Hz), per-model partial counts
     "chirp": (1.0 / 100.0, (80.0, 1050.0), {"sm": 1, "edsm": 1, "eaqhm": 1}),
-    "amfm": (1.0 / 150.0, (70.0, 400.0), {"sm": 10, "edsm": None, "eaqhm": None}),
+    "amfm": (1.0 / 150.0, PITCH_BAND_HZ, {"sm": 10, "edsm": None, "eaqhm": None}),
 }
 
 
@@ -117,7 +117,7 @@ def _resolve_source(spec: SweepSpec):
     else:
         from .audio_io import read_wav
         signal = read_wav(spec.source)
-        t_min, band, counts = spec.t_min_s, (70.0, 400.0), {}
+        t_min, band, counts = spec.t_min_s, PITCH_BAND_HZ, {}
         if t_min is None:
             raise UsageError("t_min_s is required for WAV sweep sources")
     if spec.t_min_s is not None:
@@ -125,10 +125,6 @@ def _resolve_source(spec: SweepSpec):
     counts = dict(counts)
     counts.update(spec.partials)
     return signal, t_min, band, counts
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
 
 
 def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
@@ -139,8 +135,7 @@ def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
         if model == "sm":
             cfg = SMConfig(window_samples=w, window_kind="hamming",
                            hop_ms=SWEEP_HOP_MS,
-                           fft_size=max(2048, _next_pow2(w)),
-                           max_peaks=count if count else 100)
+                           max_peaks=count if count else SMConfig.max_peaks)
         elif model == "edsm":
             order = count if count else full_band_orders(f0track, signal, w)
             # sweeps follow the known-order convention: the requested order
@@ -173,11 +168,9 @@ def run_window_sweep(spec: SweepSpec) -> SRERCurve:
     signal, t_min, band, counts = _resolve_source(spec)
     f0track = None
     if "eaqhm" in spec.models or "edsm" in spec.models:
-        f0track = estimate_f0(signal, f_min=band[0], f_max=band[1])
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=RuntimeWarning)
-        rows = tuple(_sweep_cell(signal, f0track, model, multiple, t_min, counts)
-                     for model in spec.models for multiple in spec.multiples)
+        f0track = estimate_f0(signal, *band)
+    rows = tuple(_sweep_cell(signal, f0track, model, multiple, t_min, counts)
+                 for model in spec.models for multiple in spec.multiples)
     return SRERCurve(rows=rows)
 
 
@@ -205,22 +198,20 @@ def _frame_param_count(frames: Sequence[EDSMFrame]) -> int:
 
 
 def compare_configs(signal: SampledSignal, f0track: F0Track):
-    """Per-model analysis settings for the comparison protocol: SM with a
-    30 ms Hann window, 1 ms hop, 2048-point FFT and up to 100 peaks; the
-    adaptive model on 3 local pitch periods, Blackman initialization and
-    Hamming adaptation, at most 10 adaptations, full-band harmonics; the
-    damped model on non-overlapping rectangular windows of 0.75 average
-    pitch periods with full-band order fs/(2 f0_local)."""
-    sm_cfg = SMConfig(window_ms=30.0, window_kind="hann", hop_ms=1.0,
-                      fft_size=2048, max_peaks=100)
-    ea_cfg = EaQHMConfig(hop_ms=1.0, window_periods=3.0,
-                         init_window_kind="blackman",
-                         max_partials=None, max_adaptations=10)
-    period_s = average_pitch_period(f0track)
-    window = max(8, int(round(0.75 * period_s * signal.fs)))
-    orders = full_band_orders(f0track, signal, window)
-    ed_cfg = EDSMConfig(window_samples=window, order=orders)
-    return sm_cfg, ed_cfg, ea_cfg
+    """Per-model analysis settings for the comparison protocol.
+
+    SM and the adaptive model use their config defaults.  SM: a 30 ms Hann
+    window, 1 ms hop, the window's FFT size (2048 points up to 2048-sample
+    windows) and up to 100 peaks.  The adaptive model: 3 local pitch
+    periods, Blackman initialization and Hamming adaptation, at most 10
+    adaptations, full-band harmonics.  The damped model: non-overlapping
+    rectangular windows of 0.75 average pitch periods with full-band order
+    fs/(2 f0_local).
+    """
+    window = max(8, int(round(0.75 * average_pitch_period(f0track) * signal.fs)))
+    ed_cfg = EDSMConfig(window_samples=window,
+                        order=full_band_orders(f0track, signal, window))
+    return SMConfig(), ed_cfg, EaQHMConfig()
 
 
 def run_model(model: str, signal: SampledSignal, f0track: F0Track, cfg):
@@ -250,12 +241,12 @@ def run_model(model: str, signal: SampledSignal, f0track: F0Track, cfg):
     return srer(signal.samples, y), result, y, params
 
 
-def run_comparison(files: Sequence, models: Sequence[str] = MODELS,
-                   f_min: float = 70.0, f_max: float = 400.0) -> list[ComparisonRow]:
+def run_comparison(files: Sequence, models: Sequence[str] = MODELS) -> list[ComparisonRow]:
     """SRER/parameter-count/wall-time table, one row per input file.
 
-    A file whose pitch cannot be tracked is kept in the table with status
-    "unanalyzable" instead of aborting the run.
+    Pitch is tracked over PITCH_BAND_HZ and every model runs under
+    compare_configs.  A file whose pitch cannot be tracked is kept in the
+    table with status "unanalyzable" instead of aborting the run.
     """
     from .audio_io import read_wav
     _check_models(models)
@@ -264,7 +255,7 @@ def run_comparison(files: Sequence, models: Sequence[str] = MODELS,
         file_id = str(path)
         signal = read_wav(path)
         try:
-            f0track = estimate_f0(signal, f_min=f_min, f_max=f_max)
+            f0track = estimate_f0(signal, *PITCH_BAND_HZ)
             if not f0track.any_voiced:
                 raise UsageError("no voiced frames")
             configs = dict(zip(MODELS, compare_configs(signal, f0track)))
@@ -274,18 +265,16 @@ def run_comparison(files: Sequence, models: Sequence[str] = MODELS,
         srer_db: dict = {}
         params: dict = {}
         times: dict = {}
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", category=RuntimeWarning)
-            for model in models:
-                t0 = time.perf_counter()
-                try:
-                    s, _, _, p = run_model(model, signal, f0track, configs[model])
-                    dt = time.perf_counter() - t0
-                except SineModelError:
-                    s, p, dt = None, None, None
-                srer_db[model] = s
-                params[model] = p
-                times[model] = dt
+        for model in models:
+            t0 = time.perf_counter()
+            try:
+                s, _, _, p = run_model(model, signal, f0track, configs[model])
+                dt = time.perf_counter() - t0
+            except SineModelError:
+                s, p, dt = None, None, None
+            srer_db[model] = s
+            params[model] = p
+            times[model] = dt
         rows.append(ComparisonRow(file_id=file_id, status="ok", srer_db=srer_db,
                                   param_counts=params, wall_time_s=times))
     return rows

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import medfilt
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .core import SampledSignal
@@ -21,7 +21,7 @@ from .errors import AnalysisError, UsageError
 
 VOICING_THRESHOLD = 0.3
 _PEAK_KEEP = 0.9        # local maxima within this fraction of the global peak compete
-_MEDFILT_FRAMES = 5
+_MEDFILT_FRAMES = 5     # odd, so the running median is centred
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,13 @@ def _nearest_voiced(voiced: np.ndarray) -> np.ndarray:
     return np.where(frames - before <= after - frames, before, after)
 
 
+def _median_filter(x: np.ndarray) -> np.ndarray:
+    """Running median over _MEDFILT_FRAMES frames, zero-padded at the ends
+    (scipy.signal.medfilt's rule)."""
+    half = _MEDFILT_FRAMES // 2
+    return np.median(sliding_window_view(np.pad(x, half), _MEDFILT_FRAMES), axis=1)
+
+
 def estimate_f0(signal: SampledSignal, f_min: float = 60.0, f_max: float = 500.0,
                 hop_ms: float = 5.0) -> F0Track:
     """Frame-wise autocorrelation pitch track.
@@ -123,7 +130,7 @@ def estimate_f0(signal: SampledSignal, f_min: float = 60.0, f_max: float = 500.0
         # unvoiced frames inherit the nearest voiced estimate
         f0 = f0[_nearest_voiced(voiced)]
         if f0.shape[0] >= _MEDFILT_FRAMES:
-            f0 = medfilt(f0, _MEDFILT_FRAMES)
+            f0 = _median_filter(f0)
         f0 = np.clip(f0, f_min, f_max)
     return F0Track(times=times, f0=f0, voiced=voiced)
 

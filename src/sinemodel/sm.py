@@ -20,6 +20,7 @@ from .errors import UsageError
 _LOG_FLOOR = 1e-200
 THRESHOLD_DB = -60.0  # peaks must clear the frame's spectral max minus this
 MAX_JUMP_HZ = 30.0    # largest frequency step a track continues across
+MIN_FFT_SIZE = 2048   # frames are zero-padded to max(this, next power of two >= window)
 
 
 @dataclass(frozen=True)
@@ -39,15 +40,12 @@ class SMConfig:
     window_ms: float = 30.0
     window_kind: str = "hann"
     hop_ms: float = 1.0
-    fft_size: int = 2048
     max_peaks: int = 100
     window_samples: int = None    # overrides window_ms when set (forced odd)
 
     def __post_init__(self):
         if self.max_peaks < 1:
             raise UsageError("max_peaks must be >= 1")
-        if self.fft_size & (self.fft_size - 1):
-            raise UsageError(f"fft_size must be a power of two, got {self.fft_size}")
 
 
 def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
@@ -117,10 +115,11 @@ class _TrackBuilder:
 
 
 def track_partials(peak_lists: list[list[SpectralPeak]], frame_times: np.ndarray,
-                   max_jump_hz: float, hop_s: float) -> list[PartialTrack]:
+                   hop_s: float) -> list[PartialTrack]:
     """Greedy nearest-frequency matching of peaks into partial tracks.
 
-    Louder peaks claim tracks first.  A track with no match dies with a
+    Louder peaks claim tracks first, each the nearest free track within
+    MAX_JUMP_HZ.  A track with no match dies with a
     one-hop amplitude ramp to zero; an unmatched peak is born, fading in
     over one hop unless it appears in the first frame.  Tracks still alive
     at the last frame end without a ramp.
@@ -144,7 +143,7 @@ def track_partials(peak_lists: list[list[SpectralPeak]], frame_times: np.ndarray
         matched: list[tuple[_TrackBuilder, SpectralPeak]] = []
         births: list[SpectralPeak] = []
         for peak in sorted(peaks, key=lambda pk: -pk.amp):
-            best, best_d = -1, max_jump_hz
+            best, best_d = -1, MAX_JUMP_HZ
             for j, tb in enumerate(active):
                 if taken[j]:
                     continue
@@ -205,8 +204,7 @@ def sm_peaks(signal: SampledSignal,
     x = signal.samples
     fs = signal.fs
     w_len = _resolve_window_samples(config, fs)
-    if config.fft_size < w_len:
-        raise UsageError(f"fft_size {config.fft_size} shorter than window {w_len}")
+    fft_size = max(MIN_FFT_SIZE, 1 << (w_len - 1).bit_length())
     hop = max(1, int(round(config.hop_ms * fs / 1000.0)))
     window = make_window(config.window_kind, w_len)
     half = w_len // 2
@@ -218,8 +216,8 @@ def sm_peaks(signal: SampledSignal,
         centers = np.arange(half, n - half, hop)
     else:
         centers = np.array([n // 2])
-    peak_lists = [analyze_frame_fft(padded[c:c + w_len], window, config.fft_size,
-                                    fs, config.max_peaks)
+    peak_lists = [analyze_frame_fft(padded[c:c + w_len], window, fft_size, fs,
+                                    config.max_peaks)
                   for c in centers]
     return centers / fs, peak_lists
 
@@ -228,7 +226,7 @@ def sm_analyze(signal: SampledSignal, config: SMConfig = SMConfig()) -> list[Par
     """Frame the signal, pick peaks, and connect them into partial tracks."""
     hop = max(1, int(round(config.hop_ms * signal.fs / 1000.0)))
     times, peak_lists = sm_peaks(signal, config)
-    return track_partials(peak_lists, times, MAX_JUMP_HZ, hop / signal.fs)
+    return track_partials(peak_lists, times, hop / signal.fs)
 
 
 def sm_synthesize(tracks, n_samples: int, fs: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from sinemodel import audio_io
 from sinemodel.cli import main
 from sinemodel.core import SampledSignal
+from sinemodel.harness import MODELS, run_comparison
 
 FS = 16000.0
 
@@ -110,6 +111,28 @@ def test_analyze_eaqhm(tone_wav, tmp_path, capsys):
     assert dump["type"] == "eaqhm_analysis"
     assert dump["iterations"] <= 1
     assert float(out.rsplit("=", 1)[-1]) == round(dump["srer_history"][-1], 3)
+
+
+def test_analyze_sm_long_window(tone_wav, tmp_path, capsys):
+    # 200 ms is 3201 samples, beyond a 2048-point FFT
+    assert main(["analyze", "--model", "sm", "--in", str(tone_wav), "--window", "200",
+                 "--params", str(tmp_path / "p.json"),
+                 "--resynth", str(tmp_path / "r.wav")]) == 0
+    assert float(capsys.readouterr().out.rsplit("=", 1)[-1]) > 20.0
+
+
+def test_analyze_reproduces_compare(tmp_path, capsys):
+    t = np.arange(3200) / FS
+    wav = tmp_path / "tone300.wav"
+    audio_io.write_wav(wav, SampledSignal(samples=0.5 * np.cos(2 * np.pi * 300.0 * t),
+                                          fs=FS))
+    row = run_comparison([wav])[0]
+    for model in MODELS:
+        assert main(["analyze", "--model", model, "--in", str(wav),
+                     "--params", str(tmp_path / f"{model}.json"),
+                     "--resynth", str(tmp_path / f"{model}.wav")]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == f"model={model} srer_db={row.srer_db[model]:.3f}"
 
 
 def test_analyze_unvoiced_input_is_analysis_error(tmp_path, capsys):

@@ -123,6 +123,29 @@ def test_real_poles_map_to_band_edges():
         poles_to_components(np.zeros(2, complex), np.zeros(3, complex), FS)
 
 
+def test_conjugate_pairs_match_in_any_order():
+    z1 = 0.99 * np.exp(1j * 2 * np.pi * 700.0 / FS)
+    z2 = 1.001 * np.exp(1j * 2 * np.pi * 1900.0 / FS)
+    a1, a2 = 0.4 * np.exp(0.7j), 0.1 * np.exp(-2.0j)
+    # pairs listed out of order, with a duplicated pair and a real pole
+    poles = np.array([np.conj(z2), z1, 0.5 + 0j, z2, np.conj(z1), z1, np.conj(z1)])
+    alphas = np.array([np.conj(a2), a1, 0.2 + 0j, a2, np.conj(a1), a1, np.conj(a1)])
+    comps = poles_to_components(poles, alphas, FS)
+    assert [c.freq_hz for c in comps] == pytest.approx([0.0, 700.0, 700.0, 1900.0])
+    assert [c.a for c in comps] == pytest.approx([0.2, 0.8, 0.8, 0.2])
+    assert comps[3].phase == pytest.approx(-2.0)
+    assert comps[3].delta == pytest.approx(np.log(1.001))
+
+
+def test_complex_pole_without_exact_conjugate_is_rejected():
+    z = 0.99 * np.exp(1j * 2 * np.pi * 700.0 / FS)
+    al = np.array([0.4 + 0.1j, 0.4 - 0.1j])
+    for poles in (np.array([z, 0.9 + 0j]), np.array([z, np.conj(z) * (1 + 1e-12)]),
+                  np.array([z, z])):
+        with pytest.raises(UsageError, match="conjugate"):
+            poles_to_components(poles, al, FS)
+
+
 def test_components_poles_roundtrip():
     comps = (DampedSinusoid(a=0.6, delta=-0.001, freq_hz=350.0, phase=0.2),
              DampedSinusoid(a=0.3, delta=0.0005, freq_hz=2100.0, phase=-1.4))

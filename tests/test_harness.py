@@ -1,20 +1,22 @@
 """Sweep and comparison harness plumbing."""
+import itertools
 import threading
 
 import numpy as np
 import pytest
 
-from sinemodel import audio_io, harness
+from sinemodel import audio_io, eaqhm, harness
 from sinemodel.core import PartialTrack, SampledSignal
-from sinemodel.eaqhm import ADAPT_WINDOW_KIND
+from sinemodel.eaqhm import ADAPT_WINDOW_KIND, EaQHMConfig
 from sinemodel.edsm import DampedSinusoid, EDSMFrame
-from sinemodel.errors import UsageError
-from sinemodel.harness import (MODELS, ComparisonRow, SRERCurve, SweepCell,
-                               SweepSpec, _frame_param_count, _track_param_count,
-                               compare_configs, export, generate_standins,
-                               parse_multiples, run_comparison,
+from sinemodel.errors import IllConditionedError, UsageError
+from sinemodel.harness import (MODELS, PITCH_BAND_HZ, ComparisonRow, SRERCurve,
+                               SweepCell, SweepSpec, _frame_param_count,
+                               _track_param_count, compare_configs, export,
+                               generate_standins, parse_multiples, run_comparison,
                                run_window_sweep, sweep_window_samples)
 from sinemodel.pitch import F0Track, estimate_f0
+from sinemodel.sm import SMConfig
 
 FS = 16000.0
 
@@ -176,7 +178,9 @@ def test_compare_configs_protocol(tone):
     f0t = estimate_f0(tone, f_min=70.0, f_max=400.0)
     sm_cfg, ed_cfg, ea_cfg = compare_configs(tone, f0t)
     assert sm_cfg.window_ms == 30.0 and sm_cfg.window_kind == "hann"
-    assert sm_cfg.fft_size == 2048 and sm_cfg.max_peaks == 100
+    assert sm_cfg.max_peaks == 100 and sm_cfg.hop_ms == 1.0
+    # the sm and eaqhm protocol settings are their config defaults
+    assert sm_cfg == SMConfig() and ea_cfg == EaQHMConfig()
     assert ea_cfg.window_periods == 3.0
     assert ea_cfg.init_window_kind == "blackman"
     assert ADAPT_WINDOW_KIND == "hamming"
@@ -194,6 +198,51 @@ def test_run_comparison_rows(tone_wav):
     assert row.srer_db["edsm"] > 0 and row.srer_db["sm"] > 0
     assert row.param_counts["sm"] > 0 and row.param_counts["edsm"] > 0
     assert row.wall_time_s["sm"] > 0
+
+
+def _tone_wav(tmp_path, fs, f0=300.0, seconds=0.2):
+    t = np.arange(int(seconds * fs)) / fs
+    path = tmp_path / f"tone_{int(fs)}.wav"
+    audio_io.write_wav(path, SampledSignal(samples=0.5 * np.cos(2 * np.pi * f0 * t),
+                                           fs=fs))
+    return path
+
+
+def test_run_comparison_analyzes_sm_at_96khz(tmp_path):
+    # a 30 ms window is 2881 samples at 96 kHz: the FFT grows to 4096
+    row = run_comparison([_tone_wav(tmp_path, 96000.0, seconds=0.1)], models=("sm",))[0]
+    assert row.status == "ok"
+    assert np.isfinite(row.srer_db["sm"]) and row.srer_db["sm"] > 20.0
+
+
+def test_pitch_band_is_shared(monkeypatch, tmp_path):
+    bands = []
+
+    def record(signal, f_min, f_max):
+        bands.append((f_min, f_max))
+        return estimate_f0(signal, f_min=f_min, f_max=f_max)
+
+    monkeypatch.setattr(harness, "estimate_f0", record)
+    path = _tone_wav(tmp_path, FS)
+    run_comparison([path], models=("sm",))
+    run_window_sweep(SweepSpec(source=str(path), models=("edsm",), multiples=(1.0,),
+                               t_min_s=0.01))
+    assert bands == [PITCH_BAND_HZ, PITCH_BAND_HZ]
+
+
+def test_run_comparison_surfaces_skipped_frame_warnings(monkeypatch, tmp_path):
+    real = eaqhm.ls_solve
+    calls = itertools.count()
+
+    def flaky(e, window, target):
+        if next(calls) % 7 == 0:
+            raise IllConditionedError("forced", 1e20)
+        return real(e, window, target)
+
+    monkeypatch.setattr(eaqhm, "ls_solve", flaky)
+    with pytest.warns(RuntimeWarning, match=r"skipped \d+ ill-conditioned frame\(s\)"):
+        row = run_comparison([_tone_wav(tmp_path, FS)], models=("eaqhm",))[0]
+    assert row.srer_db["eaqhm"] > 0
 
 
 def test_run_comparison_marks_unanalyzable(tmp_path):

@@ -81,6 +81,22 @@ def test_f0_csv_roundtrip(tmp_path):
     assert back.f0[1] > 0
 
 
+def test_f0_csv_fills_unvoiced_rows_with_nearest_voiced(tmp_path):
+    f0 = np.array([0.0, 0.0, 120.0, 0.0, 0.0, 0.0, 180.0, 0.0, 200.0, 0.0, 0.0])
+    path = tmp_path / "gaps.csv"
+    audio_io.write_f0_csv(path, F0Track(times=np.arange(11) * 0.005, f0=f0,
+                                        voiced=f0 > 0))
+    back = audio_io.read_f0_csv(path)
+    np.testing.assert_array_equal(back.voiced, f0 > 0)
+    # leading rows take the first voiced value, a tie goes to the earlier one
+    np.testing.assert_allclose(
+        back.f0, [120, 120, 120, 120, 120, 180, 180, 180, 200, 200, 200], atol=1e-3)
+    silent = tmp_path / "silent.csv"
+    audio_io.write_f0_csv(silent, F0Track(times=np.arange(3) * 0.005, f0=np.zeros(3),
+                                          voiced=np.zeros(3, bool)))
+    assert not audio_io.read_f0_csv(silent).any_voiced
+
+
 def test_f0_csv_malformed(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

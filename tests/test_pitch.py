@@ -1,4 +1,6 @@
 """Autocorrelation f0 tracking."""
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -135,3 +137,22 @@ def test_estimate_f0_memory_stays_bounded_on_60s():
         tracemalloc.stop()
     assert track.any_voiced and not track.voiced.all()
     assert peak < 50e6
+
+
+def test_median_filter_matches_medfilt_reference():
+    from scipy.signal import medfilt
+
+    rng = np.random.default_rng(5)
+    arrays = [rng.uniform(60.0, 400.0, n) for n in (5, 6, 9, 100, 2500)]
+    arrays += [rng.integers(0, 4, n).astype(float) * 37.5 for n in (5, 8, 64, 999)]  # ties
+    arrays.append(np.full(12, 150.0))
+    for x in arrays:
+        np.testing.assert_array_equal(pitch._median_filter(x), medfilt(x, 5))
+
+
+def test_import_loads_no_scipy_signal():
+    code = ("import sys, sinemodel; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

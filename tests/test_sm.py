@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from sinemodel import sm
 from sinemodel.core import SampledSignal, make_window, srer, wrap_phase
 from sinemodel.errors import UsageError
-from sinemodel.sm import (THRESHOLD_DB, SMConfig, SpectralPeak, analyze_frame_fft,
-                          sm_analyze, sm_peaks, sm_synthesize, track_partials)
+from sinemodel.sm import (MAX_JUMP_HZ, THRESHOLD_DB, SMConfig, SpectralPeak,
+                          analyze_frame_fft, sm_analyze, sm_peaks, sm_synthesize,
+                          track_partials)
 
 FS = 16000.0
 
@@ -104,8 +106,6 @@ def test_frame_analysis_edge_cases():
 
 def test_smconfig_validation():
     with pytest.raises(UsageError):
-        SMConfig(fft_size=1000)
-    with pytest.raises(UsageError):
         SMConfig(max_peaks=0)
 
 
@@ -116,7 +116,7 @@ def test_smconfig_validation():
 def test_tracking_continuation_and_death_ramp():
     lists = [[_peak(100.0, 1.0, 0.0)], [_peak(102.0, 1.0, 0.1)], []]
     times = np.array([0.0, 0.01, 0.02])
-    tracks = track_partials(lists, times, max_jump_hz=30.0, hop_s=0.01)
+    tracks = track_partials(lists, times, hop_s=0.01)
     assert len(tracks) == 1
     tr = tracks[0]
     # two live anchors plus a death ramp to zero one hop later
@@ -128,7 +128,7 @@ def test_tracking_continuation_and_death_ramp():
 def test_tracking_birth_fade_in():
     lists = [[], [_peak(200.0)], [_peak(201.0)]]
     times = np.array([0.0, 0.01, 0.02])
-    tracks = track_partials(lists, times, max_jump_hz=30.0, hop_s=0.01)
+    tracks = track_partials(lists, times, hop_s=0.01)
     assert len(tracks) == 1
     tr = tracks[0]
     # interior birth fades in from zero one hop before its first frame,
@@ -141,14 +141,17 @@ def test_tracking_birth_fade_in():
 
 def test_tracking_first_frame_birth_has_no_ramp():
     lists = [[_peak(100.0)], [_peak(100.0)]]
-    tracks = track_partials(lists, np.array([0.0, 0.01]), 30.0, 0.01)
+    tracks = track_partials(lists, np.array([0.0, 0.01]), 0.01)
     assert tracks[0].amps[0] == 1.0
 
 
 def test_tracking_jump_bound_splits():
-    lists = [[_peak(100.0)], [_peak(150.0)]]
-    tracks = track_partials(lists, np.array([0.0, 0.01]), max_jump_hz=30.0, hop_s=0.01)
+    lists = [[_peak(100.0)], [_peak(100.0 + MAX_JUMP_HZ + 20.0)]]
+    tracks = track_partials(lists, np.array([0.0, 0.01]), hop_s=0.01)
     assert len(tracks) == 2
+    # a step of exactly the bound still continues the track
+    lists = [[_peak(100.0)], [_peak(100.0 + MAX_JUMP_HZ)]]
+    assert len(track_partials(lists, np.array([0.0, 0.01]), hop_s=0.01)) == 1
 
 
 def test_tracking_louder_peak_claims_first():
@@ -157,7 +160,7 @@ def test_tracking_louder_peak_claims_first():
         # one peak between the two tracks, slightly nearer 110
         [_peak(106.0, amp=2.0)],
     ]
-    tracks = track_partials(lists, np.array([0.0, 0.01]), 30.0, 0.01)
+    tracks = track_partials(lists, np.array([0.0, 0.01]), 0.01)
     cont = [tr for tr in tracks if len(tr) >= 2 and tr.amps[1] == 2.0]
     assert len(cont) == 1
     assert cont[0].freqs[0] == 110.0
@@ -165,7 +168,7 @@ def test_tracking_louder_peak_claims_first():
 
 def test_tracking_requires_aligned_inputs():
     with pytest.raises(UsageError):
-        track_partials([[]], np.array([0.0, 0.01]), 30.0, 0.01)
+        track_partials([[]], np.array([0.0, 0.01]), 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -215,5 +218,25 @@ def test_sm_peaks_window_validation():
     sig = SampledSignal(samples=np.ones(100), fs=FS)
     with pytest.raises(UsageError):
         sm_peaks(sig, SMConfig(window_samples=1))
-    with pytest.raises(UsageError):
-        sm_peaks(sig, SMConfig(window_samples=4096, fft_size=2048))
+    # a window longer than the minimum FFT gets a longer FFT, not an error
+    times, lists = sm_peaks(sig, SMConfig(window_samples=4096))
+    assert len(times) == len(lists) == 1
+
+
+@pytest.mark.parametrize("fs,window_ms,fft_size", [
+    (16000.0, 30.0, 2048), (44100.0, 30.0, 2048), (48000.0, 30.0, 2048),
+    (96000.0, 30.0, 4096), (16000.0, 200.0, 4096), (16000.0, 300.0, 8192)])
+def test_fft_size_follows_the_window(monkeypatch, fs, window_ms, fft_size):
+    seen = set()
+
+    def spy(frame, window, n_fft, *args):
+        seen.add((frame.shape[0], n_fft))
+        return []
+
+    monkeypatch.setattr(sm, "analyze_frame_fft", spy)
+    sm_peaks(SampledSignal(samples=np.ones(int(0.4 * fs)), fs=fs),
+             SMConfig(window_ms=window_ms, hop_ms=50.0))
+    ((w_len, n_fft),) = seen
+    # the next power of two at or above the window, and at least 2048
+    assert n_fft == fft_size
+    assert n_fft >= w_len and (n_fft == 2048 or n_fft // 2 < w_len)
