@@ -16,17 +16,19 @@ import numpy as np
 
 from . import audio_io
 from .core import PartialTrack, SampledSignal, srer
-from .edsm import EDSMFrame, full_band_orders
+from .edsm import EDSMFrame
 from .errors import AnalysisError, AudioIOError, UsageError
 from .generators import (AMFMSpec, ChirpSpec, default_damped_spec, gen_amfm,
                          gen_damped_sum, gen_stationary_plus_chirp)
-from .harness import (MODELS, PITCH_BAND_HZ, SweepSpec, compare_configs, export,
+from .harness import (MODEL_TABLE, MODELS, PITCH_BAND_HZ, SweepSpec, export,
                       generate_standins, parse_multiples, run_comparison,
                       run_model, run_window_sweep)
 from .pitch import estimate_f0
-from .sm import SMConfig, sm_peaks, sm_synthesize, track_partials
 
 _SCALE_CEILING = 0.99  # generated WAVs are rescaled to this peak to avoid clipping
+# analyze flags that set the config field of their dest name
+_FIELD_FLAGS = {"hop_ms": "--hop", "window_periods": "--window-periods",
+                "max_adaptations": "--max-adapt"}
 
 
 def _seed(args) -> int:
@@ -94,48 +96,28 @@ def _cmd_pitch(args) -> None:
     print(f"wrote {args.out} ({len(track)} frames, {n_v} voiced)")
 
 
-def _replace_given(cfg, **flags):
-    """cfg with each flag the user gave (not None) applied."""
-    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-
-
 def _cmd_analyze(args) -> None:
-    """One model under the comparison protocol, changed only by the flags given."""
+    """One model under the comparison protocol, changed only by the flags given:
+    --window and --partials set its window and count, and each other flag the
+    config field it is named for (a usage error where the config has none)."""
+    entry = MODEL_TABLE[args.model]
     signal = audio_io.read_wav(args.infile)
-    fs = signal.fs
-    window = None if args.window is None else int(round(args.window * fs / 1000.0))
-    if args.model == "sm":
-        cfg = _replace_given(SMConfig(), window_ms=args.window, hop_ms=args.hop,
-                             max_peaks=args.partials)
-        # the sm dump needs every frame's peaks, so sm skips run_model
-        times, peak_lists = sm_peaks(signal, cfg)
-        hop = max(1, int(round(cfg.hop_ms * fs / 1000.0)))
-        tracks = track_partials(peak_lists, times, hop / fs)
-        y = sm_synthesize(tracks, signal.samples.shape[0], fs)
-        srer_db = srer(signal.samples, y)
-        audio_io.write_sm_json(args.params, tracks, times, peak_lists, fs)
-    else:
+    f0track = None
+    if entry.needs_f0:
         f0track = (audio_io.read_f0_csv(args.f0) if args.f0
                    else estimate_f0(signal, *PITCH_BAND_HZ))
-        cfg = dict(zip(MODELS, compare_configs(signal, f0track)))[args.model]
-        if args.model == "edsm":
-            if window is not None:
-                window = max(8, window)
-                cfg = dataclasses.replace(cfg, window_samples=window,
-                                          order=full_band_orders(f0track, signal, window))
-            cfg = _replace_given(cfg, order=args.partials)
-            srer_db, frames, y, _ = run_model("edsm", signal, f0track, cfg)
-            audio_io.write_frames_json(args.params, frames, fs)
-        else:
-            cfg = _replace_given(
-                cfg, hop_ms=args.hop, window_periods=args.window_periods,
-                window_samples=None if window is None else max(9, window | 1),
-                max_partials=args.partials, max_adaptations=args.max_adapt)
-            srer_db, state, y, _ = run_model("eaqhm", signal, f0track, cfg)
-            audio_io.write_eaqhm_json(args.params, state.tracks, state.srer_history,
-                                      state.iteration, fs)
+    window = (None if args.window is None
+              else entry.window_floor(int(round(args.window * signal.fs / 1000.0))))
+    cfg = entry.config(signal, f0track, window, args.partials)
+    fields = {k: v for k, v in vars(args).items() if k in _FIELD_FLAGS and v is not None}
+    for name in fields:
+        if not hasattr(cfg, name):
+            raise UsageError(f"{_FIELD_FLAGS[name]} does not apply to --model {args.model}")
+    cfg = dataclasses.replace(cfg, **fields)
+    srer_db, result, y, _ = run_model(args.model, signal, f0track, cfg)
+    entry.dump(args.params, result, signal.fs)
     audio_io.write_wav(args.resynth, SampledSignal(samples=np.clip(y, -1.0, 1.0),
-                                                   fs=fs))
+                                                   fs=signal.fs))
     print(f"model={args.model} srer_db={srer_db:.3f}")
 
 
@@ -181,9 +163,9 @@ def _cmd_compare(args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sinemodel",
-        description="Sinusoidal analysis/resynthesis toolkit: spectral (sm), "
-                    "damped-subspace (edsm), and adaptive quasi-harmonic "
-                    "(eaqhm) models with an SRER benchmark harness.")
+        description="Sinusoidal analysis/resynthesis toolkit: spectral, "
+                    "damped-subspace and adaptive quasi-harmonic models "
+                    f"({', '.join(MODELS)}) with an SRER benchmark harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a test signal (and its ground truth)")
@@ -209,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f0", help="f0 CSV (estimated internally when omitted)")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--window", type=float, help="window length in ms")
-    g.add_argument("--window-periods", type=float,
-                   help="window length in local pitch periods (eaqhm)")
-    p.add_argument("--hop", type=float, help="hop in ms")
+    g.add_argument("--window-periods", dest="window_periods", type=float,
+                   help="window length in local pitch periods")
+    p.add_argument("--hop", dest="hop_ms", type=float, help="hop in ms")
     p.add_argument("--partials", type=int, help="partial/peak count cap")
-    p.add_argument("--max-adapt", type=int, help="adaptation cap (eaqhm)")
+    p.add_argument("--max-adapt", dest="max_adaptations", type=int, help="adaptation cap")
     p.add_argument("--params", required=True, help="parameter dump JSON path")
     p.add_argument("--resynth", required=True, help="resynthesis WAV path")
     p.set_defaults(func=_cmd_analyze)

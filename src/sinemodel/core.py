@@ -127,6 +127,11 @@ def make_window(kind: str, length: int) -> WindowVector:
     return WindowVector(kind=kind, values=values.astype(np.float64))
 
 
+def hop_samples(hop_ms: float, fs: float) -> int:
+    """A frame hop of hop_ms milliseconds in samples, at least one."""
+    return max(1, int(round(hop_ms * fs / 1000.0)))
+
+
 def _as_samples(x) -> np.ndarray:
     if isinstance(x, SampledSignal):
         return x.samples

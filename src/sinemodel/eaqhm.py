@@ -28,8 +28,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from ._blas import single_threaded_blas
-from .core import (PartialTrack, SampledSignal, make_window, sample_track, srer,
-                   synthesize_tracks, wrap_phase)
+from .core import (PartialTrack, SampledSignal, hop_samples, make_window, sample_track,
+                   srer, synthesize_tracks, wrap_phase)
 from .errors import AnalysisError, IllConditionedError, UsageError
 from .pitch import F0Track
 
@@ -195,7 +195,7 @@ class _Frame:
 
 def _frame_layout(n: int, fs: float, f0track: F0Track,
                   config: EaQHMConfig) -> list[_Frame]:
-    hop = max(1, int(round(config.hop_ms * fs / 1000.0)))
+    hop = hop_samples(config.hop_ms, fs)
     frames: list[_Frame] = []
     for c in range(0, n, hop):
         f0_l = float(f0track.f0_at(c / fs))

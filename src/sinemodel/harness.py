@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,11 +21,10 @@ from .edsm import (EDSMConfig, EDSMFrame, edsm_analyze, edsm_synthesize,
 from .errors import IllConditionedError, SineModelError, UsageError
 from .generators import AMFMSpec, ChirpSpec, gen_amfm, gen_stationary_plus_chirp
 from .pitch import F0Track, average_pitch_period, estimate_f0
-from .sm import SMConfig, sm_analyze, sm_synthesize
+from .sm import SMConfig, sm_analyze_peaks, sm_synthesize
 
 MODELS = ("sm", "edsm", "eaqhm")
 CELL_STATUSES = ("ok", "ill_conditioned", "failed")
-SWEEP_HOP_MS = 1.0
 PITCH_BAND_HZ = (70.0, 400.0)  # f0 search band of comparisons, analyses and sweeps
 
 
@@ -33,6 +32,100 @@ def _check_models(models: Sequence[str]) -> None:
     bad = [m for m in models if m not in MODELS]
     if bad:
         raise UsageError(f"unknown model(s): {', '.join(bad)}")
+
+
+def _track_param_count(tracks: Sequence[PartialTrack]) -> int:
+    # 3 per anchor: amplitude, frequency, phase
+    return sum(3 * tr.times.shape[0] for tr in tracks)
+
+
+def _frame_param_count(frames: Sequence[EDSMFrame]) -> int:
+    # 4 per component: amplitude, damping, frequency, phase
+    return sum(4 * len(fr.components) for fr in frames)
+
+
+def _given(cfg, **fields):
+    """cfg with each field that is not None applied."""
+    return replace(cfg, **{k: v for k, v in fields.items() if v is not None})
+
+
+def _edsm_config(signal: SampledSignal, f0track: F0Track, window, count) -> EDSMConfig:
+    if window is None:
+        window = max(8, int(round(0.75 * average_pitch_period(f0track) * signal.fs)))
+    order = full_band_orders(f0track, signal, window) if count is None else count
+    return EDSMConfig(window_samples=window, order=order)
+
+
+def _io():
+    from . import audio_io  # on first use: it loads scipy.io
+    return audio_io
+
+
+@dataclass(frozen=True)
+class ModelEntry:
+    config: Callable        # (signal, f0track, window samples, count) -> config
+    sweep_fields: Callable  # t_min (s) -> fields a window sweep sets on config
+    analyze: Callable       # (signal, f0track, cfg) -> result
+    resynthesize: Callable  # (result, n_samples, fs) -> samples
+    params: Callable        # result -> synthesis parameter count
+    dump: Callable          # (path, result, fs): the analyze parameter dump
+    needs_f0: bool = True
+    window_floor: Callable = int  # analyze --window in samples -> the window used
+
+
+# How the harness and `sinemodel analyze` run each model.  config(signal,
+# f0track, None, None) is the comparison protocol: the SMConfig and EaQHMConfig
+# defaults (sm: a 30 ms Hann window, 1 ms hop, the window's FFT size and up to
+# 100 peaks; eaqhm: 3 local pitch periods, Blackman initialization and Hamming
+# adaptation, at most 10 adaptations, full-band harmonics) and, for edsm,
+# non-overlapping rectangular windows of 0.75 average pitch periods with
+# full-band order fs/(2 f0_local).  A window in samples or an int count
+# replaces the protocol's; None keeps it.  Sweeps use Hamming windows, the edsm
+# order as given (no rank-based trimming) and the minimum period as the eaqhm
+# conditioning guard.  Every stage is looked up in this module (sm's in the sm
+# module) at call time, so it can be rebound to trace a run.
+MODEL_TABLE = {
+    "sm": ModelEntry(
+        needs_f0=False,
+        config=lambda sig, f0, w, k: _given(SMConfig(), window_samples=w, max_peaks=k),
+        sweep_fields=lambda t_min: {"window_kind": "hamming"},
+        analyze=lambda sig, f0, cfg: sm_analyze_peaks(sig, cfg),
+        resynthesize=lambda r, n, fs: sm_synthesize(r.tracks, n, fs),
+        params=lambda r: _track_param_count(r.tracks),
+        dump=lambda path, r, fs: _io().write_sm_json(path, r.tracks, r.frame_times,
+                                                     r.peak_lists, fs)),
+    "edsm": ModelEntry(
+        config=_edsm_config,
+        sweep_fields=lambda t_min: {"rank_rtol": 0.0},
+        window_floor=lambda w: max(8, w),
+        analyze=lambda sig, f0, cfg: edsm_analyze(sig, cfg),
+        resynthesize=lambda r, n, fs: edsm_synthesize(r, n, fs),
+        params=_frame_param_count,
+        dump=lambda path, r, fs: _io().write_frames_json(path, r, fs)),
+    "eaqhm": ModelEntry(
+        config=lambda sig, f0, w, k: _given(EaQHMConfig(), window_samples=w, max_partials=k),
+        sweep_fields=lambda t_min: {"init_window_kind": "hamming", "f_guard_hz": 1.0 / t_min},
+        window_floor=lambda w: max(9, w | 1),
+        analyze=lambda sig, f0, cfg: adapt(sig, init_harmonic(sig, f0, cfg), f0, cfg),
+        resynthesize=lambda r, n, fs: synthesize_tracks(r.tracks, n, fs),
+        params=lambda r: _track_param_count(r.tracks),
+        dump=lambda path, r, fs: _io().write_eaqhm_json(path, r.tracks, r.srer_history,
+                                                        r.iteration, fs)),
+}
+
+
+def run_model(model: str, signal: SampledSignal, f0track: F0Track, cfg):
+    """Analyze `signal` with one model under `cfg` (its SMConfig, EDSMConfig
+    or EaQHMConfig) and resynthesize it.
+
+    Returns (srer_db, result, resynthesis, param_count); result is an
+    SMAnalysis (frame times, peak lists, tracks), the edsm frame list or the
+    eaqhm AdaptationState.  f0track is used by eaqhm only.
+    """
+    entry = MODEL_TABLE[model]
+    result = entry.analyze(signal, f0track, cfg)
+    y = entry.resynthesize(result, signal.samples.shape[0], signal.fs)
+    return srer(signal.samples, y), result, y, entry.params(result)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +138,7 @@ class SweepSpec:
     models: tuple[str, ...] = MODELS
     multiples: tuple[float, ...] = tuple(np.arange(1, 11) * 0.5)
     t_min_s: float = None             # inferred for the named generators
-    partials: dict = field(default_factory=dict)  # per-model counts; None = full band
+    partials: dict = field(default_factory=dict)  # per-model counts; None = default
     seed: int = 0
 
     def __post_init__(self):
@@ -103,7 +196,7 @@ def sweep_window_samples(multiple: float, t_min_s: float, fs: float) -> int:
 _GENERATOR_DEFAULTS = {
     # t_min (s), pitch search band (Hz), per-model partial counts
     "chirp": (1.0 / 100.0, (80.0, 1050.0), {"sm": 1, "edsm": 1, "eaqhm": 1}),
-    "amfm": (1.0 / 150.0, PITCH_BAND_HZ, {"sm": 10, "edsm": None, "eaqhm": None}),
+    "amfm": (1.0 / 150.0, PITCH_BAND_HZ, {"sm": 10}),
 }
 
 
@@ -115,45 +208,29 @@ def _resolve_source(spec: SweepSpec):
         else:
             signal, _ = gen_amfm(AMFMSpec(seed=spec.seed))
     else:
-        from .audio_io import read_wav
-        signal = read_wav(spec.source)
+        signal = _io().read_wav(spec.source)
         t_min, band, counts = spec.t_min_s, PITCH_BAND_HZ, {}
         if t_min is None:
             raise UsageError("t_min_s is required for WAV sweep sources")
     if spec.t_min_s is not None:
         t_min = spec.t_min_s
-    counts = dict(counts)
-    counts.update(spec.partials)
-    return signal, t_min, band, counts
+    return signal, t_min, band, {**counts, **spec.partials}
 
 
 def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
                 multiple: float, t_min: float, counts: dict) -> SweepCell:
+    entry = MODEL_TABLE[model]
     w = sweep_window_samples(multiple, t_min, signal.fs)
-    count = counts.get(model)
+    srer_db, status = None, "ok"
     try:
-        if model == "sm":
-            cfg = SMConfig(window_samples=w, window_kind="hamming",
-                           hop_ms=SWEEP_HOP_MS,
-                           max_peaks=count if count else SMConfig.max_peaks)
-        elif model == "edsm":
-            order = count if count else full_band_orders(f0track, signal, w)
-            # sweeps follow the known-order convention: the requested order
-            # is used as-is, with no rank-based trimming
-            cfg = EDSMConfig(window_samples=w, order=order, rank_rtol=0.0)
-        else:
-            cfg = EaQHMConfig(hop_ms=SWEEP_HOP_MS, window_samples=w,
-                              init_window_kind="hamming",
-                              max_partials=count,
-                              f_guard_hz=1.0 / t_min)
-        srer_db, _, _, _ = run_model(model, signal, f0track, cfg)
-        return SweepCell(model=model, multiple=multiple, srer_db=srer_db, status="ok")
+        cfg = replace(entry.config(signal, f0track, w, counts.get(model)),
+                      **entry.sweep_fields(t_min))
+        srer_db = run_model(model, signal, f0track, cfg)[0]
     except IllConditionedError:
-        return SweepCell(model=model, multiple=multiple, srer_db=None,
-                         status="ill_conditioned")
+        status = "ill_conditioned"
     except SineModelError:
-        return SweepCell(model=model, multiple=multiple, srer_db=None,
-                         status="failed")
+        status = "failed"
+    return SweepCell(model=model, multiple=multiple, srer_db=srer_db, status=status)
 
 
 def run_window_sweep(spec: SweepSpec) -> SRERCurve:
@@ -167,7 +244,7 @@ def run_window_sweep(spec: SweepSpec) -> SRERCurve:
     """
     signal, t_min, band, counts = _resolve_source(spec)
     f0track = None
-    if "eaqhm" in spec.models or "edsm" in spec.models:
+    if any(MODEL_TABLE[model].needs_f0 for model in spec.models):
         f0track = estimate_f0(signal, *band)
     rows = tuple(_sweep_cell(signal, f0track, model, multiple, t_min, counts)
                  for model in spec.models for multiple in spec.multiples)
@@ -187,96 +264,38 @@ class ComparisonRow:
     wall_time_s: dict = field(default_factory=dict)   # model -> seconds
 
 
-def _track_param_count(tracks: Sequence[PartialTrack]) -> int:
-    # 3 per anchor: amplitude, frequency, phase
-    return sum(3 * tr.times.shape[0] for tr in tracks)
-
-
-def _frame_param_count(frames: Sequence[EDSMFrame]) -> int:
-    # 4 per component: amplitude, damping, frequency, phase
-    return sum(4 * len(fr.components) for fr in frames)
-
-
-def compare_configs(signal: SampledSignal, f0track: F0Track):
-    """Per-model analysis settings for the comparison protocol.
-
-    SM and the adaptive model use their config defaults.  SM: a 30 ms Hann
-    window, 1 ms hop, the window's FFT size (2048 points up to 2048-sample
-    windows) and up to 100 peaks.  The adaptive model: 3 local pitch
-    periods, Blackman initialization and Hamming adaptation, at most 10
-    adaptations, full-band harmonics.  The damped model: non-overlapping
-    rectangular windows of 0.75 average pitch periods with full-band order
-    fs/(2 f0_local).
-    """
-    window = max(8, int(round(0.75 * average_pitch_period(f0track) * signal.fs)))
-    ed_cfg = EDSMConfig(window_samples=window,
-                        order=full_band_orders(f0track, signal, window))
-    return SMConfig(), ed_cfg, EaQHMConfig()
-
-
-def run_model(model: str, signal: SampledSignal, f0track: F0Track, cfg):
-    """Analyze `signal` with one model under `cfg` (its SMConfig, EDSMConfig
-    or EaQHMConfig) and resynthesize it.
-
-    Returns (srer_db, result, resynthesis, param_count); result is the sm
-    track list, the edsm frame list or the eaqhm AdaptationState.  f0track
-    is used by eaqhm only.  Every stage is looked up in this module at call
-    time, so it can be rebound to trace a run.
-    """
-    n = signal.samples.shape[0]
-    if model == "sm":
-        result = sm_analyze(signal, cfg)
-        y = sm_synthesize(result, n, signal.fs)
-        params = _track_param_count(result)
-    elif model == "edsm":
-        result = edsm_analyze(signal, cfg)
-        y = edsm_synthesize(result, n, signal.fs)
-        params = _frame_param_count(result)
-    elif model == "eaqhm":
-        result = adapt(signal, init_harmonic(signal, f0track, cfg), f0track, cfg)
-        y = synthesize_tracks(result.tracks, n, signal.fs)
-        params = _track_param_count(result.tracks)
-    else:
-        raise UsageError(f"unknown model {model!r}")
-    return srer(signal.samples, y), result, y, params
-
-
 def run_comparison(files: Sequence, models: Sequence[str] = MODELS) -> list[ComparisonRow]:
     """SRER/parameter-count/wall-time table, one row per input file.
 
-    Pitch is tracked over PITCH_BAND_HZ and every model runs under
-    compare_configs.  A file whose pitch cannot be tracked is kept in the
-    table with status "unanalyzable" instead of aborting the run.
+    Pitch is tracked over PITCH_BAND_HZ and every model runs under its
+    MODEL_TABLE protocol.  A file whose pitch cannot be tracked is kept in
+    the table with status "unanalyzable" instead of aborting the run.
     """
-    from .audio_io import read_wav
     _check_models(models)
     rows: list[ComparisonRow] = []
     for path in files:
         file_id = str(path)
-        signal = read_wav(path)
+        signal = _io().read_wav(path)
         try:
             f0track = estimate_f0(signal, *PITCH_BAND_HZ)
             if not f0track.any_voiced:
                 raise UsageError("no voiced frames")
-            configs = dict(zip(MODELS, compare_configs(signal, f0track)))
         except SineModelError:
             rows.append(ComparisonRow(file_id=file_id, status="unanalyzable"))
             continue
-        srer_db: dict = {}
-        params: dict = {}
-        times: dict = {}
+        row = ComparisonRow(file_id=file_id, status="ok")
         for model in models:
             t0 = time.perf_counter()
             try:
-                s, _, _, p = run_model(model, signal, f0track, configs[model])
+                cfg = MODEL_TABLE[model].config(signal, f0track, None, None)
+                s, _, _, p = run_model(model, signal, f0track, cfg)
                 dt = time.perf_counter() - t0
             except SineModelError:
                 s, p, dt = None, None, None
-            srer_db[model] = s
-            params[model] = p
-            times[model] = dt
-        rows.append(ComparisonRow(file_id=file_id, status="ok", srer_db=srer_db,
-                                  param_counts=params, wall_time_s=times))
+            row.srer_db[model] = s
+            row.param_counts[model] = p
+            row.wall_time_s[model] = dt
+        rows.append(row)
     return rows
 
 
@@ -287,7 +306,6 @@ def generate_standins(dir_path, fs: float = 16000.0, seed: int = 0) -> list[str]
     file paths."""
     import os
 
-    from .audio_io import write_wav
     from .generators import default_damped_spec, gen_damped_sum
 
     def _norm(signal: SampledSignal) -> SampledSignal:
@@ -304,7 +322,7 @@ def generate_standins(dir_path, fs: float = 16000.0, seed: int = 0) -> list[str]
     for name, signal in (("vibrato.wav", vibrato), ("amfm_default.wav", amfm),
                          ("damped_sum.wav", damped)):
         path = os.path.join(dir_path, name)
-        write_wav(path, _norm(signal))
+        _io().write_wav(path, _norm(signal))
         paths.append(path)
     return paths
 
@@ -319,7 +337,7 @@ def export(data, path, fmt: str = "csv") -> None:
     CSV output renders a missing SRER (ill-conditioned cell) as 0 so curve
     files plot directly; JSON keeps it as null.
     """
-    from . import audio_io
+    audio_io = _io()
     if fmt not in ("csv", "json"):
         raise UsageError(f"unsupported export format {fmt!r}")
     if isinstance(data, SRERCurve):

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .core import SampledSignal
+from .core import SampledSignal, hop_samples
 from .errors import AnalysisError, UsageError
 
 VOICING_THRESHOLD = 0.3
@@ -108,7 +108,7 @@ def estimate_f0(signal: SampledSignal, f_min: float = 60.0, f_max: float = 500.0
     if x.shape[0] < frame_len:
         raise UsageError(f"signal too short for f_min={f_min} Hz "
                          f"(need {frame_len} samples, got {x.shape[0]})")
-    hop = max(1, int(round(hop_ms * fs / 1000.0)))
+    hop = hop_samples(hop_ms, fs)
     # widen the search two lags each side so edge peaks stay interior
     lo = max(1, lag_min - 2)
     hi = min(frame_len - 2, lag_max + 2)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, PartialTrack, SampledSignal, make_window, synthesize_tracks, wrap_phase
+from .core import (TWO_PI, PartialTrack, SampledSignal, hop_samples, make_window,
+                   synthesize_tracks, wrap_phase)
 from .errors import UsageError
 
 _LOG_FLOOR = 1e-200
@@ -46,6 +47,15 @@ class SMConfig:
     def __post_init__(self):
         if self.max_peaks < 1:
             raise UsageError("max_peaks must be >= 1")
+
+
+@dataclass(frozen=True)
+class SMAnalysis:
+    """Frame-center times (s), each frame's peaks, and the tracks built from them."""
+
+    frame_times: np.ndarray
+    peak_lists: list
+    tracks: list
 
 
 def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
@@ -205,7 +215,7 @@ def sm_peaks(signal: SampledSignal,
     fs = signal.fs
     w_len = _resolve_window_samples(config, fs)
     fft_size = max(MIN_FFT_SIZE, 1 << (w_len - 1).bit_length())
-    hop = max(1, int(round(config.hop_ms * fs / 1000.0)))
+    hop = hop_samples(config.hop_ms, fs)
     window = make_window(config.window_kind, w_len)
     half = w_len // 2
     padded = np.concatenate([np.zeros(half), x, np.zeros(half)])
@@ -222,11 +232,17 @@ def sm_peaks(signal: SampledSignal,
     return centers / fs, peak_lists
 
 
+def sm_analyze_peaks(signal: SampledSignal, config: SMConfig = SMConfig()) -> SMAnalysis:
+    """Frame the signal, pick peaks, and connect them into partial tracks,
+    keeping the peaks."""
+    times, peak_lists = sm_peaks(signal, config)
+    hop_s = hop_samples(config.hop_ms, signal.fs) / signal.fs
+    return SMAnalysis(times, peak_lists, track_partials(peak_lists, times, hop_s))
+
+
 def sm_analyze(signal: SampledSignal, config: SMConfig = SMConfig()) -> list[PartialTrack]:
     """Frame the signal, pick peaks, and connect them into partial tracks."""
-    hop = max(1, int(round(config.hop_ms * signal.fs / 1000.0)))
-    times, peak_lists = sm_peaks(signal, config)
-    return track_partials(peak_lists, times, hop / signal.fs)
+    return sm_analyze_peaks(signal, config).tracks
 
 
 def sm_synthesize(tracks, n_samples: int, fs: float) -> np.ndarray:

@@ -8,6 +8,7 @@ from sinemodel import audio_io
 from sinemodel.cli import main
 from sinemodel.core import SampledSignal
 from sinemodel.harness import MODELS, run_comparison
+from sinemodel.sm import SMConfig, sm_peaks
 
 FS = 16000.0
 
@@ -84,6 +85,30 @@ def test_analyze_sm(tone_wav, tmp_path, capsys):
     assert json.loads(params.read_text())["type"] == "sm_analysis"
     y = audio_io.read_wav(resynth)
     assert y.samples.shape[0] == audio_io.read_wav(tone_wav).samples.shape[0]
+
+
+def test_analyze_sm_dumps_the_peaks_of_sm_peaks(tone_wav, tmp_path):
+    params = tmp_path / "sm.json"
+    assert main(["analyze", "--model", "sm", "--in", str(tone_wav), "--params", str(params),
+                 "--resynth", str(tmp_path / "sm.wav")]) == 0
+    times, peak_lists = sm_peaks(audio_io.read_wav(tone_wav), SMConfig())
+    frames = json.loads(params.read_text())["frames"]
+    assert [fr["time"] for fr in frames] == times.tolist()
+    assert [[(p["freq_hz"], p["amp"], p["phase"]) for p in fr["peaks"]] for fr in frames] == [
+        [(p.freq_hz, p.amp, p.phase) for p in peaks] for peaks in peak_lists]
+
+
+@pytest.mark.parametrize("model, flag", [("edsm", ["--hop", "5"]),
+                                         ("sm", ["--max-adapt", "2"]),
+                                         ("edsm", ["--window-periods", "2"])])
+def test_analyze_rejects_flags_the_model_has_no_setting_for(tone_wav, tmp_path, capsys,
+                                                            model, flag):
+    params = tmp_path / "p.json"
+    code = main(["analyze", "--model", model, "--in", str(tone_wav), *flag,
+                 "--params", str(params), "--resynth", str(tmp_path / "r.wav")])
+    assert code == 2
+    assert f"{flag[0]} does not apply to --model {model}" in capsys.readouterr().err
+    assert not params.exists()
 
 
 def test_analyze_edsm_with_precomputed_f0(tone_wav, tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from sinemodel import _kernels
 from sinemodel.core import (SRER_MAX_DB, TWO_PI, PartialTrack, SampledSignal,
-                            _track_phase_cubic, interp_amplitude_linear,
+                            _track_phase_cubic, hop_samples, interp_amplitude_linear,
                             interp_frequency_spline, make_window,
                             phase_by_freq_integration, phase_cubic_mq,
                             sample_track, srer, synthesize_tracks, wrap_phase)
@@ -212,6 +212,12 @@ def test_srer_accepts_signals_and_checks_lengths():
     assert srer(sig, sig) == SRER_MAX_DB
     with pytest.raises(UsageError):
         srer(np.zeros(10), np.zeros(11))
+
+
+@pytest.mark.parametrize("hop_ms, fs, hop", [(1.0, 16000.0, 16), (5.0, 44100.0, 220),
+                                             (1.0, 44100.0, 44), (0.01, 16000.0, 1)])
+def test_hop_samples_rounds_to_at_least_one(hop_ms, fs, hop):
+    assert hop_samples(hop_ms, fs) == hop
 
 
 def test_wrap_phase_range():

@@ -8,13 +8,13 @@ import pytest
 from sinemodel import audio_io, eaqhm, harness
 from sinemodel.core import PartialTrack, SampledSignal
 from sinemodel.eaqhm import ADAPT_WINDOW_KIND, EaQHMConfig
-from sinemodel.edsm import DampedSinusoid, EDSMFrame
+from sinemodel.edsm import DampedSinusoid, EDSMConfig, EDSMFrame, full_band_orders
 from sinemodel.errors import IllConditionedError, UsageError
-from sinemodel.harness import (MODELS, PITCH_BAND_HZ, ComparisonRow, SRERCurve,
-                               SweepCell, SweepSpec, _frame_param_count,
-                               _track_param_count, compare_configs, export,
-                               generate_standins, parse_multiples, run_comparison,
-                               run_window_sweep, sweep_window_samples)
+from sinemodel.harness import (MODEL_TABLE, MODELS, PITCH_BAND_HZ, ComparisonRow,
+                               SRERCurve, SweepCell, SweepSpec, _frame_param_count,
+                               _track_param_count, export, generate_standins,
+                               parse_multiples, run_comparison, run_window_sweep,
+                               sweep_window_samples)
 from sinemodel.pitch import F0Track, estimate_f0
 from sinemodel.sm import SMConfig
 
@@ -154,6 +154,56 @@ def test_sweep_sizes_windows_from_the_wav_rate(monkeypatch, tmp_path):
     assert windows == [(m, w) for m in MODELS for w in (443, 883)]
 
 
+def _reference_sweep_config(model, signal, f0track, w, t_min, count):
+    # the sweep configs as literals, with None for the model's default count
+    if model == "sm":
+        return SMConfig(window_samples=w, window_kind="hamming", hop_ms=1.0,
+                        max_peaks=100 if count is None else count)
+    if model == "edsm":
+        order = full_band_orders(f0track, signal, w) if count is None else count
+        return EDSMConfig(window_samples=w, order=order, rank_rtol=0.0)
+    return EaQHMConfig(hop_ms=1.0, window_samples=w, init_window_kind="hamming",
+                       max_partials=count, f_guard_hz=1.0 / t_min)
+
+
+@pytest.mark.parametrize("source, t_min, counts", [
+    ("chirp", 0.01, {"sm": 1, "edsm": 1, "eaqhm": 1}),
+    ("amfm", 1.0 / 150.0, {"sm": 10, "edsm": None, "eaqhm": None}),
+    ("wav", 0.01, {"sm": None, "edsm": None, "eaqhm": None}),
+])
+def test_sweep_configs_match_the_literal_reference(monkeypatch, tone_wav, source,
+                                                   t_min, counts):
+    seen = []
+
+    def record(model, signal, f0track, cfg):
+        w = cfg.window_samples
+        ref = _reference_sweep_config(model, signal, f0track, w, t_min, counts[model])
+        seen.append((model, w, cfg == ref))
+        return 10.0, None, None, 0
+
+    monkeypatch.setattr(harness, "run_model", record)
+    spec = SweepSpec(source=str(tone_wav) if source == "wav" else source,
+                     multiples=(1.0, 2.5), t_min_s=0.01 if source == "wav" else None)
+    run_window_sweep(spec)
+    assert seen == [(m, sweep_window_samples(x, t_min, FS), True)
+                    for m in MODELS for x in (1.0, 2.5)]
+
+
+def test_analyze_window_floors():
+    # sm has none; edsm frames are at least 8 samples, eaqhm windows 9 and odd
+    assert [MODEL_TABLE["sm"].window_floor(w) for w in (2, 20)] == [2, 20]
+    assert [MODEL_TABLE["edsm"].window_floor(w) for w in (4, 20)] == [8, 20]
+    assert [MODEL_TABLE["eaqhm"].window_floor(w) for w in (4, 20, 21)] == [9, 21, 21]
+
+
+def test_sweep_count_of_zero_fails_the_cell():
+    # None is the only "default" count; 0 peaks or sinusoids is no model
+    curve = run_window_sweep(SweepSpec(source="chirp", models=("sm", "edsm"),
+                                       multiples=(1.0,), partials={"sm": 0, "edsm": 0}))
+    assert [(r.model, r.status) for r in curve.rows] == [("sm", "failed"),
+                                                         ("edsm", "failed")]
+
+
 def test_sweep_propagates_programming_errors(monkeypatch, tone_wav):
     def bug(*args):
         raise TypeError("bug in a model")
@@ -176,7 +226,7 @@ def test_sweep_wav_source_requires_t_min(tone_wav):
 
 def test_compare_configs_protocol(tone):
     f0t = estimate_f0(tone, f_min=70.0, f_max=400.0)
-    sm_cfg, ed_cfg, ea_cfg = compare_configs(tone, f0t)
+    sm_cfg, ed_cfg, ea_cfg = (MODEL_TABLE[m].config(tone, f0t, None, None) for m in MODELS)
     assert sm_cfg.window_ms == 30.0 and sm_cfg.window_kind == "hann"
     assert sm_cfg.max_peaks == 100 and sm_cfg.hop_ms == 1.0
     # the sm and eaqhm protocol settings are their config defaults
