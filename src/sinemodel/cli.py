@@ -98,9 +98,12 @@ def _cmd_pitch(args) -> None:
 
 def _cmd_analyze(args) -> None:
     """One model under the comparison protocol, changed only by the flags given:
-    --window and --partials set its window and count, and each other flag the
-    config field it is named for (a usage error where the config has none)."""
+    --window and --partials set its window and count, --f0 its pitch track, and
+    each other flag the config field it is named for (a usage error where the
+    model has no such setting)."""
     entry = MODEL_TABLE[args.model]
+    if args.f0 is not None and not entry.needs_f0:
+        raise UsageError(f"--f0 does not apply to --model {args.model}")
     signal = audio_io.read_wav(args.infile)
     f0track = None
     if entry.needs_f0:

@@ -23,6 +23,8 @@ WINDOW_KINDS = ("hamming", "hann", "blackman", "rectangular")
 
 TWO_PI = 2.0 * np.pi
 
+SYNTH_CHUNK = 1 << 13  # track samples per pass of the cubic-phase renderer
+
 
 # ---------------------------------------------------------------------------
 # types
@@ -294,27 +296,114 @@ def sample_track(track: PartialTrack, fs: float, n0: int,
     return amp, freq[sl], phase[sl]
 
 
-def _track_phase_cubic(track: PartialTrack, n0: int, t: np.ndarray,
-                       fs: float) -> np.ndarray:
-    """Cubic phase at samples n0, n0+1, ... (times t): span j covers anchor
-    samples [m_j, m_j+1), the last span also its end sample; before the
-    first and after the last anchor (everywhere, for a lone anchor) phase
-    advances at the endpoint frequency."""
-    times, freqs, phases = track.times, track.freqs, track.phases
-    n_spans = times.shape[0] - 1
-    anchors = np.round(times * fs).astype(np.int64) - n0
-    lo = int(np.clip(anchors[0], 0, t.shape[0]))
-    hi = int(np.clip(anchors[-1] + 1, lo, t.shape[0])) if n_spans else lo
-    phase = np.empty(t.shape[0], dtype=np.float64)
-    phase[:lo] = phases[0] + TWO_PI * freqs[0] * (t[:lo] - times[0])
-    phase[hi:] = phases[-1] + TWO_PI * freqs[-1] * (t[hi:] - times[-1])
-    w1, a, b = _cubic_coeffs(np.diff(times), phases[:-1], freqs[:-1],
-                             phases[1:], freqs[1:])
-    j = np.minimum(np.searchsorted(anchors, np.arange(lo, hi), side="right") - 1,
-                   n_spans - 1)
-    tau = t[lo:hi] - times[j]
-    phase[lo:hi] = phases[j] + w1[j] * tau + a[j] * tau**2 + b[j] * tau**3
-    return phase
+def _first_sample_at(times: np.ndarray, fs: float, lo: np.ndarray,
+                     hi: np.ndarray) -> np.ndarray:
+    """Per time, the first sample s in lo..hi whose time s / fs is at or
+    after it (hi + 1 when none is)."""
+    s = np.clip(np.ceil(times * fs), lo, hi + 1)
+    while True:
+        down = (s > lo) & ((s - 1.0) / fs >= times)
+        up = (s <= hi) & (s / fs < times)
+        if not (down.any() or up.any()):
+            return s.astype(np.int64)
+        s += up.astype(np.float64) - down
+
+
+def _run_rows(run_end: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """Row of each position c0..c1-1 of a stream in which row r fills the
+    positions before run_end[r] that earlier rows leave."""
+    r0, r1 = np.searchsorted(run_end, [c0, c1 - 1], side="right")
+    counts = np.diff(np.clip(run_end[r0:r1 + 1], c0, c1), prepend=c0)
+    return np.repeat(np.arange(r0, r1 + 1), counts)
+
+
+def _cubic_track_samples(tracks, n_samples: int, fs: float):
+    """Yield (sample index, amplitude, phase) arrays of the cubic-phase render
+    of every track, track-major and then by sample, in chunks of at most
+    SYNTH_CHUNK samples.
+
+    The values are those of a track-by-track render: amplitude is np.interp
+    of the anchors; phase is the cubic of the span whose first anchor sample
+    is the last one at or before the sample (the last span also covers its
+    end sample).  Before the first and after the last anchor sample
+    (everywhere, for a lone anchor) phase advances at the endpoint frequency.
+    Tracks are taken in groups of about SYNTH_CHUNK samples, so no array
+    grows with the input beyond the longest track's anchors.
+    """
+    if not tracks:
+        return
+    ends = np.array([(tr.times[0], tr.times[-1], tr.amps[0], tr.amps[-1])
+                     for tr in tracks])
+    at = np.round(ends[:, :2] * fs).astype(np.int64)
+    # rendered samples lo..hi (none when hi = lo - 1): a zero-amplitude end
+    # anchor stops the track there, a nonzero one holds it to the signal edge
+    lo = np.where(ends[:, 2] == 0, np.maximum(at[:, 0], 0), 0)
+    hi = np.where(ends[:, 3] == 0, np.minimum(at[:, 1], n_samples - 1), n_samples - 1)
+    hi = np.maximum(hi, lo - 1)
+    # a group is the tracks whose samples start in one SYNTH_CHUNK of the stream
+    group = (np.cumsum(hi - lo + 1) - (hi - lo + 1)) // SYNTH_CHUNK
+    bounds = np.flatnonzero(np.diff(group)) + 1
+    for g0, g1 in zip([0, *bounds.tolist()], [*bounds.tolist(), len(tracks)]):
+        yield from _cubic_group_samples(tracks[g0:g1], lo[g0:g1], hi[g0:g1], fs)
+
+
+def _cubic_group_samples(tracks, lo: np.ndarray, hi: np.ndarray, fs: float):
+    """_cubic_track_samples of tracks rendered over samples lo..hi."""
+    sizes = np.array([len(tr) for tr in tracks], dtype=np.int64)
+    times = np.concatenate([tr.times for tr in tracks])
+    amps = np.concatenate([tr.amps for tr in tracks])
+    freqs = np.concatenate([tr.freqs for tr in tracks])
+    phases = np.concatenate([tr.phases for tr in tracks])
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    track_of = np.repeat(np.arange(sizes.shape[0]), sizes)
+    # A table of one row per anchor, after one "before the first anchor" row
+    # per track.  A row gives phase phi + w*tau + a*tau**2 + b*tau**3 and
+    # amplitude slope*tau + y at tau = t - t_ref.
+    rows = np.arange(times.shape[0]) + track_of + 1
+    pre = first + np.arange(sizes.shape[0])
+    spans = np.flatnonzero(track_of[1:] == track_of[:-1])  # anchors a span starts at
+    n_rows = rows.shape[0] + pre.shape[0]
+    t_ref, phi, w, y = (np.empty(n_rows) for _ in range(4))
+    a, b, slope = (np.zeros(n_rows) for _ in range(3))
+    for col, values in ((t_ref, times), (phi, phases), (w, TWO_PI * freqs), (y, amps)):
+        col[rows] = values
+        col[pre] = values[first]
+    _, a[rows[spans]], b[rows[spans]] = _cubic_coeffs(
+        times[spans + 1] - times[spans], phases[spans], freqs[spans],
+        phases[spans + 1], freqs[spans + 1])
+    slope[rows[spans]] = ((amps[spans + 1] - amps[spans])
+                          / (times[spans + 1] - times[spans]))
+    # A track's rows take over one after another: the pre row at lo, then
+    # each anchor's row, for phase at the anchor sample (one later for a
+    # track's last anchor, so the last span keeps its end sample) and for
+    # amplitude at the first sample at or after the anchor time.  The rows'
+    # runs of samples, in table order, make one stream of every track's
+    # samples.
+    at_lo, at_hi = lo[track_of], hi[track_of]
+    phase_at = np.round(times * fs).astype(np.int64)
+    phase_at[last] += 1
+    phase_start, amp_start = np.empty(n_rows, np.int64), np.empty(n_rows, np.int64)
+    phase_start[pre] = amp_start[pre] = lo
+    phase_start[rows] = np.clip(phase_at, at_lo, at_hi + 1)
+    amp_start[rows] = _first_sample_at(times, fs, at_lo, at_hi)
+
+    def run_end(start):
+        stop = np.append(start[1:], 0)
+        stop[rows[last]] = hi + 1
+        return np.cumsum(stop - start)
+
+    phase_end, amp_end = run_end(phase_start), run_end(amp_start)
+    offset = phase_start - np.append(0, phase_end[:-1])  # sample minus position
+    for c0 in range(0, int(phase_end[-1]), SYNTH_CHUNK):
+        c1 = min(c0 + SYNTH_CHUNK, int(phase_end[-1]))
+        r = _run_rows(phase_end, c0, c1)
+        s = np.arange(c0, c1) + offset[r]
+        t = s / fs
+        tau = t - t_ref[r]
+        phase = phi[r] + w[r] * tau + a[r] * tau**2 + b[r] * tau**3
+        r = _run_rows(amp_end, c0, c1)
+        yield s, slope[r] * (t - t_ref[r]) + y[r], phase
 
 
 def synthesize_tracks(tracks, n_samples: int, fs: float,
@@ -335,6 +424,11 @@ def synthesize_tracks(tracks, n_samples: int, fs: float,
         raise UsageError(f"unknown phase mode {phase_mode!r}")
     n_samples = int(n_samples)
     out = np.zeros(n_samples, dtype=np.float64)
+    if phase_mode == "cubic":
+        for s, amp, phase in _cubic_track_samples(list(tracks), n_samples, fs):
+            # unbuffered and in order, so each sample sums its tracks in track order
+            np.add.at(out, s, amp * np.cos(phase))
+        return out
     for track in tracks:
         lo, hi = 0, n_samples - 1
         if track.amps[0] == 0:
@@ -343,11 +437,6 @@ def synthesize_tracks(tracks, n_samples: int, fs: float,
             hi = min(int(np.round(track.times[-1] * fs)), hi)
         if hi < lo:
             continue
-        if phase_mode == "freq_integration":
-            amp, _, phase = sample_track(track, fs, lo, hi)
-        else:
-            t = np.arange(lo, hi + 1, dtype=np.float64) / fs
-            amp = interp_amplitude_linear(track.times, track.amps, t)
-            phase = _track_phase_cubic(track, lo, t, fs)
+        amp, _, phase = sample_track(track, fs, lo, hi)
         _kernels.accumulate_cosine(out, lo, amp, phase)
     return out

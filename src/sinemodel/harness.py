@@ -267,19 +267,23 @@ class ComparisonRow:
 def run_comparison(files: Sequence, models: Sequence[str] = MODELS) -> list[ComparisonRow]:
     """SRER/parameter-count/wall-time table, one row per input file.
 
-    Pitch is tracked over PITCH_BAND_HZ and every model runs under its
-    MODEL_TABLE protocol.  A file whose pitch cannot be tracked is kept in
-    the table with status "unanalyzable" instead of aborting the run.
+    Every model runs under its MODEL_TABLE protocol.  When a requested model
+    needs pitch, it is tracked over PITCH_BAND_HZ, and a file whose pitch
+    cannot be tracked is kept in the table with status "unanalyzable"
+    instead of aborting the run.
     """
     _check_models(models)
+    needs_f0 = any(MODEL_TABLE[model].needs_f0 for model in models)
     rows: list[ComparisonRow] = []
     for path in files:
         file_id = str(path)
         signal = _io().read_wav(path)
+        f0track = None
         try:
-            f0track = estimate_f0(signal, *PITCH_BAND_HZ)
-            if not f0track.any_voiced:
-                raise UsageError("no voiced frames")
+            if needs_f0:
+                f0track = estimate_f0(signal, *PITCH_BAND_HZ)
+                if not f0track.any_voiced:
+                    raise UsageError("no voiced frames")
         except SineModelError:
             rows.append(ComparisonRow(file_id=file_id, status="unanalyzable"))
             continue

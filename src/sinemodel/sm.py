@@ -1,7 +1,8 @@
 """Sinusoidal model: per-frame FFT peak picking plus greedy partial tracking.
 
 Frames are windowed with a zero-phase buffer (frame center at FFT index 0)
-so measured phases refer to the frame center.  Peak frequency and amplitude
+so measured phases refer to the frame center, and are analysed in blocks
+that share one FFT call.  Peak frequency and amplitude
 come from parabolic interpolation of the log-magnitude spectrum around each
 local maximum; phase is read off the unwrapped phase spectrum at the
 fractional bin.  Tracks connect peaks frame to frame by nearest frequency
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (TWO_PI, PartialTrack, SampledSignal, hop_samples, make_window,
                    synthesize_tracks, wrap_phase)
@@ -22,6 +24,7 @@ _LOG_FLOOR = 1e-200
 THRESHOLD_DB = -60.0  # peaks must clear the frame's spectral max minus this
 MAX_JUMP_HZ = 30.0    # largest frequency step a track continues across
 MIN_FFT_SIZE = 2048   # frames are zero-padded to max(this, next power of two >= window)
+FRAME_BLOCK = 32      # frames per batched FFT in sm_peaks
 
 
 @dataclass(frozen=True)
@@ -72,24 +75,24 @@ def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
         raise UsageError(f"frame length {x.shape[0]} != window length {w.shape[0]}")
     if fft_size < w.shape[0]:
         raise UsageError(f"fft_size {fft_size} shorter than window {w.shape[0]}")
-    if not np.any(x):
-        return []
-    xw = x * (w / np.sum(w))
-    half_hi = (w.shape[0] + 1) // 2
-    half_lo = w.shape[0] // 2
-    buf = np.zeros(fft_size)
-    buf[:half_hi] = xw[half_lo:]
-    if half_lo:
-        buf[-half_lo:] = xw[:half_lo]
-    spectrum = np.fft.rfft(buf)
+    return _block_peaks(x[np.newaxis], w, fft_size, fs, max_peaks)[0]
+
+
+def _block_peaks(frames: np.ndarray, w: np.ndarray, fft_size: int, fs: float,
+                 max_peaks: int) -> list[list[SpectralPeak]]:
+    """analyze_frame_fft of each row of frames (n_frames x len(w)), with one
+    FFT for the block and every later step an array op across it."""
+    spectrum = _zero_phase_spectra(frames, w, fft_size)
     mag = 20.0 * np.log10(np.maximum(np.abs(spectrum), _LOG_FLOOR))
-    interior = np.arange(1, mag.shape[0] - 1)
-    is_peak = (mag[interior] > mag[interior - 1]) & (mag[interior] > mag[interior + 1])
-    above = mag[interior] > mag.max() + THRESHOLD_DB
-    peak_bins = interior[is_peak & above]
-    if peak_bins.size == 0:
-        return []
-    left, mid, right = mag[peak_bins - 1], mag[peak_bins], mag[peak_bins + 1]
+    phase_spec = _unwrap_rows(np.angle(spectrum))
+    del spectrum
+    floor = mag.max(axis=1, keepdims=True) + THRESHOLD_DB
+    mid = mag[:, 1:-1]
+    is_peak = (mid > mag[:, :-2]) & (mid > mag[:, 2:]) & (mid > floor)
+    rows, peak_bins = np.nonzero(is_peak)  # frame-major, bins ascending
+    peak_bins += 1
+    left, mid, right = (mag[rows, peak_bins - 1], mag[rows, peak_bins],
+                        mag[rows, peak_bins + 1])
     den = left - 2.0 * mid + right
     p = np.divide(0.5 * (left - right), den, out=np.zeros_like(den), where=den != 0.0)
     p = np.clip(p, -1.0, 1.0)
@@ -97,14 +100,48 @@ def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
     freq = frac_bin * fs / fft_size
     amp = 2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0)
     inside = np.flatnonzero((freq > 0.0) & (freq < fs / 2.0))
-    # the max_peaks loudest (ties keep bin order), then ordered by frequency
-    keep = inside[np.argsort(-amp[inside], kind="stable")[:max_peaks]]
-    keep = keep[np.argsort(freq[keep], kind="stable")]
-    phase_spec = np.unwrap(np.angle(spectrum))
-    phase = wrap_phase(np.interp(frac_bin[keep], np.arange(phase_spec.shape[0]),
-                                 phase_spec))
-    return [SpectralPeak(freq_hz=float(f), amp=float(a), phase=float(ph), bin=float(b))
-            for f, a, ph, b in zip(freq[keep], amp[keep], phase, frac_bin[keep])]
+    # per frame, the max_peaks loudest (ties keep bin order), then ordered by
+    # frequency (ties keep loudness order); lexsort is stable
+    loud = inside[np.lexsort((-amp[inside], rows[inside]))]
+    rank = np.arange(loud.shape[0]) - np.searchsorted(rows[loud], rows[loud])
+    keep = loud[rank < max_peaks]
+    keep = keep[np.lexsort((freq[keep], rows[keep]))]
+    # phase at the fractional bin, linear between its two neighbouring bins
+    rows, frac_bin = rows[keep], frac_bin[keep]
+    lo_bin = frac_bin.astype(np.int64)
+    below = phase_spec[rows, lo_bin]
+    phase = wrap_phase((phase_spec[rows, lo_bin + 1] - below) * (frac_bin - lo_bin) + below)
+    peaks = list(map(SpectralPeak, freq[keep].tolist(), amp[keep].tolist(),
+                     phase.tolist(), frac_bin.tolist()))
+    ends = np.cumsum(np.bincount(rows, minlength=frames.shape[0])).tolist()
+    return [peaks[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _zero_phase_spectra(frames: np.ndarray, w: np.ndarray, fft_size: int) -> np.ndarray:
+    """rfft of each sum-normalized windowed frame, zero-padded to fft_size
+    with the frame center at index 0."""
+    xw = frames * (w / np.sum(w))
+    half_hi, half_lo = (w.shape[0] + 1) // 2, w.shape[0] // 2
+    buf = np.zeros((frames.shape[0], fft_size))
+    buf[:, :half_hi] = xw[:, half_lo:]
+    if half_lo:
+        buf[:, fft_size - half_lo:] = xw[:, :half_lo]
+    return np.fft.rfft(buf, axis=1)
+
+
+def _unwrap_rows(angle: np.ndarray) -> np.ndarray:
+    """np.unwrap(angle, axis=1), working out the wrap only for the steps it
+    corrects (those of at least pi)."""
+    step = np.diff(angle, axis=1)
+    jump = np.abs(step) >= np.pi
+    big = step[jump]
+    wrapped = np.mod(big + np.pi, TWO_PI) - np.pi
+    wrapped[(wrapped == -np.pi) & (big > 0)] = np.pi
+    out = np.zeros_like(angle)
+    out[:, 1:][jump] = wrapped - big
+    np.cumsum(out, axis=1, out=out)
+    out += angle
+    return out
 
 
 class _TrackBuilder:
@@ -226,9 +263,12 @@ def sm_peaks(signal: SampledSignal,
         centers = np.arange(half, n - half, hop)
     else:
         centers = np.array([n // 2])
-    peak_lists = [analyze_frame_fft(padded[c:c + w_len], window, fft_size, fs,
-                                    config.max_peaks)
-                  for c in centers]
+    # frame c is padded[c:c + w_len]; blocks of FRAME_BLOCK frames share one FFT
+    frames = sliding_window_view(padded, w_len)
+    peak_lists = []
+    for i in range(0, centers.shape[0], FRAME_BLOCK):
+        peak_lists += _block_peaks(frames[centers[i:i + FRAME_BLOCK]], window.values,
+                                   fft_size, fs, config.max_peaks)
     return centers / fs, peak_lists
 
 

@@ -111,6 +111,17 @@ def test_analyze_rejects_flags_the_model_has_no_setting_for(tone_wav, tmp_path, 
     assert not params.exists()
 
 
+def test_analyze_rejects_f0_for_a_model_without_pitch(tone_wav, tmp_path, capsys):
+    # sm tracks no pitch: --f0 is a usage error, before the file is read
+    params = tmp_path / "p.json"
+    code = main(["analyze", "--model", "sm", "--in", str(tone_wav),
+                 "--f0", str(tmp_path / "missing_f0.csv"),
+                 "--params", str(params), "--resynth", str(tmp_path / "r.wav")])
+    assert code == 2
+    assert "--f0 does not apply to --model sm" in capsys.readouterr().err
+    assert not params.exists()
+
+
 def test_analyze_edsm_with_precomputed_f0(tone_wav, tmp_path, capsys):
     f0csv = tmp_path / "f0.csv"
     assert main(["pitch", "--in", str(tone_wav), "--out", str(f0csv)]) == 0

@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from sinemodel import _kernels
+from sinemodel import _kernels, core
 from sinemodel.core import (SRER_MAX_DB, TWO_PI, PartialTrack, SampledSignal,
-                            _track_phase_cubic, hop_samples, interp_amplitude_linear,
+                            _cubic_track_samples, hop_samples, interp_amplitude_linear,
                             interp_frequency_spline, make_window,
                             phase_by_freq_integration, phase_cubic_mq,
                             sample_track, srer, synthesize_tracks, wrap_phase)
 from sinemodel.errors import UsageError
+from sinemodel.sm import SMConfig, sm_analyze, sm_synthesize
 
 FS = 16000.0
 
@@ -466,8 +467,13 @@ def test_track_phase_matches_loop_references():
     for track in _parity_tracks():
         n0, n1 = _render_range(track, n, FS)
         t = np.arange(n0, n1 + 1, dtype=np.float64) / FS
-        np.testing.assert_array_equal(_track_phase_cubic(track, n0, t, FS),
-                                      _track_phase_cubic_ref(track, n0, t, FS))
+        # the flat renderer covers the samples of [n0, n1] inside the signal
+        chunks = list(_cubic_track_samples([track], n, FS))
+        if chunks:
+            s = np.concatenate([c[0] for c in chunks])
+            np.testing.assert_array_equal(s, np.arange(max(n0, 0), min(n1, n - 1) + 1))
+            np.testing.assert_array_equal(np.concatenate([c[2] for c in chunks]),
+                                          _track_phase_cubic_ref(track, n0, t, FS)[s - n0])
         anchors = np.round(track.times * FS).astype(np.int64) - n0
         freq = interp_frequency_spline(track.times, track.freqs, t)
         ref = _phase_by_freq_integration_ref(freq, FS, track.phases[0], anchors,
@@ -486,6 +492,53 @@ def test_synthesize_tracks_matches_loop_references():
         synthesize_tracks(tracks, n, FS),
         _synthesize_tracks_ref(tracks, n, FS, "freq_integration"),
         rtol=0, atol=1e-9 * sum(float(np.max(tr.amps)) for tr in tracks))
+
+
+@pytest.mark.parametrize("fs", [8000.0, 16000.0, 44100.0, 12345.0])
+def test_first_sample_at_matches_a_search_of_the_sample_times(fs):
+    s = np.arange(-50, 3000)
+    t = s / fs
+    # each sample time and its two floating-point neighbours
+    times = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)])
+    guess = np.ceil(times * fs)
+    want = np.searchsorted(t, times, side="left") + s[0]
+    # ceil(time * fs) misses the answer in both directions on this grid
+    assert np.any(guess < want) and np.any(guess > want)
+    lo, hi = np.full(times.shape, -50), np.full(times.shape, 2999)
+    np.testing.assert_array_equal(core._first_sample_at(times, fs, lo, hi), want)
+    # clipped to lo..hi, with hi + 1 when no sample in range reaches the time
+    lo, hi = np.full(times.shape, 100), np.full(times.shape, 200)
+    np.testing.assert_array_equal(core._first_sample_at(times, fs, lo, hi),
+                                  np.clip(want, 100, 201))
+
+
+@pytest.mark.parametrize("chunk", [core.SYNTH_CHUNK, 97])
+def test_sm_synthesize_matches_the_track_loop(monkeypatch, chunk):
+    monkeypatch.setattr(core, "SYNTH_CHUNK", chunk)
+    n = 3200
+    t = np.arange(n) / FS
+    x = (0.6 * np.cos(2 * np.pi * 220.0 * t) * (t < 0.12)  # dies: a death ramp
+         + 0.4 * np.cos(2 * np.pi * 530.0 * t + 1.0) * (t > 0.07))  # born: a birth ramp
+    tracks = sm_analyze(SampledSignal(samples=x, fs=FS), SMConfig(max_peaks=4))
+    assert any(tr.amps[0] == 0 for tr in tracks) and any(tr.amps[-1] == 0 for tr in tracks)
+    tracks += [
+        PartialTrack(times=[0.05], amps=[0.3], freqs=[700.0], phases=[0.2]),  # lone anchor
+        PartialTrack(times=[0.09], amps=[0.0], freqs=[700.0], phases=[0.2]),  # one sample
+        # anchors before the signal start and past its end: clipped to it
+        PartialTrack(times=[-0.03, 0.02, 0.19, 0.25], amps=[0.5, 0.2, 0.4, 0.1],
+                     freqs=[300.0, 310.0, 305.0, 300.0], phases=[0.0, 1.0, 2.0, 3.0]),
+        PartialTrack(times=[-0.03, 0.02, 0.19, 0.25], amps=[0.0, 0.2, 0.4, 0.0],
+                     freqs=[900.0, 910.0, 905.0, 900.0], phases=[0.0, 1.0, 2.0, 3.0]),
+    ]
+    rendered = [_render_range(tr, n, FS) for tr in tracks]
+    lengths = [max(min(n1, n - 1) - max(n0, 0) + 1, 0) for n0, n1 in rendered]
+    edges = np.cumsum(lengths)
+    # some chunk boundary falls strictly inside a track's samples
+    assert any(a < c < b for c in range(chunk, int(edges[-1]), chunk)
+               for a, b in zip(edges - lengths, edges))
+    np.testing.assert_allclose(sm_synthesize(tracks, n, FS),
+                               _synthesize_tracks_ref(tracks, n, FS, "cubic"),
+                               rtol=0, atol=1e-12)
 
 
 def test_synthesize_tracks_edge_extension():

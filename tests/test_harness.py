@@ -274,7 +274,7 @@ def test_pitch_band_is_shared(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "estimate_f0", record)
     path = _tone_wav(tmp_path, FS)
-    run_comparison([path], models=("sm",))
+    run_comparison([path], models=("edsm",))
     run_window_sweep(SweepSpec(source=str(path), models=("edsm",), multiples=(1.0,),
                                t_min_s=0.01))
     assert bands == [PITCH_BAND_HZ, PITCH_BAND_HZ]
@@ -295,13 +295,28 @@ def test_run_comparison_surfaces_skipped_frame_warnings(monkeypatch, tmp_path):
     assert row.srer_db["eaqhm"] > 0
 
 
-def test_run_comparison_marks_unanalyzable(tmp_path):
+def _noise_wav(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "noise.wav"
     audio_io.write_wav(path, SampledSignal(samples=rng.normal(0, 0.1, 8000), fs=FS))
-    rows = run_comparison([path], models=("sm",))
+    return path
+
+
+def test_run_comparison_marks_unanalyzable(tmp_path):
+    # edsm needs pitch, and white noise has none
+    rows = run_comparison([_noise_wav(tmp_path)], models=("edsm",))
     assert rows[0].status == "unanalyzable"
     assert rows[0].srer_db == {}
+
+
+def test_run_comparison_tracks_no_pitch_for_sm_alone(monkeypatch, tmp_path):
+    def no_pitch(*args):
+        raise AssertionError("sm alone needs no pitch track")
+
+    monkeypatch.setattr(harness, "estimate_f0", no_pitch)
+    row = run_comparison([_noise_wav(tmp_path)], models=("sm",))[0]
+    assert row.status == "ok"
+    assert np.isfinite(row.srer_db["sm"]) and row.param_counts["sm"] > 0
 
 
 def test_run_comparison_propagates_programming_errors(monkeypatch, tone_wav):

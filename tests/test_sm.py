@@ -1,7 +1,14 @@
 """FFT peak picking and partial tracking."""
+import os
+import resource
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
+import sinemodel
 from sinemodel import sm
 from sinemodel.core import SampledSignal, make_window, srer, wrap_phase
 from sinemodel.errors import UsageError
@@ -93,6 +100,64 @@ def test_frame_peaks_match_scalar_reference():
                 np.testing.assert_array_max_ulp(
                     np.array([getattr(pk, field) for pk in got]),
                     np.array([getattr(pk, field) for pk in want]), maxulp=4)
+
+
+def _framed(x, w_len, hop):
+    """sm_peaks' frames of x: (centers, frames) of the zero-padded signal."""
+    half = w_len // 2
+    padded = np.concatenate([np.zeros(half), x, np.zeros(half)])
+    n = x.shape[0]
+    centers = np.arange(half, n - half, hop) if n > w_len else np.array([n // 2])
+    return centers, [padded[c:c + w_len] for c in centers]
+
+
+@pytest.mark.parametrize("block", [sm.FRAME_BLOCK, 5])
+def test_block_peaks_match_the_scalar_reference_frame_by_frame(monkeypatch, block):
+    monkeypatch.setattr(sm, "FRAME_BLOCK", block)
+    rng = np.random.default_rng(11)
+    n = 6000
+    t = np.arange(n) / FS
+    x = sum(rng.uniform(0.2, 1.0) * np.cos(2 * np.pi * f * t + rng.uniform(-np.pi, np.pi))
+            for f in (180.0, 410.0, 655.0, 1290.0, 2710.0))
+    x = x + rng.normal(0.0, 1e-3, n)
+    x[2500:3600] = 0.0  # frames wholly inside this stretch are all-zero
+    cfg = SMConfig(window_ms=20.0, hop_ms=3.0, max_peaks=3)
+    w_len = 321
+    window = make_window("hann", w_len)
+    times, lists = sm_peaks(SampledSignal(samples=x, fs=FS), cfg)
+    centers, frames = _framed(x, w_len, 48)
+    # more frames than one block, and not a whole number of blocks
+    assert len(frames) > block and len(frames) % block != 0
+    np.testing.assert_array_equal(times, centers / FS)
+    zero = [not np.any(fr) for fr in frames]
+    assert any(zero) and not all(zero)
+    for frame, got in zip(frames, lists):
+        want = _frame_peaks_ref(frame, window, 2048, FS, 3)
+        assert len(got) == len(want)
+        # live frames have more local maxima than the 3 kept
+        assert (want == []) == (not np.any(frame))
+        if want:
+            for field in ("freq_hz", "amp", "phase", "bin"):
+                np.testing.assert_array_max_ulp(
+                    np.array([getattr(pk, field) for pk in got]),
+                    np.array([getattr(pk, field) for pk in want]), maxulp=4)
+        # batching changes nothing: each frame alone gives the same peaks
+        assert got == analyze_frame_fft(frame, window, 2048, FS, 3)
+    assert max(len(p) for p in lists) == 3
+
+
+def test_block_peaks_single_centred_frame():
+    t = np.arange(300) / FS
+    x = 0.8 * np.cos(2 * np.pi * 440.0 * t + 0.4) + 0.3 * np.cos(2 * np.pi * 1320.0 * t)
+    times, lists = sm_peaks(SampledSignal(samples=x, fs=FS), SMConfig(window_ms=30.0))
+    (centers, (frame,)) = _framed(x, 481, 16)
+    assert times.tolist() == [150 / FS]
+    want = _frame_peaks_ref(frame, make_window("hann", 481), 2048, FS, 100)
+    assert len(lists) == 1 and len(lists[0]) == len(want) > 1
+    for field in ("freq_hz", "amp", "phase", "bin"):
+        np.testing.assert_array_max_ulp(np.array([getattr(pk, field) for pk in lists[0]]),
+                                        np.array([getattr(pk, field) for pk in want]),
+                                        maxulp=4)
 
 
 def test_frame_analysis_edge_cases():
@@ -229,14 +294,53 @@ def test_sm_peaks_window_validation():
 def test_fft_size_follows_the_window(monkeypatch, fs, window_ms, fft_size):
     seen = set()
 
-    def spy(frame, window, n_fft, *args):
-        seen.add((frame.shape[0], n_fft))
-        return []
+    def spy(frames, window, n_fft, *args):
+        seen.add((frames.shape[1], n_fft))
+        return [[] for _ in frames]
 
-    monkeypatch.setattr(sm, "analyze_frame_fft", spy)
+    monkeypatch.setattr(sm, "_block_peaks", spy)
     sm_peaks(SampledSignal(samples=np.ones(int(0.4 * fs)), fs=fs),
              SMConfig(window_ms=window_ms, hop_ms=50.0))
     ((w_len, n_fft),) = seen
     # the next power of two at or above the window, and at least 2048
     assert n_fft == fft_size
     assert n_fft >= w_len and (n_fft == 2048 or n_fft // 2 < w_len)
+
+
+# ---------------------------------------------------------------------------
+# long input
+# ---------------------------------------------------------------------------
+
+LONG_S = 30
+LONG_WALL_S = 30.0    # the child's wall time, start-up and input generation included
+LONG_RSS_MB = 512.0   # the child's peak resident set
+
+_LONG_CHILD = f"""
+import numpy as np
+from sinemodel.core import SampledSignal
+from sinemodel.generators import AMFMSpec, gen_amfm
+from sinemodel.harness import run_model
+from sinemodel.sm import SMConfig
+# one-second AM-FM segments, one seed each: the partial amplitudes step every
+# second, and each segment ends in phase with the start of the next
+x = np.concatenate([gen_amfm(AMFMSpec(seed=i))[0].samples for i in range({LONG_S})])
+srer_db, result, _, _ = run_model("sm", SampledSignal(samples=x, fs=16000.0), None,
+                                  SMConfig())
+print(srer_db, len(result.peak_lists))
+"""
+
+
+def test_sm_on_30_s_of_audio_stays_within_time_and_memory():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(sinemodel.__file__)))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", _LONG_CHILD], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    wall = time.perf_counter() - t0
+    # the largest finished child's peak RSS, so at least this child's (KiB on Linux)
+    rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    srer_db, frames = out.split()
+    assert int(frames) == (LONG_S * 16000 - 481) // 16 + 1
+    assert float(srer_db) > 20.0
+    assert wall < LONG_WALL_S, f"{LONG_S} s of audio took {wall:.1f} s"
+    assert rss_mb < LONG_RSS_MB, f"{LONG_S} s of audio peaked at {rss_mb:.0f} MB"
