@@ -17,8 +17,8 @@ from .core import (SRER_MAX_DB, PartialTrack, SampledSignal,
                    interp_frequency_spline, make_window,
                    phase_by_freq_integration, phase_cubic_mq, sample_track,
                    srer, synthesize_tracks, wrap_phase)
-from .eaqhm import (AdaptationState, EaQHMConfig, QHMFrameSolution, adapt,
-                    eaqhm_analyze, freq_correction, init_harmonic, ls_solve)
+from .eaqhm import (AdaptationState, EaQHMConfig, adapt, eaqhm_analyze,
+                    freq_correction, init_harmonic, ls_solve)
 from .edsm import (DampedSinusoid, EDSMConfig, EDSMFrame, build_hankel,
                    components_to_poles, edsm_analyze, edsm_synthesize,
                    esprit_poles, poles_to_components, vandermonde_amplitudes)
@@ -57,7 +57,7 @@ __all__ = [
     "esprit_poles", "vandermonde_amplitudes", "poles_to_components",
     "components_to_poles", "edsm_analyze", "edsm_synthesize",
     # eaqhm
-    "EaQHMConfig", "QHMFrameSolution", "AdaptationState", "ls_solve",
+    "EaQHMConfig", "AdaptationState", "ls_solve",
     "freq_correction", "init_harmonic", "adapt", "eaqhm_analyze",
     # pitch
     "F0Track", "estimate_f0", "average_pitch_period",

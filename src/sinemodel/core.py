@@ -279,7 +279,9 @@ def sample_track(track: PartialTrack, fs: float, n0: int,
     phase the trapezoid integral of frequency pinned to the anchor phases
     modulo 2*pi.  Beyond the anchor span, amplitude and frequency hold their
     endpoint values and phase keeps advancing at the endpoint frequency.
-    A sample's values do not depend on the requested range.
+    A sample's amplitude and frequency do not depend on the requested
+    range; its phase does only in the last bits, through the point the
+    frequency integral starts from.
     """
     if n1 < n0:
         raise UsageError("empty sample range")
@@ -294,6 +296,18 @@ def sample_track(track: PartialTrack, fs: float, n0: int,
     sl = slice(n0 - lo, n1 - lo + 1)
     amp = interp_amplitude_linear(track.times, track.amps, t[sl])
     return amp, freq[sl], phase[sl]
+
+
+def render_spans(tracks, n_samples: int, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per track, the samples lo..hi that synthesis renders it over (none
+    when hi = lo - 1): a zero-amplitude end anchor stops the track at that
+    anchor's sample, a nonzero one holds it to the signal edge."""
+    ends = np.array([(tr.times[0], tr.times[-1], tr.amps[0], tr.amps[-1])
+                     for tr in tracks]).reshape(-1, 4)
+    at = np.round(ends[:, :2] * fs).astype(np.int64)
+    lo = np.where(ends[:, 2] == 0, np.maximum(at[:, 0], 0), 0)
+    hi = np.where(ends[:, 3] == 0, np.minimum(at[:, 1], n_samples - 1), n_samples - 1)
+    return lo, np.maximum(hi, lo - 1)
 
 
 def _first_sample_at(times: np.ndarray, fs: float, lo: np.ndarray,
@@ -332,14 +346,7 @@ def _cubic_track_samples(tracks, n_samples: int, fs: float):
     """
     if not tracks:
         return
-    ends = np.array([(tr.times[0], tr.times[-1], tr.amps[0], tr.amps[-1])
-                     for tr in tracks])
-    at = np.round(ends[:, :2] * fs).astype(np.int64)
-    # rendered samples lo..hi (none when hi = lo - 1): a zero-amplitude end
-    # anchor stops the track there, a nonzero one holds it to the signal edge
-    lo = np.where(ends[:, 2] == 0, np.maximum(at[:, 0], 0), 0)
-    hi = np.where(ends[:, 3] == 0, np.minimum(at[:, 1], n_samples - 1), n_samples - 1)
-    hi = np.maximum(hi, lo - 1)
+    lo, hi = render_spans(tracks, n_samples, fs)
     # a group is the tracks whose samples start in one SYNTH_CHUNK of the stream
     group = (np.cumsum(hi - lo + 1) - (hi - lo + 1)) // SYNTH_CHUNK
     bounds = np.flatnonzero(np.diff(group)) + 1
@@ -415,28 +422,25 @@ def synthesize_tracks(tracks, n_samples: int, fs: float,
         reconciling at anchor phases (adaptive-model convention)
       - "cubic": per-span cubic phase from boundary (phase, frequency)
         pairs (peak-tracking convention)
-    Amplitudes are always linearly interpolated.  A track whose boundary
-    anchor has zero amplitude (a birth/death ramp) stops there; a track
-    ending with nonzero amplitude is held to the signal edge so the
-    samples outside the frame-center span are still covered.
+    Amplitudes are always linearly interpolated.  Each track covers its
+    render_spans range: a track whose boundary anchor has zero amplitude (a
+    birth/death ramp) stops there; a track ending with nonzero amplitude is
+    held to the signal edge so the samples outside the frame-center span
+    are still covered.
     """
     if phase_mode not in ("freq_integration", "cubic"):
         raise UsageError(f"unknown phase mode {phase_mode!r}")
     n_samples = int(n_samples)
     out = np.zeros(n_samples, dtype=np.float64)
+    tracks = list(tracks)
     if phase_mode == "cubic":
-        for s, amp, phase in _cubic_track_samples(list(tracks), n_samples, fs):
+        for s, amp, phase in _cubic_track_samples(tracks, n_samples, fs):
             # unbuffered and in order, so each sample sums its tracks in track order
             np.add.at(out, s, amp * np.cos(phase))
         return out
-    for track in tracks:
-        lo, hi = 0, n_samples - 1
-        if track.amps[0] == 0:
-            lo = max(int(np.round(track.times[0] * fs)), lo)
-        if track.amps[-1] == 0:
-            hi = min(int(np.round(track.times[-1] * fs)), hi)
-        if hi < lo:
-            continue
-        amp, _, phase = sample_track(track, fs, lo, hi)
-        _kernels.accumulate_cosine(out, lo, amp, phase)
+    starts, ends = render_spans(tracks, n_samples, fs)
+    for track, lo, hi in zip(tracks, starts.tolist(), ends.tolist()):
+        if hi >= lo:
+            amp, _, phase = sample_track(track, fs, lo, hi)
+            _kernels.accumulate_cosine(out, lo, amp, phase)
     return out

@@ -27,7 +27,7 @@ MIN_FFT_SIZE = 2048   # frames are zero-padded to max(this, next power of two >=
 FRAME_BLOCK = 32      # frames per batched FFT in sm_peaks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralPeak:
     freq_hz: float
     amp: float      # linear amplitude of the underlying cosine

@@ -15,6 +15,7 @@ from sinemodel.eaqhm import (EaQHMConfig, adapt, eaqhm_analyze, freq_correction,
                              init_harmonic, ls_solve)
 from sinemodel.errors import AnalysisError, IllConditionedError, UsageError
 from sinemodel.generators import AMFMSpec, gen_amfm
+from sinemodel.harness import PITCH_BAND_HZ
 from sinemodel.pitch import F0Track, estimate_f0
 
 FS = 16000.0
@@ -52,6 +53,66 @@ def complex_ls_solve(e, window, target):
                   es.conj().T @ (target * window)) / scale
     m = e.shape[1] // 2
     return c[:m], c[m:]
+
+
+@dataclass(frozen=True)
+class QHMFrameSolution:
+    """Per-frame complex amplitudes/slopes and frequency corrections, k=0..K."""
+
+    a: np.ndarray    # complex
+    b: np.ndarray    # complex
+    eta: np.ndarray  # Hz; eta[0] == 0 (the DC component gets no correction)
+
+
+def _solve_mirrored(seg, cos_cols, sin_cols, window, t):
+    """Solve one frame against components k=1..m plus DC through the real
+    design [1 | A cos | A sin | t | t A cos | t A sin], built afresh, and map
+    the coefficients back to the k=0..m half of the mirrored complex fit."""
+    n, m = cos_cols.shape
+    p = 2 * m + 1
+    e = np.empty((n, 2 * p))
+    e[:, 0] = 1.0
+    e[:, 1:m + 1] = cos_cols
+    e[:, m + 1:p] = sin_cols
+    np.multiply(t[:, None], e[:, :p], out=e[:, p:])
+    c, d = eaqhm.ls_solve(e, window, seg)
+    a = np.concatenate((c[:1], (c[1:m + 1] - 1j * c[m + 1:]) / 2.0))
+    b = np.concatenate((d[:1], (d[1:m + 1] - 1j * d[m + 1:]) / 2.0))
+    eta = np.concatenate(([0.0], freq_correction(a[1:], b[1:])))
+    return QHMFrameSolution(a=a, b=b, eta=eta)
+
+
+def _reference_ls_solve(e, window, target):
+    """ls_solve as a function that leaves e alone: fresh weighted and squared
+    copies of the design, np.linalg.norm column norms and a copied factor."""
+    w = np.asarray(window, dtype=np.float64)
+    es = e * w[:, None]
+    yw = np.asarray(target, dtype=np.float64) * w
+    scale = np.linalg.norm(es, axis=0)
+    scale[scale == 0.0] = 1.0
+    es /= scale
+    r = es.T @ es
+    rhs = es.T @ yw
+    chol, info = eaqhm._POTRF(r, lower=1)
+    if info != 0:
+        raise IllConditionedError("normal equations not positive definite", np.inf)
+    anorm = float(np.max(np.sum(np.abs(r), axis=0)))
+    rcond, info = eaqhm._POCON(chol, anorm, uplo=b"L")
+    cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
+    if info != 0 or not np.isfinite(cond) or cond > eaqhm.COND_BOUND:
+        raise IllConditionedError("condition exceeds bound", cond)
+    c, info = eaqhm._POTRS(chol, rhs[:, None], lower=1)
+    c = c[:, 0] / scale
+    m = e.shape[1] // 2
+    return c[:m], c[m:]
+
+
+def _one_pass(x, fs, tracks, f0track, config):
+    """One adaptation pass of `tracks`, rendered and laid out as adapt does."""
+    frames = eaqhm._frame_layout(x.shape[0], fs, f0track, config)
+    centers = np.array([fr.center for fr in frames], dtype=np.int64)
+    _, sampled = eaqhm._render(tracks, fs, x.shape[0], centers)
+    return eaqhm._adaptation_pass(x, fs, tracks, sampled, frames, config)
 
 
 def _const_f0(n, f0, hop=80):
@@ -152,6 +213,56 @@ def test_ls_solve_rejects_degenerate_basis():
     with pytest.raises(IllConditionedError) as info:
         ls_solve(e, np.ones(n), col)
     assert info.value.condition > 1e10 or np.isinf(info.value.condition)
+    with pytest.raises(IllConditionedError) as info:   # more columns than samples
+        ls_solve(np.ones((3, 4)), np.ones(3), np.ones(3))
+    assert np.isinf(info.value.condition)
+
+
+@pytest.mark.parametrize("shape", [(321, 174), (200, 6), (640, 30)])
+def test_ls_solve_matches_the_non_mutating_reference(shape):
+    rng = np.random.default_rng(shape[1])
+    n, q = shape
+    t = (np.arange(n) - n // 2) / FS
+    e = rng.normal(size=(n, q))
+    e[:, q // 2:] = t[:, None] * e[:, :q // 2]   # slope half, as in the frame designs
+    w, y = np.hamming(n), rng.normal(size=n)
+    want = _reference_ls_solve(e, w, y)
+    got = ls_solve(e.copy(), w, y)
+    for g, r in zip(got, want):
+        assert g.tobytes() == r.tobytes()
+
+
+def test_ls_solve_reports_the_reference_condition():
+    n = 64
+    t = (np.arange(n) - n // 2) / FS
+    col = np.cos(2 * np.pi * 100.0 * t)
+    # nearly dependent columns: factorable, but past COND_BOUND
+    e = np.stack([col, col + 1e-7 * np.sin(2 * np.pi * 900.0 * t), np.ones(n)], axis=1)
+    e = np.hstack([e, t[:, None] * e[:, :1]])
+    with pytest.raises(IllConditionedError) as want:
+        _reference_ls_solve(e, np.hamming(n), col)
+    with pytest.raises(IllConditionedError) as got:
+        ls_solve(e.copy(), np.hamming(n), col)
+    assert np.isfinite(want.value.condition) and want.value.condition > eaqhm.COND_BOUND
+    assert got.value.condition == want.value.condition
+
+
+def test_ls_solve_allocates_no_design_sized_temporaries():
+    import tracemalloc
+
+    rng = np.random.default_rng(2)
+    n, q = 321, 174
+    e, w, y = rng.normal(size=(n, q)), np.hamming(n), rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        ls_solve(e, w, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the normal matrix is its one q x q array; weighting, |r| and the factor
+    # reuse e or r, and the column norms square a small block of rows at a
+    # time (one copy of e would take n * q * 8 bytes)
+    assert peak < q * q * 8 + n * q * 8 / 4
 
 
 def test_ls_solve_rejects_complex_design():
@@ -171,7 +282,7 @@ def test_real_frame_design_matches_complex_mirrored_system():
              + rng.normal(0.0, 0.01, (n, m)))
     seg = rng.normal(size=n)
     w = np.hamming(n)
-    sol = eaqhm._solve_mirrored(seg, amp * np.cos(phase), amp * np.sin(phase), w, t)
+    sol = _solve_mirrored(seg, amp * np.cos(phase), amp * np.sin(phase), w, t)
 
     amp_full = np.hstack([amp[:, ::-1], np.ones((n, 1)), amp])
     phase_full = np.hstack([-phase[:, ::-1], np.zeros((n, 1)), phase])
@@ -199,9 +310,11 @@ def test_rotated_columns_match_direct_trig_over_60s():
         phase = 2 * np.pi * f[:, None] * t + 0.3 * np.sin(2 * np.pi * 3.0 * t)
         amp = 1.0 + 0.5 * np.cos(2 * np.pi * f_am[:, None] * t)
         top = max(top, phase.max())
-        cos_cols, sin_cols = eaqhm._rotated_columns(
-            ((amp + eaqhm._AMP_EPS) * np.cos(phase)).T,
-            ((amp + eaqhm._AMP_EPS) * np.sin(phase)).T, amp[:, 160], phase[:, 160])
+        e = np.empty((321, 2 * (2 * 3 + 1)))
+        eaqhm._rotate_into(e, ((amp + eaqhm._AMP_EPS) * np.cos(phase)).T,
+                           ((amp + eaqhm._AMP_EPS) * np.sin(phase)).T,
+                           *eaqhm._rotation_factors(amp[:, 160], phase[:, 160]))
+        cos_cols, sin_cols = e[:, 1:4], e[:, 4:7]
         ratio = ((amp + eaqhm._AMP_EPS) / (amp[:, 160:161] + eaqhm._AMP_EPS)).T
         diff = (phase - phase[:, 160:161]).T
         np.testing.assert_allclose(cos_cols, ratio * np.cos(diff), rtol=0, atol=1e-8)
@@ -235,8 +348,8 @@ def _reference_adaptation_pass(x, fs, tracks, f0track, config):
         phase_cols = phase_all[eligible, fr.lo:fr.hi + 1].T - phase_all[eligible, fr.center]
         t_c = fr.center / fs
         try:
-            sol = eaqhm._solve_mirrored(x[fr.lo:fr.hi + 1], amp_cols * np.cos(phase_cols),
-                                        amp_cols * np.sin(phase_cols), w, t)
+            sol = _solve_mirrored(x[fr.lo:fr.hi + 1], amp_cols * np.cos(phase_cols),
+                                  amp_cols * np.sin(phase_cols), w, t)
         except IllConditionedError:
             for k in eligible:
                 anchors.setdefault(k, []).append(
@@ -279,7 +392,7 @@ def test_adaptation_pass_matches_per_frame_reference(monkeypatch):
         return solve(e, window, target)
 
     monkeypatch.setattr(eaqhm, "ls_solve", refuse_one)
-    got = eaqhm._adaptation_pass(sig.samples, FS, tracks, f0t, cfg)
+    got = _one_pass(sig.samples, FS, tracks, f0t, cfg)
     assert calls["n"] > 700
     calls["n"] = 0
     want = _reference_adaptation_pass(sig.samples, FS, tracks, f0t, cfg)
@@ -297,6 +410,30 @@ def test_adaptation_pass_matches_per_frame_reference(monkeypatch):
         amp, freq, phase = sample_track(tr, FS, forced, forced)
         assert (g.amps[j], g.freqs[j]) == (amp[0], freq[0])
         assert g.phases[j] == pytest.approx(float(wrap_phase(phase[0])), abs=1e-12)
+
+
+def test_pass_alternating_narrow_and_wide_windows_matches_reference():
+    # frames alternate 321- and 161-sample windows, so every design view of
+    # the pass buffer follows one of the other size
+    sig, _ = gen_amfm(AMFMSpec(n_partials=4, f0=220.0, f_c=4.0, rho=0.6,
+                               duration=0.3, fs=FS))
+    x = sig.samples
+    tracks = init_harmonic(sig, estimate_f0(sig, f_min=150.0, f_max=320.0),
+                           EaQHMConfig(max_partials=4))
+    times = np.arange(0, x.shape[0], 16) / FS
+    f0t = F0Track(times=times, f0=np.where(np.arange(times.size) % 2, 300.0, 150.0),
+                  voiced=np.ones(times.size, dtype=bool))
+    cfg = EaQHMConfig(max_partials=6)
+    widths = [fr.hi - fr.lo + 1 for fr in eaqhm._frame_layout(x.shape[0], FS, f0t, cfg)]
+    assert set(zip(widths[50:-50], widths[51:-49])) == {(321, 161), (161, 321)}
+    got = _one_pass(x, FS, tracks, f0t, cfg)
+    want = _reference_adaptation_pass(x, FS, tracks, f0t, cfg)
+    assert len(got) == len(want) == len(tracks)
+    for g, r in zip(got, want):
+        np.testing.assert_array_equal(g.times, r.times)
+        np.testing.assert_allclose(g.freqs, r.freqs, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(g.amps, r.amps, rtol=0, atol=1e-9)
+        assert np.max(np.abs(wrap_phase(g.phases - r.phases))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -496,3 +633,40 @@ def test_adapt_improves_detuned_start():
     s0 = srer(x, synthesize_tracks(start, n, FS))
     state = adapt(sig, start, f0t, cfg)
     assert state.srer_history[-1] > s0 + 10.0
+
+
+def test_adapt_samples_each_track_once_per_rendered_iterate(monkeypatch):
+    from sinemodel import core
+
+    n = 3200
+    sig = SampledSignal(samples=_harmonic(n, k_max=3), fs=FS)
+    cfg = EaQHMConfig(max_partials=3, max_adaptations=2)
+    start = init_harmonic(sig, _const_f0(n, 151.5), cfg)   # detuned: adapt runs
+    calls = []
+    real = core.sample_track
+
+    def counting(track, *args):
+        calls.append(track)
+        return real(track, *args)
+
+    monkeypatch.setattr(eaqhm, "sample_track", counting)
+    monkeypatch.setattr(core, "sample_track", counting)
+    state = adapt(sig, start, _const_f0(n, 150.0), cfg)
+    assert state.iteration >= 1
+    # the start and every iterate a pass produced, one sample_track per track
+    assert len(calls) == (1 + state.iteration) * len(start)
+
+
+def test_adapt_peak_memory_on_one_second_of_audio():
+    import tracemalloc
+
+    sig, _ = gen_amfm(AMFMSpec(duration=1.0, seed=0))
+    f0t = estimate_f0(sig, *PITCH_BAND_HZ)
+    tracks = init_harmonic(sig, f0t, EaQHMConfig())
+    tracemalloc.start()
+    try:
+        adapt(sig, tracks, f0t, EaQHMConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
