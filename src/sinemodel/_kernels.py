@@ -45,5 +45,7 @@ def autocorr_norm(frame: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
 
 
 def hankel_build(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Hankel matrix X[r, c] = x[r + c] of shape (rows, cols), as a copy."""
-    return sliding_window_view(x[:rows + cols - 1], cols).astype(np.float64, copy=True)
+    """Hankel matrix X[..., r, c] = x[..., r + c] of shape (..., rows, cols),
+    one per row of a stacked x, as a copy."""
+    return sliding_window_view(x[..., :rows + cols - 1], cols, axis=-1).astype(
+        np.float64, copy=True)

@@ -169,17 +169,17 @@ def read_tracks_json(path) -> list[PartialTrack]:
 
 
 def write_sm_json(path, tracks: Sequence[PartialTrack], frame_times,
-                  peak_lists, fs: float) -> None:
-    """Spectral-model dump: partial tracks plus the raw per-frame peak lists."""
+                  peaks, fs: float) -> None:
+    """Spectral-model dump: partial tracks plus the raw per-frame peaks (an
+    sm.SMPeaks record)."""
     payload = {
         "type": "sm_analysis",
         "fs": float(fs),
         "tracks": [_track_obj(tr) for tr in tracks],
         "frames": [{
             "time": float(t),
-            "peaks": [{"freq_hz": p.freq_hz, "amp": p.amp, "phase": p.phase}
-                      for p in peaks],
-        } for t, peaks in zip(frame_times, peak_lists)],
+            "peaks": [{"freq_hz": f, "amp": a, "phase": ph} for f, a, ph, _ in rows.tolist()],
+        } for t, rows in zip(frame_times, peaks)],
     }
     _dump_json(path, payload)
 

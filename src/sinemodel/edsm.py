@@ -24,6 +24,7 @@ RANK_RTOL = 1e-10      # singular values below this fraction of the largest are 
 _REAL_POLE_TOL = 1e-9  # |Im z| below this (relative) makes a pole real
 _COND_WARN = 1e12
 _LOG_RANGE = 600.0     # |delta| * frame_len ceiling; exp(600) stays finite in float64
+ESPRIT_BLOCK = 1 << 16  # Hankel elements per stacked SVD in edsm_analyze
 
 
 @dataclass(frozen=True)
@@ -109,17 +110,33 @@ def esprit_poles(frame: np.ndarray, k_exp: int,
     if k_exp > min(n, rows) - 1:
         raise UsageError(
             f"order {k_exp} too high for Hankel of {rows}x{n}; need N > K and R > K")
-    X = _kernels.hankel_build(x, rows, n)
+    (poles,), (k_eff,) = _esprit_block(x[np.newaxis], np.array([k_exp]), rank_rtol)
+    return poles, int(k_eff)
+
+
+def _esprit_block(frames: np.ndarray, k_max: np.ndarray,
+                  rank_rtol: float) -> tuple[list, np.ndarray]:
+    """esprit_poles of each row of frames (g x L, none all-zero) with order
+    cap k_max[i]: one stacked SVD for the block, then one stacked pinv and
+    eigvals per group of frames with equal k_eff.  numpy runs the LAPACK and
+    BLAS routine of a lone matrix on each matrix of a stack, so each frame's
+    poles are those of a call on that frame alone.
+    """
+    length = frames.shape[1]
+    n = length // 2
+    X = _kernels.hankel_build(frames, length - n + 1, n)
     _, s, vh = np.linalg.svd(X, full_matrices=False)
-    k_eff = int(np.count_nonzero(s >= rank_rtol * s[0]))
-    k_eff = min(k_eff, k_exp)
-    if k_eff == 0:
-        return np.empty(0, dtype=np.complex128), 0
-    vs = vh[:k_eff].conj().T              # N x k_eff singular basis
-    phi = np.linalg.pinv(vs[:-1, :]) @ vs[1:, :]
-    poles = np.linalg.eigvals(phi)
-    order = np.lexsort((np.abs(poles), np.angle(poles)))
-    return poles[order], k_eff
+    k_eff = np.minimum(np.count_nonzero(s >= rank_rtol * s[:, :1], axis=1), k_max)
+    poles = [np.empty(0, dtype=np.complex128)] * frames.shape[0]
+    for k in np.unique(k_eff[k_eff > 0]).tolist():
+        group = np.flatnonzero(k_eff == k)
+        vs = vh[group, :k].conj().swapaxes(1, 2)  # N x k_eff singular bases
+        phi = np.linalg.pinv(vs[:, :-1]) @ vs[:, 1:]
+        z = np.linalg.eigvals(phi)
+        order = np.lexsort((np.abs(z), np.angle(z)), axis=-1)
+        for g, zg, og in zip(group.tolist(), z, order):
+            poles[g] = zg[og]
+    return poles, k_eff
 
 
 def vandermonde_amplitudes(frame: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -250,12 +267,9 @@ def full_band_orders(f0track: F0Track, signal: SampledSignal,
     """Per-frame sinusoid counts fs / (2 f0) for non-overlapping frames of
     `window` samples, with f0 read at each frame's center."""
     n = signal.samples.shape[0]
-    orders = []
-    for start in range(0, n, window):
-        center = min(start + window // 2, n - 1)
-        f0 = max(float(f0track.f0_at(center / signal.fs)), 1.0)
-        orders.append(max(1, int(signal.fs / (2.0 * f0))))
-    return orders
+    centers = np.minimum(np.arange(0, n, window) + window // 2, n - 1)
+    f0 = np.maximum(f0track.f0_at(centers / signal.fs), 1.0)
+    return np.maximum(1, (signal.fs / (2.0 * f0)).astype(np.int64)).tolist()
 
 
 def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> list[EDSMFrame]:
@@ -271,36 +285,37 @@ def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> list[EDSMFrame]:
     x = signal.samples
     n = x.shape[0]
     w = int(config.window_samples)
-    starts = list(range(0, n, w))
-    orders = _frame_orders(config.order, len(starts))
+    starts = np.arange(0, n, w)
+    orders = np.array(_frame_orders(config.order, starts.shape[0]), dtype=np.int64)
+    if np.any(orders < 1):
+        raise UsageError(f"per-frame order must be >= 1, got {orders[orders < 1][0]}")
+    lengths = np.minimum(w, n - starts)
     frames: list[EDSMFrame] = []
-    for start, k_sin in zip(starts, orders):
-        length = min(w, n - start)
-        seg = x[start:start + length]
-        if k_sin < 1:
-            raise UsageError(f"per-frame order must be >= 1, got {k_sin}")
-        k_exp = 2 * k_sin
-        if not np.any(seg):
-            frames.append(EDSMFrame(start=start, length=length, components=(), k_eff=0))
-            continue
-        if seg.shape[0] < 8:
-            seg = np.concatenate([seg, np.zeros(8 - seg.shape[0])])
-        n_cols = seg.shape[0] // 2
-        k_cap = min(n_cols, seg.shape[0] - n_cols + 1) - 1
-        k_use = min(k_exp, k_cap)
-        poles, k_eff = esprit_poles(seg, k_use, rank_rtol=config.rank_rtol)
-        if poles.shape[0]:
-            # keep poles renderable over this frame
-            mag = np.abs(poles)
-            bound = _LOG_RANGE / max(seg.shape[0] - 1, 1)
-            keep = (mag > 0) & (np.abs(np.log(np.maximum(mag, 1e-300))) <= bound)
-            poles = poles[keep]
-        if k_eff == 0 or poles.shape[0] == 0:
-            frames.append(EDSMFrame(start=start, length=length, components=(), k_eff=0))
-            continue
-        alphas = vandermonde_amplitudes(seg, poles)
-        comps = poles_to_components(poles, alphas, signal.fs)
-        frames.append(EDSMFrame(start=start, length=length, components=comps, k_eff=k_eff))
+    # the full frames, then a shorter tail, in blocks of at most ESPRIT_BLOCK
+    # Hankel elements or of one frame
+    for length in sorted(set(lengths.tolist()), reverse=True):
+        seg_len = max(length, 8)
+        n_cols = seg_len // 2
+        k_cap = min(n_cols, seg_len - n_cols + 1) - 1
+        same = np.flatnonzero(lengths == length)
+        step = max(1, ESPRIT_BLOCK // ((seg_len - n_cols + 1) * n_cols))
+        for block in np.array_split(same, range(step, same.shape[0], step)):
+            segs = np.zeros((block.shape[0], seg_len))
+            segs[:, :length] = x[starts[block, None] + np.arange(length)]
+            live = np.flatnonzero(np.any(segs, axis=1))
+            poles, k_eff = _esprit_block(segs[live], np.minimum(2 * orders[block[live]], k_cap),
+                                         config.rank_rtol)
+            comps, k_kept = [()] * block.shape[0], np.zeros(block.shape[0], dtype=np.int64)
+            for i, z, k in zip(live.tolist(), poles, k_eff.tolist()):
+                # keep poles renderable over this frame
+                mag = np.abs(z)
+                z = z[(mag > 0) & (np.abs(np.log(np.maximum(mag, 1e-300)))
+                                   <= _LOG_RANGE / max(seg_len - 1, 1))]
+                if k and z.shape[0]:
+                    alphas = vandermonde_amplitudes(segs[i], z)
+                    comps[i], k_kept[i] = poles_to_components(z, alphas, signal.fs), k
+            frames += [EDSMFrame(start=s, length=length, components=c, k_eff=k)
+                       for s, c, k in zip(starts[block].tolist(), comps, k_kept.tolist())]
     return frames
 
 
@@ -316,9 +331,12 @@ def edsm_synthesize(frames, n_samples: int, fs: float) -> np.ndarray:
             continue
         n = np.arange(stop - fr.start, dtype=np.float64)
         bound = _LOG_RANGE / max(stop - fr.start - 1, 1)
+        a, delta, freq, phase = np.array(
+            [(c.a, c.delta, c.freq_hz, c.phase) for c in fr.components]).reshape(-1, 4).T
         seg = np.zeros(n.shape[0], dtype=np.float64)
-        for c in fr.components:
-            delta = float(np.clip(c.delta, -bound, bound))
-            seg += c.a * np.exp(delta * n) * np.cos(TWO_PI * c.freq_hz / fs * n + c.phase)
+        # each component's samples, added in component order
+        for row in (a[:, None] * np.exp(np.clip(delta, -bound, bound)[:, None] * n)
+                    * np.cos(TWO_PI * freq[:, None] / fs * n + phase[:, None])):
+            seg += row
         out[fr.start:stop] = seg
     return out

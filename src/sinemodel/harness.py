@@ -93,7 +93,7 @@ MODEL_TABLE = {
         resynthesize=lambda r, n, fs: sm_synthesize(r.tracks, n, fs),
         params=lambda r: _track_param_count(r.tracks),
         dump=lambda path, r, fs: _io().write_sm_json(path, r.tracks, r.frame_times,
-                                                     r.peak_lists, fs)),
+                                                     r.peaks, fs)),
     "edsm": ModelEntry(
         config=_edsm_config,
         sweep_fields=lambda t_min: {"rank_rtol": 0.0},
@@ -119,7 +119,7 @@ def run_model(model: str, signal: SampledSignal, f0track: F0Track, cfg):
     or EaQHMConfig) and resynthesize it.
 
     Returns (srer_db, result, resynthesis, param_count); result is an
-    SMAnalysis (frame times, peak lists, tracks), the edsm frame list or the
+    SMAnalysis (frame times, peaks, tracks), the edsm frame list or the
     eaqhm AdaptationState.  f0track is used by eaqhm only.
     """
     entry = MODEL_TABLE[model]

@@ -27,16 +27,31 @@ MIN_FFT_SIZE = 2048   # frames are zero-padded to max(this, next power of two >=
 FRAME_BLOCK = 32      # frames per batched FFT in sm_peaks
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralPeak:
-    freq_hz: float
-    amp: float      # linear amplitude of the underlying cosine
-    phase: float    # rad at the frame center
-    bin: float      # fractional FFT bin
+@dataclass(frozen=True, eq=False)
+class SMPeaks:
+    """The spectral peaks of a run of frames, as columns.
 
-    def __post_init__(self):
-        if self.amp < 0:
-            raise UsageError(f"peak amplitude must be >= 0, got {self.amp}")
+    Column c of `values` is one peak's (freq_hz, amp, phase, bin): its
+    frequency, the linear amplitude of the underlying cosine, the phase (rad)
+    at the frame center and the fractional FFT bin.  Frame i owns columns
+    offsets[i]:offsets[i + 1], by ascending frequency.  len() counts frames,
+    and peaks[i] is frame i's peaks as (k, 4) rows.
+    """
+
+    offsets: np.ndarray  # n_frames + 1 ints
+    values: np.ndarray   # 4 x n_peaks
+
+    freq_hz = property(lambda self: self.values[0])
+    amp = property(lambda self: self.values[1])
+    phase = property(lambda self: self.values[2])
+    bin = property(lambda self: self.values[3])
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.values[:, self.offsets[i]:self.offsets[i + 1]].T
 
 
 @dataclass(frozen=True)
@@ -54,16 +69,16 @@ class SMConfig:
 
 @dataclass(frozen=True)
 class SMAnalysis:
-    """Frame-center times (s), each frame's peaks, and the tracks built from them."""
+    """Frame-center times (s), the frames' peaks, and the tracks built from them."""
 
     frame_times: np.ndarray
-    peak_lists: list
+    peaks: SMPeaks
     tracks: list
 
 
 def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
-                      max_peaks: int) -> list[SpectralPeak]:
-    """Pick at most max_peaks spectral peaks from one frame.
+                      max_peaks: int) -> SMPeaks:
+    """Pick at most max_peaks spectral peaks from one frame (a one-frame record).
 
     The window is sum-normalized so a unit cosine yields a 0.5 spectral
     peak; reported amplitudes are therefore 2 * interpolated magnitude.
@@ -75,11 +90,11 @@ def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
         raise UsageError(f"frame length {x.shape[0]} != window length {w.shape[0]}")
     if fft_size < w.shape[0]:
         raise UsageError(f"fft_size {fft_size} shorter than window {w.shape[0]}")
-    return _block_peaks(x[np.newaxis], w, fft_size, fs, max_peaks)[0]
+    return _block_peaks(x[np.newaxis], w, fft_size, fs, max_peaks)
 
 
 def _block_peaks(frames: np.ndarray, w: np.ndarray, fft_size: int, fs: float,
-                 max_peaks: int) -> list[list[SpectralPeak]]:
+                 max_peaks: int) -> SMPeaks:
     """analyze_frame_fft of each row of frames (n_frames x len(w)), with one
     FFT for the block and every later step an array op across it."""
     spectrum = _zero_phase_spectra(frames, w, fft_size)
@@ -111,10 +126,9 @@ def _block_peaks(frames: np.ndarray, w: np.ndarray, fft_size: int, fs: float,
     lo_bin = frac_bin.astype(np.int64)
     below = phase_spec[rows, lo_bin]
     phase = wrap_phase((phase_spec[rows, lo_bin + 1] - below) * (frac_bin - lo_bin) + below)
-    peaks = list(map(SpectralPeak, freq[keep].tolist(), amp[keep].tolist(),
-                     phase.tolist(), frac_bin.tolist()))
-    ends = np.cumsum(np.bincount(rows, minlength=frames.shape[0])).tolist()
-    return [peaks[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    counts = np.bincount(rows, minlength=frames.shape[0])
+    return SMPeaks(offsets=np.concatenate(([0], np.cumsum(counts))),
+                   values=np.stack((freq[keep], amp[keep], phase, frac_bin)))
 
 
 def _zero_phase_spectra(frames: np.ndarray, w: np.ndarray, fft_size: int) -> np.ndarray:
@@ -144,24 +158,27 @@ def _unwrap_rows(angle: np.ndarray) -> np.ndarray:
     return out
 
 
-class _TrackBuilder:
-    __slots__ = ("times", "amps", "freqs", "phases", "first_frame")
+def _match(last_f: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Greedy matching of one frame's peaks at f (louder first) to the tracks
+    ending at last_f: each peak claims the nearest free track within
+    MAX_JUMP_HZ, the latest one on ties.  Returns each peak's track, or -1."""
+    if last_f.shape[0] == 0:
+        return np.full(f.shape[0], -1)
+    d = np.abs(last_f - f[:, None])
+    best = d.shape[1] - 1 - d[:, ::-1].argmin(axis=1)
+    best[d[np.arange(f.shape[0]), best] > MAX_JUMP_HZ] = -1
+    if np.bincount(best[best >= 0], minlength=1).max() <= 1:
+        return best  # no track is wanted twice, so each peak gets its nearest
+    taken = np.zeros(d.shape[1], dtype=bool)
+    for p, row in enumerate(d):
+        row = np.where(taken, np.inf, row)
+        j = row.shape[0] - 1 - int(row[::-1].argmin())
+        best[p] = j if row[j] <= MAX_JUMP_HZ else -1
+        taken[j] |= best[p] >= 0
+    return best
 
-    def __init__(self, first_frame: bool):
-        self.times: list[float] = []
-        self.amps: list[float] = []
-        self.freqs: list[float] = []
-        self.phases: list[float] = []
-        self.first_frame = first_frame
 
-    def add(self, t: float, peak: SpectralPeak) -> None:
-        self.times.append(t)
-        self.amps.append(peak.amp)
-        self.freqs.append(peak.freq_hz)
-        self.phases.append(peak.phase)
-
-
-def track_partials(peak_lists: list[list[SpectralPeak]], frame_times: np.ndarray,
+def track_partials(peaks: SMPeaks, frame_times: np.ndarray,
                    hop_s: float) -> list[PartialTrack]:
     """Greedy nearest-frequency matching of peaks into partial tracks.
 
@@ -169,68 +186,62 @@ def track_partials(peak_lists: list[list[SpectralPeak]], frame_times: np.ndarray
     MAX_JUMP_HZ.  A track with no match dies with a
     one-hop amplitude ramp to zero; an unmatched peak is born, fading in
     over one hop unless it appears in the first frame.  Tracks still alive
-    at the last frame end without a ramp.
+    at the last frame end without a ramp.  A track is recorded as its
+    peaks' indices and gathered into anchor arrays once, at the end.
     """
-    if len(peak_lists) != len(frame_times):
+    if len(peaks) != len(frame_times):
         raise UsageError("one peak list per frame time required")
-    active: list[_TrackBuilder] = []
-    done: list[_TrackBuilder] = []
-
-    def retire(tb: _TrackBuilder, ramp: bool) -> None:
-        if ramp:
-            f, ph = tb.freqs[-1], tb.phases[-1]
-            tb.times.append(tb.times[-1] + hop_s)
-            tb.amps.append(0.0)
-            tb.freqs.append(f)
-            tb.phases.append(float(wrap_phase(ph + TWO_PI * f * hop_s)))
-        done.append(tb)
-
-    for i, (t, peaks) in enumerate(zip(frame_times, peak_lists)):
-        taken = [False] * len(active)
-        matched: list[tuple[_TrackBuilder, SpectralPeak]] = []
-        births: list[SpectralPeak] = []
-        for peak in sorted(peaks, key=lambda pk: -pk.amp):
-            best, best_d = -1, MAX_JUMP_HZ
-            for j, tb in enumerate(active):
-                if taken[j]:
-                    continue
-                d = abs(tb.freqs[-1] - peak.freq_hz)
-                if d <= best_d:
-                    best, best_d = j, d
-            if best >= 0:
-                taken[best] = True
-                matched.append((active[best], peak))
-            else:
-                births.append(peak)
-        for j in range(len(active) - 1, -1, -1):
-            if not taken[j]:
-                retire(active.pop(j), ramp=True)
-        for tb, peak in matched:
-            tb.add(t, peak)
-        for peak in births:
-            tb = _TrackBuilder(first_frame=(i == 0))
-            if i > 0:
-                f, ph = peak.freq_hz, peak.phase
-                tb.times.append(t - hop_s)
-                tb.amps.append(0.0)
-                tb.freqs.append(f)
-                tb.phases.append(float(wrap_phase(ph - TWO_PI * f * hop_s)))
-            tb.add(t, peak)
-            active.append(tb)
-    # tracks alive at the end close without a ramp; hold them one extra hop
-    # so synthesis covers the samples after the last frame center
-    for tb in active:
-        f, ph = tb.freqs[-1], tb.phases[-1]
-        tb.times.append(tb.times[-1] + hop_s)
-        tb.amps.append(tb.amps[-1])
-        tb.freqs.append(f)
-        tb.phases.append(float(wrap_phase(ph + TWO_PI * f * hop_s)))
-    done.extend(active)
-    tracks = [PartialTrack(times=np.asarray(tb.times), amps=np.asarray(tb.amps),
-                           freqs=np.asarray(tb.freqs), phases=np.asarray(tb.phases))
-              for tb in done if tb.times]
-    tracks.sort(key=lambda tr: (tr.birth, tr.freqs[0]))
-    return tracks
+    freq, amp, phase, offsets = peaks.freq_hz, peaks.amp, peaks.phase, peaks.offsets
+    frame_of = np.repeat(np.arange(len(peaks)), np.diff(offsets))
+    loud = np.lexsort((-amp, frame_of))  # per frame louder first, ties by frequency
+    track_of = np.empty(freq.shape[0], dtype=np.int64)
+    active, last_f = np.empty(0, dtype=np.int64), np.empty(0)
+    retired = [active]  # track ids in the order the tracks die
+    n_tracks = 0
+    for i in range(len(peaks)):
+        order = loud[offsets[i]:offsets[i + 1]]
+        f = freq[order]
+        best = _match(last_f, f)
+        hit = best >= 0
+        taken = np.zeros(active.shape[0], dtype=bool)
+        taken[best[hit]] = True
+        born = np.arange(n_tracks, n_tracks + f.shape[0] - np.count_nonzero(hit))
+        n_tracks += born.shape[0]
+        track_of[order[hit]] = active[best[hit]]
+        track_of[order[~hit]] = born
+        retired.append(active[~taken][::-1])
+        last_f[best[hit]] = f[hit]
+        active = np.concatenate((active[taken], born))
+        last_f = np.concatenate((last_f[taken], f[~hit]))
+    # a track's anchors: a fade-in one hop before an interior birth, its
+    # peaks, then one hop after its last peak a ramp to zero or, for a track
+    # alive at the end, a hold so synthesis covers the samples after the last
+    # frame center
+    n_peaks = np.bincount(track_of, minlength=n_tracks)
+    fade_in = np.arange(n_tracks) >= (offsets[1] if len(peaks) else 0)  # not first-frame births
+    length = fade_in + n_peaks + 1
+    end = np.cumsum(length)
+    start = end - length
+    by_track = np.argsort(track_of, kind="stable")  # each track's peaks in frame order
+    first = np.cumsum(n_peaks) - n_peaks
+    slot = np.repeat(start + fade_in - first, n_peaks) + np.arange(by_track.shape[0])
+    t_peak = np.asarray(frame_times)[frame_of]
+    times, amps, freqs, phases = anchors = np.empty((4, int(length.sum())))
+    for row, col in zip(anchors, (t_peak, amp, freq, phase)):
+        row[slot] = col[by_track]
+    p, s = by_track[first[fade_in]], start[fade_in]
+    times[s], amps[s], freqs[s] = t_peak[p] - hop_s, 0.0, freq[p]
+    phases[s] = wrap_phase(phase[p] - TWO_PI * freq[p] * hop_s)
+    p, s = by_track[first + n_peaks - 1], end - 1
+    times[s], amps[s], freqs[s] = t_peak[p] + hop_s, amp[p], freq[p]
+    phases[s] = wrap_phase(phase[p] + TWO_PI * freq[p] * hop_s)
+    dead = np.concatenate(retired)
+    amps[s[dead]] = 0.0
+    done = np.concatenate((dead, active))
+    done = done[np.lexsort((freqs[start[done]], times[start[done]]))]
+    return [PartialTrack(times=times[a:b], amps=amps[a:b], freqs=freqs[a:b],
+                         phases=phases[a:b])
+            for a, b in zip(start[done].tolist(), end[done].tolist())]
 
 
 def _resolve_window_samples(config: SMConfig, fs: float) -> int:
@@ -246,8 +257,8 @@ def _resolve_window_samples(config: SMConfig, fs: float) -> int:
 
 
 def sm_peaks(signal: SampledSignal,
-             config: SMConfig = SMConfig()) -> tuple[np.ndarray, list[list[SpectralPeak]]]:
-    """Per-frame peak lists and their frame-center times in seconds."""
+             config: SMConfig = SMConfig()) -> tuple[np.ndarray, SMPeaks]:
+    """Frame-center times in seconds and the frames' peaks."""
     x = signal.samples
     fs = signal.fs
     w_len = _resolve_window_samples(config, fs)
@@ -265,19 +276,20 @@ def sm_peaks(signal: SampledSignal,
         centers = np.array([n // 2])
     # frame c is padded[c:c + w_len]; blocks of FRAME_BLOCK frames share one FFT
     frames = sliding_window_view(padded, w_len)
-    peak_lists = []
-    for i in range(0, centers.shape[0], FRAME_BLOCK):
-        peak_lists += _block_peaks(frames[centers[i:i + FRAME_BLOCK]], window.values,
-                                   fft_size, fs, config.max_peaks)
-    return centers / fs, peak_lists
+    blocks = [_block_peaks(frames[centers[i:i + FRAME_BLOCK]], window.values, fft_size,
+                           fs, config.max_peaks)
+              for i in range(0, centers.shape[0], FRAME_BLOCK)]
+    counts = np.concatenate([np.diff(b.offsets) for b in blocks])
+    return centers / fs, SMPeaks(offsets=np.concatenate(([0], np.cumsum(counts))),
+                                 values=np.concatenate([b.values for b in blocks], axis=1))
 
 
 def sm_analyze_peaks(signal: SampledSignal, config: SMConfig = SMConfig()) -> SMAnalysis:
     """Frame the signal, pick peaks, and connect them into partial tracks,
     keeping the peaks."""
-    times, peak_lists = sm_peaks(signal, config)
+    times, peaks = sm_peaks(signal, config)
     hop_s = hop_samples(config.hop_ms, signal.fs) / signal.fs
-    return SMAnalysis(times, peak_lists, track_partials(peak_lists, times, hop_s))
+    return SMAnalysis(times, peaks, track_partials(peaks, times, hop_s))
 
 
 def sm_analyze(signal: SampledSignal, config: SMConfig = SMConfig()) -> list[PartialTrack]:

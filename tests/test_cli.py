@@ -91,11 +91,11 @@ def test_analyze_sm_dumps_the_peaks_of_sm_peaks(tone_wav, tmp_path):
     params = tmp_path / "sm.json"
     assert main(["analyze", "--model", "sm", "--in", str(tone_wav), "--params", str(params),
                  "--resynth", str(tmp_path / "sm.wav")]) == 0
-    times, peak_lists = sm_peaks(audio_io.read_wav(tone_wav), SMConfig())
+    times, peaks = sm_peaks(audio_io.read_wav(tone_wav), SMConfig())
     frames = json.loads(params.read_text())["frames"]
     assert [fr["time"] for fr in frames] == times.tolist()
     assert [[(p["freq_hz"], p["amp"], p["phase"]) for p in fr["peaks"]] for fr in frames] == [
-        [(p.freq_hz, p.amp, p.phase) for p in peaks] for peaks in peak_lists]
+        [tuple(row[:3]) for row in rows.tolist()] for rows in peaks]
 
 
 @pytest.mark.parametrize("model, flag", [("edsm", ["--hop", "5"]),

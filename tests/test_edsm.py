@@ -1,14 +1,22 @@
 """Subspace estimation of damped sinusoids: poles, amplitudes, frames."""
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sinemodel.core import SampledSignal, srer
+from sinemodel import edsm
+from sinemodel.core import TWO_PI, SampledSignal, srer
 from sinemodel.edsm import (EDSMConfig, EDSMFrame, DampedSinusoid, build_hankel,
                             components_to_poles, edsm_analyze, edsm_synthesize,
-                            esprit_poles, poles_to_components,
+                            esprit_poles, full_band_orders, poles_to_components,
                             vandermonde_amplitudes)
 from sinemodel.errors import AnalysisError, UsageError
-from sinemodel.generators import DampedSumSpec, gen_damped_sum
+from sinemodel.generators import AMFMSpec, DampedSumSpec, gen_amfm, gen_damped_sum
+from sinemodel.harness import MODEL_TABLE, PITCH_BAND_HZ, run_model
+from sinemodel.pitch import estimate_f0
 
 FS = 16000.0
 
@@ -257,3 +265,168 @@ def test_requested_order_capped_by_frame_capacity():
                           EDSMConfig(window_samples=64, order=100))
     assert frames[0].k_eff <= 31
     assert np.all(np.isfinite(edsm_synthesize(frames, 64, FS)))
+
+
+# ---------------------------------------------------------------------------
+# frame-by-frame references
+# ---------------------------------------------------------------------------
+
+def _reference_esprit_poles(x, k_exp, rank_rtol):
+    """esprit_poles of one frame with its own SVD, pinv and eigvals."""
+    n = x.shape[0] // 2
+    X = np.lib.stride_tricks.sliding_window_view(x, n).copy()
+    _, s, vh = np.linalg.svd(X, full_matrices=False)
+    k_eff = min(int(np.count_nonzero(s >= rank_rtol * s[0])), k_exp)
+    if k_eff == 0:
+        return np.empty(0, dtype=np.complex128), 0
+    vs = vh[:k_eff].conj().T
+    poles = np.linalg.eigvals(np.linalg.pinv(vs[:-1, :]) @ vs[1:, :])
+    return poles[np.lexsort((np.abs(poles), np.angle(poles)))], k_eff
+
+
+def _reference_edsm_analyze(signal, config):
+    """edsm_analyze one frame at a time."""
+    x = signal.samples
+    n = x.shape[0]
+    w = int(config.window_samples)
+    starts = list(range(0, n, w))
+    orders = edsm._frame_orders(config.order, len(starts))
+    frames = []
+    for start, k_sin in zip(starts, orders):
+        length = min(w, n - start)
+        seg = x[start:start + length]
+        if not np.any(seg):
+            frames.append(EDSMFrame(start=start, length=length, components=(), k_eff=0))
+            continue
+        if seg.shape[0] < 8:
+            seg = np.concatenate([seg, np.zeros(8 - seg.shape[0])])
+        n_cols = seg.shape[0] // 2
+        k_cap = min(n_cols, seg.shape[0] - n_cols + 1) - 1
+        poles, k_eff = _reference_esprit_poles(seg, min(2 * k_sin, k_cap), config.rank_rtol)
+        mag = np.abs(poles)
+        bound = edsm._LOG_RANGE / max(seg.shape[0] - 1, 1)
+        poles = poles[(mag > 0) & (np.abs(np.log(np.maximum(mag, 1e-300))) <= bound)]
+        if k_eff == 0 or poles.shape[0] == 0:
+            frames.append(EDSMFrame(start=start, length=length, components=(), k_eff=0))
+            continue
+        alphas = vandermonde_amplitudes(seg, poles)
+        comps = poles_to_components(poles, alphas, signal.fs)
+        frames.append(EDSMFrame(start=start, length=length, components=comps, k_eff=k_eff))
+    return frames
+
+
+def _reference_edsm_synthesize(frames, n_samples, fs):
+    """edsm_synthesize one component at a time."""
+    out = np.zeros(int(n_samples), dtype=np.float64)
+    for fr in frames:
+        stop = min(fr.start + fr.length, n_samples)
+        if stop <= fr.start:
+            continue
+        n = np.arange(stop - fr.start, dtype=np.float64)
+        bound = edsm._LOG_RANGE / max(stop - fr.start - 1, 1)
+        seg = np.zeros(n.shape[0], dtype=np.float64)
+        for c in fr.components:
+            delta = float(np.clip(c.delta, -bound, bound))
+            seg += c.a * np.exp(delta * n) * np.cos(TWO_PI * c.freq_hz / fs * n + c.phase)
+        out[fr.start:stop] = seg
+    return out
+
+
+def _reference_full_band_orders(f0track, signal, window):
+    n = signal.samples.shape[0]
+    orders = []
+    for start in range(0, n, window):
+        center = min(start + window // 2, n - 1)
+        f0 = max(float(f0track.f0_at(center / signal.fs)), 1.0)
+        orders.append(max(1, int(signal.fs / (2.0 * f0))))
+    return orders
+
+
+def _random_damped_sum(draw_n, rng):
+    """Sum of a few damped sinusoids whose count changes along the signal."""
+    k = np.arange(draw_n)
+    x = np.zeros(draw_n)
+    for _ in range(int(rng.integers(1, 6))):
+        a, f = rng.uniform(0.1, 1.0), rng.uniform(50.0, 7900.0)
+        delta, phi = rng.uniform(-0.01, 0.005), rng.uniform(-np.pi, np.pi)
+        on = slice(int(rng.integers(0, draw_n)), None)
+        x[on] += a * np.exp(delta * k[on] / 4) * np.cos(TWO_PI * f / FS * k[on] + phi)
+    return x
+
+
+@settings(deadline=None, max_examples=120, derandomize=True)
+@given(w=st.integers(4, 48), n_full=st.integers(0, 9),
+       tail=st.sampled_from([0, 1, 3, 7, 8, 13]), seed=st.integers(0, 2**32 - 1),
+       rank_rtol=st.sampled_from([0.0, 1e-10, 1e-3]), budget=st.sampled_from([1, 300, 1 << 16]),
+       orders=st.lists(st.integers(1, 12), min_size=11, max_size=11))
+def test_blocked_analysis_matches_the_per_frame_reference(w, n_full, tail, seed, rank_rtol,
+                                                          budget, orders):
+    rng = np.random.default_rng(seed)
+    n = n_full * w + min(tail, w - 1)
+    if n == 0:
+        return
+    x = _random_damped_sum(n, rng) + rng.normal(0.0, 1e-4, n)
+    # frames at levels 60 dB apart, so each frame's rank threshold is its
+    # own, and frames of digital silence
+    for i in range(0, n, w):
+        x[i:i + w] *= 0.0 if rng.uniform() < 0.25 else 10.0 ** rng.uniform(-3.0, 0.0)
+    sig = SampledSignal(samples=x, fs=FS)
+    n_frames = -(-n // w)
+    cfg = EDSMConfig(window_samples=w, order=orders[:n_frames], rank_rtol=rank_rtol)
+    with mock.patch.object(edsm, "ESPRIT_BLOCK", budget), \
+            warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = edsm_analyze(sig, cfg)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = _reference_edsm_analyze(sig, cfg)
+    assert repr(got) == repr(want)
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    y = edsm_synthesize(got, n, FS)
+    assert y.tobytes() == _reference_edsm_synthesize(want, n, FS).tobytes()
+
+
+def test_blocks_mix_frame_orders_and_silence():
+    # one block holds frames of different k_eff, all-zero frames and a tail
+    # padded to 8 samples
+    rng = np.random.default_rng(5)
+    x = _random_damped_sum(40 * 30 + 5, rng)
+    x[400:480] = 0.0
+    sig = SampledSignal(samples=x, fs=FS)
+    cfg = EDSMConfig(window_samples=40, order=[1 + i % 7 for i in range(31)], rank_rtol=1e-6)
+    got = edsm_analyze(sig, cfg)
+    assert len({fr.k_eff for fr in got[:30]}) > 3
+    assert got[10].k_eff == got[11].k_eff == 0 and got[-1].length == 5
+    assert repr(got) == repr(_reference_edsm_analyze(sig, cfg))
+
+
+def test_esprit_poles_is_the_one_frame_reference():
+    rng = np.random.default_rng(9)
+    for length, k_exp, rtol in ((80, 12, 1e-10), (9, 3, 0.0), (200, 30, 1e-6)):
+        x = _random_damped_sum(length, rng)
+        poles, k_eff = esprit_poles(x, k_exp, rank_rtol=rtol)
+        want, want_k = _reference_esprit_poles(x, k_exp, rtol)
+        assert k_eff == want_k
+        assert poles.dtype == want.dtype and poles.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fs", [8000.0, 44100.0, 48000.0])
+def test_edsm_at_other_rates_matches_the_per_frame_reference(fs):
+    sig = gen_amfm(AMFMSpec(duration=0.15, fs=fs, seed=2))[0]
+    f0track = estimate_f0(sig, *PITCH_BAND_HZ)
+    cfg = MODEL_TABLE["edsm"].config(sig, f0track, None, None)
+    assert cfg.order == _reference_full_band_orders(f0track, sig, cfg.window_samples)
+    srer_db, frames, y, _ = run_model("edsm", sig, f0track, cfg)
+    assert np.isfinite(srer_db)
+    want = _reference_edsm_analyze(sig, cfg)
+    assert repr(frames) == repr(want)
+    assert y.tobytes() == _reference_edsm_synthesize(want, sig.samples.shape[0], fs).tobytes()
+
+
+def test_full_band_orders_match_the_per_frame_reference():
+    sig = gen_amfm(AMFMSpec(duration=0.3, seed=4))[0]
+    f0track = estimate_f0(sig, *PITCH_BAND_HZ)
+    for window in (7, 80, 123, 4800, 6000):
+        got = full_band_orders(f0track, sig, window)
+        assert got == _reference_full_band_orders(f0track, sig, window)
+        assert all(type(k) is int for k in got)

@@ -10,6 +10,7 @@ from sinemodel.core import PartialTrack, SampledSignal
 from sinemodel.edsm import DampedSinusoid, EDSMFrame
 from sinemodel.errors import AudioIOError
 from sinemodel.pitch import F0Track
+from sinemodel.sm import SMPeaks
 
 FS = 16000.0
 
@@ -161,7 +162,8 @@ def test_model_dumps_have_schema_keys(tmp_path):
     tr = PartialTrack(times=[0.0, 0.01], amps=[1.0, 1.0], freqs=[100.0, 100.0],
                       phases=[0.0, 0.3])
     sm_path = tmp_path / "sm.json"
-    audio_io.write_sm_json(sm_path, [tr], np.array([0.0]), [[]], FS)
+    no_peaks = SMPeaks(offsets=np.zeros(2, dtype=np.int64), values=np.empty((4, 0)))
+    audio_io.write_sm_json(sm_path, [tr], np.array([0.0]), no_peaks, FS)
     obj = json.loads(sm_path.read_text())
     assert obj["type"] == "sm_analysis"
     assert obj["frames"][0]["peaks"] == []

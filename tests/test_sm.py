@@ -4,23 +4,52 @@ import resource
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sinemodel
 from sinemodel import sm
-from sinemodel.core import SampledSignal, make_window, srer, wrap_phase
+from sinemodel.core import (TWO_PI, PartialTrack, SampledSignal, make_window, srer,
+                            wrap_phase)
 from sinemodel.errors import UsageError
-from sinemodel.sm import (MAX_JUMP_HZ, THRESHOLD_DB, SMConfig, SpectralPeak,
+from sinemodel.generators import AMFMSpec, gen_amfm
+from sinemodel.harness import MODEL_TABLE, run_model
+from sinemodel.sm import (MAX_JUMP_HZ, THRESHOLD_DB, SMConfig, SMPeaks,
                           analyze_frame_fft, sm_analyze, sm_peaks, sm_synthesize,
                           track_partials)
 
 FS = 16000.0
 
 
+@dataclass(frozen=True, slots=True)
+class SpectralPeak:
+    """One peak as the reference code below keeps it."""
+
+    freq_hz: float
+    amp: float
+    phase: float
+    bin: float
+
+
 def _peak(f, amp=1.0, phase=0.0):
     return SpectralPeak(freq_hz=f, amp=amp, phase=phase, bin=f * 2048 / FS)
+
+
+def _record(peak_lists) -> SMPeaks:
+    """The SMPeaks record of per-frame lists of SpectralPeak."""
+    flat = [(p.freq_hz, p.amp, p.phase, p.bin) for peaks in peak_lists for p in peaks]
+    counts = [len(peaks) for peaks in peak_lists]
+    return SMPeaks(offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+                   values=np.array(flat, dtype=np.float64).reshape(-1, 4).T.copy())
+
+
+def _lists(peaks: SMPeaks) -> list[list[SpectralPeak]]:
+    """Per-frame lists of SpectralPeak of a record."""
+    return [[SpectralPeak(*row) for row in rows.tolist()] for rows in peaks]
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +61,7 @@ def test_frame_peak_measures_off_bin_tone():
     t = (np.arange(L) - L // 2) / FS
     f, a, ph = 312.3, 0.8, 0.7  # deliberately between FFT bins
     frame = a * np.cos(2 * np.pi * f * t + ph)
-    peaks = analyze_frame_fft(frame, make_window("hann", L), nfft, FS, max_peaks=5)
+    (peaks,) = _lists(analyze_frame_fft(frame, make_window("hann", L), nfft, FS, max_peaks=5))
     best = min(peaks, key=lambda p: abs(p.freq_hz - f))
     assert abs(best.freq_hz - f) < 0.01
     assert best.amp == pytest.approx(a, abs=1e-3)
@@ -43,7 +72,7 @@ def test_frame_peak_cap_and_ordering():
     L = 481
     t = (np.arange(L) - L // 2) / FS
     frame = sum(np.cos(2 * np.pi * f * t) for f in (300.0, 700.0, 1500.0, 2900.0))
-    peaks = analyze_frame_fft(frame, make_window("hann", L), 2048, FS, max_peaks=2)
+    (peaks,) = _lists(analyze_frame_fft(frame, make_window("hann", L), 2048, FS, max_peaks=2))
     assert len(peaks) == 2
     freqs = [p.freq_hz for p in peaks]
     assert freqs == sorted(freqs)
@@ -93,7 +122,7 @@ def test_frame_peaks_match_scalar_reference():
             for _ in range(int(rng.integers(1, 6))):
                 frame += rng.uniform(0.1, 1.0) * np.cos(
                     2 * np.pi * rng.uniform(50.0, 7000.0) * t + rng.uniform(-np.pi, np.pi))
-            got = analyze_frame_fft(frame, window, nfft, FS, max_peaks)
+            (got,) = _lists(analyze_frame_fft(frame, window, nfft, FS, max_peaks))
             want = _frame_peaks_ref(frame, window, nfft, FS, max_peaks)
             assert len(got) == len(want) > 0
             for field in ("freq_hz", "amp", "phase", "bin"):
@@ -124,7 +153,8 @@ def test_block_peaks_match_the_scalar_reference_frame_by_frame(monkeypatch, bloc
     cfg = SMConfig(window_ms=20.0, hop_ms=3.0, max_peaks=3)
     w_len = 321
     window = make_window("hann", w_len)
-    times, lists = sm_peaks(SampledSignal(samples=x, fs=FS), cfg)
+    times, peaks = sm_peaks(SampledSignal(samples=x, fs=FS), cfg)
+    lists = _lists(peaks)
     centers, frames = _framed(x, w_len, 48)
     # more frames than one block, and not a whole number of blocks
     assert len(frames) > block and len(frames) % block != 0
@@ -142,14 +172,15 @@ def test_block_peaks_match_the_scalar_reference_frame_by_frame(monkeypatch, bloc
                     np.array([getattr(pk, field) for pk in got]),
                     np.array([getattr(pk, field) for pk in want]), maxulp=4)
         # batching changes nothing: each frame alone gives the same peaks
-        assert got == analyze_frame_fft(frame, window, 2048, FS, 3)
+        assert [got] == _lists(analyze_frame_fft(frame, window, 2048, FS, 3))
     assert max(len(p) for p in lists) == 3
 
 
 def test_block_peaks_single_centred_frame():
     t = np.arange(300) / FS
     x = 0.8 * np.cos(2 * np.pi * 440.0 * t + 0.4) + 0.3 * np.cos(2 * np.pi * 1320.0 * t)
-    times, lists = sm_peaks(SampledSignal(samples=x, fs=FS), SMConfig(window_ms=30.0))
+    times, peaks = sm_peaks(SampledSignal(samples=x, fs=FS), SMConfig(window_ms=30.0))
+    lists = _lists(peaks)
     (centers, (frame,)) = _framed(x, 481, 16)
     assert times.tolist() == [150 / FS]
     want = _frame_peaks_ref(frame, make_window("hann", 481), 2048, FS, 100)
@@ -162,7 +193,7 @@ def test_block_peaks_single_centred_frame():
 
 def test_frame_analysis_edge_cases():
     w = make_window("hann", 31)
-    assert analyze_frame_fft(np.zeros(31), w, 64, FS, max_peaks=5) == []
+    assert _lists(analyze_frame_fft(np.zeros(31), w, 64, FS, max_peaks=5)) == [[]]
     with pytest.raises(UsageError):
         analyze_frame_fft(np.zeros(30), w, 64, FS, max_peaks=5)
     with pytest.raises(UsageError):
@@ -181,7 +212,7 @@ def test_smconfig_validation():
 def test_tracking_continuation_and_death_ramp():
     lists = [[_peak(100.0, 1.0, 0.0)], [_peak(102.0, 1.0, 0.1)], []]
     times = np.array([0.0, 0.01, 0.02])
-    tracks = track_partials(lists, times, hop_s=0.01)
+    tracks = track_partials(_record(lists), times, hop_s=0.01)
     assert len(tracks) == 1
     tr = tracks[0]
     # two live anchors plus a death ramp to zero one hop later
@@ -193,7 +224,7 @@ def test_tracking_continuation_and_death_ramp():
 def test_tracking_birth_fade_in():
     lists = [[], [_peak(200.0)], [_peak(201.0)]]
     times = np.array([0.0, 0.01, 0.02])
-    tracks = track_partials(lists, times, hop_s=0.01)
+    tracks = track_partials(_record(lists), times, hop_s=0.01)
     assert len(tracks) == 1
     tr = tracks[0]
     # interior birth fades in from zero one hop before its first frame,
@@ -206,17 +237,17 @@ def test_tracking_birth_fade_in():
 
 def test_tracking_first_frame_birth_has_no_ramp():
     lists = [[_peak(100.0)], [_peak(100.0)]]
-    tracks = track_partials(lists, np.array([0.0, 0.01]), 0.01)
+    tracks = track_partials(_record(lists), np.array([0.0, 0.01]), 0.01)
     assert tracks[0].amps[0] == 1.0
 
 
 def test_tracking_jump_bound_splits():
     lists = [[_peak(100.0)], [_peak(100.0 + MAX_JUMP_HZ + 20.0)]]
-    tracks = track_partials(lists, np.array([0.0, 0.01]), hop_s=0.01)
+    tracks = track_partials(_record(lists), np.array([0.0, 0.01]), hop_s=0.01)
     assert len(tracks) == 2
     # a step of exactly the bound still continues the track
     lists = [[_peak(100.0)], [_peak(100.0 + MAX_JUMP_HZ)]]
-    assert len(track_partials(lists, np.array([0.0, 0.01]), hop_s=0.01)) == 1
+    assert len(track_partials(_record(lists), np.array([0.0, 0.01]), hop_s=0.01)) == 1
 
 
 def test_tracking_louder_peak_claims_first():
@@ -225,7 +256,7 @@ def test_tracking_louder_peak_claims_first():
         # one peak between the two tracks, slightly nearer 110
         [_peak(106.0, amp=2.0)],
     ]
-    tracks = track_partials(lists, np.array([0.0, 0.01]), 0.01)
+    tracks = track_partials(_record(lists), np.array([0.0, 0.01]), 0.01)
     cont = [tr for tr in tracks if len(tr) >= 2 and tr.amps[1] == 2.0]
     assert len(cont) == 1
     assert cont[0].freqs[0] == 110.0
@@ -233,7 +264,120 @@ def test_tracking_louder_peak_claims_first():
 
 def test_tracking_requires_aligned_inputs():
     with pytest.raises(UsageError):
-        track_partials([[]], np.array([0.0, 0.01]), 0.01)
+        track_partials(_record([[]]), np.array([0.0, 0.01]), 0.01)
+
+
+def test_tracking_contested_track_goes_to_the_louder_peak():
+    # both peaks are nearest the 110 Hz track; the louder takes it and the
+    # other falls back to the 100 Hz track, 8 Hz away
+    lists = [[_peak(100.0), _peak(110.0)], [_peak(106.0, amp=2.0), _peak(108.0, amp=1.0)]]
+    tracks = track_partials(_record(lists), np.array([0.0, 0.01]), 0.01)
+    assert [tr.freqs[:2].tolist() for tr in tracks] == [[100.0, 108.0], [110.0, 106.0]]
+
+
+class _TrackBuilder:
+    __slots__ = ("times", "amps", "freqs", "phases", "first_frame")
+
+    def __init__(self, first_frame: bool):
+        self.times: list[float] = []
+        self.amps: list[float] = []
+        self.freqs: list[float] = []
+        self.phases: list[float] = []
+        self.first_frame = first_frame
+
+    def add(self, t: float, peak: SpectralPeak) -> None:
+        self.times.append(t)
+        self.amps.append(peak.amp)
+        self.freqs.append(peak.freq_hz)
+        self.phases.append(peak.phase)
+
+
+def _reference_track_partials(peak_lists, frame_times, hop_s):
+    """track_partials one peak object at a time: each peak scans every
+    active track, and each track grows in Python lists."""
+    active: list[_TrackBuilder] = []
+    done: list[_TrackBuilder] = []
+
+    def retire(tb: _TrackBuilder, ramp: bool) -> None:
+        if ramp:
+            f, ph = tb.freqs[-1], tb.phases[-1]
+            tb.times.append(tb.times[-1] + hop_s)
+            tb.amps.append(0.0)
+            tb.freqs.append(f)
+            tb.phases.append(float(wrap_phase(ph + TWO_PI * f * hop_s)))
+        done.append(tb)
+
+    for i, (t, peaks) in enumerate(zip(frame_times, peak_lists)):
+        taken = [False] * len(active)
+        matched = []
+        births = []
+        for peak in sorted(peaks, key=lambda pk: -pk.amp):
+            best, best_d = -1, MAX_JUMP_HZ
+            for j, tb in enumerate(active):
+                if taken[j]:
+                    continue
+                d = abs(tb.freqs[-1] - peak.freq_hz)
+                if d <= best_d:
+                    best, best_d = j, d
+            if best >= 0:
+                taken[best] = True
+                matched.append((active[best], peak))
+            else:
+                births.append(peak)
+        for j in range(len(active) - 1, -1, -1):
+            if not taken[j]:
+                retire(active.pop(j), ramp=True)
+        for tb, peak in matched:
+            tb.add(t, peak)
+        for peak in births:
+            tb = _TrackBuilder(first_frame=(i == 0))
+            if i > 0:
+                f, ph = peak.freq_hz, peak.phase
+                tb.times.append(t - hop_s)
+                tb.amps.append(0.0)
+                tb.freqs.append(f)
+                tb.phases.append(float(wrap_phase(ph - TWO_PI * f * hop_s)))
+            tb.add(t, peak)
+            active.append(tb)
+    for tb in active:
+        f, ph = tb.freqs[-1], tb.phases[-1]
+        tb.times.append(tb.times[-1] + hop_s)
+        tb.amps.append(tb.amps[-1])
+        tb.freqs.append(f)
+        tb.phases.append(float(wrap_phase(ph + TWO_PI * f * hop_s)))
+    done.extend(active)
+    tracks = [PartialTrack(times=np.asarray(tb.times), amps=np.asarray(tb.amps),
+                           freqs=np.asarray(tb.freqs), phases=np.asarray(tb.phases))
+              for tb in done if tb.times]
+    tracks.sort(key=lambda tr: (tr.birth, tr.freqs[0]))
+    return tracks
+
+
+def _assert_same_tracks(got, want):
+    """Bitwise equal track lists, in the same order."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("times", "amps", "freqs", "phases"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (a.birth, a.death) == (b.birth, b.death)
+
+
+# a frame: peaks on a 10 Hz grid, so equal distances to two tracks and steps
+# of exactly MAX_JUMP_HZ are common, with a few loudness levels, so several
+# peaks contest one track and some tie in loudness
+_FRAME = st.lists(st.tuples(st.integers(0, 20), st.sampled_from([0.0, 0.5]),
+                            st.sampled_from([0.5, 1.0, 2.0]), st.floats(-3.0, 3.0)),
+                  max_size=7, unique_by=lambda p: p[0])
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(table=st.lists(_FRAME, min_size=1, max_size=12))
+def test_tracking_matches_the_reference_on_random_peak_tables(table):
+    lists = [[_peak(100.0 + 10.0 * g + dg, amp, ph) for g, dg, amp, ph in sorted(frame)]
+             for frame in table]
+    times = 0.015 + 0.001 * np.arange(len(lists))
+    _assert_same_tracks(track_partials(_record(lists), times, 0.001),
+                        _reference_track_partials(lists, times, 0.001))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +405,18 @@ def test_sm_pipeline_two_tones():
     sig = SampledSignal(samples=x, fs=FS)
     y = sm_synthesize(sm_analyze(sig), n, FS)
     assert srer(x, y) > 25.0
+
+
+@pytest.mark.parametrize("fs", [8000.0, 44100.0, 48000.0])
+def test_sm_at_other_rates_matches_the_reference_tracker(fs):
+    sig = gen_amfm(AMFMSpec(duration=0.2, fs=fs, seed=2))[0]
+    cfg = MODEL_TABLE["sm"].config(sig, None, None, None)
+    srer_db, result, y, _ = run_model("sm", sig, None, cfg)
+    assert np.isfinite(srer_db)
+    hop_s = sm.hop_samples(cfg.hop_ms, fs) / fs
+    want = _reference_track_partials(_lists(result.peaks), result.frame_times, hop_s)
+    _assert_same_tracks(result.tracks, want)
+    assert y.tobytes() == sm_synthesize(want, sig.samples.shape[0], fs).tobytes()
 
 
 def test_sm_peaks_framing():
@@ -296,7 +452,8 @@ def test_fft_size_follows_the_window(monkeypatch, fs, window_ms, fft_size):
 
     def spy(frames, window, n_fft, *args):
         seen.add((frames.shape[1], n_fft))
-        return [[] for _ in frames]
+        return SMPeaks(offsets=np.zeros(frames.shape[0] + 1, dtype=np.int64),
+                       values=np.empty((4, 0)))
 
     monkeypatch.setattr(sm, "_block_peaks", spy)
     sm_peaks(SampledSignal(samples=np.ones(int(0.4 * fs)), fs=fs),
@@ -313,7 +470,7 @@ def test_fft_size_follows_the_window(monkeypatch, fs, window_ms, fft_size):
 
 LONG_S = 30
 LONG_WALL_S = 30.0    # the child's wall time, start-up and input generation included
-LONG_RSS_MB = 512.0   # the child's peak resident set
+LONG_RSS_MB = 256.0   # the child's peak resident set
 
 _LONG_CHILD = f"""
 import numpy as np
@@ -326,7 +483,7 @@ from sinemodel.sm import SMConfig
 x = np.concatenate([gen_amfm(AMFMSpec(seed=i))[0].samples for i in range({LONG_S})])
 srer_db, result, _, _ = run_model("sm", SampledSignal(samples=x, fs=16000.0), None,
                                   SMConfig())
-print(srer_db, len(result.peak_lists))
+print(srer_db, len(result.peaks))
 """
 
 
