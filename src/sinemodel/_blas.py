@@ -7,13 +7,16 @@ build lowered to one thread and put back to its previous count afterwards.
 
 The builds are found in this process's own memory map (numpy and scipy each
 may ship one) and driven through their exported thread-count symbols via
-ctypes.  Where there is no memory map or no such symbol, nothing changes.
+ctypes.  They are looked up once per process, at the first use; importing
+sinemodel loads both numpy and scipy.linalg, so every build is mapped by
+then.  Where there is no memory map or no such symbol, nothing changes.
 The limit is reference-counted, so concurrent callers on their own threads
 share it and the last one out restores the counts.
 """
 from __future__ import annotations
 
 import ctypes
+import functools
 import threading
 from contextlib import contextmanager
 
@@ -27,6 +30,7 @@ _depth = 0
 _saved: list[tuple[object, int]] = []
 
 
+@functools.cache
 def _loaded_controls() -> dict[str, tuple]:
     """(get_num_threads, set_num_threads) of every loaded OpenBLAS build."""
     try:

@@ -24,13 +24,20 @@ S = (A+eps) sin(phase) over the signal, and the track values at every frame
 center.  A frame's columns are its C and S rows rotated by the frame-center
 phase, so no frame evaluates cos or sin of its own phase block.
 
-A frame loop does only the frame's own solve.  Each frame's design is a
-contiguous view at the start of one buffer, sized for the loop's widest
-frame, and ls_solve works inside it.  Eligibility, rotation factors and the
-coefficient-to-anchor mapping are array passes over all frames.  Every frame
-system is a few hundred samples wide, so the frame loops of init_harmonic
-and of each adaptation pass run on single-threaded OpenBLAS (see _blas) and
-restore the previous thread count afterwards.
+Frames are solved in stacked blocks.  Frames with the same sample offsets
+from their center and the same component count (hence the same width, time
+axis, window and column count) form a group, cut into blocks of at most
+FRAME_BLOCK design elements.  A block's designs are one (G, n, q) view at the
+start of one buffer per loop, sized for the loop's largest block, and
+ls_solve works inside it.  Gathering the C and S rows, rotation, the design's
+DC and slope columns, and every step of ls_solve but each frame's Cholesky
+factor, condition estimate and triangular solve run on the whole block; each
+frame's result is bitwise that of solving it alone.  The frame layout,
+eligibility, rotation factors and the coefficient-to-anchor mapping are
+array passes over all frames.  Every frame system is a few hundred samples
+wide, so the block loops of init_harmonic and of each adaptation pass run on
+single-threaded OpenBLAS (see _blas) and restore the previous thread count
+afterwards.
 """
 from __future__ import annotations
 
@@ -61,6 +68,7 @@ NYQUIST_MARGIN_HZ = 200.0  # partials stay this far below fs/2
 COL_RATIO = 2.0 / 3.0      # LS columns capped at this fraction of the frame
 ADAPT_WINDOW_KIND = "hamming"
 _NORM_BLOCK = 8192         # squares per block of ls_solve's column norms
+FRAME_BLOCK = 65536        # design elements per block of frames solved together
 
 
 @dataclass(frozen=True)
@@ -92,65 +100,87 @@ class AdaptationState:
 # ---------------------------------------------------------------------------
 
 def ls_solve(e: np.ndarray, window: np.ndarray,
-             target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted LS solve of target ~ E [a; b] via the normal equations.
+             target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted LS solves of target ~ E [a; b] via the normal equations, for
+    one or more frames stacked row by row.
 
-    E is a real float64 design (the frame fits pass the real mirrored
-    design), and COND_BOUND applies to its normal matrix.  E is overwritten:
-    it is weighted and equilibrated in place and then holds scratch, so the
-    solve copies neither E nor its normal matrix.  Columns are equilibrated
-    to unit norm first (exact algebra, keeps the condition check about basis
-    structure, not units).  Raises IllConditionedError carrying LAPACK's
-    condition estimate of the normal matrix when it exceeds COND_BOUND, and
-    an infinite one when E has more columns than rows.
+    E is a real float64 (G*n, q) design, n = len(window): frame g is rows
+    g*n..(g+1)*n of E and of the (G*n,) target (the frame fits pass the real
+    mirrored design).  Returns a and b, each (G, q/2), and cond, (G,):
+    LAPACK's condition estimate of each frame's normal matrix.  A frame is
+    solved exactly when its cond <= COND_BOUND; the others (more columns
+    than samples, not positive definite, or past the bound) have cond inf or
+    above the bound and NaN rows in a and b.
+
+    E is overwritten: it is weighted and equilibrated in place and then holds
+    scratch, so the solve copies neither E nor the normal matrices.  Columns
+    are equilibrated to unit norm first (exact algebra, keeps the condition
+    check about basis structure, not units).  Every step but the Cholesky
+    factor, its condition estimate and its solve runs on all G frames at
+    once, and each frame's result is bitwise that of solving it alone.
     """
-    if not (isinstance(e, np.ndarray) and e.dtype == np.float64):
+    if not (isinstance(e, np.ndarray) and e.dtype == np.float64 and e.ndim == 2):
         raise UsageError("ls_solve takes a real float64 design matrix")
-    n, q = e.shape
-    if n < q:
-        raise IllConditionedError(f"{q} columns on {n} samples", np.inf)
     w = window.values if hasattr(window, "values") else np.asarray(window, dtype=np.float64)
-    e *= w[:, None]
-    yw = np.asarray(target, dtype=np.float64) * w
-    scale = _column_norms(e)
+    y = np.asarray(target, dtype=np.float64)
+    rows, q = e.shape
+    n = w.shape[0]
+    if w.ndim != 1 or n == 0 or rows % n or y.shape != (rows,) or q % 2:
+        raise UsageError("ls_solve takes a (G*n, q) design with even q, an (n,) "
+                         "window and a (G*n,) target")
+    g, half = rows // n, q // 2
+    coef = np.full((g, q), np.nan)
+    cond = np.full(g, np.inf)
+    if n < q:
+        return coef[:, :half], coef[:, half:], cond
+    e3 = e.reshape(g, n, q)
+    e3 *= w[:, None]
+    yw = (y.reshape(g, n) * w)[:, :, None]
+    scale = _column_norms(e3)
     scale[scale == 0.0] = 1.0
-    e /= scale
-    r = e.T @ e
-    rhs = e.T @ yw
-    # E is dead now: it takes |r| for pocon's 1-norm, and potrf factors r in
-    # place (r is symmetric, so r.T is the Fortran-order matrix LAPACK takes)
-    abs_r = np.abs(r, out=e.reshape(-1)[:q * q].reshape(q, q))
-    anorm = float(np.max(np.sum(abs_r, axis=0)))
-    chol, info = _POTRF(r.T, lower=1, overwrite_a=1)
-    if info != 0:
-        raise IllConditionedError("normal equations not positive definite", np.inf)
-    rcond, info = _POCON(chol, anorm, uplo=b"L")
-    cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
-    if info != 0 or not np.isfinite(cond) or cond > COND_BOUND:
-        raise IllConditionedError(
-            f"normal equations condition {cond:.3e} exceeds bound {COND_BOUND:.1e}", cond)
-    c, info = _POTRS(chol, rhs[:, None], lower=1)
-    if info != 0:
-        raise IllConditionedError("normal-equations solve failed", cond)
-    c = c[:, 0] / scale
-    m = q // 2
-    return c[:m], c[m:]
+    e3 /= scale[:, None, :]
+    et = e3.transpose(0, 2, 1)
+    r = np.matmul(et, e3)
+    rhs = np.matmul(et, yw)
+    # E is dead now: it takes |r| for pocon's 1-norm, and potrf factors each
+    # r in place (r is symmetric, so r.T is the Fortran-order matrix LAPACK
+    # takes)
+    abs_r = np.abs(r, out=e3.reshape(-1)[:g * q * q].reshape(g, q, q))
+    anorm = np.max(np.add.reduce(abs_r, axis=1), axis=1)
+    for i in range(g):
+        chol, info = _POTRF(r[i].T, lower=1, overwrite_a=1)
+        if info != 0:
+            continue
+        rcond, info = _POCON(chol, anorm[i], uplo=b"L")
+        if info == 0 and rcond != 0.0:
+            cond[i] = 1.0 / float(rcond)
+        if not cond[i] <= COND_BOUND:
+            continue
+        sol, info = _POTRS(chol, rhs[i], lower=1)
+        if info != 0:
+            cond[i] = np.inf
+            continue
+        coef[i] = sol[:, 0]
+    coef /= scale
+    return coef[:, :half], coef[:, half:], cond
 
 
 def _column_norms(e: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(e, axis=0) of a C-contiguous e, bit for bit: each
-    column's squares are summed down the rows in order.  The squares are
-    formed a block of rows at a time, never for all of e at once; each block
-    is reduced below the running sums, which keeps the order."""
-    n, q = e.shape
-    rows = max(1, _NORM_BLOCK // max(q, 1))
-    scratch = np.empty((rows + 1, q))
-    out = np.square(e[0])
+    """np.linalg.norm(e[i], axis=0) of every frame i of a (G, n, q) stack,
+    bit for bit: each column's squares are summed down the rows in order.
+    The squares are formed a block of rows at a time, never for all of e at
+    once, row-major across the frames so that one reduction serves them all;
+    each block is reduced below the running sums, which keeps the order."""
+    g, n, q = e.shape
+    rows = max(1, _NORM_BLOCK // max(g * q, 1))
+    scratch = np.empty((rows + 1, g, q))
+    out = np.square(e[:, 0])
     for i in range(1, n, rows):
-        block = e[i:i + rows]
+        block = e[:, i:i + rows]
+        k = block.shape[1]
         scratch[0] = out
-        np.square(block, out=scratch[1:block.shape[0] + 1])
-        np.add.reduce(scratch[:block.shape[0] + 1], axis=0, out=out)
+        np.square(block, out=scratch[1:k + 1].transpose(1, 0, 2))
+        np.add.reduce(scratch[:k + 1], axis=0, out=out)
     return np.sqrt(out, out=out)
 
 
@@ -177,25 +207,13 @@ def _mirrored(cos_coef: np.ndarray, sin_coef: np.ndarray) -> np.ndarray:
     return (cos_coef - 1j * sin_coef) / 2.0
 
 
-def _design(buf: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The (n, 2p) design of a frame with m components, p = 2m + 1, as a
-    C-contiguous view at the start of buf."""
-    q = 2 * (2 * m + 1)
-    return buf[:n * q].reshape(n, q)
-
-
-def _design_buffer(widths: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """One buffer that holds the _design of any frame of a loop, given every
-    frame's width and component count."""
-    return np.empty(int(np.max(widths * 2 * (2 * counts + 1), initial=0)))
-
-
 def _complete_design(e: np.ndarray, t: np.ndarray) -> None:
-    """Fill the DC column and the slope half of a design whose cos and sin
-    columns are set: e = [1 | A cos | A sin | t | t A cos | t A sin]."""
-    p = e.shape[1] // 2
-    e[:, 0] = 1.0
-    np.multiply(t[:, None], e[:, :p], out=e[:, p:])
+    """Fill the DC column and the slope half of a design (or a stack of
+    them) whose cos and sin columns are set:
+    e = [1 | A cos | A sin | t | t A cos | t A sin]."""
+    p = e.shape[-1] // 2
+    e[..., 0] = 1.0
+    np.multiply(t[:, None], e[..., :p], out=e[..., p:])
 
 
 def _rotation_factors(amp_c: np.ndarray,
@@ -207,78 +225,155 @@ def _rotation_factors(amp_c: np.ndarray,
 
 
 def _rotate_into(e: np.ndarray, c_rows: np.ndarray, s_rows: np.ndarray,
-                 cc: np.ndarray, sc: np.ndarray) -> None:
-    """Write a frame's (A+eps)/(A_c+eps) cos(phase - phase_c) columns and
-    their sin twins into the cos and sin columns of its design e.
+                 cc: np.ndarray, sc: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
+    """Write the (A+eps)/(A_c+eps) cos(phase - phase_c) columns of a stack
+    of frames and their sin twins into the cos and sin columns of their
+    (G, n, 2p) designs e.
 
-    c_rows and s_rows are the frame's (n, m) samples of C = (A+eps) cos(phase)
-    and S = (A+eps) sin(phase); cc and sc are the _rotation_factors at the
-    frame center.  By angle addition the columns are C cc + S sc and
-    S cc - C sc.  The slope half of e serves as scratch."""
-    m = cc.shape[0]
-    p = 2 * m + 1
-    cos_cols, sin_cols, scratch = e[:, 1:m + 1], e[:, m + 1:p], e[:, p + 1:p + m + 1]
-    np.multiply(c_rows, cc, out=cos_cols)
-    cos_cols += np.multiply(s_rows, sc, out=scratch)
-    np.multiply(s_rows, cc, out=sin_cols)
-    sin_cols -= np.multiply(c_rows, sc, out=scratch)
+    c_rows and s_rows are the frames' (G, m, n) samples of C = (A+eps)
+    cos(phase) and S = (A+eps) sin(phase), one row per component; cc and sc
+    are the (G, m, 1) _rotation_factors at the frame centers.  By angle
+    addition the columns are C cc + S sc and S cc - C sc.  They are formed
+    row by row in the (G, m, n) scratches t and u and copied into e once
+    each."""
+    m = cc.shape[-2]
+    np.multiply(c_rows, cc, out=t)
+    t += np.multiply(s_rows, sc, out=u)
+    e[..., 1:m + 1] = np.swapaxes(t, -1, -2)
+    np.multiply(s_rows, cc, out=t)
+    t -= np.multiply(c_rows, sc, out=u)
+    e[..., m + 1:2 * m + 1] = np.swapaxes(t, -1, -2)
 
 
 # ---------------------------------------------------------------------------
-# frame layout
+# frame layout and blocks
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Frame:
-    center: int
-    lo: int
-    hi: int
-    f0: float
-    k_budget: int
+class _Layout:
+    """Every analysis frame of a signal, in center order: its center and
+    first and last samples, its local f0 and its column budget."""
+
+    center: np.ndarray    # int64
+    lo: np.ndarray        # int64
+    hi: np.ndarray        # int64
+    f0: np.ndarray        # float64, Hz
+    k_budget: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return self.center.shape[0]
 
 
 def _frame_layout(n: int, fs: float, f0track: F0Track,
-                  config: EaQHMConfig) -> list[_Frame]:
-    hop = hop_samples(config.hop_ms, fs)
-    frames: list[_Frame] = []
-    for c in range(0, n, hop):
-        f0_l = float(f0track.f0_at(c / fs))
-        if f0_l <= 0:
-            continue
-        if config.window_samples is not None:
-            w = int(config.window_samples)
-        else:
-            w = int(round(config.window_periods * fs / f0_l))
-        if w % 2 == 0:
-            w += 1
-        half = w // 2
-        lo = max(0, c - half)
-        hi = min(n - 1, c + half)
-        w_eff = hi - lo + 1
-        guard_f = config.f_guard_hz if config.f_guard_hz is not None else f0_l
-        if w_eff < 2.0 * fs / guard_f:
-            continue  # shorter than two periods of the guard frequency
-        k_budget = int((COL_RATIO * w_eff / 2.0 - 1.0) // 2)
-        if k_budget < 1:
-            continue
-        frames.append(_Frame(center=c, lo=lo, hi=hi, f0=f0_l, k_budget=k_budget))
-    return frames
+                  config: EaQHMConfig) -> _Layout:
+    """A frame every hop whose center is voiced, whose window (clipped to
+    the signal) spans two periods of the guard frequency, and whose column
+    budget is at least one component."""
+    center = np.arange(0, n, hop_samples(config.hop_ms, fs), dtype=np.int64)
+    f0 = f0track.f0_at(center / fs)
+    voiced = f0 > 0
+    center, f0 = center[voiced], f0[voiced]
+    if config.window_samples is not None:
+        w = np.full(center.shape, int(config.window_samples), dtype=np.int64)
+    else:
+        w = np.rint(config.window_periods * fs / f0).astype(np.int64)
+    half = (w | 1) // 2  # even windows grow by one sample
+    lo = np.maximum(center - half, 0)
+    hi = np.minimum(center + half, n - 1)
+    w_eff = hi - lo + 1
+    guard_f = f0 if config.f_guard_hz is None else config.f_guard_hz
+    k_budget = ((COL_RATIO * w_eff / 2.0 - 1.0) // 2).astype(np.int64)
+    keep = ~(w_eff < 2.0 * fs / guard_f) & (k_budget >= 1)
+    return _Layout(center=center[keep], lo=lo[keep], hi=hi[keep], f0=f0[keep],
+                   k_budget=k_budget[keep])
 
 
-def _frame_times(cache: dict, fr: _Frame, fs: float) -> np.ndarray:
-    """A frame's LS time axis in seconds, cached per window offset."""
-    key = (fr.lo - fr.center, fr.hi - fr.center)
-    t = cache.get(key)
-    if t is None:
-        t = cache[key] = np.arange(key[0], key[1] + 1) / fs
-    return t
+@dataclass(frozen=True)
+class _Block:
+    """Frames solved together: they share their sample offsets from the
+    center (so their width, time axis and window) and their component count."""
+
+    frames: np.ndarray  # frame indices, in center order
+    lo: int             # first sample, relative to the center
+    n: int              # samples per frame
+    m: int              # components per frame
+
+    @property
+    def g(self) -> int:
+        return self.frames.shape[0]
+
+    @property
+    def q(self) -> int:
+        return 2 * (2 * self.m + 1)
 
 
-def _frame_window(cache: dict, kind: str, length: int) -> np.ndarray:
-    w = cache.get(length)
-    if w is None:
-        w = cache[length] = make_window(kind, length).values
-    return w
+def _blocks(layout: _Layout, frames: np.ndarray, counts: np.ndarray) -> list[_Block]:
+    """The given frames grouped by (lo - center, hi - center, component
+    count), each group cut into blocks of at most FRAME_BLOCK design elements
+    (and at least one frame)."""
+    lo = layout.lo[frames] - layout.center[frames]
+    hi = layout.hi[frames] - layout.center[frames]
+    m = counts[frames]
+    order = np.lexsort((m, hi, lo))
+    keys = np.stack((lo, hi, m))[:, order]
+    starts = np.flatnonzero(np.r_[order.size > 0, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+    out = []
+    for s0, s1 in zip(starts.tolist(), [*starts[1:].tolist(), order.shape[0]]):
+        lo_k, hi_k, m_k = keys[:, s0].tolist()
+        n = hi_k - lo_k + 1
+        per = max(1, FRAME_BLOCK // (n * 2 * (2 * m_k + 1)))
+        group = frames[order[s0:s1]]
+        out.extend(_Block(frames=group[i:i + per], lo=lo_k, n=n, m=m_k)
+                   for i in range(0, group.shape[0], per))
+    return out
+
+
+class _BlockBuffers:
+    """One set of buffers for a loop over blocks, sized for its largest
+    block; each call hands out C-contiguous views at their starts."""
+
+    def __init__(self, blocks: list[_Block], fs: float, window_kind: str):
+        size = max((b.g * b.n for b in blocks), default=0)
+        design = max((b.g * b.n * b.q for b in blocks), default=0)
+        cols = max((b.g * b.n * b.m for b in blocks), default=0)
+        self._design, self._target = np.empty(design), np.empty(size)
+        self._cols = np.empty((4, cols))
+        self._index = np.empty(cols, dtype=np.int64)
+        self._fs, self._kind = fs, window_kind
+        self._windows: dict = {}
+
+    def design(self, b: _Block) -> np.ndarray:
+        """The (G, n, q) design of block b."""
+        return self._design[:b.g * b.n * b.q].reshape(b.g, b.n, b.q)
+
+    def cols(self, b: _Block, i: int, shape: tuple) -> np.ndarray:
+        """The i-th of four per-component scratches of block b: G*n*m
+        elements in the given shape."""
+        return self._cols[i, :b.g * b.n * b.m].reshape(shape)
+
+    def index(self, b: _Block) -> np.ndarray:
+        """A (G, m, n) int64 scratch of block b."""
+        return self._index[:b.g * b.n * b.m].reshape(b.g, b.m, b.n)
+
+    def target(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """x at the (G, n) sample indices rows, stacked into one vector."""
+        return np.take(x, rows, out=self._target[:rows.size].reshape(rows.shape),
+                       mode="clip").reshape(-1)
+
+    def times(self, b: _Block) -> np.ndarray:
+        """The block's LS time axis in seconds."""
+        return np.arange(b.lo, b.lo + b.n) / self._fs
+
+    def window(self, b: _Block) -> np.ndarray:
+        w = self._windows.get(b.n)
+        if w is None:
+            w = self._windows[b.n] = make_window(self._kind, b.n).values
+        return w
+
+
+def _block_rows(layout: _Layout, b: _Block) -> np.ndarray:
+    """The (G, n) sample indices of a block's frames."""
+    return (layout.center[b.frames] + b.lo)[:, None] + np.arange(b.n)
 
 
 # ---------------------------------------------------------------------------
@@ -297,78 +392,66 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
         raise AnalysisError("cannot initialize harmonics: no voiced frames")
     x = signal.samples
     fs = signal.fs
-    n = x.shape[0]
-    frames = _frame_layout(n, fs, f0track, config)
-    if not frames:
+    layout = _frame_layout(x.shape[0], fs, f0track, config)
+    if not len(layout):
         # the window guard is a conditioning bound: surface it as such
         raise IllConditionedError(
             "no analysis frame satisfies the two-period window-length guard",
             float("inf"))
-    k_maxes = np.array([_partial_count(fr, fs, config) for fr in frames])
-    widths = np.array([fr.hi - fr.lo + 1 for fr in frames])
-    active = np.flatnonzero(k_maxes >= 1)
+    band = ((fs / 2.0 - NYQUIST_MARGIN_HZ) / layout.f0).astype(np.int64)
+    if config.max_partials is not None:
+        band = np.minimum(band, config.max_partials)
+    k_maxes = np.minimum(band, layout.k_budget)
     harmonics = np.arange(1, max(0, int(k_maxes.max())) + 1, dtype=np.float64)
     # cos and sin coefficients per (frame, harmonic); NaN where none was solved
-    cos_coef = np.full((len(frames), harmonics.shape[0]), np.nan)
+    cos_coef = np.full((len(layout), harmonics.shape[0]), np.nan)
     sin_coef = np.full_like(cos_coef, np.nan)
-    buf = _design_buffer(widths[active], k_maxes[active])
-    block = int(np.max(widths[active] * k_maxes[active], initial=0))
-    phase_buf, trig_buf = np.empty(block), np.empty(block)
-    times_cache: dict = {}
-    windows: dict = {}
+    blocks = _blocks(layout, np.flatnonzero(k_maxes >= 1), k_maxes)
+    bufs = _BlockBuffers(blocks, fs, config.init_window_kind)
+    omega = 2.0 * np.pi * layout.f0
     skipped = 0
     with single_threaded_blas():
-        for j in active.tolist():
-            fr, k, w_len = frames[j], int(k_maxes[j]), int(widths[j])
-            t = _frame_times(times_cache, fr, fs)
-            e = _design(buf, w_len, k)
-            phase = phase_buf[:w_len * k].reshape(w_len, k)
-            trig = trig_buf[:w_len * k].reshape(w_len, k)
-            np.multiply(2.0 * np.pi * fr.f0 * t[:, None], harmonics[:k], out=phase)
-            e[:, 1:k + 1] = np.cos(phase, out=trig)
-            e[:, k + 1:2 * k + 1] = np.sin(phase, out=trig)
+        for b in blocks:
+            k = b.m
+            e, t = bufs.design(b), bufs.times(b)
+            phase, trig = bufs.cols(b, 0, (b.g, b.n, k)), bufs.cols(b, 1, (b.g, b.n, k))
+            np.multiply(omega[b.frames][:, None, None] * t[:, None], harmonics[:k], out=phase)
+            e[..., 1:k + 1] = np.cos(phase, out=trig)
+            e[..., k + 1:2 * k + 1] = np.sin(phase, out=trig)
             _complete_design(e, t)
-            try:
-                c, _ = ls_solve(e, _frame_window(windows, config.init_window_kind, w_len),
-                                x[fr.lo:fr.hi + 1])
-            except IllConditionedError:
-                skipped += 1
-                continue
-            cos_coef[j, :k] = c[1:k + 1]
-            sin_coef[j, :k] = c[k + 1:]
+            c, _, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b),
+                                  bufs.target(x, _block_rows(layout, b)))
+            # the rows of frames not solved are NaN, which the coefficients hold already
+            skipped += int(np.count_nonzero(~(cond <= COND_BOUND)))
+            cos_coef[b.frames, :k] = c[:, 1:k + 1]
+            sin_coef[b.frames, :k] = c[:, k + 1:]
     if skipped:
         warnings.warn(f"harmonic initialization skipped {skipped} ill-conditioned "
-                      f"frame(s) of {len(frames)}", RuntimeWarning, stacklevel=2)
+                      f"frame(s) of {len(layout)}", RuntimeWarning, stacklevel=2)
     a = _mirrored(cos_coef, sin_coef)
     amps = 2.0 * np.abs(a)
     phases = np.angle(a)
-    times = np.array([fr.center for fr in frames]) / fs
-    f0s = np.array([fr.f0 for fr in frames])
+    times = layout.center / fs
     tracks: list[PartialTrack] = []
     for k in range(amps.shape[1]):
         keep = ~np.isnan(amps[:, k])
         if keep.any():
             tracks.append(PartialTrack(times=times[keep], amps=amps[keep, k],
-                                       freqs=(k + 1) * f0s[keep], phases=phases[keep, k]))
+                                       freqs=(k + 1) * layout.f0[keep],
+                                       phases=phases[keep, k]))
     if not tracks:
         raise AnalysisError("harmonic initialization failed on every frame")
     return tracks
 
 
-def _partial_count(fr: _Frame, fs: float, config: EaQHMConfig) -> int:
-    band = int((fs / 2.0 - NYQUIST_MARGIN_HZ) / fr.f0)
-    k = band if config.max_partials is None else min(config.max_partials, band)
-    return min(k, fr.k_budget)
-
-
 @dataclass
 class _Sampled:
     """An iterate's tracks sampled over the signal: C = (A+eps) cos(phase)
-    and S = (A+eps) sin(phase) with one column per track (so a frame's
-    samples are one block of rows), and amplitude, frequency and phase at
+    and S = (A+eps) sin(phase) with one row per track (so a frame's samples
+    of a track are one contiguous run), and amplitude, frequency and phase at
     every frame center with one row per frame."""
 
-    c_rows: np.ndarray  # (n, n_tracks)
+    c_rows: np.ndarray  # (n_tracks, n)
     s_rows: np.ndarray
     amp_c: np.ndarray   # (n_frames, n_tracks)
     freq_c: np.ndarray
@@ -387,7 +470,7 @@ def _render(tracks: list[PartialTrack], fs: float, n: int,
     """
     n_tracks = len(tracks)
     synth = np.zeros(n)
-    sampled = _Sampled(c_rows=np.empty((n, n_tracks)), s_rows=np.empty((n, n_tracks)),
+    sampled = _Sampled(c_rows=np.empty((n_tracks, n)), s_rows=np.empty((n_tracks, n)),
                        amp_c=np.empty((centers.shape[0], n_tracks)),
                        freq_c=np.empty((centers.shape[0], n_tracks)),
                        phase_c=np.empty((centers.shape[0], n_tracks)))
@@ -403,13 +486,13 @@ def _render(tracks: list[PartialTrack], fs: float, n: int,
         sampled.freq_c[:, k] = freq[centers]
         sampled.phase_c[:, k] = phase[centers]
         amp += _AMP_EPS
-        np.multiply(amp, np.cos(phase), out=sampled.c_rows[:, k])
-        np.multiply(amp, np.sin(phase), out=sampled.s_rows[:, k])
+        np.multiply(amp, np.cos(phase), out=sampled.c_rows[k])
+        np.multiply(amp, np.sin(phase), out=sampled.s_rows[k])
     return synth, sampled
 
 
 def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
-                     sampled: _Sampled, frames: list[_Frame],
+                     sampled: _Sampled, layout: _Layout,
                      config: EaQHMConfig) -> list[PartialTrack]:
     """Re-fit every frame against the sampled tracks and re-anchor them.
 
@@ -420,7 +503,7 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
     the frames are solved.
     """
     n_frames, n_tracks = sampled.freq_c.shape
-    budget = np.array([fr.k_budget for fr in frames], dtype=np.int64)
+    budget = layout.k_budget
     if config.max_partials is not None:
         budget = np.minimum(budget, config.max_partials)
     # a frame's eligible tracks are the first `count` of its frequency order
@@ -429,39 +512,37 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
     count = np.minimum(np.count_nonzero(below, axis=1), budget)
     fitted = np.flatnonzero(count)
     cc, sc = _rotation_factors(sampled.amp_c, sampled.phase_c)
-    widths = np.array([fr.hi - fr.lo + 1 for fr in frames], dtype=np.int64)
-    buf = _design_buffer(widths[fitted], count[fitted])
-    rows = np.empty((2, int(np.max(widths[fitted] * count[fitted], initial=0))))
+    blocks = _blocks(layout, fitted, count)
+    bufs = _BlockBuffers(blocks, fs, ADAPT_WINDOW_KIND)
     # cos and sin coefficients of a, then of b, per (frame, track)
     coef = np.full((4, n_frames, n_tracks), np.nan)
     ill = np.zeros(n_frames, dtype=bool)
-    times_cache: dict = {}
-    windows: dict = {}
     with single_threaded_blas():
-        for j in fitted.tolist():
-            fr, m, w_len = frames[j], int(count[j]), int(widths[j])
-            idx = order[j, :m]
-            e = _design(buf, w_len, m)
-            c_rows = rows[0, :w_len * m].reshape(w_len, m)
-            s_rows = rows[1, :w_len * m].reshape(w_len, m)
-            np.take(sampled.c_rows[fr.lo:fr.hi + 1], idx, axis=1, out=c_rows, mode="clip")
-            np.take(sampled.s_rows[fr.lo:fr.hi + 1], idx, axis=1, out=s_rows, mode="clip")
-            _rotate_into(e, c_rows, s_rows, cc[j, idx], sc[j, idx])
-            _complete_design(e, _frame_times(times_cache, fr, fs))
-            try:
-                c, d = ls_solve(e, _frame_window(windows, ADAPT_WINDOW_KIND, w_len),
-                                x[fr.lo:fr.hi + 1])
-            except IllConditionedError:
-                ill[j] = True
-                continue
-            coef[0, j, idx], coef[1, j, idx] = c[1:m + 1], c[m + 1:]
-            coef[2, j, idx], coef[3, j, idx] = d[1:m + 1], d[m + 1:]
+        for b in blocks:
+            m, frames = b.m, b.frames[:, None]
+            idx = order[b.frames, :m]
+            # flat index of (track, sample) in the C and S rows
+            at = np.add((idx * x.shape[0] + layout.center[frames] + b.lo)[:, :, None],
+                        np.arange(b.n), out=bufs.index(b))
+            c_rows = np.take(sampled.c_rows, at, out=bufs.cols(b, 0, at.shape), mode="clip")
+            s_rows = np.take(sampled.s_rows, at, out=bufs.cols(b, 1, at.shape), mode="clip")
+            e = bufs.design(b)
+            _rotate_into(e, c_rows, s_rows, cc[frames, idx][..., None], sc[frames, idx][..., None],
+                         bufs.cols(b, 2, at.shape), bufs.cols(b, 3, at.shape))
+            _complete_design(e, bufs.times(b))
+            c, d, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b),
+                                  bufs.target(x, _block_rows(layout, b)))
+            # a's cos and sin coefficients, then b's; the rows of frames not
+            # solved are NaN, which coef holds already
+            solved = np.stack((c[:, 1:], d[:, 1:]), axis=1).reshape(-1, 4, m)
+            coef[:, frames, idx] = solved.transpose(1, 0, 2)
+            ill[b.frames] = ~(cond <= COND_BOUND)
     if ill[fitted].all():
         raise AnalysisError("adaptation pass failed on every frame")
     # the rows are the bulk of sampled: release them before the mapping
     sampled.c_rows = sampled.s_rows = None
     a = _mirrored(coef[0], coef[1])
-    half_f0 = np.array([fr.f0 for fr in frames])[:, None] / 2.0
+    half_f0 = layout.f0[:, None] / 2.0
     eta = np.clip(freq_correction(a, _mirrored(coef[2], coef[3])), -half_f0, half_f0)
     # new anchors per (frame, track); NaN where the track was not fitted
     amps = 2.0 * np.abs(a)
@@ -474,7 +555,7 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
     amps[kept] = sampled.amp_c[kept]
     freqs[kept] = sampled.freq_c[kept]
     phases[kept] = wrap_phase(sampled.phase_c[kept])
-    times = np.array([fr.center for fr in frames], dtype=np.int64) / fs
+    times = layout.center / fs
     out: list[PartialTrack] = []
     for k, tr in enumerate(tracks):
         keep = ~np.isnan(amps[:, k])
@@ -500,18 +581,17 @@ def adapt(signal: SampledSignal, tracks: list[PartialTrack], f0track: F0Track,
     x = signal.samples
     n = x.shape[0]
     fs = signal.fs
-    frames = _frame_layout(n, fs, f0track, config)
-    centers = np.array([fr.center for fr in frames], dtype=np.int64)
+    layout = _frame_layout(n, fs, f0track, config)
     current = list(tracks)
-    synth, sampled = _render(current, fs, n, centers)
+    synth, sampled = _render(current, fs, n, layout.center)
     best_srer = srer(x, synth)
     state = AdaptationState(iteration=0, srer_history=[best_srer], tracks=current)
     if best_srer >= SRER_CEILING_DB:
         return state  # already at the double-precision noise floor
     for it in range(1, config.max_adaptations + 1):
-        new_tracks = _adaptation_pass(x, fs, current, sampled, frames, config)
+        new_tracks = _adaptation_pass(x, fs, current, sampled, layout, config)
         del sampled  # free its frame-center values before the next render
-        synth, sampled = _render(new_tracks, fs, n, centers)
+        synth, sampled = _render(new_tracks, fs, n, layout.center)
         s = srer(x, synth)
         state.iteration = it
         if s <= best_srer:

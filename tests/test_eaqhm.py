@@ -1,21 +1,25 @@
 """Adaptive quasi-harmonic analysis: LS machinery and the adaptation loop."""
 import sys
 import threading
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from sinemodel import eaqhm
 from sinemodel._blas import blas_thread_counts, single_threaded_blas
-from sinemodel.core import (PartialTrack, SampledSignal, make_window, sample_track,
-                            srer, synthesize_tracks, wrap_phase)
+from sinemodel.core import (PartialTrack, SampledSignal, hop_samples, make_window,
+                            sample_track, srer, synthesize_tracks, wrap_phase)
 from sinemodel.eaqhm import (EaQHMConfig, adapt, eaqhm_analyze, freq_correction,
                              init_harmonic, ls_solve)
 from sinemodel.errors import AnalysisError, IllConditionedError, UsageError
 from sinemodel.generators import AMFMSpec, gen_amfm
-from sinemodel.harness import PITCH_BAND_HZ
+from sinemodel.harness import MODEL_TABLE, PITCH_BAND_HZ, run_model
 from sinemodel.pitch import F0Track, estimate_f0
 
 FS = 16000.0
@@ -75,7 +79,7 @@ def _solve_mirrored(seg, cos_cols, sin_cols, window, t):
     e[:, 1:m + 1] = cos_cols
     e[:, m + 1:p] = sin_cols
     np.multiply(t[:, None], e[:, :p], out=e[:, p:])
-    c, d = eaqhm.ls_solve(e, window, seg)
+    c, d = _one_frame_solve(e, window, seg)
     a = np.concatenate((c[:1], (c[1:m + 1] - 1j * c[m + 1:]) / 2.0))
     b = np.concatenate((d[:1], (d[1:m + 1] - 1j * d[m + 1:]) / 2.0))
     eta = np.concatenate(([0.0], freq_correction(a[1:], b[1:])))
@@ -107,12 +111,233 @@ def _reference_ls_solve(e, window, target):
     return c[:m], c[m:]
 
 
+# ---------------------------------------------------------------------------
+# per-frame references: the frame layout loop, and ls_solve, init_harmonic and
+# the adaptation pass as they were when every frame was its own solve
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Frame:
+    center: int
+    lo: int
+    hi: int
+    f0: float
+    k_budget: int
+
+
+def _per_frame_layout(n, fs, f0track, config):
+    hop = hop_samples(config.hop_ms, fs)
+    frames = []
+    for c in range(0, n, hop):
+        f0_l = float(f0track.f0_at(c / fs))
+        if f0_l <= 0:
+            continue
+        if config.window_samples is not None:
+            w = int(config.window_samples)
+        else:
+            w = int(round(config.window_periods * fs / f0_l))
+        if w % 2 == 0:
+            w += 1
+        half = w // 2
+        lo = max(0, c - half)
+        hi = min(n - 1, c + half)
+        w_eff = hi - lo + 1
+        guard_f = config.f_guard_hz if config.f_guard_hz is not None else f0_l
+        if w_eff < 2.0 * fs / guard_f:
+            continue  # shorter than two periods of the guard frequency
+        k_budget = int((eaqhm.COL_RATIO * w_eff / 2.0 - 1.0) // 2)
+        if k_budget < 1:
+            continue
+        frames.append(_Frame(center=c, lo=lo, hi=hi, f0=f0_l, k_budget=k_budget))
+    return frames
+
+
+def _frames_of(layout):
+    return [_Frame(*row) for row in zip(layout.center.tolist(), layout.lo.tolist(),
+                                         layout.hi.tolist(), layout.f0.tolist(),
+                                         layout.k_budget.tolist())]
+
+
+def _per_frame_column_norms(e):
+    n, q = e.shape
+    rows = max(1, eaqhm._NORM_BLOCK // max(q, 1))
+    scratch = np.empty((rows + 1, q))
+    out = np.square(e[0])
+    for i in range(1, n, rows):
+        block = e[i:i + rows]
+        scratch[0] = out
+        np.square(block, out=scratch[1:block.shape[0] + 1])
+        np.add.reduce(scratch[:block.shape[0] + 1], axis=0, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _per_frame_ls_solve(e, window, target):
+    """One frame's solve, overwriting e; raises IllConditionedError with the
+    condition estimate for a frame it does not solve."""
+    n, q = e.shape
+    if n < q:
+        raise IllConditionedError(f"{q} columns on {n} samples", np.inf)
+    w = np.asarray(window, dtype=np.float64)
+    e *= w[:, None]
+    yw = np.asarray(target, dtype=np.float64) * w
+    scale = _per_frame_column_norms(e)
+    scale[scale == 0.0] = 1.0
+    e /= scale
+    r = e.T @ e
+    rhs = e.T @ yw
+    abs_r = np.abs(r, out=e.reshape(-1)[:q * q].reshape(q, q))
+    anorm = float(np.max(np.sum(abs_r, axis=0)))
+    chol, info = eaqhm._POTRF(r.T, lower=1, overwrite_a=1)
+    if info != 0:
+        raise IllConditionedError("normal equations not positive definite", np.inf)
+    rcond, info = eaqhm._POCON(chol, anorm, uplo=b"L")
+    cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
+    if info != 0 or not np.isfinite(cond) or cond > eaqhm.COND_BOUND:
+        raise IllConditionedError("condition exceeds bound", cond)
+    c, info = eaqhm._POTRS(chol, rhs[:, None], lower=1)
+    if info != 0:
+        raise IllConditionedError("normal-equations solve failed", cond)
+    c = c[:, 0] / scale
+    m = q // 2
+    return c[:m], c[m:]
+
+
+def _per_frame_complete_design(e, t):
+    p = e.shape[1] // 2
+    e[:, 0] = 1.0
+    np.multiply(t[:, None], e[:, :p], out=e[:, p:])
+
+
+def _per_frame_init_harmonic(signal, f0track, config):
+    x, fs = signal.samples, signal.fs
+    frames = _per_frame_layout(x.shape[0], fs, f0track, config)
+    if not frames:
+        raise IllConditionedError(
+            "no analysis frame satisfies the two-period window-length guard", np.inf)
+    k_maxes = []
+    for fr in frames:
+        band = int((fs / 2.0 - eaqhm.NYQUIST_MARGIN_HZ) / fr.f0)
+        k = band if config.max_partials is None else min(config.max_partials, band)
+        k_maxes.append(min(k, fr.k_budget))
+    k_maxes = np.array(k_maxes)
+    harmonics = np.arange(1, max(0, int(k_maxes.max())) + 1, dtype=np.float64)
+    cos_coef = np.full((len(frames), harmonics.shape[0]), np.nan)
+    sin_coef = np.full_like(cos_coef, np.nan)
+    skipped = 0
+    with single_threaded_blas():
+        for j in np.flatnonzero(k_maxes >= 1).tolist():
+            fr, k = frames[j], int(k_maxes[j])
+            w_len = fr.hi - fr.lo + 1
+            t = np.arange(fr.lo - fr.center, fr.hi - fr.center + 1) / fs
+            e = np.empty((w_len, 2 * (2 * k + 1)))
+            phase = np.multiply(2.0 * np.pi * fr.f0 * t[:, None], harmonics[:k])
+            e[:, 1:k + 1] = np.cos(phase)
+            e[:, k + 1:2 * k + 1] = np.sin(phase)
+            _per_frame_complete_design(e, t)
+            try:
+                c, _ = _per_frame_ls_solve(e, make_window(config.init_window_kind, w_len).values,
+                                           x[fr.lo:fr.hi + 1])
+            except IllConditionedError:
+                skipped += 1
+                continue
+            cos_coef[j, :k] = c[1:k + 1]
+            sin_coef[j, :k] = c[k + 1:]
+    if skipped:
+        warnings.warn(f"harmonic initialization skipped {skipped} ill-conditioned "
+                      f"frame(s) of {len(frames)}", RuntimeWarning, stacklevel=2)
+    a = eaqhm._mirrored(cos_coef, sin_coef)
+    amps, phases = 2.0 * np.abs(a), np.angle(a)
+    times = np.array([fr.center for fr in frames]) / fs
+    f0s = np.array([fr.f0 for fr in frames])
+    tracks = []
+    for k in range(amps.shape[1]):
+        keep = ~np.isnan(amps[:, k])
+        if keep.any():
+            tracks.append(PartialTrack(times=times[keep], amps=amps[keep, k],
+                                       freqs=(k + 1) * f0s[keep], phases=phases[keep, k]))
+    if not tracks:
+        raise AnalysisError("harmonic initialization failed on every frame")
+    return tracks
+
+
+def _per_frame_adaptation_pass(x, fs, tracks, sampled, layout, config):
+    """eaqhm._adaptation_pass with one gather, rotation and solve per frame."""
+    frames = _frames_of(layout)
+    n_frames, n_tracks = sampled.freq_c.shape
+    budget = np.array([fr.k_budget for fr in frames], dtype=np.int64)
+    if config.max_partials is not None:
+        budget = np.minimum(budget, config.max_partials)
+    order = np.argsort(sampled.freq_c, axis=1, kind="stable")
+    below = sampled.freq_c < fs / 2.0 - eaqhm.NYQUIST_MARGIN_HZ
+    count = np.minimum(np.count_nonzero(below, axis=1), budget)
+    fitted = np.flatnonzero(count)
+    cc, sc = eaqhm._rotation_factors(sampled.amp_c, sampled.phase_c)
+    coef = np.full((4, n_frames, n_tracks), np.nan)
+    ill = np.zeros(n_frames, dtype=bool)
+    with single_threaded_blas():
+        for j in fitted.tolist():
+            fr, m = frames[j], int(count[j])
+            w_len = fr.hi - fr.lo + 1
+            idx = order[j, :m]
+            e = np.empty((w_len, 2 * (2 * m + 1)))
+            c_rows = sampled.c_rows[idx, fr.lo:fr.hi + 1].T
+            s_rows = sampled.s_rows[idx, fr.lo:fr.hi + 1].T
+            p = 2 * m + 1
+            cos_cols, sin_cols, scratch = e[:, 1:m + 1], e[:, m + 1:p], e[:, p + 1:p + m + 1]
+            np.multiply(c_rows, cc[j, idx], out=cos_cols)
+            cos_cols += np.multiply(s_rows, sc[j, idx], out=scratch)
+            np.multiply(s_rows, cc[j, idx], out=sin_cols)
+            sin_cols -= np.multiply(c_rows, sc[j, idx], out=scratch)
+            _per_frame_complete_design(e, np.arange(fr.lo - fr.center, fr.hi - fr.center + 1) / fs)
+            try:
+                c, d = _per_frame_ls_solve(e, make_window(eaqhm.ADAPT_WINDOW_KIND, w_len).values,
+                                           x[fr.lo:fr.hi + 1])
+            except IllConditionedError:
+                ill[j] = True
+                continue
+            coef[0, j, idx], coef[1, j, idx] = c[1:m + 1], c[m + 1:]
+            coef[2, j, idx], coef[3, j, idx] = d[1:m + 1], d[m + 1:]
+    if ill[fitted].all():
+        raise AnalysisError("adaptation pass failed on every frame")
+    sampled.c_rows = sampled.s_rows = None
+    a = eaqhm._mirrored(coef[0], coef[1])
+    half_f0 = np.array([fr.f0 for fr in frames])[:, None] / 2.0
+    eta = np.clip(freq_correction(a, eaqhm._mirrored(coef[2], coef[3])), -half_f0, half_f0)
+    amps = 2.0 * np.abs(a)
+    freqs = np.clip(sampled.freq_c + eta, 1.0, fs / 2.0 - 1.0)
+    phases = np.angle(a)
+    kept = np.zeros_like(ill, shape=amps.shape)
+    np.put_along_axis(kept, order, (np.arange(n_tracks) < count[:, None]) & ill[:, None],
+                      axis=1)
+    amps[kept] = sampled.amp_c[kept]
+    freqs[kept] = sampled.freq_c[kept]
+    phases[kept] = wrap_phase(sampled.phase_c[kept])
+    times = np.array([fr.center for fr in frames], dtype=np.int64) / fs
+    out = []
+    for k, tr in enumerate(tracks):
+        keep = ~np.isnan(amps[:, k])
+        if not keep.any():
+            out.append(tr)
+            continue
+        out.append(PartialTrack(times=times[keep], amps=amps[keep, k],
+                                freqs=freqs[keep, k], phases=phases[keep, k]))
+    return out
+
+
+def _one_frame_solve(e, window, target):
+    """ls_solve on one frame, raising IllConditionedError for a frame it
+    does not solve."""
+    c, d, cond = eaqhm.ls_solve(e, window, target)
+    if not cond[0] <= eaqhm.COND_BOUND:
+        raise IllConditionedError("frame not solved", cond[0])
+    return c[0], d[0]
+
+
 def _one_pass(x, fs, tracks, f0track, config):
     """One adaptation pass of `tracks`, rendered and laid out as adapt does."""
-    frames = eaqhm._frame_layout(x.shape[0], fs, f0track, config)
-    centers = np.array([fr.center for fr in frames], dtype=np.int64)
-    _, sampled = eaqhm._render(tracks, fs, x.shape[0], centers)
-    return eaqhm._adaptation_pass(x, fs, tracks, sampled, frames, config)
+    layout = eaqhm._frame_layout(x.shape[0], fs, f0track, config)
+    _, sampled = eaqhm._render(tracks, fs, x.shape[0], layout.center)
+    return eaqhm._adaptation_pass(x, fs, tracks, sampled, layout, config)
 
 
 def _const_f0(n, f0, hop=80):
@@ -198,7 +423,9 @@ def test_ls_solve_recovers_coefficients():
         return np.stack([2 * z.real, -2 * z.imag], axis=1).ravel()
 
     y = e @ np.concatenate([real_coeffs(a), real_coeffs(b)])
-    c, d = ls_solve(e, np.hamming(n), y)
+    c, d, cond = ls_solve(e, np.hamming(n), y)
+    assert c.shape == d.shape == (1, 4) and cond[0] <= eaqhm.COND_BOUND
+    c, d = c[0], d[0]
     a_est = (c[0::2] - 1j * c[1::2]) / 2
     b_est = (d[0::2] - 1j * d[1::2]) / 2
     np.testing.assert_allclose(a_est, a, atol=1e-10)
@@ -210,12 +437,12 @@ def test_ls_solve_rejects_degenerate_basis():
     t = (np.arange(n) - n // 2) / FS
     col = np.cos(2 * np.pi * 100.0 * t)
     e = np.stack([col, col], axis=1)  # duplicated column
-    with pytest.raises(IllConditionedError) as info:
-        ls_solve(e, np.ones(n), col)
-    assert info.value.condition > 1e10 or np.isinf(info.value.condition)
-    with pytest.raises(IllConditionedError) as info:   # more columns than samples
-        ls_solve(np.ones((3, 4)), np.ones(3), np.ones(3))
-    assert np.isinf(info.value.condition)
+    c, d, cond = ls_solve(e, np.ones(n), col)
+    assert cond[0] > 1e10 or np.isinf(cond[0])
+    assert np.isnan(c).all() and np.isnan(d).all()
+    c, d, cond = ls_solve(np.ones((3, 4)), np.ones(3), np.ones(3))  # more columns than samples
+    assert np.isinf(cond[0])
+    assert np.isnan(c).all() and np.isnan(d).all()
 
 
 @pytest.mark.parametrize("shape", [(321, 174), (200, 6), (640, 30)])
@@ -229,7 +456,7 @@ def test_ls_solve_matches_the_non_mutating_reference(shape):
     want = _reference_ls_solve(e, w, y)
     got = ls_solve(e.copy(), w, y)
     for g, r in zip(got, want):
-        assert g.tobytes() == r.tobytes()
+        assert g[0].tobytes() == r.tobytes()
 
 
 def test_ls_solve_reports_the_reference_condition():
@@ -241,10 +468,10 @@ def test_ls_solve_reports_the_reference_condition():
     e = np.hstack([e, t[:, None] * e[:, :1]])
     with pytest.raises(IllConditionedError) as want:
         _reference_ls_solve(e, np.hamming(n), col)
-    with pytest.raises(IllConditionedError) as got:
-        ls_solve(e.copy(), np.hamming(n), col)
+    c, d, cond = ls_solve(e.copy(), np.hamming(n), col)
     assert np.isfinite(want.value.condition) and want.value.condition > eaqhm.COND_BOUND
-    assert got.value.condition == want.value.condition
+    assert cond[0] == want.value.condition
+    assert np.isnan(c).all() and np.isnan(d).all()
 
 
 def test_ls_solve_allocates_no_design_sized_temporaries():
@@ -311,9 +538,10 @@ def test_rotated_columns_match_direct_trig_over_60s():
         amp = 1.0 + 0.5 * np.cos(2 * np.pi * f_am[:, None] * t)
         top = max(top, phase.max())
         e = np.empty((321, 2 * (2 * 3 + 1)))
-        eaqhm._rotate_into(e, ((amp + eaqhm._AMP_EPS) * np.cos(phase)).T,
-                           ((amp + eaqhm._AMP_EPS) * np.sin(phase)).T,
-                           *eaqhm._rotation_factors(amp[:, 160], phase[:, 160]))
+        cc, sc = eaqhm._rotation_factors(amp[:, 160], phase[:, 160])
+        eaqhm._rotate_into(e, (amp + eaqhm._AMP_EPS) * np.cos(phase),
+                           (amp + eaqhm._AMP_EPS) * np.sin(phase), cc[:, None], sc[:, None],
+                           *np.empty((2, 3, 321)))
         cos_cols, sin_cols = e[:, 1:4], e[:, 4:7]
         ratio = ((amp + eaqhm._AMP_EPS) / (amp[:, 160:161] + eaqhm._AMP_EPS)).T
         diff = (phase - phase[:, 160:161]).T
@@ -333,7 +561,7 @@ def _reference_adaptation_pass(x, fs, tracks, f0track, config):
     phase_all = np.array([s[2] for s in sampled])
     f_ceiling = fs / 2.0 - eaqhm.NYQUIST_MARGIN_HZ
     anchors = {}
-    for fr in eaqhm._frame_layout(n, fs, f0track, config):
+    for fr in _per_frame_layout(n, fs, f0track, config):
         eligible = [k for k in range(len(tracks)) if freq_all[k, fr.center] < f_ceiling]
         eligible.sort(key=lambda k: freq_all[k, fr.center])
         budget = fr.k_budget if config.max_partials is None \
@@ -383,13 +611,19 @@ def test_adaptation_pass_matches_per_frame_reference(monkeypatch):
     tracks = init_harmonic(sig, f0t, EaQHMConfig(max_partials=4)) + [above]
     calls = {"n": 0}
     solve = eaqhm.ls_solve
+    layout = eaqhm._frame_layout(sig.samples.shape[0], FS, f0t, cfg)
+    forced_samples = sig.samples[layout.lo[699]:layout.hi[699] + 1]
 
     def refuse_one(e, window, target):
-        # the 700th frame solve of a pass is ill-conditioned
-        calls["n"] += 1
-        if calls["n"] == 700:
-            raise IllConditionedError("forced", np.inf)
-        return solve(e, window, target)
+        # the 700th frame of a pass is ill-conditioned; a block's frames are
+        # told apart by their samples
+        c, d, cond = solve(e, window, target)
+        frames = target.reshape(-1, len(window))
+        calls["n"] += frames.shape[0]
+        if frames.shape[1] == forced_samples.shape[0]:
+            hit = (frames == forced_samples).all(axis=1)
+            c[hit], d[hit], cond[hit] = np.nan, np.nan, np.inf
+        return c, d, cond
 
     monkeypatch.setattr(eaqhm, "ls_solve", refuse_one)
     got = _one_pass(sig.samples, FS, tracks, f0t, cfg)
@@ -398,8 +632,8 @@ def test_adaptation_pass_matches_per_frame_reference(monkeypatch):
     want = _reference_adaptation_pass(sig.samples, FS, tracks, f0t, cfg)
     assert len(got) == len(want) == 5
     assert got[4] is above and want[4] is above
-    # every frame has eligible tracks here, so solve 700 is frame 700
-    forced = eaqhm._frame_layout(sig.samples.shape[0], FS, f0t, cfg)[699].center
+    # every frame has eligible tracks here, so frame 700 is solved
+    forced = int(layout.center[699])
     for g, r, tr in zip(got[:4], want[:4], tracks):
         np.testing.assert_array_equal(g.times, r.times)
         np.testing.assert_allclose(g.freqs, r.freqs, rtol=0, atol=1e-9)
@@ -424,7 +658,8 @@ def test_pass_alternating_narrow_and_wide_windows_matches_reference():
     f0t = F0Track(times=times, f0=np.where(np.arange(times.size) % 2, 300.0, 150.0),
                   voiced=np.ones(times.size, dtype=bool))
     cfg = EaQHMConfig(max_partials=6)
-    widths = [fr.hi - fr.lo + 1 for fr in eaqhm._frame_layout(x.shape[0], FS, f0t, cfg)]
+    layout = eaqhm._frame_layout(x.shape[0], FS, f0t, cfg)
+    widths = (layout.hi - layout.lo + 1).tolist()
     assert set(zip(widths[50:-50], widths[51:-49])) == {(321, 161), (161, 321)}
     got = _one_pass(x, FS, tracks, f0t, cfg)
     want = _reference_adaptation_pass(x, FS, tracks, f0t, cfg)
@@ -434,6 +669,212 @@ def test_pass_alternating_narrow_and_wide_windows_matches_reference():
         np.testing.assert_allclose(g.freqs, r.freqs, rtol=0, atol=1e-9)
         np.testing.assert_allclose(g.amps, r.amps, rtol=0, atol=1e-9)
         assert np.max(np.abs(wrap_phase(g.phases - r.phases))) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# frames solved as stacked blocks against the per-frame references
+# ---------------------------------------------------------------------------
+
+def _same_tracks(got, want):
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        for name in ("times", "amps", "freqs", "phases"):
+            assert getattr(g, name).tobytes() == getattr(r, name).tobytes()
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the SineModelError it raised,
+    with the RuntimeWarnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except AnalysisError as err:
+            result = (type(err), str(err))
+    return result, [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+
+def _varying_f0(duration, phase):
+    times = np.arange(0.0, duration + 0.01, 0.005)
+    return F0Track(times=times, f0=170.0 + 60.0 * np.sin(2 * np.pi * 9.0 * times + phase),
+                   voiced=np.ones(times.size, dtype=bool))
+
+
+def _shadow(track):
+    """A copy of track whose amplitude zigzags over its second half: where
+    both are fitted in the first half, a frame has two equal columns."""
+    amps = track.amps.copy()
+    amps[amps.size // 2:] *= np.where(np.arange(amps.size - amps.size // 2) % 2, 1.5, 0.5)
+    return PartialTrack(times=track.times, amps=amps, freqs=track.freqs, phases=track.phases)
+
+
+def test_frame_layout_matches_the_loop_reference():
+    sig = gen_amfm(AMFMSpec(duration=0.4, seed=3))[0]
+    n = sig.samples.shape[0]
+    tracks = (estimate_f0(sig, *PITCH_BAND_HZ), _varying_f0(0.4, 1.0),
+              F0Track(times=np.array([0.0, 0.2, 0.4]), f0=np.array([150.0, 0.0, 90.0]),
+                      voiced=np.array([True, False, True])))
+    configs = (EaQHMConfig(), EaQHMConfig(window_periods=1.3, hop_ms=0.7),
+               EaQHMConfig(window_samples=160, f_guard_hz=1000.0),
+               EaQHMConfig(window_samples=41), EaQHMConfig(window_samples=20000))
+    for f0t in tracks:
+        for cfg in configs:
+            layout = eaqhm._frame_layout(n, FS, f0t, cfg)
+            assert _frames_of(layout) == _per_frame_layout(n, FS, f0t, cfg)
+            assert layout.center.dtype == layout.k_budget.dtype == np.int64
+
+
+def test_blocks_group_frames_by_offsets_and_count():
+    sig = gen_amfm(AMFMSpec(duration=0.3, seed=3))[0]
+    n = sig.samples.shape[0]
+    f0t = estimate_f0(sig, *PITCH_BAND_HZ)
+    for cfg, split in ((EaQHMConfig(), None),
+                       (EaQHMConfig(window_samples=161, f_guard_hz=1000.0), 5)):
+        layout = eaqhm._frame_layout(n, FS, f0t, cfg)
+        counts = np.minimum(layout.k_budget, 1 if split else 40)
+        counts[::3] = 0   # frames with nothing to fit are left out
+        fitted = np.flatnonzero(counts)
+        budget = eaqhm.FRAME_BLOCK if split is None else split * 161 * 6
+        with mock.patch.object(eaqhm, "FRAME_BLOCK", budget):
+            blocks = eaqhm._blocks(layout, fitted, counts)
+        assert sorted(np.concatenate([b.frames for b in blocks]).tolist()) == fitted.tolist()
+        for b in blocks:
+            assert np.all(np.diff(b.frames) > 0)
+            assert (layout.lo[b.frames] - layout.center[b.frames] == b.lo).all()
+            assert (layout.hi[b.frames] - layout.center[b.frames] == b.lo + b.n - 1).all()
+            assert (counts[b.frames] == b.m).all()
+            assert b.frames.shape[0] == 1 or b.frames.shape[0] * b.n * b.q <= budget
+        sizes = [b.frames.shape[0] for b in blocks if b.n == 161]
+        if split is None:
+            assert 1 in [b.frames.shape[0] for b in blocks]   # pitch-adaptive: groups of one
+        else:
+            # the interior frames share one key and are cut every `split` frames
+            assert sizes[:-1] == [split] * (len(sizes) - 1) and 0 < sizes[-1] <= split
+            assert any(b.n < 161 for b in blocks)   # clipped edge frames
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(g=st.integers(1, 5), n=st.integers(1, 40), m=st.integers(0, 4),
+       kinds=st.lists(st.sampled_from(["plain", "zero", "duplicate", "near", "scaled"]),
+                      min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 16))
+def test_stacked_ls_solve_matches_the_per_frame_reference(g, n, m, kinds, seed):
+    rng = np.random.default_rng(seed)
+    q = 2 * (2 * m + 1)
+    t = (np.arange(n) - n // 2) / FS
+    e = rng.normal(size=(g, n, q))
+    e[..., q // 2:] = t[:, None] * e[..., :q // 2]   # slope half, as in the frame designs
+    for i, kind in enumerate(kinds[:g]):
+        a, b = rng.choice(q, 2, replace=False)
+        if kind == "zero":
+            e[i, :, a] = 0.0
+        elif kind == "duplicate":
+            e[i, :, b] = e[i, :, a]
+        elif kind == "near":
+            e[i, :, b] = e[i, :, a] + 1e-7 * rng.normal(size=n)
+        elif kind == "scaled":
+            e[i] *= 10.0 ** rng.uniform(-6, 6, size=q)
+    w, y = np.hamming(n), rng.normal(size=g * n)
+    c, d, cond = ls_solve(e.reshape(g * n, q).copy(), w, y)
+    assert c.shape == d.shape == (g, q // 2) and cond.shape == (g,)
+    for i in range(g):
+        try:
+            want = _per_frame_ls_solve(e[i].copy(), w, y[i * n:(i + 1) * n])
+        except IllConditionedError as err:
+            assert cond[i] == err.condition
+            assert np.isnan(c[i]).all() and np.isnan(d[i]).all()
+            continue
+        assert cond[i] <= eaqhm.COND_BOUND
+        assert c[i].tobytes() == want[0].tobytes() and d[i].tobytes() == want[1].tobytes()
+
+
+def test_ls_solve_rejects_mismatched_stacks():
+    e = np.ones((12, 4))
+    for window, target in ((np.ones(5), np.ones(12)), (np.ones(4), np.ones(11)),
+                           (np.ones((2, 2)), np.ones(12)), (np.ones(0), np.ones(12))):
+        with pytest.raises(UsageError):
+            ls_solve(e, window, target)
+    with pytest.raises(UsageError):   # odd column count
+        ls_solve(np.ones((12, 3)), np.ones(4), np.ones(12))
+    with pytest.raises(UsageError):   # one frame is a 2-D design
+        ls_solve(np.ones(4), np.ones(4), np.ones(4))
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(fs=st.sampled_from([8000.0, 16000.0]),
+       window=st.sampled_from([None, 65, 97, 160]),
+       guard=st.sampled_from([None, 1000.0]),
+       partials=st.sampled_from([None, 1, 3]),
+       block=st.sampled_from([1, 700, 5000, eaqhm.FRAME_BLOCK]),
+       shadow=st.booleans(), seed=st.integers(0, 3))
+def test_blocked_loops_match_the_per_frame_references(fs, window, guard, partials, block,
+                                                       shadow, seed):
+    sig = gen_amfm(AMFMSpec(n_partials=3, f0=170.0, f_c=4.0, rho=0.6, duration=0.05,
+                            fs=fs, seed=seed))[0]
+    x, n = sig.samples, sig.samples.shape[0]
+    f0t = _varying_f0(0.05, seed)
+    cfg = EaQHMConfig(window_samples=window, f_guard_hz=guard, max_partials=partials)
+    with mock.patch.object(eaqhm, "FRAME_BLOCK", block):
+        got, got_warned = _outcome(init_harmonic, sig, f0t, cfg)
+        want, want_warned = _outcome(_per_frame_init_harmonic, sig, f0t, cfg)
+        assert got_warned == want_warned
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        _same_tracks(got, want)
+        tracks = want + [_shadow(want[0])] if shadow else want
+        layout = eaqhm._frame_layout(n, fs, f0t, cfg)
+        got = _outcome(eaqhm._adaptation_pass, x, fs, tracks,
+                       eaqhm._render(tracks, fs, n, layout.center)[1], layout, cfg)[0]
+        want = _outcome(_per_frame_adaptation_pass, x, fs, tracks,
+                        eaqhm._render(tracks, fs, n, layout.center)[1], layout, cfg)[0]
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _same_tracks(got, want)
+
+
+def test_blocked_pass_keeps_ill_frames_like_the_reference():
+    sig = gen_amfm(AMFMSpec(n_partials=3, f0=170.0, f_c=4.0, rho=0.6, duration=0.1, fs=FS))[0]
+    x, n = sig.samples, sig.samples.shape[0]
+    f0t = _varying_f0(0.1, 0.0)
+    cfg = EaQHMConfig(window_samples=161, max_partials=2)
+    init = init_harmonic(sig, f0t, cfg)
+    tracks = init + [_shadow(init[0])]
+    layout = eaqhm._frame_layout(n, FS, f0t, cfg)
+    solved = []
+    real = eaqhm.ls_solve
+
+    def record(e, window, target):
+        c, d, cond = real(e, window, target)
+        solved.extend((cond <= eaqhm.COND_BOUND).tolist())
+        return c, d, cond
+
+    with mock.patch.object(eaqhm, "ls_solve", record):
+        got = eaqhm._adaptation_pass(x, FS, tracks, eaqhm._render(tracks, FS, n, layout.center)[1],
+                                     layout, cfg)
+    assert 0 < solved.count(False) < len(solved)   # blocks mix solved and ill frames
+    want = _per_frame_adaptation_pass(x, FS, tracks,
+                                      eaqhm._render(tracks, FS, n, layout.center)[1], layout, cfg)
+    _same_tracks(got, want)
+
+
+@pytest.mark.parametrize("fs", [8000.0, 44100.0, 48000.0])
+def test_eaqhm_at_other_rates_matches_the_per_frame_reference(fs, monkeypatch):
+    sig = gen_amfm(AMFMSpec(duration=0.03, fs=fs, seed=2))[0]
+    n = sig.samples.shape[0]
+    f0track = estimate_f0(sig, *PITCH_BAND_HZ)
+    # the protocol (full band), cut to one pass to keep the wide solves short
+    cfg = replace(MODEL_TABLE["eaqhm"].config(sig, f0track, None, None), max_adaptations=1)
+    srer_db, state, y, _ = run_model("eaqhm", sig, f0track, cfg)
+    assert np.isfinite(srer_db) and state.iteration == 1
+    monkeypatch.setattr(eaqhm, "_adaptation_pass", _per_frame_adaptation_pass)
+    want = adapt(sig, _per_frame_init_harmonic(sig, f0track, cfg), f0track, cfg)
+    _same_tracks(state.tracks, want.tracks)
+    assert (state.iteration, repr(state.srer_history)) == (want.iteration,
+                                                           repr(want.srer_history))
+    assert y.tobytes() == synthesize_tracks(want.tracks, n, fs).tobytes()
+    assert repr(srer_db) == repr(srer(sig.samples, y))
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +903,11 @@ def test_frame_loops_restore_blas_thread_counts(monkeypatch, tmp_path):
 
     inside = []
 
-    def refuse(*args):
+    def refuse(e, window, target):
+        # every frame of every block is ill-conditioned
         inside.append(blas_thread_counts())
-        raise IllConditionedError("refused", np.inf)
+        g, half = e.shape[0] // len(window), e.shape[1] // 2
+        return np.full((g, half), np.nan), np.full((g, half), np.nan), np.full(g, np.inf)
 
     monkeypatch.setattr(eaqhm, "ls_solve", refuse)
     with pytest.raises(AnalysisError), pytest.warns(RuntimeWarning, match="skipped"):
