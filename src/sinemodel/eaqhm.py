@@ -316,6 +316,7 @@ def _blocks(layout: _Layout, frames: np.ndarray, counts: np.ndarray) -> list[_Bl
     m = counts[frames]
     order = np.lexsort((m, hi, lo))
     keys = np.stack((lo, hi, m))[:, order]
+    # a group starts at the first frame and wherever the key changes
     starts = np.flatnonzero(np.r_[order.size > 0, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
     out = []
     for s0, s1 in zip(starts.tolist(), [*starts[1:].tolist(), order.shape[0]]):
@@ -355,8 +356,9 @@ class _BlockBuffers:
         """A (G, m, n) int64 scratch of block b."""
         return self._index[:b.g * b.n * b.m].reshape(b.g, b.m, b.n)
 
-    def target(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """x at the (G, n) sample indices rows, stacked into one vector."""
+    def target(self, x: np.ndarray, layout: _Layout, b: _Block) -> np.ndarray:
+        """x over each frame of block b, stacked into one (G*n,) vector."""
+        rows = (layout.center[b.frames] + b.lo)[:, None] + np.arange(b.n)
         return np.take(x, rows, out=self._target[:rows.size].reshape(rows.shape),
                        mode="clip").reshape(-1)
 
@@ -369,11 +371,6 @@ class _BlockBuffers:
         if w is None:
             w = self._windows[b.n] = make_window(self._kind, b.n).values
         return w
-
-
-def _block_rows(layout: _Layout, b: _Block) -> np.ndarray:
-    """The (G, n) sample indices of a block's frames."""
-    return (layout.center[b.frames] + b.lo)[:, None] + np.arange(b.n)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +416,7 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
             e[..., 1:k + 1] = np.cos(phase, out=trig)
             e[..., k + 1:2 * k + 1] = np.sin(phase, out=trig)
             _complete_design(e, t)
-            c, _, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b),
-                                  bufs.target(x, _block_rows(layout, b)))
+            c, _, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b), bufs.target(x, layout, b))
             # the rows of frames not solved are NaN, which the coefficients hold already
             skipped += int(np.count_nonzero(~(cond <= COND_BOUND)))
             cos_coef[b.frames, :k] = c[:, 1:k + 1]
@@ -530,8 +526,7 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
             _rotate_into(e, c_rows, s_rows, cc[frames, idx][..., None], sc[frames, idx][..., None],
                          bufs.cols(b, 2, at.shape), bufs.cols(b, 3, at.shape))
             _complete_design(e, bufs.times(b))
-            c, d, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b),
-                                  bufs.target(x, _block_rows(layout, b)))
+            c, d, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b), bufs.target(x, layout, b))
             # a's cos and sin coefficients, then b's; the rows of frames not
             # solved are NaN, which coef holds already
             solved = np.stack((c[:, 1:], d[:, 1:]), axis=1).reshape(-1, 4, m)
