@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import get_lapack_funcs
 
 from . import _kernels
 from .errors import UsageError
@@ -24,6 +24,8 @@ WINDOW_KINDS = ("hamming", "hann", "blackman", "rectangular")
 TWO_PI = 2.0 * np.pi
 
 SYNTH_CHUNK = 1 << 13  # track samples per pass of the cubic-phase renderer
+
+_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +92,14 @@ class PartialTrack:
             raise UsageError("track needs at least one anchor")
         if not (amps.shape[0] == freqs.shape[0] == phases.shape[0] == n):
             raise UsageError("track anchor arrays must have equal length")
-        if n > 1 and not np.all(np.diff(times) > 0):
+        if not (np.isfinite(times).all() and np.isfinite(amps).all()
+                and np.isfinite(freqs).all() and np.isfinite(phases).all()):
+            raise UsageError("track anchors must be finite")
+        if not (times[1:] > times[:-1]).all():
             raise UsageError("anchor times must be strictly increasing")
-        if np.any(amps < 0):
+        if not (amps >= 0).all():
             raise UsageError("anchor amplitudes must be >= 0")
-        if np.any(freqs <= 0):
+        if not (freqs > 0).all():
             raise UsageError("anchor frequencies must be > 0")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amps", amps)
@@ -194,16 +199,48 @@ def interp_amplitude_linear(times: np.ndarray, amps: np.ndarray,
 
 def interp_frequency_spline(times: np.ndarray, freqs: np.ndarray,
                             t_eval: np.ndarray) -> np.ndarray:
-    """Natural cubic-spline frequency interpolation, constant beyond the span."""
+    """Natural cubic-spline frequency interpolation, constant beyond the span.
+
+    The anchor slopes solve the natural spline's tridiagonal system and each
+    interval is the cubic Hermite polynomial of its end values and slopes,
+    both in the operation order of scipy's CubicSpline(bc_type="natural"),
+    whose values these are bit for bit.
+    """
     times = np.asarray(times, dtype=np.float64)
     freqs = np.asarray(freqs, dtype=np.float64)
     t_eval = np.asarray(t_eval, dtype=np.float64)
-    if times.size == 0:
+    n = times.shape[0]
+    if n == 0:
         raise UsageError("need at least one frequency anchor")
-    if times.size == 1:
+    if freqs.shape != times.shape:
+        raise UsageError("frequency anchor arrays must have equal length")
+    if not (np.isfinite(times).all() and np.isfinite(freqs).all()):
+        raise UsageError("frequency anchors must be finite")
+    if n == 1:
         return np.full(t_eval.shape, freqs[0])
-    spline = CubicSpline(times, freqs, bc_type="natural")
-    return spline(np.clip(t_eval, times[0], times[-1]))
+    dx = np.diff(times)
+    if not (dx > 0).all():
+        raise UsageError("anchor times must be strictly increasing")
+    slope = np.diff(freqs) / dx
+    # row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1], with
+    # zero curvature (2 s[0] + s[1] = 3 slope[0], likewise at the end) at
+    # both ends; diagonally dominant, so gtsv's pivots never vanish
+    diag = np.empty(n)
+    diag[0], diag[-1] = 2 * dx[0], 2 * dx[-1]
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    rhs = np.empty(n)
+    rhs[0], rhs[-1] = 3 * (freqs[1] - freqs[0]), 3 * (freqs[-1] - freqs[-2])
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    s = _GTSV(np.append(dx[1:], dx[-1]), diag, np.append(dx[0], dx[:-1]), rhs,
+              overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3]
+    # interval k: freqs[k] + s[k] z + c1[k] z**2 + c0[k] z**3, z = t - times[k]
+    bend = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1 = bend / dx, (slope - s[:-1]) / dx - bend
+    t = np.clip(t_eval, times[0], times[-1])
+    k = np.minimum(np.searchsorted(times, t, "right") - 1, n - 2)
+    z = t - times[k]
+    z2 = z * z
+    return ((freqs[k] + s[k] * z) + c1[k] * z2) + c0[k] * (z2 * z)
 
 
 def phase_by_freq_integration(freq_hz: np.ndarray, fs: float, phi0: float = 0.0,

@@ -197,18 +197,11 @@ def poles_to_components(poles: np.ndarray, alphas: np.ndarray,
     alphas = np.asarray(alphas, dtype=np.complex128)
     if poles.shape != alphas.shape:
         raise UsageError("poles and amplitudes must align")
-    comps: list[DampedSinusoid] = []
     is_real = np.abs(poles.imag) <= _REAL_POLE_TOL * (1.0 + np.abs(poles))
-    for i in np.flatnonzero(is_real):
-        z, al = poles[i], alphas[i]
-        mag = abs(z)
-        if mag <= 0:
-            continue
-        delta = float(np.log(mag))
-        freq = 0.0 if z.real >= 0 else fs / 2.0
-        a = abs(al.real)
-        phase = 0.0 if al.real >= 0 else np.pi
-        comps.append(DampedSinusoid(a=a, delta=delta, freq_hz=freq, phase=phase))
+    # magnitudes are hypot(re, im), as a complex scalar's abs is; numpy's
+    # complex-array abs loop can differ from it in the last bit
+    mag = np.hypot(poles.real, poles.imag)
+    re = np.flatnonzero(is_real & (mag > 0))
     # a real frame's poles come in exact conjugate pairs: sorting both
     # half-planes the same way lines each pole up with its conjugate
     up = np.flatnonzero(~is_real & (poles.imag > 0))
@@ -217,15 +210,16 @@ def poles_to_components(poles: np.ndarray, alphas: np.ndarray,
     lo = lo[np.lexsort((-poles[lo].imag, poles[lo].real))]
     if up.shape != lo.shape or not np.array_equal(poles[lo], poles[up].conj()):
         raise UsageError("complex poles must come in exact conjugate pairs")
-    for i, j in zip(up, lo):
-        zi, ai, zj, aj = poles[i], alphas[i], poles[j], alphas[j]
-        delta = 0.5 * (np.log(abs(zi)) + np.log(abs(zj)))
-        omega = 0.5 * (np.angle(zi) - np.angle(zj))
-        comps.append(DampedSinusoid(a=float(abs(ai) + abs(aj)), delta=float(delta),
-                                    freq_hz=float(omega * fs / TWO_PI),
-                                    phase=float(np.angle(ai))))
-    comps.sort(key=lambda c: (c.freq_hz, -c.a))
-    return tuple(comps)
+    ai, aj = alphas[up], alphas[lo]
+    a = np.concatenate((np.abs(alphas[re].real),
+                        np.hypot(ai.real, ai.imag) + np.hypot(aj.real, aj.imag)))
+    delta = np.concatenate((np.log(mag[re]), 0.5 * (np.log(mag[up]) + np.log(mag[lo]))))
+    omega = 0.5 * (np.angle(poles[up]) - np.angle(poles[lo]))
+    freq = np.concatenate((np.where(poles[re].real >= 0, 0.0, fs / 2.0), omega * fs / TWO_PI))
+    phase = np.concatenate((np.where(alphas[re].real >= 0, 0.0, np.pi), np.angle(ai)))
+    order = np.lexsort((-a, freq))
+    return tuple(DampedSinusoid(*c)
+                 for c in np.stack((a, delta, freq, phase), axis=1)[order].tolist())
 
 
 def components_to_poles(components, fs: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,15 @@
 """Windows, SRER, interpolation and track synthesis."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from sinemodel import _kernels, core
 from sinemodel.core import (SRER_MAX_DB, TWO_PI, PartialTrack, SampledSignal,
                             _cubic_track_samples, hop_samples, interp_amplitude_linear,
                             interp_frequency_spline, make_window,
-                            phase_by_freq_integration, phase_cubic_mq,
+                            phase_by_freq_integration, phase_cubic_mq, render_spans,
                             sample_track, srer, synthesize_tracks, wrap_phase)
 from sinemodel.errors import UsageError
 from sinemodel.sm import SMConfig, sm_analyze, sm_synthesize
@@ -53,6 +56,25 @@ def _track_phase_cubic_ref(track, n0, t, fs):
         phase[ia:stop] = phase_cubic_mq(times[j + 1] - times[j], phases[j],
                                         freqs[j], phases[j + 1], freqs[j + 1], tau)
     return phase
+
+
+def _spline_ref(times, freqs, t_eval):
+    """interp_frequency_spline through scipy's CubicSpline."""
+    if len(times) == 1:
+        return np.full(np.shape(t_eval), float(freqs[0]))
+    return CubicSpline(times, freqs, bc_type="natural")(np.clip(t_eval, times[0], times[-1]))
+
+
+def _sample_track_ref(track, fs, n0, n1):
+    """sample_track with the CubicSpline frequency spline."""
+    anchors = np.round(track.times * fs).astype(np.int64)
+    lo, hi = min(n0, int(anchors[0])), max(n1, int(anchors[-1]))
+    t = np.arange(lo, hi + 1, dtype=np.float64) / fs
+    freq = _spline_ref(track.times, track.freqs, t)
+    phase = phase_by_freq_integration(freq, fs, phi0=track.phases[0],
+                                      anchor_idx=anchors - lo, anchor_phases=track.phases)
+    sl = slice(n0 - lo, n1 - lo + 1)
+    return interp_amplitude_linear(track.times, track.amps, t[sl]), freq[sl], phase[sl]
 
 
 def _render_range(track, n_samples, fs):
@@ -151,6 +173,17 @@ def test_partial_track_validation():
         PartialTrack(times=[0.0, 1.0], amps=[1, 1], freqs=[0, 100], phases=[0, 0])
     tr = PartialTrack(times=[0.5, 1.0], amps=[1, 1], freqs=[100, 100], phases=[0, 0])
     assert tr.birth == 0.5 and tr.death == 1.0
+
+
+@pytest.mark.parametrize("field", ["times", "amps", "freqs", "phases"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [1, 3])
+def test_partial_track_rejects_non_finite_anchors(field, bad, n):
+    anchors = dict(times=[0.0, 0.01, 0.02][:n], amps=[0.5] * n, freqs=[100.0] * n,
+                   phases=[0.0] * n)
+    anchors[field] = anchors[field][:-1] + [bad]
+    with pytest.raises(UsageError, match="finite"):
+        PartialTrack(**anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +306,45 @@ def test_interp_frequency_spline_sinusoidal_law():
         est = interp_frequency_spline(anchors, law(anchors), te)
         err = np.max(np.abs(est - law(te))) / (2 * depth_half)
         assert err < bound
+
+
+@st.composite
+def _spline_cases(draw):
+    """Anchors (1, 2, 3 or many; uneven gaps down to 1e-9 s) and evaluation
+    times at the anchors, between them and past both ends."""
+    n = draw(st.sampled_from([1, 2, 3, draw(st.integers(4, 120))]))
+    gaps = np.array(draw(st.lists(st.floats(1e-9, 0.05), min_size=n, max_size=n)))
+    times = draw(st.floats(-1.0, 1.0)) + np.cumsum(gaps)
+    freqs = np.array(draw(st.lists(st.floats(-1e4, 1e4), min_size=n, max_size=n)))
+    inside = np.array(draw(st.lists(st.floats(0.0, 1.0), max_size=50)))
+    t_eval = np.concatenate([times, times[0] + inside * (times[-1] - times[0]),
+                             (times[:-1] + times[1:]) / 2, times[[0, -1]] + [-0.5, 0.5]])
+    return times, freqs, t_eval
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(case=_spline_cases())
+def test_interp_frequency_spline_matches_cubic_spline_bitwise(case):
+    times, freqs, t_eval = case
+    assume((np.diff(times) > 0).all())  # no gap lost to rounding
+    got = interp_frequency_spline(times, freqs, t_eval)
+    assert got.tobytes() == _spline_ref(times, freqs, t_eval).tobytes()
+
+
+def test_interp_frequency_spline_validation():
+    with pytest.raises(UsageError):
+        interp_frequency_spline([], [], [0.0])
+    with pytest.raises(UsageError):  # unequal lengths
+        interp_frequency_spline([0.0, 1.0], [100.0], [0.5])
+    with pytest.raises(UsageError):  # non-increasing times
+        interp_frequency_spline([0.0, 1.0, 1.0], [100.0, 110.0, 120.0], [0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(UsageError, match="finite"):
+            interp_frequency_spline([0.0, 1.0], [100.0, bad], [0.5])
+        with pytest.raises(UsageError, match="finite"):
+            interp_frequency_spline([0.0, bad], [100.0, 110.0], [0.5])
+        with pytest.raises(UsageError, match="finite"):
+            interp_frequency_spline([bad], [100.0], [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +564,23 @@ def test_synthesize_tracks_matches_loop_references():
         synthesize_tracks(tracks, n, FS),
         _synthesize_tracks_ref(tracks, n, FS, "freq_integration"),
         rtol=0, atol=1e-9 * sum(float(np.max(tr.amps)) for tr in tracks))
+
+
+def test_freq_integration_render_matches_the_cubic_spline_reference():
+    n = 1600
+    tracks = _parity_tracks()
+    want = np.zeros(n)
+    for track, lo, hi in zip(tracks, *render_spans(tracks, n, FS)):
+        n0, n1 = _render_range(track, n, FS)
+        for a, b in ((n0, n1), (n0 - 7, (n0 + n1) // 2), (lo, hi)):
+            if b >= a:
+                for got, ref in zip(sample_track(track, FS, a, b),
+                                    _sample_track_ref(track, FS, a, b)):
+                    assert got.tobytes() == ref.tobytes()
+        if hi >= lo:
+            amp, _, phase = _sample_track_ref(track, FS, lo, hi)
+            _kernels.accumulate_cosine(want, lo, amp, phase)
+    assert synthesize_tracks(tracks, n, FS).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fs", [8000.0, 16000.0, 44100.0, 12345.0])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinemodel import edsm
-from sinemodel.core import TWO_PI, SampledSignal, srer
+from sinemodel.core import TWO_PI, SampledSignal, srer, wrap_phase
 from sinemodel.edsm import (EDSMConfig, EDSMFrame, DampedSinusoid, build_hankel,
                             components_to_poles, edsm_analyze, edsm_synthesize,
                             esprit_poles, full_band_orders, poles_to_components,
@@ -154,6 +154,74 @@ def test_complex_pole_without_exact_conjugate_is_rejected():
             poles_to_components(poles, al, FS)
 
 
+def _reference_poles_to_components(poles, alphas, fs):
+    """poles_to_components one pole (pair) at a time, on scalars."""
+    comps = []
+    is_real = np.abs(poles.imag) <= edsm._REAL_POLE_TOL * (1.0 + np.abs(poles))
+    for i in np.flatnonzero(is_real):
+        z, al = poles[i], alphas[i]
+        mag = abs(z)
+        if mag <= 0:
+            continue
+        comps.append(DampedSinusoid(a=abs(al.real), delta=float(np.log(mag)),
+                                    freq_hz=0.0 if z.real >= 0 else fs / 2.0,
+                                    phase=0.0 if al.real >= 0 else np.pi))
+    up = np.flatnonzero(~is_real & (poles.imag > 0))
+    lo = np.flatnonzero(~is_real & (poles.imag < 0))
+    up = up[np.lexsort((poles[up].imag, poles[up].real))]
+    lo = lo[np.lexsort((-poles[lo].imag, poles[lo].real))]
+    for i, j in zip(up, lo):
+        zi, ai, zj, aj = poles[i], alphas[i], poles[j], alphas[j]
+        delta = 0.5 * (np.log(abs(zi)) + np.log(abs(zj)))
+        omega = 0.5 * (np.angle(zi) - np.angle(zj))
+        comps.append(DampedSinusoid(a=float(abs(ai) + abs(aj)), delta=float(delta),
+                                    freq_hz=float(omega * fs / TWO_PI),
+                                    phase=float(np.angle(ai))))
+    comps.sort(key=lambda c: (c.freq_hz, -c.a))
+    return tuple(comps)
+
+
+def _component_bits(comps):
+    return np.array([(c.a, c.delta, c.freq_hz, c.phase) for c in comps]).tobytes()
+
+
+@st.composite
+def _pole_sets(draw):
+    """Poles of a real frame, shuffled: positive and negative real poles, zero
+    poles, conjugate pairs, and pairs whose imaginary part sits on either
+    side of the real-pole tolerance; amplitudes are arbitrary."""
+    finite = st.floats(-2.0, 2.0)
+    poles, alphas = [], []
+    for kind in draw(st.lists(st.sampled_from(["real", "negative", "zero", "near_real",
+                                                "pair"]), max_size=12)):
+        r = draw(st.floats(1e-3, 2.0))
+        al = [complex(draw(finite), draw(finite)) for _ in range(2)]
+        if kind == "pair":
+            z = r * np.exp(1j * draw(st.floats(1e-6, np.pi - 1e-6)))
+        elif kind == "near_real":
+            z = r * draw(st.sampled_from([1.0, -1.0])) * complex(
+                1.0, draw(st.sampled_from([1e-13, 1e-10, 5e-10, 2e-9, 1e-8])))
+        else:
+            poles.append({"real": r, "negative": -r, "zero": 0.0}[kind])
+            alphas.append(al[0])
+            continue
+        poles += [z, np.conj(z)]
+        alphas += al
+    order = draw(st.permutations(range(len(poles))))
+    return (np.array(poles, dtype=np.complex128)[order],
+            np.array(alphas, dtype=np.complex128)[order])
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(pa=_pole_sets(), fs=st.sampled_from([8000.0, 16000.0, 44100.0]))
+def test_pole_pairing_matches_the_scalar_reference(pa, fs):
+    poles, alphas = pa
+    got = poles_to_components(poles, alphas, fs)
+    want = _reference_poles_to_components(poles, alphas, fs)
+    assert len(got) == len(want)
+    assert _component_bits(got) == _component_bits(want)
+
+
 def test_components_poles_roundtrip():
     comps = (DampedSinusoid(a=0.6, delta=-0.001, freq_hz=350.0, phase=0.2),
              DampedSinusoid(a=0.3, delta=0.0005, freq_hz=2100.0, phase=-1.4))
@@ -200,6 +268,44 @@ def test_full_window_exact_recovery():
     grown = edsm_analyze(SampledSignal(samples=x, fs=FS),
                          EDSMConfig(window_samples=400, order=1))
     assert grown[0].components[0].delta == pytest.approx(0.05, abs=1e-6)
+
+
+@st.composite
+def _damped_sums(draw):
+    """A frame of 1-4 damped sinusoids with frequencies at least two DFT bins
+    apart and from 0 and fs/2, amplitudes of 0.1-1 and at most e^3 of decay
+    or e^1.5 of growth over the frame; components sorted by frequency."""
+    length = draw(st.integers(64, 400))
+    bin_hz = FS / length
+    k = draw(st.integers(1, 4))
+    # k gaps of at least two bins share the band left over, in random shares
+    spare = FS / 2.0 - 2.0 * bin_hz * (k + 1)
+    shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k + 1, max_size=k + 1)))
+    gaps = 2.0 * bin_hz + spare * shares / max(shares.sum(), 1.0)
+    freqs = np.cumsum(gaps)[:k]
+    comps = [DampedSinusoid(a=draw(st.floats(0.1, 1.0)),
+                            delta=draw(st.floats(-3.0, 1.5)) / length, freq_hz=float(f),
+                            phase=draw(st.floats(-3.0, 3.0))) for f in freqs]
+    x = sum(_damped_frame(length, c.a, c.delta, c.freq_hz, c.phase) for c in comps)
+    return x, comps
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(case=_damped_sums())
+def test_edsm_recovers_random_damped_sums_exactly(case):
+    x, truth = case
+    n = x.shape[0]
+    frames = edsm_analyze(SampledSignal(samples=x, fs=FS),
+                          EDSMConfig(window_samples=n, order=len(truth)))
+    assert len(frames) == 1 and frames[0].k_eff == 2 * len(truth)
+    comps = frames[0].components
+    assert len(comps) == len(truth)
+    for est, ref in zip(comps, truth):
+        assert abs(est.a - ref.a) <= 1e-6
+        assert abs(est.delta - ref.delta) <= 1e-8
+        assert abs(est.freq_hz - ref.freq_hz) <= 1e-6 * ref.freq_hz
+        assert abs(wrap_phase(est.phase - ref.phase)) <= 1e-6
+    assert srer(x, edsm_synthesize(frames, n, FS)) >= 100.0
 
 
 def test_framed_analysis_with_partial_tail():

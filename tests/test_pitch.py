@@ -158,3 +158,14 @@ def test_import_loads_no_scipy_signal():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_scipy_interpolate():
+    # the frequency spline is core's own; scipy.interpolate would bring
+    # scipy.special, optimize and spatial with it
+    code = ("import sys, sinemodel, sinemodel.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.interpolate', "
+            "'scipy.special', 'scipy.optimize', 'scipy.spatial'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
