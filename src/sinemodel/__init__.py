@@ -13,10 +13,9 @@ autocorrelation pitch tracker, and a benchmark harness (window-size SRER
 sweeps, multi-model comparison tables) behind the `sinemodel` CLI.
 """
 from .core import (SRER_MAX_DB, PartialTrack, SampledSignal,
-                   WindowVector, interp_amplitude_linear,
-                   interp_frequency_spline, make_window,
-                   phase_by_freq_integration, phase_cubic_mq, sample_track,
-                   srer, synthesize_tracks, wrap_phase)
+                   interp_amplitude_linear, interp_frequency_spline,
+                   make_window, phase_by_freq_integration, phase_cubic_mq,
+                   sample_track, srer, synthesize_tracks, wrap_phase)
 from .eaqhm import (AdaptationState, EaQHMConfig, adapt, eaqhm_analyze,
                     freq_correction, init_harmonic, ls_solve)
 from .edsm import (DampedSinusoid, EDSMConfig, EDSMFrame, build_hankel,
@@ -42,7 +41,7 @@ __all__ = [
     "SineModelError", "UsageError", "AudioIOError", "AnalysisError",
     "IllConditionedError",
     # core
-    "SampledSignal", "WindowVector", "PartialTrack",
+    "SampledSignal", "PartialTrack",
     "make_window", "srer", "wrap_phase", "interp_amplitude_linear",
     "interp_frequency_spline", "phase_by_freq_integration", "phase_cubic_mq",
     "sample_track", "synthesize_tracks",

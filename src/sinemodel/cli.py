@@ -109,6 +109,8 @@ def _cmd_analyze(args) -> None:
     if entry.needs_f0:
         f0track = (audio_io.read_f0_csv(args.f0) if args.f0
                    else estimate_f0(signal, *PITCH_BAND_HZ))
+    if args.window is not None and not 0 < args.window < np.inf:
+        raise UsageError(f"--window must be a positive finite number of ms, got {args.window}")
     window = (None if args.window is None
               else entry.window_floor(int(round(args.window * signal.fs / 1000.0))))
     cfg = entry.config(signal, f0track, window, args.partials)
@@ -139,8 +141,7 @@ def _cmd_sweep(args) -> None:
                      multiples=parse_multiples(args.multiples),
                      seed=_seed(args))
     curve = run_window_sweep(spec)
-    fmt = "json" if str(args.out).endswith(".json") else "csv"
-    export(curve, args.out, fmt)
+    export(curve, args.out)
     print(f"wrote {args.out} ({len(curve.rows)} cells)")
 
 
@@ -148,18 +149,18 @@ def _cmd_compare(args) -> None:
     if args.list:
         try:
             with open(args.list) as fh:
-                files = [ln.strip() for ln in fh
-                         if ln.strip() and not ln.startswith("#")]
+                files = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
         except OSError as exc:
             raise AudioIOError(f"cannot read file list {args.list}: {exc}") from exc
+        if not files:
+            raise UsageError(f"file list {args.list} names no files")
         rows = run_comparison(files)
     else:
         print("no --list given: comparing on locally generated stand-ins "
               "(the published comparison corpus is not distributable)")
         with tempfile.TemporaryDirectory(prefix="sinemodel_standins_") as tmp:
             rows = run_comparison(generate_standins(tmp, seed=_seed(args)))
-    fmt = "json" if str(args.out).endswith(".json") else "csv"
-    export(rows, args.out, fmt)
+    export(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")
 
 

@@ -61,26 +61,13 @@ class SampledSignal:
 
 
 @dataclass(frozen=True)
-class WindowVector:
-    """Named analysis window with its sample values."""
-
-    kind: str
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class PartialTrack:
-    """One partial: anchor arrays plus the birth/death span it covers."""
+    """One partial: its anchor arrays, spanning times[0] to times[-1]."""
 
     times: np.ndarray   # s, strictly increasing
     amps: np.ndarray    # linear, >= 0
     freqs: np.ndarray   # Hz, > 0
     phases: np.ndarray  # rad
-    birth: float = None
-    death: float = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -105,8 +92,6 @@ class PartialTrack:
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "birth", float(times[0] if self.birth is None else self.birth))
-        object.__setattr__(self, "death", float(times[-1] if self.death is None else self.death))
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -116,8 +101,8 @@ class PartialTrack:
 # windows and SRER
 # ---------------------------------------------------------------------------
 
-def make_window(kind: str, length: int) -> WindowVector:
-    """Symmetric analysis window of the given kind and length."""
+def make_window(kind: str, length: int) -> np.ndarray:
+    """Symmetric float64 analysis window of the given kind and length."""
     if length < 1:
         raise UsageError(f"window length must be >= 1, got {length}")
     kind = kind.lower()
@@ -131,11 +116,14 @@ def make_window(kind: str, length: int) -> WindowVector:
         values = np.ones(length)
     else:
         raise UsageError(f"unknown window kind {kind!r}, expected one of {WINDOW_KINDS}")
-    return WindowVector(kind=kind, values=values.astype(np.float64))
+    return values.astype(np.float64)
 
 
 def hop_samples(hop_ms: float, fs: float) -> int:
-    """A frame hop of hop_ms milliseconds in samples, at least one."""
+    """A frame hop of hop_ms milliseconds in samples, at least one; hop_ms
+    must be positive and finite."""
+    if not 0 < hop_ms < np.inf:
+        raise UsageError(f"hop must be a positive finite number of ms, got {hop_ms}")
     return max(1, int(round(hop_ms * fs / 1000.0)))
 
 

@@ -84,8 +84,9 @@ class EaQHMConfig:
     def __post_init__(self):
         if self.max_adaptations < 0:
             raise UsageError("max_adaptations must be >= 0")
-        if self.window_samples is None and self.window_periods <= 0:
-            raise UsageError("window_periods must be positive")
+        if self.window_samples is None and not 0 < self.window_periods < np.inf:
+            raise UsageError(f"window_periods must be positive and finite, "
+                             f"got {self.window_periods}")
 
 
 @dataclass
@@ -121,7 +122,7 @@ def ls_solve(e: np.ndarray, window: np.ndarray,
     """
     if not (isinstance(e, np.ndarray) and e.dtype == np.float64 and e.ndim == 2):
         raise UsageError("ls_solve takes a real float64 design matrix")
-    w = window.values if hasattr(window, "values") else np.asarray(window, dtype=np.float64)
+    w = np.asarray(window, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
     rows, q = e.shape
     n = w.shape[0]
@@ -369,7 +370,7 @@ class _BlockBuffers:
     def window(self, b: _Block) -> np.ndarray:
         w = self._windows.get(b.n)
         if w is None:
-            w = self._windows[b.n] = make_window(self._kind, b.n).values
+            w = self._windows[b.n] = make_window(self._kind, b.n)
         return w
 
 

@@ -28,12 +28,7 @@ class ChirpSpec:
     stationary_duration: float = 1.0
     chirp_f_end: float = 1000.0
     chirp_duration: float = 1.0
-    damping: float = -2.0   # envelope exp(-damping * t); -2 grows
-    decaying: bool = False  # flip the envelope to exp(-|damping| * t)
-
-    @property
-    def effective_damping(self) -> float:
-        return abs(self.damping) if self.decaying else self.damping
+    damping: float = -2.0   # envelope exp(-damping * t): negative grows, positive decays
 
 
 @dataclass(frozen=True)
@@ -94,7 +89,7 @@ def gen_stationary_plus_chirp(spec: ChirpSpec = ChirpSpec()) -> tuple[SampledSig
     tau = np.arange(n2) / fs
     f_start = spec.stationary_freq
     slope = (spec.chirp_f_end - f_start) / spec.chirp_duration
-    d = spec.effective_damping
+    d = spec.damping
 
     amp = np.concatenate([np.ones(n1), np.exp(-d * tau)])
     freq = np.concatenate([np.full(n1, f_start), f_start + slope * tau])

@@ -145,8 +145,8 @@ class SweepSpec:
         if self.t_min_s is not None and self.t_min_s <= 0:
             raise UsageError("t_min_s must be positive")
         mult = tuple(float(m) for m in self.multiples)
-        if not mult or any(m <= 0 for m in mult) or list(mult) != sorted(mult):
-            raise UsageError("multiples must be positive and ascending")
+        if not mult or mult[0] <= 0 or any(b <= a for a, b in zip(mult, mult[1:])):
+            raise UsageError("multiples must be positive and strictly ascending")
         object.__setattr__(self, "multiples", mult)
         _check_models(self.models)
 
@@ -303,8 +303,8 @@ def run_comparison(files: Sequence, models: Sequence[str] = MODELS) -> list[Comp
     return rows
 
 
-def generate_standins(dir_path, fs: float = 16000.0, seed: int = 0) -> list[str]:
-    """Write the three local quasi-harmonic stand-in WAVs used when no
+def generate_standins(dir_path, seed: int = 0) -> list[str]:
+    """Write the three local quasi-harmonic 16 kHz stand-in WAVs used when no
     comparison file list is supplied: a harmonic tone with vibrato, the
     default AM-FM sum, and a decaying damped-sinusoid stack.  Returns the
     file paths."""
@@ -318,10 +318,9 @@ def generate_standins(dir_path, fs: float = 16000.0, seed: int = 0) -> list[str]
         peak = float(np.max(np.abs(signal.samples)))
         return SampledSignal(samples=signal.samples * (0.5 / peak), fs=signal.fs)
 
-    vibrato, _ = gen_amfm(AMFMSpec(n_partials=8, f0=220.0, f_c=5.0, rho=0.8,
-                                   fs=fs, seed=seed))
-    amfm, _ = gen_amfm(AMFMSpec(fs=fs, seed=seed))
-    damped, _ = gen_damped_sum(default_damped_spec(seed=seed, fs=fs))
+    vibrato, _ = gen_amfm(AMFMSpec(n_partials=8, f0=220.0, f_c=5.0, rho=0.8, seed=seed))
+    amfm, _ = gen_amfm(AMFMSpec(seed=seed))
+    damped, _ = gen_damped_sum(default_damped_spec(seed=seed))
     paths = []
     for name, signal in (("vibrato.wav", vibrato), ("amfm_default.wav", amfm),
                          ("damped_sum.wav", damped)):
@@ -335,29 +334,29 @@ def generate_standins(dir_path, fs: float = 16000.0, seed: int = 0) -> list[str]
 # export
 # ---------------------------------------------------------------------------
 
-def export(data, path, fmt: str = "csv") -> None:
-    """Write an SRERCurve, comparison table, or track list as CSV or JSON.
+def export(data, path) -> None:
+    """Write an SRERCurve or a comparison table: JSON when path ends in
+    ".json", CSV otherwise.
 
     CSV output renders a missing SRER (ill-conditioned cell) as 0 so curve
     files plot directly; JSON keeps it as null.
     """
     audio_io = _io()
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unsupported export format {fmt!r}")
+    as_json = str(path).endswith(".json")
     if isinstance(data, SRERCurve):
-        if fmt == "csv":
-            if not data.rows:
-                raise UsageError("cannot export an empty curve as CSV")
-            audio_io.write_csv(
-                path, ("model", "multiple", "srer_db", "status"),
-                [(r.model, r.multiple, 0.0 if r.srer_db is None else r.srer_db,
-                  r.status) for r in data.rows])
-        else:
+        if as_json:
             audio_io._dump_json(path, {
                 "type": "srer_curve",
                 "rows": [{"model": r.model, "multiple": r.multiple,
                           "srer_db": r.srer_db, "status": r.status}
                          for r in data.rows]})
+        elif not data.rows:
+            raise UsageError("cannot export an empty curve as CSV")
+        else:
+            audio_io.write_csv(
+                path, ("model", "multiple", "srer_db", "status"),
+                [(r.model, r.multiple, 0.0 if r.srer_db is None else r.srer_db,
+                  r.status) for r in data.rows])
         return
     if isinstance(data, (list, tuple)) and data and isinstance(data[0], ComparisonRow):
         models = sorted({m for r in data for m in r.srer_db})
@@ -371,23 +370,14 @@ def export(data, path, fmt: str = "csv") -> None:
                 row += [_blank(r.srer_db.get(m)), _blank(r.param_counts.get(m)),
                         _blank(r.wall_time_s.get(m))]
             table.append(row)
-        if fmt == "csv":
-            audio_io.write_csv(path, header, table)
-        else:
+        if as_json:
             audio_io._dump_json(path, {
                 "type": "comparison_table",
                 "rows": [{"file": r.file_id, "status": r.status,
                           "srer_db": r.srer_db, "param_counts": r.param_counts,
                           "wall_time_s": r.wall_time_s} for r in data]})
-        return
-    if isinstance(data, (list, tuple)) and (
-            not data or isinstance(data[0], PartialTrack)):
-        if fmt == "csv":
-            if not data:
-                raise UsageError("cannot export empty tracks as CSV")
-            audio_io.write_tracks_csv(path, data)
         else:
-            audio_io.write_tracks_json(path, data)
+            audio_io.write_csv(path, header, table)
         return
     raise UsageError(f"cannot export object of type {type(data).__name__}")
 

@@ -25,6 +25,7 @@ THRESHOLD_DB = -60.0  # peaks must clear the frame's spectral max minus this
 MAX_JUMP_HZ = 30.0    # largest frequency step a track continues across
 MIN_FFT_SIZE = 2048   # frames are zero-padded to max(this, next power of two >= window)
 FRAME_BLOCK = 32      # frames per batched FFT in sm_peaks
+WINDOW_MS = 30.0      # the protocol window, used when SMConfig.window_samples is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +57,10 @@ class SMPeaks:
 
 @dataclass(frozen=True)
 class SMConfig:
-    window_ms: float = 30.0
     window_kind: str = "hann"
     hop_ms: float = 1.0
     max_peaks: int = 100
-    window_samples: int = None    # overrides window_ms when set (forced odd)
+    window_samples: int = None    # forced odd; None: WINDOW_MS
 
     def __post_init__(self):
         if self.max_peaks < 1:
@@ -85,7 +85,7 @@ def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
     An all-zero frame yields no peaks.
     """
     x = np.asarray(frame, dtype=np.float64)
-    w = window.values if hasattr(window, "values") else np.asarray(window, dtype=np.float64)
+    w = np.asarray(window, dtype=np.float64)
     if x.shape[0] != w.shape[0]:
         raise UsageError(f"frame length {x.shape[0]} != window length {w.shape[0]}")
     if fft_size < w.shape[0]:
@@ -247,7 +247,7 @@ def track_partials(peaks: SMPeaks, frame_times: np.ndarray,
 def _resolve_window_samples(config: SMConfig, fs: float) -> int:
     w = config.window_samples
     if w is None:
-        w = int(round(config.window_ms * fs / 1000.0))
+        w = int(round(WINDOW_MS * fs / 1000.0))
     w = int(w)
     if w % 2 == 0:
         w += 1  # odd length keeps an exact center sample for zero-phase framing
@@ -276,7 +276,7 @@ def sm_peaks(signal: SampledSignal,
         centers = np.array([n // 2])
     # frame c is padded[c:c + w_len]; blocks of FRAME_BLOCK frames share one FFT
     frames = sliding_window_view(padded, w_len)
-    blocks = [_block_peaks(frames[centers[i:i + FRAME_BLOCK]], window.values, fft_size,
+    blocks = [_block_peaks(frames[centers[i:i + FRAME_BLOCK]], window, fft_size,
                            fs, config.max_peaks)
               for i in range(0, centers.shape[0], FRAME_BLOCK)]
     counts = np.concatenate([np.diff(b.offsets) for b in blocks])

@@ -111,6 +111,25 @@ def test_analyze_rejects_flags_the_model_has_no_setting_for(tone_wav, tmp_path, 
     assert not params.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "sm", "--hop", "nan"],
+    ["analyze", "--model", "sm", "--hop", "inf"],
+    ["analyze", "--model", "sm", "--hop", "-5"],
+    ["analyze", "--model", "eaqhm", "--hop", "0"],
+    ["analyze", "--model", "eaqhm", "--window-periods", "nan"],
+    ["analyze", "--model", "eaqhm", "--window-periods", "inf"],
+    ["analyze", "--model", "edsm", "--window", "nan"],
+    ["analyze", "--model", "edsm", "--window", "-5"],
+    ["pitch", "--hop", "nan"],
+    ["pitch", "--hop", "-1"]])
+def test_hop_and_window_must_be_positive_and_finite(tone_wav, tmp_path, capsys, argv):
+    out = (["--params", str(tmp_path / "p.json"), "--resynth", str(tmp_path / "r.wav")]
+           if argv[0] == "analyze" else ["--out", str(tmp_path / "f0.csv")])
+    assert main([*argv, "--in", str(tone_wav), *out]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in ("p.json", "r.wav", "f0.csv"))
+
+
 def test_analyze_rejects_f0_for_a_model_without_pitch(tone_wav, tmp_path, capsys):
     # sm tracks no pitch: --f0 is a usage error, before the file is read
     params = tmp_path / "p.json"
@@ -236,6 +255,25 @@ def test_compare_with_list(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "file,status"
     assert lines[1] == f"{noise},unanalyzable"
+
+
+def test_compare_list_skips_indented_comments(tmp_path, capsys):
+    noise = _noise_wav(tmp_path)
+    listing = tmp_path / "files.txt"
+    listing.write_text(f"  # a comment\n\t# another\n  {noise}  \n")
+    out = tmp_path / "table.csv"
+    assert main(["compare", "--list", str(listing), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [f"{noise},unanalyzable"]
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_compare_list_of_comments_only_is_a_usage_error(tmp_path, capsys, suffix):
+    listing = tmp_path / "files.txt"
+    listing.write_text("# nothing yet\n\n")
+    out = tmp_path / f"table{suffix}"
+    assert main(["compare", "--list", str(listing), "--out", str(out)]) == 2
+    assert "names no files" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_missing_list_is_io_error(tmp_path, capsys):

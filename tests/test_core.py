@@ -172,7 +172,7 @@ def test_partial_track_validation():
     with pytest.raises(UsageError):  # zero frequency
         PartialTrack(times=[0.0, 1.0], amps=[1, 1], freqs=[0, 100], phases=[0, 0])
     tr = PartialTrack(times=[0.5, 1.0], amps=[1, 1], freqs=[100, 100], phases=[0, 0])
-    assert tr.birth == 0.5 and tr.death == 1.0
+    assert tr.times[0] == 0.5 and tr.times[-1] == 1.0
 
 
 @pytest.mark.parametrize("field", ["times", "amps", "freqs", "phases"])
@@ -192,11 +192,11 @@ def test_partial_track_rejects_non_finite_anchors(field, bad, n):
 
 def test_make_window_rectangular():
     w = make_window("rectangular", 5)
-    np.testing.assert_array_equal(w.values, np.ones(5))
+    np.testing.assert_array_equal(w, np.ones(5))
 
 
 def test_make_window_hamming_shape():
-    w = make_window("hamming", 5).values
+    w = make_window("hamming", 5)
     assert w[2] == pytest.approx(1.0)
     assert w[0] == pytest.approx(0.08, abs=1e-12)
     assert w[0] == w[4]
@@ -204,10 +204,20 @@ def test_make_window_hamming_shape():
 
 def test_make_window_symmetry_and_range():
     for kind in ("hamming", "hann", "blackman", "rectangular"):
-        w = make_window(kind, 7).values
+        w = make_window(kind, 7)
         np.testing.assert_allclose(w, w[::-1], atol=1e-15)
         assert np.all(w >= -1e-15) and np.all(w <= 1.0 + 1e-15)
-    assert make_window("hann", 7).values[1] == pytest.approx(make_window("hann", 7).values[5])
+    assert make_window("hann", 7)[1] == pytest.approx(make_window("hann", 7)[5])
+
+
+@pytest.mark.parametrize("kind, numpy_window", [
+    ("hamming", np.hamming), ("hann", np.hanning), ("blackman", np.blackman),
+    ("rectangular", np.ones)])
+@pytest.mark.parametrize("length", [1, 8, 321])
+def test_make_window_is_numpys_window_as_a_float64_array(kind, numpy_window, length):
+    w = make_window(kind, length)
+    assert type(w) is np.ndarray and w.dtype == np.float64 and w.shape == (length,)
+    assert w.tobytes() == numpy_window(length).astype(np.float64).tobytes()
 
 
 def test_make_window_errors():
@@ -252,6 +262,12 @@ def test_srer_accepts_signals_and_checks_lengths():
                                              (1.0, 44100.0, 44), (0.01, 16000.0, 1)])
 def test_hop_samples_rounds_to_at_least_one(hop_ms, fs, hop):
     assert hop_samples(hop_ms, fs) == hop
+
+
+@pytest.mark.parametrize("hop_ms", [0.0, -5.0, np.nan, np.inf, -np.inf])
+def test_hop_samples_rejects_hops_that_are_not_positive_and_finite(hop_ms):
+    with pytest.raises(UsageError, match="hop"):
+        hop_samples(hop_ms, 16000.0)
 
 
 def test_wrap_phase_range():

@@ -235,7 +235,7 @@ def _per_frame_init_harmonic(signal, f0track, config):
             e[:, k + 1:2 * k + 1] = np.sin(phase)
             _per_frame_complete_design(e, t)
             try:
-                c, _ = _per_frame_ls_solve(e, make_window(config.init_window_kind, w_len).values,
+                c, _ = _per_frame_ls_solve(e, make_window(config.init_window_kind, w_len),
                                            x[fr.lo:fr.hi + 1])
             except IllConditionedError:
                 skipped += 1
@@ -290,7 +290,7 @@ def _per_frame_adaptation_pass(x, fs, tracks, sampled, layout, config):
             sin_cols -= np.multiply(c_rows, sc[j, idx], out=scratch)
             _per_frame_complete_design(e, np.arange(fr.lo - fr.center, fr.hi - fr.center + 1) / fs)
             try:
-                c, d = _per_frame_ls_solve(e, make_window(eaqhm.ADAPT_WINDOW_KIND, w_len).values,
+                c, d = _per_frame_ls_solve(e, make_window(eaqhm.ADAPT_WINDOW_KIND, w_len),
                                            x[fr.lo:fr.hi + 1])
             except IllConditionedError:
                 ill[j] = True
@@ -570,7 +570,7 @@ def _reference_adaptation_pass(x, fs, tracks, f0track, config):
         if not eligible:
             continue
         t = (np.arange(fr.lo, fr.hi + 1) - fr.center) / fs
-        w = make_window(eaqhm.ADAPT_WINDOW_KIND, fr.hi - fr.lo + 1).values
+        w = make_window(eaqhm.ADAPT_WINDOW_KIND, fr.hi - fr.lo + 1)
         amp_cols = amp_all[eligible, fr.lo:fr.hi + 1].T
         amp_cols = (amp_cols + eaqhm._AMP_EPS) / (amp_cols[fr.center - fr.lo] + eaqhm._AMP_EPS)
         phase_cols = phase_all[eligible, fr.lo:fr.hi + 1].T - phase_all[eligible, fr.center]

@@ -36,12 +36,11 @@ def test_chirp_junction_continuity():
 
 def test_chirp_envelope_direction():
     grow, _ = gen_stationary_plus_chirp(ChirpSpec())
-    decay, _ = gen_stationary_plus_chirp(ChirpSpec(decaying=True))
-    # default envelope exp(2t) grows toward ~e^2; decaying flag flips it
+    decay, _ = gen_stationary_plus_chirp(ChirpSpec(damping=2.0))
+    # default envelope exp(2t) grows toward ~e^2; a positive damping decays
+    assert ChirpSpec().damping == -2.0
     assert np.max(np.abs(grow.samples[-400:])) > 5.0
     assert np.max(np.abs(decay.samples[-400:])) < 0.2
-    assert ChirpSpec().effective_damping == -2.0
-    assert ChirpSpec(decaying=True).effective_damping == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from sinemodel import audio_io, eaqhm, harness
+from sinemodel import audio_io, eaqhm, harness, sm
 from sinemodel.core import PartialTrack, SampledSignal
 from sinemodel.eaqhm import ADAPT_WINDOW_KIND, EaQHMConfig
 from sinemodel.edsm import DampedSinusoid, EDSMConfig, EDSMFrame, full_band_orders
@@ -47,6 +47,10 @@ def test_parse_multiples():
 def test_sweep_spec_validation():
     with pytest.raises(UsageError):
         SweepSpec(source="amfm", multiples=(2.0, 1.0))
+    with pytest.raises(UsageError, match="strictly ascending"):  # a repeated cell
+        SweepSpec(source="amfm", multiples=parse_multiples("1,1,2"))
+    with pytest.raises(UsageError):
+        SweepSpec(source="amfm", multiples=(0.0, 1.0))
     with pytest.raises(UsageError):
         SweepSpec(source="amfm", multiples=())
     with pytest.raises(UsageError):
@@ -227,7 +231,8 @@ def test_sweep_wav_source_requires_t_min(tone_wav):
 def test_compare_configs_protocol(tone):
     f0t = estimate_f0(tone, f_min=70.0, f_max=400.0)
     sm_cfg, ed_cfg, ea_cfg = (MODEL_TABLE[m].config(tone, f0t, None, None) for m in MODELS)
-    assert sm_cfg.window_ms == 30.0 and sm_cfg.window_kind == "hann"
+    assert sm_cfg.window_samples is None and sm.WINDOW_MS == 30.0
+    assert sm_cfg.window_kind == "hann"
     assert sm_cfg.max_peaks == 100 and sm_cfg.hop_ms == 1.0
     # the sm and eaqhm protocol settings are their config defaults
     assert sm_cfg == SMConfig() and ea_cfg == EaQHMConfig()
@@ -363,7 +368,7 @@ def _tiny_curve():
 
 def test_export_curve_csv(tmp_path):
     path = tmp_path / "curve.csv"
-    export(_tiny_curve(), path, "csv")
+    export(_tiny_curve(), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 4
     assert lines[0] == "model,multiple,srer_db,status"
@@ -375,31 +380,43 @@ def test_export_curve_json_keeps_null(tmp_path):
     import json
 
     path = tmp_path / "curve.json"
-    export(_tiny_curve(), path, "json")
+    export(_tiny_curve(), path)
     obj = json.loads(path.read_text())
     assert obj["type"] == "srer_curve"
     assert obj["rows"][2]["srer_db"] is None
 
 
-def test_export_comparison_and_tracks(tmp_path):
-    row = ComparisonRow(file_id="x.wav", status="ok",
-                        srer_db={"sm": 10.0}, param_counts={"sm": 12},
-                        wall_time_s={"sm": 0.5})
+def _tiny_table():
+    return [ComparisonRow(file_id="x.wav", status="ok", srer_db={"sm": 10.0},
+                          param_counts={"sm": 12}, wall_time_s={"sm": 0.5})]
+
+
+def test_export_comparison(tmp_path):
     path = tmp_path / "table.csv"
-    export([row], path, "csv")
+    export(_tiny_table(), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "file,status,sm_srer_db,sm_params,sm_time_s"
     assert lines[1].startswith("x.wav,ok,10,12,")
-    tr = PartialTrack(times=[0.0, 0.1], amps=[1, 1], freqs=[100, 100],
-                      phases=[0, 0])
-    export([tr], tmp_path / "tracks.json", "json")
-    assert audio_io.read_tracks_json(tmp_path / "tracks.json")[0].times[1] == 0.1
+
+
+@pytest.mark.parametrize("name", ["t.json", "t.csv", "t.txt", "t.json.csv"])
+def test_export_picks_json_or_csv_by_suffix(tmp_path, name):
+    import json
+
+    for data, kind, header in (
+            (_tiny_curve(), "srer_curve", "model,multiple,srer_db,status"),
+            (_tiny_table(), "comparison_table", "file,status,sm_srer_db,sm_params,sm_time_s")):
+        path = tmp_path / name
+        export(data, path)
+        text = path.read_text()
+        if name.endswith(".json"):
+            assert json.loads(text)["type"] == kind
+        else:
+            assert text.splitlines()[0] == header
 
 
 def test_export_rejects_bad_inputs(tmp_path):
     with pytest.raises(UsageError):
-        export(SRERCurve(rows=()), tmp_path / "c.csv", "csv")
+        export(SRERCurve(rows=()), tmp_path / "c.csv")
     with pytest.raises(UsageError):
-        export(_tiny_curve(), tmp_path / "c.xml", "xml")
-    with pytest.raises(UsageError):
-        export(object(), tmp_path / "c.csv", "csv")
+        export(object(), tmp_path / "c.csv")
