@@ -27,17 +27,17 @@ phase, so no frame evaluates cos or sin of its own phase block.
 Frames are solved in stacked blocks.  Frames with the same sample offsets
 from their center and the same component count (hence the same width, time
 axis, window and column count) form a group, cut into blocks of at most
-FRAME_BLOCK design elements.  A block's designs are one (G, n, q) view at the
-start of one buffer per loop, sized for the loop's largest block, and
-ls_solve works inside it.  Gathering the C and S rows, rotation, the design's
-DC and slope columns, and every step of ls_solve but each frame's Cholesky
-factor, condition estimate and triangular solve run on the whole block; each
-frame's result is bitwise that of solving it alone.  The frame layout,
-eligibility, rotation factors and the coefficient-to-anchor mapping are
-array passes over all frames.  Every frame system is a few hundred samples
-wide, so the block loops of init_harmonic and of each adaptation pass run on
-single-threaded OpenBLAS (see _blas) and restore the previous thread count
-afterwards.
+FRAME_BLOCK design elements.  A block's designs are one frame-interleaved
+(n, G, q) view at the start of one buffer per loop (frame g's sample i is row
+i*G + g), so element-wise steps run over G*q contiguous values, and ls_solve
+works inside it.  Gathering the C and S rows, rotation, the design's DC and
+slope columns, and every step of ls_solve but each frame's Cholesky factor,
+condition estimate and triangular solve run on the whole block; each frame's
+result is bitwise that of solving it alone.  The frame layout, eligibility,
+rotation factors and the coefficient-to-anchor mapping are array passes over
+all frames.  Every frame system is a few hundred samples wide, so the block
+loops of init_harmonic and of each adaptation pass run on single-threaded
+OpenBLAS (see _blas) and restore the previous thread count afterwards.
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ COND_BOUND = 1e10          # on the real normal matrix of a frame fit
 NYQUIST_MARGIN_HZ = 200.0  # partials stay this far below fs/2
 COL_RATIO = 2.0 / 3.0      # LS columns capped at this fraction of the frame
 ADAPT_WINDOW_KIND = "hamming"
-_NORM_BLOCK = 8192         # squares per block of ls_solve's column norms
+_NORM_BLOCK = 8192         # squares per block of rows in ls_solve's column norms
 FRAME_BLOCK = 65536        # design elements per block of frames solved together
 
 
@@ -103,22 +103,22 @@ class AdaptationState:
 def ls_solve(e: np.ndarray, window: np.ndarray,
              target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted LS solves of target ~ E [a; b] via the normal equations, for
-    one or more frames stacked row by row.
+    one or more frames interleaved row by row.
 
-    E is a real float64 (G*n, q) design, n = len(window): frame g is rows
-    g*n..(g+1)*n of E and of the (G*n,) target (the frame fits pass the real
-    mirrored design).  Returns a and b, each (G, q/2), and cond, (G,):
+    E is a real float64 (n*G, q) design, n = len(window): frame g's sample i
+    is row i*G + g of E and of the (n*G,) target (the frame fits pass the
+    real mirrored design).  Returns a and b, each (G, q/2), and cond, (G,):
     LAPACK's condition estimate of each frame's normal matrix.  A frame is
     solved exactly when its cond <= COND_BOUND; the others (more columns
     than samples, not positive definite, or past the bound) have cond inf or
     above the bound and NaN rows in a and b.
 
     E is overwritten: it is weighted and equilibrated in place and then holds
-    scratch, so the solve copies neither E nor the normal matrices.  Columns
-    are equilibrated to unit norm first (exact algebra, keeps the condition
-    check about basis structure, not units).  Every step but the Cholesky
-    factor, its condition estimate and its solve runs on all G frames at
-    once, and each frame's result is bitwise that of solving it alone.
+    scratch, so the solve copies no normal matrix and E only when q = 2.
+    Columns are equilibrated to unit norm first (exact algebra, keeps the
+    condition check about basis structure, not units).  Every step but the
+    Cholesky factor, its condition estimate and its solve runs on all G frames
+    at once, and each frame's result is bitwise that of solving it alone.
     """
     if not (isinstance(e, np.ndarray) and e.dtype == np.float64 and e.ndim == 2):
         raise UsageError("ls_solve takes a real float64 design matrix")
@@ -127,26 +127,28 @@ def ls_solve(e: np.ndarray, window: np.ndarray,
     rows, q = e.shape
     n = w.shape[0]
     if w.ndim != 1 or n == 0 or rows % n or y.shape != (rows,) or q % 2:
-        raise UsageError("ls_solve takes a (G*n, q) design with even q, an (n,) "
-                         "window and a (G*n,) target")
+        raise UsageError("ls_solve takes an (n*G, q) design with even q, an (n,) "
+                         "window and an (n*G,) target")
     g, half = rows // n, q // 2
     coef = np.full((g, q), np.nan)
     cond = np.full(g, np.inf)
     if n < q:
         return coef[:, :half], coef[:, half:], cond
-    e3 = e.reshape(g, n, q)
-    e3 *= w[:, None]
-    yw = (y.reshape(g, n) * w)[:, :, None]
+    e3 = e.reshape(n, g, q)
+    e3 *= w[:, None, None]
+    yw = np.multiply(y.reshape(n, g).T, w, out=np.empty((g, n)))[:, :, None]
     scale = _column_norms(e3)
     scale[scale == 0.0] = 1.0
-    e3 /= scale[:, None, :]
-    et = e3.transpose(0, 2, 1)
-    r = np.matmul(et, e3)
-    rhs = np.matmul(et, yw)
+    e3 /= scale
+    frames, et = e3.transpose(1, 0, 2), e3.transpose(1, 2, 0)
+    r = np.matmul(et, frames)
+    # OpenBLAS's gemv sums a contiguous two-column frame in an order of its
+    # own, so a q = 2 stack (DC and slope only) multiplies contiguous frames
+    rhs = np.matmul(et if q > 2 else np.ascontiguousarray(frames).transpose(0, 2, 1), yw)
     # E is dead now: it takes |r| for pocon's 1-norm, and potrf factors each
     # r in place (r is symmetric, so r.T is the Fortran-order matrix LAPACK
     # takes)
-    abs_r = np.abs(r, out=e3.reshape(-1)[:g * q * q].reshape(g, q, q))
+    abs_r = np.abs(r, out=e.reshape(-1)[:g * q * q].reshape(g, q, q))
     anorm = np.max(np.add.reduce(abs_r, axis=1), axis=1)
     for i in range(g):
         chol, info = _POTRF(r[i].T, lower=1, overwrite_a=1)
@@ -167,20 +169,19 @@ def ls_solve(e: np.ndarray, window: np.ndarray,
 
 
 def _column_norms(e: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(e[i], axis=0) of every frame i of a (G, n, q) stack,
-    bit for bit: each column's squares are summed down the rows in order.
-    The squares are formed a block of rows at a time, never for all of e at
-    once, row-major across the frames so that one reduction serves them all;
-    each block is reduced below the running sums, which keeps the order."""
-    g, n, q = e.shape
+    """np.linalg.norm(e[:, g], axis=0) of every frame g of an (n, G, q)
+    stack, as (G, q), bit for bit: each column's squares are summed down the
+    rows in order.  The squares are formed a block of rows at a time, never
+    for all of e at once, one reduction serving every frame; each block is
+    reduced below the running sums, which keeps the order."""
+    n, g, q = e.shape
     rows = max(1, _NORM_BLOCK // max(g * q, 1))
     scratch = np.empty((rows + 1, g, q))
-    out = np.square(e[:, 0])
+    out = np.square(e[0])
     for i in range(1, n, rows):
-        block = e[:, i:i + rows]
-        k = block.shape[1]
+        k = min(rows, n - i)
         scratch[0] = out
-        np.square(block, out=scratch[1:k + 1].transpose(1, 0, 2))
+        np.square(e[i:i + k], out=scratch[1:k + 1])
         np.add.reduce(scratch[:k + 1], axis=0, out=out)
     return np.sqrt(out, out=out)
 
@@ -208,13 +209,14 @@ def _mirrored(cos_coef: np.ndarray, sin_coef: np.ndarray) -> np.ndarray:
     return (cos_coef - 1j * sin_coef) / 2.0
 
 
-def _complete_design(e: np.ndarray, t: np.ndarray) -> None:
-    """Fill the DC column and the slope half of a design (or a stack of
-    them) whose cos and sin columns are set:
-    e = [1 | A cos | A sin | t | t A cos | t A sin]."""
-    p = e.shape[-1] // 2
-    e[..., 0] = 1.0
-    np.multiply(t[:, None], e[..., :p], out=e[..., p:])
+def _complete_design(e: np.ndarray, cols: np.ndarray, t: np.ndarray) -> None:
+    """Fill the (n, G, q) design stack e = [1 | A cos | A sin | t | t A cos |
+    t A sin] from cols, its (G, q, n) transpose with the cos and sin rows set:
+    cols gets its DC and slope rows, then e is copied from it in one pass."""
+    p = cols.shape[1] // 2
+    cols[:, 0], cols[:, p] = 1.0, t
+    np.multiply(cols[:, 1:p], t, out=cols[:, p + 1:])
+    e[...] = cols.transpose(2, 0, 1)
 
 
 def _rotation_factors(amp_c: np.ndarray,
@@ -225,25 +227,23 @@ def _rotation_factors(amp_c: np.ndarray,
     return np.cos(phase_c) * g, np.sin(phase_c) * g
 
 
-def _rotate_into(e: np.ndarray, c_rows: np.ndarray, s_rows: np.ndarray,
-                 cc: np.ndarray, sc: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
+def _rotate_into(cols: np.ndarray, c_rows: np.ndarray, s_rows: np.ndarray,
+                 cc: np.ndarray, sc: np.ndarray) -> None:
     """Write the (A+eps)/(A_c+eps) cos(phase - phase_c) columns of a stack
-    of frames and their sin twins into the cos and sin columns of their
-    (G, n, 2p) designs e.
+    of frames and their sin twins into the cos and sin rows of cols, the
+    (G, q, n) transpose of their designs.
 
     c_rows and s_rows are the frames' (G, m, n) samples of C = (A+eps)
     cos(phase) and S = (A+eps) sin(phase), one row per component; cc and sc
     are the (G, m, 1) _rotation_factors at the frame centers.  By angle
-    addition the columns are C cc + S sc and S cc - C sc.  They are formed
-    row by row in the (G, m, n) scratches t and u and copied into e once
-    each."""
+    addition the columns are C cc + S sc and S cc - C sc, formed row by row;
+    c_rows is overwritten."""
     m = cc.shape[-2]
-    np.multiply(c_rows, cc, out=t)
-    t += np.multiply(s_rows, sc, out=u)
-    e[..., 1:m + 1] = np.swapaxes(t, -1, -2)
-    np.multiply(s_rows, cc, out=t)
-    t -= np.multiply(c_rows, sc, out=u)
-    e[..., m + 1:2 * m + 1] = np.swapaxes(t, -1, -2)
+    cos, sin = cols[:, 1:m + 1], cols[:, m + 1:2 * m + 1]
+    np.multiply(c_rows, cc, out=cos)
+    cos += np.multiply(s_rows, sc, out=sin)
+    np.multiply(s_rows, cc, out=sin)
+    sin -= np.multiply(c_rows, sc, out=c_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +338,22 @@ class _BlockBuffers:
         size = max((b.g * b.n for b in blocks), default=0)
         design = max((b.g * b.n * b.q for b in blocks), default=0)
         cols = max((b.g * b.n * b.m for b in blocks), default=0)
-        self._design, self._target = np.empty(design), np.empty(size)
-        self._cols = np.empty((4, cols))
+        self._design, self._transposed = np.empty(design), np.empty(design)
+        self._target, self._cols = np.empty(size), np.empty((2, cols))
         self._index = np.empty(cols, dtype=np.int64)
         self._fs, self._kind = fs, window_kind
         self._windows: dict = {}
 
     def design(self, b: _Block) -> np.ndarray:
-        """The (G, n, q) design of block b."""
-        return self._design[:b.g * b.n * b.q].reshape(b.g, b.n, b.q)
+        """The frame-interleaved (n, G, q) design of block b."""
+        return self._design[:b.n * b.g * b.q].reshape(b.n, b.g, b.q)
+
+    def transposed(self, b: _Block) -> np.ndarray:
+        """A (G, q, n) scratch of block b: its frame designs transposed."""
+        return self._transposed[:b.g * b.q * b.n].reshape(b.g, b.q, b.n)
 
     def cols(self, b: _Block, i: int, shape: tuple) -> np.ndarray:
-        """The i-th of four per-component scratches of block b: G*n*m
+        """The i-th of two per-component scratches of block b: G*n*m
         elements in the given shape."""
         return self._cols[i, :b.g * b.n * b.m].reshape(shape)
 
@@ -358,8 +362,8 @@ class _BlockBuffers:
         return self._index[:b.g * b.n * b.m].reshape(b.g, b.m, b.n)
 
     def target(self, x: np.ndarray, layout: _Layout, b: _Block) -> np.ndarray:
-        """x over each frame of block b, stacked into one (G*n,) vector."""
-        rows = (layout.center[b.frames] + b.lo)[:, None] + np.arange(b.n)
+        """x over each frame of block b, interleaved as the design's rows."""
+        rows = layout.center[b.frames] + b.lo + np.arange(b.n)[:, None]
         return np.take(x, rows, out=self._target[:rows.size].reshape(rows.shape),
                        mode="clip").reshape(-1)
 
@@ -411,12 +415,12 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
     with single_threaded_blas():
         for b in blocks:
             k = b.m
-            e, t = bufs.design(b), bufs.times(b)
-            phase, trig = bufs.cols(b, 0, (b.g, b.n, k)), bufs.cols(b, 1, (b.g, b.n, k))
-            np.multiply(omega[b.frames][:, None, None] * t[:, None], harmonics[:k], out=phase)
-            e[..., 1:k + 1] = np.cos(phase, out=trig)
-            e[..., k + 1:2 * k + 1] = np.sin(phase, out=trig)
-            _complete_design(e, t)
+            e, t, cols = bufs.design(b), bufs.times(b), bufs.transposed(b)
+            phase = bufs.cols(b, 0, (b.g, k, b.n))
+            np.multiply((omega[b.frames][:, None] * t)[:, None], harmonics[:k, None], out=phase)
+            np.cos(phase, out=cols[:, 1:k + 1])
+            np.sin(phase, out=cols[:, k + 1:2 * k + 1])
+            _complete_design(e, cols, t)
             c, _, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b), bufs.target(x, layout, b))
             # the rows of frames not solved are NaN, which the coefficients hold already
             skipped += int(np.count_nonzero(~(cond <= COND_BOUND)))
@@ -523,10 +527,10 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
                         np.arange(b.n), out=bufs.index(b))
             c_rows = np.take(sampled.c_rows, at, out=bufs.cols(b, 0, at.shape), mode="clip")
             s_rows = np.take(sampled.s_rows, at, out=bufs.cols(b, 1, at.shape), mode="clip")
+            cols = bufs.transposed(b)
+            _rotate_into(cols, c_rows, s_rows, cc[frames, idx][..., None], sc[frames, idx][..., None])
             e = bufs.design(b)
-            _rotate_into(e, c_rows, s_rows, cc[frames, idx][..., None], sc[frames, idx][..., None],
-                         bufs.cols(b, 2, at.shape), bufs.cols(b, 3, at.shape))
-            _complete_design(e, bufs.times(b))
+            _complete_design(e, cols, bufs.times(b))
             c, d, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b), bufs.target(x, layout, b))
             # a's cos and sin coefficients, then b's; the rows of frames not
             # solved are NaN, which coef holds already

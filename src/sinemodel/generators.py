@@ -19,6 +19,13 @@ from .edsm import DampedSinusoid
 from .errors import UsageError
 
 
+def _check_positive(**values) -> None:
+    """UsageError for the first given rate or duration not positive and finite."""
+    for name, v in values.items():
+        if not 0 < v < np.inf:
+            raise UsageError(f"{name} must be positive and finite, got {v}")
+
+
 @dataclass(frozen=True)
 class ChirpSpec:
     """Stationary tone plus exponentially enveloped linear chirp."""
@@ -29,6 +36,10 @@ class ChirpSpec:
     chirp_f_end: float = 1000.0
     chirp_duration: float = 1.0
     damping: float = -2.0   # envelope exp(-damping * t): negative grows, positive decays
+
+    def __post_init__(self):
+        _check_positive(fs=self.fs, stationary_duration=self.stationary_duration,
+                        chirp_duration=self.chirp_duration)
 
 
 @dataclass(frozen=True)
@@ -48,6 +59,7 @@ class AMFMSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_positive(fs=self.fs, duration=self.duration)
         if self.n_partials < 1:
             raise UsageError("need at least one partial")
         if self.n_partials * self.f0 >= self.fs / 2:
@@ -65,6 +77,7 @@ class DampedSumSpec:
     fs: float = 16000.0
 
     def __post_init__(self):
+        _check_positive(fs=self.fs, duration=self.duration)
         if len(self.components) == 0:
             raise UsageError("need at least one component")
         for a, d, f, phi in self.components:

@@ -142,8 +142,8 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t_min_s is not None and self.t_min_s <= 0:
-            raise UsageError("t_min_s must be positive")
+        if self.t_min_s is not None and not 0 < self.t_min_s < np.inf:
+            raise UsageError(f"t_min_s must be positive and finite, got {self.t_min_s}")
         mult = tuple(float(m) for m in self.multiples)
         if not mult or mult[0] <= 0 or any(b <= a for a, b in zip(mult, mult[1:])):
             raise UsageError("multiples must be positive and strictly ascending")

@@ -61,6 +61,17 @@ def test_gen_rejects_malformed_env_seed(tmp_path, monkeypatch, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("signal", ["chirp", "amfm", "damped"])
+@pytest.mark.parametrize("fs", ["nan", "inf", "-5", "0"])
+def test_gen_rejects_a_sample_rate_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                   signal, fs):
+    wav = tmp_path / "x.wav"
+    assert main(["gen", "--signal", signal, "--fs", fs, "--out", str(wav)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: fs must be positive and finite")
+    assert not wav.exists()
+
+
 # ---------------------------------------------------------------------------
 # pitch / analyze
 # ---------------------------------------------------------------------------

@@ -492,6 +492,28 @@ def test_ls_solve_allocates_no_design_sized_temporaries():
     assert peak < q * q * 8 + n * q * 8 / 4
 
 
+@pytest.mark.parametrize("n, g, q", [(481, 22, 6), (641, 17, 6), (321, 34, 6), (320, 8, 6),
+                                     (336, 6, 6), (352, 5, 6), (215, 2, 138), (223, 2, 146),
+                                     (321, 1, 210), (267, 1, 174)])
+def test_interleaved_frame_products_match_contiguous_frames(n, g, q):
+    # ls_solve forms each frame's Gram matrix and right-hand side on a view
+    # of the (n, G, q) block whose row stride is G*q; the blocks' bitwise
+    # equality with per-frame solves rests on BLAS summing such a view as it
+    # sums the contiguous frame (block shapes of the benchmark workloads)
+    rng = np.random.default_rng(g * q)
+    frames = rng.normal(size=(n, g, q)).transpose(1, 0, 2)
+    contiguous = np.ascontiguousarray(frames)
+    yw = rng.normal(size=(g, n, 1))
+    for name, a, b in (("Gram matrix", frames, frames), ("right-hand side", frames, yw)):
+        got = np.matmul(a.transpose(0, 2, 1), b)
+        want = np.matmul(contiguous.transpose(0, 2, 1), contiguous if b is frames else yw)
+        assert got.tobytes() == want.tobytes(), (
+            f"the {name} of an interleaved (n, G, q) = {(n, g, q)} frame view is not "
+            "bitwise that of the contiguous frame: this numpy/OpenBLAS sums strided "
+            "operands differently, so eaqhm's stacked solves no longer equal "
+            "per-frame solves")
+
+
 def test_ls_solve_rejects_complex_design():
     e = np.ones((8, 2), dtype=np.complex128)
     with pytest.raises(UsageError):
@@ -537,12 +559,18 @@ def test_rotated_columns_match_direct_trig_over_60s():
         phase = 2 * np.pi * f[:, None] * t + 0.3 * np.sin(2 * np.pi * 3.0 * t)
         amp = 1.0 + 0.5 * np.cos(2 * np.pi * f_am[:, None] * t)
         top = max(top, phase.max())
-        e = np.empty((321, 2 * (2 * 3 + 1)))
+        cols = np.empty((1, 2 * (2 * 3 + 1), 321))   # one frame's design, transposed
         cc, sc = eaqhm._rotation_factors(amp[:, 160], phase[:, 160])
-        eaqhm._rotate_into(e, (amp + eaqhm._AMP_EPS) * np.cos(phase),
-                           (amp + eaqhm._AMP_EPS) * np.sin(phase), cc[:, None], sc[:, None],
-                           *np.empty((2, 3, 321)))
-        cos_cols, sin_cols = e[:, 1:4], e[:, 4:7]
+        eaqhm._rotate_into(cols, (amp + eaqhm._AMP_EPS)[None] * np.cos(phase),
+                           (amp + eaqhm._AMP_EPS)[None] * np.sin(phase),
+                           cc[None, :, None], sc[None, :, None])
+        e = np.empty((321, 1, 2 * (2 * 3 + 1)))   # its (n, G, q) design
+        times = (np.arange(321) - 160) / FS
+        eaqhm._complete_design(e, cols, times)
+        cos_cols, sin_cols = e[:, 0, 1:4], e[:, 0, 4:7]
+        # the DC column and the slope twins, bit for bit
+        assert (e[:, 0, 0] == 1.0).all() and (e[:, 0, 7] == times).all()
+        assert (e[:, 0, 8:14] == times[:, None] * e[:, 0, 1:7]).all()
         ratio = ((amp + eaqhm._AMP_EPS) / (amp[:, 160:161] + eaqhm._AMP_EPS)).T
         diff = (phase - phase[:, 160:161]).T
         np.testing.assert_allclose(cos_cols, ratio * np.cos(diff), rtol=0, atol=1e-8)
@@ -616,9 +644,9 @@ def test_adaptation_pass_matches_per_frame_reference(monkeypatch):
 
     def refuse_one(e, window, target):
         # the 700th frame of a pass is ill-conditioned; a block's frames are
-        # told apart by their samples
+        # told apart by their samples, which the target interleaves
         c, d, cond = solve(e, window, target)
-        frames = target.reshape(-1, len(window))
+        frames = target.reshape(len(window), -1).T
         calls["n"] += frames.shape[0]
         if frames.shape[1] == forced_samples.shape[0]:
             hit = (frames == forced_samples).all(axis=1)
@@ -775,7 +803,9 @@ def test_stacked_ls_solve_matches_the_per_frame_reference(g, n, m, kinds, seed):
         elif kind == "scaled":
             e[i] *= 10.0 ** rng.uniform(-6, 6, size=q)
     w, y = np.hamming(n), rng.normal(size=g * n)
-    c, d, cond = ls_solve(e.reshape(g * n, q).copy(), w, y)
+    # frame i's sample j is row j*g + i of the interleaved design and target
+    c, d, cond = ls_solve(e.transpose(1, 0, 2).reshape(n * g, q).copy(), w,
+                          y.reshape(g, n).T.reshape(-1))
     assert c.shape == d.shape == (g, q // 2) and cond.shape == (g,)
     for i in range(g):
         try:

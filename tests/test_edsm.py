@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from sinemodel import edsm
 from sinemodel.core import TWO_PI, SampledSignal, srer, wrap_phase
@@ -99,6 +100,38 @@ def test_vandermonde_warns_on_coincident_poles():
     frame = np.real(0.5 * z ** np.arange(100))
     with pytest.warns(RuntimeWarning):
         vandermonde_amplitudes(frame, poles)
+
+
+def _reference_vandermonde_amplitudes(frame, poles):
+    """vandermonde_amplitudes through scipy.linalg.solve_triangular; more poles
+    than samples take the minimum-norm least-squares solution."""
+    zt = poles[None, :] ** np.arange(frame.shape[0], dtype=np.float64)[:, None]
+    scale = np.max(np.abs(zt), axis=0)
+    scale[scale == 0.0] = 1.0
+    zs = zt / scale
+    q, r = np.linalg.qr(zs)
+    if r.shape[0] == r.shape[1] and np.abs(np.diag(r)).min() > 0.0 and np.isfinite(r).all():
+        alphas = solve_triangular(r, q.conj().T @ frame.astype(np.complex128))
+        alphas /= scale
+        if np.isfinite(alphas).all():
+            return alphas
+    return np.linalg.lstsq(zs, frame.astype(np.complex128), rcond=1e-30)[0] / scale
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(length=st.integers(1, 200), seed=st.integers(0, 2 ** 16),
+       radii=st.lists(st.floats(0.9, 1.02), min_size=1, max_size=6),
+       pairs=st.booleans())
+def test_vandermonde_solve_matches_solve_triangular(length, seed, radii, pairs):
+    rng = np.random.default_rng(seed)
+    poles = np.array(radii) * np.exp(1j * rng.uniform(-np.pi, np.pi, len(radii)))
+    if pairs:
+        poles = np.concatenate([poles, np.conj(poles)])
+    frame = rng.normal(size=length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # ill-conditioned draws
+        got = vandermonde_amplitudes(frame, poles)
+    assert got.tobytes() == _reference_vandermonde_amplitudes(frame, poles).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,20 @@ def test_amfm_seeding():
     assert not np.array_equal(a.samples, c.samples)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_specs_reject_a_rate_or_duration_that_is_not_positive_and_finite(bad):
+    comps = ((1.0, 1.0, 440.0, 0.0),)
+    for make, name in ((lambda v: ChirpSpec(fs=v), "fs"),
+                       (lambda v: ChirpSpec(stationary_duration=v), "stationary_duration"),
+                       (lambda v: ChirpSpec(chirp_duration=v), "chirp_duration"),
+                       (lambda v: AMFMSpec(fs=v), "fs"),
+                       (lambda v: AMFMSpec(duration=v), "duration"),
+                       (lambda v: DampedSumSpec(components=comps, fs=v), "fs"),
+                       (lambda v: DampedSumSpec(components=comps, duration=v), "duration")):
+        with pytest.raises(UsageError, match=f"^{name} must be positive and finite"):
+            make(bad)
+
+
 def test_amfm_validation():
     with pytest.raises(UsageError):
         AMFMSpec(n_partials=0)

@@ -57,6 +57,9 @@ def test_sweep_spec_validation():
         SweepSpec(source="amfm", models=("sm", "fm"))
     with pytest.raises(UsageError):
         SweepSpec(source="amfm", t_min_s=0.0)
+    for bad in (float("nan"), float("inf"), -0.01):
+        with pytest.raises(UsageError, match="t_min_s must be positive and finite"):
+            SweepSpec(source="amfm", t_min_s=bad)
 
 
 def test_sweep_cell_status_validation():
