@@ -8,10 +8,11 @@ build lowered to one thread and put back to its previous count afterwards.
 The builds are found in this process's own memory map (numpy and scipy each
 may ship one) and driven through their exported thread-count symbols via
 ctypes.  They are looked up once per process, at the first use; importing
-sinemodel loads both numpy and scipy.linalg, so every build is mapped by
-then.  Where there is no memory map or no such symbol, nothing changes.
-The limit is reference-counted, so concurrent callers on their own threads
-share it and the last one out restores the counts.
+sinemodel loads numpy and scipy's `_flapack` (see _lapack), which links
+scipy's OpenBLAS, so every build is mapped by then.  Where there is no
+memory map or no such symbol, nothing changes.  The limit is
+reference-counted, so concurrent callers on their own threads share it and
+the last one out restores the counts.
 """
 from __future__ import annotations
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.io import wavfile
 
 from .core import PartialTrack, SampledSignal
 from .edsm import DampedSinusoid, EDSMFrame
@@ -27,6 +27,10 @@ from .errors import AudioIOError
 from .pitch import F0Track, _nearest_voiced
 
 _INT16_FULL = 32767.0
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
+# an extensible format's subformat GUID: its format tag, then this fixed tail
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_SAMPLE_DTYPES = {(_WAVE_PCM, 16): np.dtype("<i2"), (_WAVE_FLOAT, 32): np.dtype("<f4")}
 
 
 # ---------------------------------------------------------------------------
@@ -34,34 +38,67 @@ _INT16_FULL = 32767.0
 # ---------------------------------------------------------------------------
 
 def read_wav(path) -> SampledSignal:
-    """Read a mono 16-bit PCM or 32-bit float WAV as float64 in [-1, 1)."""
+    """Read a mono 16-bit PCM or 32-bit float WAV, plain or
+    WAVE_FORMAT_EXTENSIBLE, as float64 in [-1, 1)."""
     try:
-        fs, data = wavfile.read(path)
-    except FileNotFoundError as exc:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as exc:
         raise AudioIOError(f"cannot open WAV file: {exc}") from exc
-    except Exception as exc:  # wavfile raises ValueError on unsupported codecs
+    try:
+        fs, channels, dtype, offset, nbytes = _parse_wav(buf)
+    except (ValueError, struct.error) as exc:
         raise AudioIOError(f"cannot parse WAV file {path}: {exc}") from exc
-    if data.ndim != 1:
-        raise AudioIOError(
-            f"{path}: expected mono audio, got {data.shape[1]} channels")
-    if data.dtype == np.int16:
-        x = np.maximum(data.astype(np.float64) / _INT16_FULL, -1.0)
-    elif data.dtype == np.float32:
-        x = data.astype(np.float64)
-    else:
-        raise AudioIOError(
-            f"{path}: unsupported sample format {data.dtype}; "
-            "need 16-bit PCM or 32-bit float")
+    if channels != 1:
+        raise AudioIOError(f"{path}: expected mono audio, got {channels} channels")
+    if dtype is None:
+        raise AudioIOError(f"{path}: unsupported sample format; "
+                           "need 16-bit PCM or 32-bit float")
+    x = np.frombuffer(buf, dtype, nbytes // dtype.itemsize, offset)
+    if dtype.kind == "i":
+        x = np.maximum(x / _INT16_FULL, -1.0)
     return SampledSignal(samples=x, fs=float(fs))
+
+
+def _parse_wav(buf: bytes):
+    """fs, channel count, sample dtype (None if unsupported), and the byte
+    offset and length of the data chunk."""
+    riff, _, wave = struct.unpack_from("<4sI4s", buf)
+    if riff != b"RIFF" or wave != b"WAVE":
+        raise ValueError("not a little-endian RIFF/WAVE file")
+    pos, fmt = 12, None
+    while pos + 8 <= len(buf):
+        chunk, size = struct.unpack_from("<4sI", buf, pos)
+        pos += 8
+        if chunk == b"fmt ":
+            if size < 16:
+                raise ValueError(f"fmt chunk of {size} bytes; need 16")
+            tag, channels, fs, _, _, bits = struct.unpack_from("<HHIIHH", buf, pos)
+            if tag == _WAVE_EXTENSIBLE and size >= 40 and buf[pos + 28:pos + 40] == _GUID_TAIL:
+                tag = struct.unpack_from("<I", buf, pos + 24)[0]
+            fmt = fs, channels, _SAMPLE_DTYPES.get((tag, bits))
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError("no fmt chunk before the data chunk")
+            if pos + size > len(buf):
+                raise ValueError(f"data chunk of {size} bytes runs past the end of the file")
+            return *fmt, pos, size
+        pos += size + (size & 1)    # chunks are padded to even sizes
+    raise ValueError("no data chunk")
 
 
 def write_wav(path, signal: SampledSignal) -> None:
     """Write 16-bit PCM: samples clipped to [-1, 1] and scaled by 32767 with
     round-to-nearest, so a read-back differs by less than 1/32768."""
     x = np.clip(signal.samples, -1.0, 1.0)
-    pcm = np.round(x * _INT16_FULL).astype(np.int16)
+    pcm = np.round(x * _INT16_FULL).astype("<i2")
+    fs = int(round(signal.fs))
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
+                         b"fmt ", 16, _WAVE_PCM, 1, fs, 2 * fs, 2, 16, b"data", pcm.nbytes)
     try:
-        wavfile.write(path, int(round(signal.fs)), pcm)
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(pcm.tobytes())
     except OSError as exc:
         raise AudioIOError(f"cannot write WAV file {path}: {exc}") from exc
 

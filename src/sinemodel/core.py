@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import _kernels
+from ._lapack import dgtsv
 from .errors import UsageError
 
 # Reconstruction with exactly zero error reports this finite sentinel so
@@ -24,8 +24,6 @@ WINDOW_KINDS = ("hamming", "hann", "blackman", "rectangular")
 TWO_PI = 2.0 * np.pi
 
 SYNTH_CHUNK = 1 << 13  # track samples per pass of the cubic-phase renderer
-
-_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +217,7 @@ def interp_frequency_spline(times: np.ndarray, freqs: np.ndarray,
     rhs = np.empty(n)
     rhs[0], rhs[-1] = 3 * (freqs[1] - freqs[0]), 3 * (freqs[-1] - freqs[-2])
     rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    s = _GTSV(np.append(dx[1:], dx[-1]), diag, np.append(dx[0], dx[:-1]), rhs,
+    s = dgtsv(np.append(dx[1:], dx[-1]), diag, np.append(dx[0], dx[:-1]), rhs,
               overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3]
     # interval k: freqs[k] + s[k] z + c1[k] z**2 + c0[k] z**3, z = t - times[k]
     bend = (s[:-1] + s[1:] - 2 * slope) / dx

@@ -45,10 +45,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import _kernels
 from ._blas import single_threaded_blas
+from ._lapack import dpocon, dpotrf, dpotrs
 from .core import (PartialTrack, SampledSignal, hop_samples, make_window, render_spans,
                    sample_track, srer, wrap_phase)
 # adapt renders its iterates itself; the name stays bound here because
@@ -56,9 +56,6 @@ from .core import (PartialTrack, SampledSignal, hop_samples, make_window, render
 from .core import synthesize_tracks  # noqa: F401
 from .errors import AnalysisError, IllConditionedError, UsageError
 from .pitch import F0Track
-
-_POTRF, _POCON, _POTRS = get_lapack_funcs(("potrf", "pocon", "potrs"),
-                                          dtype=np.float64)
 
 _AMP_EPS = 1e-10  # guards the per-frame center normalization of dead partials
 SRER_THRESHOLD_DB = 0.1    # adaptation stops once an iterate improves by less
@@ -151,15 +148,15 @@ def ls_solve(e: np.ndarray, window: np.ndarray,
     abs_r = np.abs(r, out=e.reshape(-1)[:g * q * q].reshape(g, q, q))
     anorm = np.max(np.add.reduce(abs_r, axis=1), axis=1)
     for i in range(g):
-        chol, info = _POTRF(r[i].T, lower=1, overwrite_a=1)
+        chol, info = dpotrf(r[i].T, lower=1, overwrite_a=1)
         if info != 0:
             continue
-        rcond, info = _POCON(chol, anorm[i], uplo=b"L")
+        rcond, info = dpocon(chol, anorm[i], uplo=b"L")
         if info == 0 and rcond != 0.0:
             cond[i] = 1.0 / float(rcond)
         if not cond[i] <= COND_BOUND:
             continue
-        sol, info = _POTRS(chol, rhs[i], lower=1)
+        sol, info = dpotrs(chol, rhs[i], lower=1)
         if info != 0:
             cond[i] = np.inf
             continue

@@ -13,14 +13,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import _kernels
+from ._lapack import ztrtrs
 from .core import TWO_PI, SampledSignal
 from .errors import AnalysisError, UsageError
 from .pitch import F0Track
-
-_TRTRS = get_lapack_funcs("trtrs", dtype=np.complex128)
 
 RANK_RTOL = 1e-10      # singular values below this fraction of the largest are noise
 _REAL_POLE_TOL = 1e-9  # |Im z| below this (relative) makes a pole real
@@ -175,7 +173,7 @@ def vandermonde_amplitudes(frame: np.ndarray, poles: np.ndarray) -> np.ndarray:
                       "near-coincident poles", RuntimeWarning, stacklevel=2)
     if r.shape[0] == r.shape[1] and d.min() > 0.0 and np.isfinite(r).all():
         # a square, C-ordered r: r.T is the Fortran-order lower factor LAPACK takes
-        alphas = _TRTRS(r.T, q.conj().T @ y, lower=1, trans=1)[0] / scale
+        alphas = ztrtrs(r.T, q.conj().T @ y, lower=1, trans=1)[0] / scale
         if np.isfinite(alphas).all():
             return alphas
     alphas, _, _, _ = np.linalg.lstsq(zs, y, rcond=1e-30)

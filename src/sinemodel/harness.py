@@ -57,7 +57,7 @@ def _edsm_config(signal: SampledSignal, f0track: F0Track, window, count) -> EDSM
 
 
 def _io():
-    from . import audio_io  # on first use: it loads scipy.io
+    from . import audio_io  # on first use: `import sinemodel` loads no file formats
     return audio_io
 
 

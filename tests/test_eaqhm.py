@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from sinemodel import eaqhm
+from sinemodel import _lapack, eaqhm
 from sinemodel._blas import blas_thread_counts, single_threaded_blas
 from sinemodel.core import (PartialTrack, SampledSignal, hop_samples, make_window,
                             sample_track, srer, synthesize_tracks, wrap_phase)
@@ -97,15 +97,15 @@ def _reference_ls_solve(e, window, target):
     es /= scale
     r = es.T @ es
     rhs = es.T @ yw
-    chol, info = eaqhm._POTRF(r, lower=1)
+    chol, info = _lapack.dpotrf(r, lower=1)
     if info != 0:
         raise IllConditionedError("normal equations not positive definite", np.inf)
     anorm = float(np.max(np.sum(np.abs(r), axis=0)))
-    rcond, info = eaqhm._POCON(chol, anorm, uplo=b"L")
+    rcond, info = _lapack.dpocon(chol, anorm, uplo=b"L")
     cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
     if info != 0 or not np.isfinite(cond) or cond > eaqhm.COND_BOUND:
         raise IllConditionedError("condition exceeds bound", cond)
-    c, info = eaqhm._POTRS(chol, rhs[:, None], lower=1)
+    c, info = _lapack.dpotrs(chol, rhs[:, None], lower=1)
     c = c[:, 0] / scale
     m = e.shape[1] // 2
     return c[:m], c[m:]
@@ -187,14 +187,14 @@ def _per_frame_ls_solve(e, window, target):
     rhs = e.T @ yw
     abs_r = np.abs(r, out=e.reshape(-1)[:q * q].reshape(q, q))
     anorm = float(np.max(np.sum(abs_r, axis=0)))
-    chol, info = eaqhm._POTRF(r.T, lower=1, overwrite_a=1)
+    chol, info = _lapack.dpotrf(r.T, lower=1, overwrite_a=1)
     if info != 0:
         raise IllConditionedError("normal equations not positive definite", np.inf)
-    rcond, info = eaqhm._POCON(chol, anorm, uplo=b"L")
+    rcond, info = _lapack.dpocon(chol, anorm, uplo=b"L")
     cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
     if info != 0 or not np.isfinite(cond) or cond > eaqhm.COND_BOUND:
         raise IllConditionedError("condition exceeds bound", cond)
-    c, info = eaqhm._POTRS(chol, rhs[:, None], lower=1)
+    c, info = _lapack.dpotrs(chol, rhs[:, None], lower=1)
     if info != 0:
         raise IllConditionedError("normal-equations solve failed", cond)
     c = c[:, 0] / scale

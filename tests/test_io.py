@@ -1,5 +1,6 @@
 """WAV, CSV and JSON round trips."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -54,6 +55,106 @@ def test_wav_error_paths(tmp_path):
     with pytest.raises(AudioIOError):
         audio_io.write_wav(tmp_path / "no" / "dir.wav",
                            SampledSignal(samples=np.zeros(10), fs=FS))
+
+
+def _chunk(tag: bytes, payload: bytes) -> bytes:
+    return tag + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) % 2)
+
+
+def _fmt_chunk(tag=1, channels=1, fs=16000, bits=16) -> bytes:
+    align = channels * bits // 8
+    return _chunk(b"fmt ", struct.pack("<HHIIHH", tag, channels, fs, fs * align, align, bits))
+
+
+def _riff(*chunks: bytes, magic=b"RIFF") -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return magic + struct.pack("<I", len(body)) + body
+
+
+def _as_extensible(wav: bytes) -> bytes:
+    """The same file with its fmt chunk rewritten as WAVE_FORMAT_EXTENSIBLE:
+    cbSize 22, valid bits, channel mask, then the subformat GUID (the old
+    format tag followed by the fixed KSDATAFORMAT_SUBTYPE tail)."""
+    size = struct.unpack_from("<I", wav, 16)[0]
+    tag, channels, fs, rate, align, bits = struct.unpack_from("<HHIIHH", wav, 20)
+    fmt = (struct.pack("<HHIIHHHHII", 0xFFFE, channels, fs, rate, align, bits, 22, bits,
+                       4, tag) + bytes.fromhex("00001000800000aa00389b71"))
+    return _riff(_chunk(b"fmt ", fmt), wav[20 + size:])
+
+
+def test_write_wav_bytes_equal_scipys_writer(tmp_path):
+    rng = np.random.default_rng(2)
+    for n, fs in ((1, 8000.0), (2, 16000.0), (4001, 44100.0)):
+        x = np.clip(rng.normal(0, 0.5, n), -1.0, 1.0)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        audio_io.write_wav(ours, SampledSignal(samples=x, fs=fs))
+        wavfile.write(theirs, int(fs), np.round(x * 32767.0).astype(np.int16))
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("extensible", [False, True])
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+def test_read_wav_matches_scipys_reader(tmp_path, dtype, extensible):
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, 3001)
+    if dtype == np.int16:
+        data = (x * 32767).astype(np.int16)
+        data[0] = -32768    # reads as -1.0, not below it
+    else:
+        data = x.astype(np.float32)
+    path = tmp_path / "x.wav"
+    wavfile.write(path, 11025, data)
+    if extensible:
+        path.write_bytes(_as_extensible(path.read_bytes()))
+    fs, ref = wavfile.read(path)
+    assert ref.dtype == dtype
+    if dtype == np.int16:
+        ref = np.maximum(ref.astype(np.float64) / 32767.0, -1.0)
+    sig = audio_io.read_wav(path)
+    assert sig.fs == float(fs) == 11025.0
+    assert sig.samples.dtype == np.float64
+    assert sig.samples.tobytes() == ref.astype(np.float64).tobytes()
+
+
+def test_wav_skips_other_chunks_and_their_pad_bytes(tmp_path):
+    pcm = np.array([0, 32767, -32767, 5], dtype="<i2")
+    path = tmp_path / "x.wav"
+    path.write_bytes(_riff(_chunk(b"odd ", b"abc"), _fmt_chunk(),
+                           _chunk(b"LIST", b"INFOISFT\x05\x00\x00\x00test\x00"),
+                           _chunk(b"data", pcm.tobytes()), _chunk(b"tail", b"x")))
+    np.testing.assert_array_equal(audio_io.read_wav(path).samples, pcm / 32767.0)
+
+
+@pytest.mark.parametrize("payload", [
+    b"not a wav file at all",
+    b"RIF",
+    _riff(_chunk(b"data", b"\0\0")),                              # no fmt chunk
+    _riff(_fmt_chunk()),                                          # no data chunk
+    _riff(_fmt_chunk(), b"data" + struct.pack("<I", 100) + bytes(10)),  # data past EOF
+    _riff(_fmt_chunk(), _chunk(b"data", b"\0\0"), magic=b"RIFX"),  # big-endian
+    _riff(_fmt_chunk(channels=2), _chunk(b"data", bytes(8))),     # stereo
+    _riff(_fmt_chunk(bits=32), _chunk(b"data", bytes(8))),        # int32
+    _riff(_fmt_chunk(bits=8), _chunk(b"data", bytes(8))),         # 8-bit PCM
+    _riff(_fmt_chunk(tag=3, bits=64), _chunk(b"data", bytes(8))),  # float64
+    # a 14-byte fmt chunk: read as 16 bytes, the next chunk's id would give 16 bits
+    _riff(_chunk(b"fmt ", struct.pack("<HHIIH", 1, 1, 16000, 32000, 2)),
+          _chunk(b"\x10\x00id", b""), _chunk(b"data", bytes(8))),
+], ids=["not-riff", "truncated", "no-fmt", "no-data", "data-past-eof", "rifx",
+        "stereo", "int32", "pcm8", "float64", "short-fmt"])
+def test_malformed_or_unsupported_wav_is_audio_io_error(tmp_path, payload):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(payload)
+    with pytest.raises(AudioIOError):
+        audio_io.read_wav(path)
+
+
+def test_read_wav_lets_other_errors_through(tmp_path, monkeypatch, tone_wav):
+    def broken(buf):
+        raise RuntimeError("a bug, not a bad file")
+
+    monkeypatch.setattr(audio_io, "_parse_wav", broken)
+    with pytest.raises(RuntimeError):
+        audio_io.read_wav(tone_wav)
 
 
 # ---------------------------------------------------------------------------

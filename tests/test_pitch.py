@@ -1,4 +1,5 @@
 """Autocorrelation f0 tracking."""
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -169,3 +170,61 @@ def test_import_loads_no_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of `code` in a new interpreter that imports the sinemodel under test."""
+    import sinemodel
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sinemodel.__file__)))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
+def test_import_loads_no_scipy_linalg_io_or_numpy_test_tools():
+    # LAPACK comes from scipy's _flapack extension alone and WAV files are
+    # read in-house; scipy.linalg's array-API layer would bring numpy.f2py
+    # and numpy.testing, about 25 MB per process
+    code = ("import sys, sinemodel, sinemodel.cli, sinemodel.harness, sinemodel.audio_io; "
+            "print(sorted(m for m in sys.modules if m != 'scipy.linalg._flapack' and "
+            "m.startswith(('scipy.linalg', 'scipy.io', 'numpy.f2py', 'numpy.testing'))))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_lapack_routines_are_scipys_own():
+    # the same objects scipy.linalg hands out, so results stay bitwise scipy's
+    import scipy.linalg
+
+    from sinemodel import _lapack
+
+    for routine, name, dtype in (("dgtsv", "gtsv", np.float64),
+                                 ("dpotrf", "potrf", np.float64),
+                                 ("dpocon", "pocon", np.float64),
+                                 ("dpotrs", "potrs", np.float64),
+                                 ("ztrtrs", "trtrs", np.complex128)):
+        assert getattr(_lapack, routine) is scipy.linalg.get_lapack_funcs(name, dtype=dtype)
+
+
+def test_missing_lapack_extension_is_an_import_error_naming_the_path(monkeypatch):
+    from sinemodel import _lapack
+
+    monkeypatch.setattr(_lapack.os.path, "isfile", lambda path: False)
+    with pytest.raises(ImportError, match=r"linalg.*_flapack"):
+        _lapack._load_flapack()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_import_maps_every_openblas_build_scipy_linalg_would():
+    # _blas looks the builds up once, so none may be mapped only later
+    code = ("import sinemodel\n"
+            "def builds():\n"
+            "    with open('/proc/self/maps') as maps:\n"
+            "        return sorted({line.split()[-1] for line in maps\n"
+            "                       if 'openblas' in line.lower() and '.so' in line})\n"
+            "before = builds()\n"
+            "import scipy.linalg\n"
+            "print(before)\n"
+            "print(builds())\n")
+    before, after = _fresh_python(code).splitlines()
+    assert before == after
+    assert before != "[]"
