@@ -30,8 +30,7 @@ from .harness import (ComparisonRow, SRERCurve, SweepCell, SweepSpec, export,
                       generate_standins, parse_multiples, run_comparison,
                       run_window_sweep, sweep_window_samples)
 from .pitch import F0Track, average_pitch_period, estimate_f0
-from .sm import (SMConfig, SMPeaks, analyze_frame_fft, sm_analyze,
-                 sm_peaks, sm_synthesize, track_partials)
+from .sm import SMConfig, SMPeaks, sm_peaks, sm_synthesize, track_partials
 
 __version__ = "0.1.0"
 
@@ -49,8 +48,7 @@ __all__ = [
     "ChirpSpec", "AMFMSpec", "DampedSumSpec", "default_damped_spec",
     "gen_stationary_plus_chirp", "gen_amfm", "gen_damped_sum",
     # sm
-    "SMConfig", "SMPeaks", "analyze_frame_fft", "track_partials",
-    "sm_peaks", "sm_analyze", "sm_synthesize",
+    "SMConfig", "SMPeaks", "track_partials", "sm_peaks", "sm_synthesize",
     # edsm
     "DampedSinusoid", "EDSMFrame", "EDSMConfig", "build_hankel",
     "esprit_poles", "vandermonde_amplitudes", "poles_to_components",

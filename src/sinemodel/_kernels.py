@@ -29,18 +29,18 @@ def trapezoid_phase(freq_hz: np.ndarray, fs: float, phi0: float) -> np.ndarray:
     return phase
 
 
-def autocorr_norm(frame: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
-    """Normalized autocorrelation at lags lag_min..lag_max; lags past the
-    frame and an all-zero frame give 0."""
-    n = frame.shape[0]
-    r = np.zeros(lag_max - lag_min + 1, dtype=np.float64)
-    if not np.any(frame):
-        return r
-    full = np.correlate(frame, frame, mode="full")[n - 1:]
-    csq = np.concatenate(([0.0], np.cumsum(frame * frame)))
+def autocorr_norm(frames: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
+    """Normalized autocorrelation at lags lag_min..lag_max of each row of
+    frames (n_frames x n); lags past the frame and an all-zero frame give 0."""
+    n = frames.shape[1]
+    r = np.zeros((frames.shape[0], lag_max - lag_min + 1), dtype=np.float64)
     lags = np.arange(lag_min, min(lag_max + 1, n))
-    den = np.sqrt(csq[n - lags] * (csq[n] - csq[lags]))
-    np.divide(full[lags], den, out=r[:lags.shape[0]], where=den > 0.0)
+    # one correlation a frame: its per-lag dot products set the bits
+    full = np.array([np.correlate(f, f, mode="full")[n - 1 + lags] for f in frames])
+    csq = np.zeros((frames.shape[0], n + 1))
+    np.cumsum(frames * frames, axis=1, out=csq[:, 1:])
+    den = np.sqrt(csq[:, n - lags] * (csq[:, n:] - csq[:, lags]))
+    np.divide(full.reshape(den.shape), den, out=r[:, :lags.shape[0]], where=den > 0.0)
     return r
 
 

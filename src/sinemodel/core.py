@@ -58,7 +58,7 @@ class SampledSignal:
         return self.samples.shape[0] / self.fs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialTrack:
     """One partial: its anchor arrays, spanning times[0] to times[-1]."""
 
@@ -72,27 +72,55 @@ class PartialTrack:
         amps = np.asarray(self.amps, dtype=np.float64)
         freqs = np.asarray(self.freqs, dtype=np.float64)
         phases = np.asarray(self.phases, dtype=np.float64)
-        n = times.shape[0]
-        if n == 0:
-            raise UsageError("track needs at least one anchor")
-        if not (amps.shape[0] == freqs.shape[0] == phases.shape[0] == n):
-            raise UsageError("track anchor arrays must have equal length")
-        if not (np.isfinite(times).all() and np.isfinite(amps).all()
-                and np.isfinite(freqs).all() and np.isfinite(phases).all()):
-            raise UsageError("track anchors must be finite")
-        if not (times[1:] > times[:-1]).all():
-            raise UsageError("anchor times must be strictly increasing")
-        if not (amps >= 0).all():
-            raise UsageError("anchor amplitudes must be >= 0")
-        if not (freqs > 0).all():
-            raise UsageError("anchor frequencies must be > 0")
+        check_track_columns(times, amps, freqs, phases)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "phases", phases)
 
+    @classmethod
+    def from_columns(cls, times: np.ndarray, amps: np.ndarray, freqs: np.ndarray,
+                     phases: np.ndarray, offsets: np.ndarray) -> list[PartialTrack]:
+        """The tracks whose anchors are offsets[k]:offsets[k + 1] of four
+        float64 columns, as views into them, checked once for all tracks."""
+        check_track_columns(times, amps, freqs, phases, offsets)
+        tracks = []
+        new, put = object.__new__, object.__setattr__
+        for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+            track = new(cls)
+            put(track, "times", times[a:b])
+            put(track, "amps", amps[a:b])
+            put(track, "freqs", freqs[a:b])
+            put(track, "phases", phases[a:b])
+            tracks.append(track)
+        return tracks
+
     def __len__(self) -> int:
         return self.times.shape[0]
+
+
+def check_track_columns(times: np.ndarray, amps: np.ndarray, freqs: np.ndarray,
+                        phases: np.ndarray, offsets: np.ndarray = None) -> None:
+    """Raise PartialTrack's UsageError unless the float64 anchor columns hold
+    valid tracks; track k is offsets[k]:offsets[k + 1] of them, and None
+    makes every anchor one track."""
+    n = times.shape[0]
+    if n == 0 if offsets is None else not (offsets[1:] > offsets[:-1]).all():
+        raise UsageError("track needs at least one anchor")
+    if not (amps.shape[0] == freqs.shape[0] == phases.shape[0] == n):
+        raise UsageError("track anchor arrays must have equal length")
+    if not (np.isfinite(times).all() and np.isfinite(amps).all()
+            and np.isfinite(freqs).all() and np.isfinite(phases).all()):
+        raise UsageError("track anchors must be finite")
+    rising = times[1:] > times[:-1]
+    if offsets is not None:
+        rising[offsets[1:-1] - 1] = True  # a track may start before the last one ends
+    if not rising.all():
+        raise UsageError("anchor times must be strictly increasing")
+    if not (amps >= 0).all():
+        raise UsageError("anchor amplitudes must be >= 0")
+    if not (freqs > 0).all():
+        raise UsageError("anchor frequencies must be > 0")
 
 
 # ---------------------------------------------------------------------------

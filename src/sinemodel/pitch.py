@@ -22,6 +22,7 @@ from .errors import AnalysisError, UsageError
 VOICING_THRESHOLD = 0.3
 _PEAK_KEEP = 0.9        # local maxima within this fraction of the global peak compete
 _MEDFILT_FRAMES = 5     # odd, so the running median is centred
+FRAME_BLOCK = 256       # frames per array pass in estimate_f0
 
 
 @dataclass(frozen=True)
@@ -52,22 +53,25 @@ class F0Track:
         return np.interp(np.asarray(t, dtype=np.float64), self.times, self.f0)
 
 
-def _pick_lag(r: np.ndarray, lo: int) -> tuple[float, float]:
-    """Smallest-lag local maximum within _PEAK_KEEP of the global peak,
-    parabolically refined.  Returns (lag, correlation)."""
-    n = r.shape[0]
-    g = float(np.max(r))
-    if g <= 0:
-        return 0.0, g
-    keep = _PEAK_KEEP * g
-    for j in range(1, n - 1):
-        if r[j] > r[j - 1] and r[j] > r[j + 1] and r[j] >= keep:
-            a, b, c = r[j - 1], r[j], r[j + 1]
-            den = a - 2.0 * b + c
-            p = 0.0 if den == 0.0 else float(np.clip(0.5 * (a - c) / den, -0.5, 0.5))
-            return lo + j + p, float(b - 0.25 * (a - c) * p)
-    j = int(np.argmax(r))
-    return float(lo + j), g
+def _pick_lags(r: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of r (frames x lags from lo): the smallest-lag local maximum
+    within _PEAK_KEEP of the row's global peak, parabolically refined, or
+    the global peak's lag where there is none.  Returns (lag, correlation);
+    a row whose peak is not positive gives lag 0."""
+    g = r.max(axis=1)
+    mid = r[:, 1:-1]
+    found = (mid > r[:, :-2]) & (mid > r[:, 2:]) & (mid >= (_PEAK_KEEP * g)[:, None])
+    refined = found.any(axis=1)
+    j = np.where(refined, found.argmax(axis=1) + 1, r.argmax(axis=1))
+    a, b, c = (np.take_along_axis(r, (j + k)[:, None].clip(0, r.shape[1] - 1), axis=1)[:, 0]
+               for k in (-1, 0, 1))
+    den = a - 2.0 * b + c
+    p = np.clip(np.divide(0.5 * (a - c), den, out=np.zeros_like(den), where=den != 0.0),
+                -0.5, 0.5)
+    lag = np.where(refined, (lo + j) + p, lo + j)
+    corr = np.where(refined, b - 0.25 * (a - c) * p, g)
+    live = g > 0
+    return np.where(live, lag, 0.0), np.where(live, corr, g)
 
 
 def _nearest_voiced(voiced: np.ndarray) -> np.ndarray:
@@ -114,18 +118,16 @@ def estimate_f0(signal: SampledSignal, f_min: float = 60.0, f_max: float = 500.0
     hi = min(frame_len - 2, lag_max + 2)
     starts = np.arange(0, x.shape[0] - frame_len + 1, hop)
     times = (starts + frame_len / 2.0) / fs
-    f0 = np.zeros(starts.shape[0])
-    voiced = np.zeros(starts.shape[0], dtype=bool)
-    for i, s in enumerate(starts):
-        frame = x[s:s + frame_len]
-        frame = frame - np.mean(frame)
-        r = _kernels.autocorr_norm(frame, lo, hi)
-        lag, corr = _pick_lag(r, lo)
-        if corr >= VOICING_THRESHOLD and lag > 0:
-            cand = fs / lag
-            if f_min <= cand <= f_max:
-                f0[i] = cand
-                voiced[i] = True
+    lag, corr = np.empty(starts.shape[0]), np.empty(starts.shape[0])
+    frames = sliding_window_view(x, frame_len)[::hop]
+    for i in range(0, starts.shape[0], FRAME_BLOCK):
+        block = frames[i:i + FRAME_BLOCK]
+        block = block - np.mean(block, axis=1, keepdims=True)
+        lag[i:i + FRAME_BLOCK], corr[i:i + FRAME_BLOCK] = _pick_lags(
+            _kernels.autocorr_norm(block, lo, hi), lo)
+    f0 = np.divide(fs, lag, out=np.zeros_like(lag), where=lag > 0)
+    voiced = (corr >= VOICING_THRESHOLD) & (lag > 0) & (f_min <= f0) & (f0 <= f_max)
+    f0[~voiced] = 0.0
     if np.any(voiced):
         # unvoiced frames inherit the nearest voiced estimate
         f0 = f0[_nearest_voiced(voiced)]

@@ -25,6 +25,7 @@ THRESHOLD_DB = -60.0  # peaks must clear the frame's spectral max minus this
 MAX_JUMP_HZ = 30.0    # largest frequency step a track continues across
 MIN_FFT_SIZE = 2048   # frames are zero-padded to max(this, next power of two >= window)
 FRAME_BLOCK = 32      # frames per batched FFT in sm_peaks
+LINK_BLOCK = 512      # frames per nearest-candidate pass in track_partials
 WINDOW_MS = 30.0      # the protocol window, used when SMConfig.window_samples is None
 
 
@@ -76,38 +77,36 @@ class SMAnalysis:
     tracks: list
 
 
-def analyze_frame_fft(frame: np.ndarray, window, fft_size: int, fs: float,
-                      max_peaks: int) -> SMPeaks:
-    """Pick at most max_peaks spectral peaks from one frame (a one-frame record).
-
-    The window is sum-normalized so a unit cosine yields a 0.5 spectral
-    peak; reported amplitudes are therefore 2 * interpolated magnitude.
-    An all-zero frame yields no peaks.
-    """
-    x = np.asarray(frame, dtype=np.float64)
-    w = np.asarray(window, dtype=np.float64)
-    if x.shape[0] != w.shape[0]:
-        raise UsageError(f"frame length {x.shape[0]} != window length {w.shape[0]}")
-    if fft_size < w.shape[0]:
-        raise UsageError(f"fft_size {fft_size} shorter than window {w.shape[0]}")
-    return _block_peaks(x[np.newaxis], w, fft_size, fs, max_peaks)
+def _db(mag: np.ndarray) -> np.ndarray:
+    return 20.0 * np.log10(np.maximum(mag, _LOG_FLOOR))
 
 
 def _block_peaks(frames: np.ndarray, w: np.ndarray, fft_size: int, fs: float,
                  max_peaks: int) -> SMPeaks:
-    """analyze_frame_fft of each row of frames (n_frames x len(w)), with one
-    FFT for the block and every later step an array op across it."""
+    """At most max_peaks spectral peaks of each row of frames (n_frames x
+    len(w)), with one FFT for the block and every later step an array op
+    across it.
+
+    The window is sum-normalized so a unit cosine yields a 0.5 spectral
+    peak; reported amplitudes are therefore 2 * interpolated magnitude.
+    A peak is a local maximum of the dB spectrum above the frame's maximum
+    plus THRESHOLD_DB.  dB is non-decreasing in |X|, so every peak is a local
+    maximum of |X| and the frame's dB maximum is the dB of its |X| maximum:
+    dB is taken only at those maxima and their neighbours.  The phase is
+    unwrapped only up to the highest bin read, and the unwrap's sum starts at
+    bin 0, so the prefix is the whole spectrum's.  An all-zero frame yields
+    no peaks.
+    """
     spectrum = _zero_phase_spectra(frames, w, fft_size)
-    mag = 20.0 * np.log10(np.maximum(np.abs(spectrum), _LOG_FLOOR))
-    phase_spec = _unwrap_rows(np.angle(spectrum))
-    del spectrum
-    floor = mag.max(axis=1, keepdims=True) + THRESHOLD_DB
+    mag = np.abs(spectrum)
     mid = mag[:, 1:-1]
-    is_peak = (mid > mag[:, :-2]) & (mid > mag[:, 2:]) & (mid > floor)
-    rows, peak_bins = np.nonzero(is_peak)  # frame-major, bins ascending
+    rows, peak_bins = np.nonzero((mid > mag[:, :-2]) & (mid > mag[:, 2:]))
     peak_bins += 1
-    left, mid, right = (mag[rows, peak_bins - 1], mag[rows, peak_bins],
-                        mag[rows, peak_bins + 1])
+    left, mid, right = _db(mag[rows[:, None], peak_bins[:, None] + np.arange(-1, 2)]).T
+    floor = _db(mag.max(axis=1)) + THRESHOLD_DB
+    is_peak = np.flatnonzero((mid > left) & (mid > right) & (mid > floor[rows]))
+    rows, peak_bins = rows[is_peak], peak_bins[is_peak]
+    left, mid, right = left[is_peak], mid[is_peak], right[is_peak]
     den = left - 2.0 * mid + right
     p = np.divide(0.5 * (left - right), den, out=np.zeros_like(den), where=den != 0.0)
     p = np.clip(p, -1.0, 1.0)
@@ -124,6 +123,7 @@ def _block_peaks(frames: np.ndarray, w: np.ndarray, fft_size: int, fs: float,
     # phase at the fractional bin, linear between its two neighbouring bins
     rows, frac_bin = rows[keep], frac_bin[keep]
     lo_bin = frac_bin.astype(np.int64)
+    phase_spec = _unwrap_rows(np.angle(spectrum[:, :int(lo_bin.max(initial=0)) + 2]))
     below = phase_spec[rows, lo_bin]
     phase = wrap_phase((phase_spec[rows, lo_bin + 1] - below) * (frac_bin - lo_bin) + below)
     counts = np.bincount(rows, minlength=frames.shape[0])
@@ -158,24 +158,102 @@ def _unwrap_rows(angle: np.ndarray) -> np.ndarray:
     return out
 
 
-def _match(last_f: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Greedy matching of one frame's peaks at f (louder first) to the tracks
-    ending at last_f: each peak claims the nearest free track within
-    MAX_JUMP_HZ, the latest one on ties.  Returns each peak's track, or -1."""
-    if last_f.shape[0] == 0:
-        return np.full(f.shape[0], -1)
-    d = np.abs(last_f - f[:, None])
-    best = d.shape[1] - 1 - d[:, ::-1].argmin(axis=1)
-    best[d[np.arange(f.shape[0]), best] > MAX_JUMP_HZ] = -1
-    if np.bincount(best[best >= 0], minlength=1).max() <= 1:
-        return best  # no track is wanted twice, so each peak gets its nearest
-    taken = np.zeros(d.shape[1], dtype=bool)
-    for p, row in enumerate(d):
-        row = np.where(taken, np.inf, row)
-        j = row.shape[0] - 1 - int(row[::-1].argmin())
-        best[p] = j if row[j] <= MAX_JUMP_HZ else -1
-        taken[j] |= best[p] >= 0
-    return best
+def _roots(prev: np.ndarray, root: np.ndarray, c0: int, c1: int) -> None:
+    """Set root[c0:c1] to the first peak of each peak's track, given prev
+    (each peak's predecessor, -1 for none) on [c0, c1) and root on [0, c0)."""
+    r = prev[c0:c1].copy()
+    born = r < 0
+    r[born] = np.flatnonzero(born) + c0
+    while True:  # pointer jumping: each pass halves the chains inside [c0, c1)
+        inside = r >= c0
+        nxt = np.where(inside, r[np.where(inside, r - c0, 0)], r)
+        if np.array_equal(nxt, r):
+            break
+        r = nxt
+    inside = r >= c0
+    root[c0:c1] = np.where(inside, r, root[np.where(inside, 0, r)])
+
+
+def _nearest(freq: np.ndarray, frame_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a run of whole frames (columns ascending by frame, then
+    frequency): each peak's nearest peak of the frame before within
+    MAX_JUMP_HZ (-1 for none), and whether its frame needs the scan, that
+    is, one of its candidates is wanted twice or a distance ties."""
+    n = freq.shape[0]
+    # (frame, frequency rank) keys are exact and ascend with the columns, so
+    # one search places every peak among the frame before's peaks
+    rank = np.unique(freq, return_inverse=True)[1].reshape(-1)
+    key = frame_of * (n + 1) + rank
+    pos = np.searchsorted(key, key - (n + 1))
+    before = frame_of - 1
+
+    def dist(col):
+        at = np.clip(col, 0, n - 1)
+        return np.where((col == at) & (frame_of[at] == before), np.abs(freq[at] - freq), np.inf)
+
+    d_left, d_right = dist(pos - 1), dist(pos)
+    hit = np.minimum(d_left, d_right) <= MAX_JUMP_HZ
+    want = np.where(hit, np.where(d_right <= d_left, pos, pos - 1), -1)
+    # a tie: equal distances each side, or the next candidate out as near
+    # as the nearest (equal frequencies, or a rounded difference)
+    tie = hit & ((d_left == d_right) | np.where(d_right < d_left, dist(pos + 1) == d_right,
+                                                 dist(pos - 2) == d_left))
+    wanted = np.bincount(want[hit], minlength=n)
+    return want, tie | (hit & (wanted[want] > 1))
+
+
+def _link(freq: np.ndarray, amp: np.ndarray, offsets: np.ndarray,
+          frame_of: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each peak's track (numbered by first peak), and each track's first
+    and last peak and a key ascending with its birth order.
+
+    Every peak continues a track or starts one, so the tracks alive after a
+    frame are exactly its peaks, and a frame's matching depends only on the
+    frame before.  So every peak finds its nearest candidate at once (in
+    passes of LINK_BLOCK frames); a frame where no two peaks want one
+    candidate and no distance ties is already greedy.  The others are
+    scanned peak by peak in frame order, because a tie goes to the
+    latest-born track and birth order needs the earlier frames' links: it
+    is the order of the tracks' first peaks in loud, the peaks frame by
+    frame and louder first.
+    """
+    n, n_frames = freq.shape[0], offsets.shape[0] - 1
+    loud = np.lexsort((-amp, frame_of))  # ties by frequency
+    loud_pos = np.empty_like(loud)
+    loud_pos[loud] = np.arange(n)
+    prev = np.empty(n, dtype=np.int64)
+    needs_scan = np.empty(n, dtype=bool)
+    for i in range(0, n_frames, LINK_BLOCK):
+        c0, c1 = int(offsets[max(i - 1, 0)]), int(offsets[i])
+        c2 = int(offsets[min(i + LINK_BLOCK, n_frames)])
+        want, to_scan = _nearest(freq[c0:c2], frame_of[c0:c2])
+        want = want[c1 - c0:]  # frame i - 1 only offers candidates
+        prev[c1:c2] = np.where(want >= 0, want + c0, -1)
+        needs_scan[c1:c2] = to_scan[c1 - c0:]
+    scan = np.unique(frame_of[needs_scan])
+    root = np.empty(n, dtype=np.int64)
+    rooted = 0  # root is known on [0, rooted)
+    for i in scan.tolist():
+        c0, c1, c2 = int(offsets[i - 1]), int(offsets[i]), int(offsets[i + 1])
+        _roots(prev, root, rooted, c1)
+        rooted = c1
+        cand = c0 + np.argsort(loud_pos[root[c0:c1]])  # their tracks in birth order
+        peaks = loud[c1:c2]
+        taken = np.zeros(cand.shape[0], dtype=bool)
+        for p, row in zip(peaks.tolist(), np.abs(freq[cand] - freq[peaks][:, None])):
+            row = np.where(taken, np.inf, row)
+            j = row.shape[0] - 1 - int(row[::-1].argmin())
+            prev[p] = cand[j] if row[j] <= MAX_JUMP_HZ else -1
+            taken[j] |= prev[p] >= 0
+    _roots(prev, root, rooted, n)
+    births = prev < 0
+    born = np.flatnonzero(births)
+    track_of = (np.cumsum(births) - 1)[root]
+    followed = np.zeros(n, dtype=bool)
+    followed[prev[prev >= 0]] = True
+    last = np.empty_like(born)
+    last[track_of[~followed]] = np.flatnonzero(~followed)
+    return track_of, born, last, loud_pos[born]
 
 
 def track_partials(peaks: SMPeaks, frame_times: np.ndarray,
@@ -186,62 +264,50 @@ def track_partials(peaks: SMPeaks, frame_times: np.ndarray,
     MAX_JUMP_HZ.  A track with no match dies with a
     one-hop amplitude ramp to zero; an unmatched peak is born, fading in
     over one hop unless it appears in the first frame.  Tracks still alive
-    at the last frame end without a ramp.  A track is recorded as its
-    peaks' indices and gathered into anchor arrays once, at the end.
+    at the last frame end without a ramp.  Tracks come ordered by start
+    time, then start frequency, then death (alive last), the later-born
+    first among tracks that die together.
     """
     if len(peaks) != len(frame_times):
         raise UsageError("one peak list per frame time required")
+    return PartialTrack.from_columns(*_anchor_columns(peaks, frame_times, hop_s))
+
+
+def _anchor_columns(peaks: SMPeaks, frame_times: np.ndarray,
+                    hop_s: float) -> tuple[np.ndarray, ...]:
+    """track_partials' anchor columns (times, amps, freqs, phases), track k
+    at bounds[k]:bounds[k + 1], and bounds."""
     freq, amp, phase, offsets = peaks.freq_hz, peaks.amp, peaks.phase, peaks.offsets
-    frame_of = np.repeat(np.arange(len(peaks)), np.diff(offsets))
-    loud = np.lexsort((-amp, frame_of))  # per frame louder first, ties by frequency
-    track_of = np.empty(freq.shape[0], dtype=np.int64)
-    active, last_f = np.empty(0, dtype=np.int64), np.empty(0)
-    retired = [active]  # track ids in the order the tracks die
-    n_tracks = 0
-    for i in range(len(peaks)):
-        order = loud[offsets[i]:offsets[i + 1]]
-        f = freq[order]
-        best = _match(last_f, f)
-        hit = best >= 0
-        taken = np.zeros(active.shape[0], dtype=bool)
-        taken[best[hit]] = True
-        born = np.arange(n_tracks, n_tracks + f.shape[0] - np.count_nonzero(hit))
-        n_tracks += born.shape[0]
-        track_of[order[hit]] = active[best[hit]]
-        track_of[order[~hit]] = born
-        retired.append(active[~taken][::-1])
-        last_f[best[hit]] = f[hit]
-        active = np.concatenate((active[taken], born))
-        last_f = np.concatenate((last_f[taken], f[~hit]))
-    # a track's anchors: a fade-in one hop before an interior birth, its
-    # peaks, then one hop after its last peak a ramp to zero or, for a track
-    # alive at the end, a hold so synthesis covers the samples after the last
-    # frame center
-    n_peaks = np.bincount(track_of, minlength=n_tracks)
-    fade_in = np.arange(n_tracks) >= (offsets[1] if len(peaks) else 0)  # not first-frame births
-    length = fade_in + n_peaks + 1
-    end = np.cumsum(length)
-    start = end - length
-    by_track = np.argsort(track_of, kind="stable")  # each track's peaks in frame order
-    first = np.cumsum(n_peaks) - n_peaks
-    slot = np.repeat(start + fade_in - first, n_peaks) + np.arange(by_track.shape[0])
+    n_frames = len(peaks)
+    frame_of = np.repeat(np.arange(n_frames), np.diff(offsets))
+    track_of, born, last, birth = _link(freq, amp, offsets, frame_of)
+    n_peaks = np.bincount(track_of, minlength=born.shape[0])
+    death = frame_of[last] + 1
+    alive = death == n_frames
+    fade_in = frame_of[born] > 0
     t_peak = np.asarray(frame_times)[frame_of]
-    times, amps, freqs, phases = anchors = np.empty((4, int(length.sum())))
+    t_start = np.where(fade_in, t_peak[born] - hop_s, t_peak[born])
+    order = np.lexsort((np.where(alive, birth, -birth), death,
+                        freq[born], t_start))
+    # a track's anchors: a fade-in one hop before an interior birth, its
+    # peaks (one a frame), then one hop after its last peak a ramp to zero
+    # or, for a track alive at the end, a hold so synthesis covers the
+    # samples after the last frame center
+    length = (fade_in + n_peaks + 1)[order]
+    bounds = np.concatenate(([0], np.cumsum(length)))
+    start = np.empty_like(born)
+    start[order] = bounds[:-1]
+    times, amps, freqs, phases = anchors = np.empty((4, int(bounds[-1])))
+    slot = (start + fade_in - frame_of[born])[track_of] + frame_of
     for row, col in zip(anchors, (t_peak, amp, freq, phase)):
-        row[slot] = col[by_track]
-    p, s = by_track[first[fade_in]], start[fade_in]
+        row[slot] = col
+    p, s = born[fade_in], start[fade_in]
     times[s], amps[s], freqs[s] = t_peak[p] - hop_s, 0.0, freq[p]
     phases[s] = wrap_phase(phase[p] - TWO_PI * freq[p] * hop_s)
-    p, s = by_track[first + n_peaks - 1], end - 1
-    times[s], amps[s], freqs[s] = t_peak[p] + hop_s, amp[p], freq[p]
+    p, s = last, start + fade_in + n_peaks
+    times[s], amps[s], freqs[s] = t_peak[p] + hop_s, np.where(alive, amp[p], 0.0), freq[p]
     phases[s] = wrap_phase(phase[p] + TWO_PI * freq[p] * hop_s)
-    dead = np.concatenate(retired)
-    amps[s[dead]] = 0.0
-    done = np.concatenate((dead, active))
-    done = done[np.lexsort((freqs[start[done]], times[start[done]]))]
-    return [PartialTrack(times=times[a:b], amps=amps[a:b], freqs=freqs[a:b],
-                         phases=phases[a:b])
-            for a, b in zip(start[done].tolist(), end[done].tolist())]
+    return times, amps, freqs, phases, bounds
 
 
 def _resolve_window_samples(config: SMConfig, fs: float) -> int:
@@ -290,11 +356,6 @@ def sm_analyze_peaks(signal: SampledSignal, config: SMConfig = SMConfig()) -> SM
     times, peaks = sm_peaks(signal, config)
     hop_s = hop_samples(config.hop_ms, signal.fs) / signal.fs
     return SMAnalysis(times, peaks, track_partials(peaks, times, hop_s))
-
-
-def sm_analyze(signal: SampledSignal, config: SMConfig = SMConfig()) -> list[PartialTrack]:
-    """Frame the signal, pick peaks, and connect them into partial tracks."""
-    return sm_analyze_peaks(signal, config).tracks
 
 
 def sm_synthesize(tracks, n_samples: int, fs: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from sinemodel.core import (SRER_MAX_DB, TWO_PI, PartialTrack, SampledSignal,
                             phase_by_freq_integration, phase_cubic_mq, render_spans,
                             sample_track, srer, synthesize_tracks, wrap_phase)
 from sinemodel.errors import UsageError
-from sinemodel.sm import SMConfig, sm_analyze, sm_synthesize
+from sinemodel.sm import SMConfig, sm_analyze_peaks, sm_synthesize
 
 FS = 16000.0
 
@@ -184,6 +184,66 @@ def test_partial_track_rejects_non_finite_anchors(field, bad, n):
     anchors[field] = anchors[field][:-1] + [bad]
     with pytest.raises(UsageError, match="finite"):
         PartialTrack(**anchors)
+
+
+_ANCHORS = dict(times=[0.0, 0.01, 0.02], amps=[0.5, 0.4, 0.0], freqs=[100.0, 101.0, 102.0],
+                phases=[0.0, 1.0, 2.0])
+
+
+def _columns(*tracks):
+    """Four float64 anchor columns of the tracks, one after another, and
+    their offsets."""
+    cols = [np.array([v for tr in tracks for v in tr[k]], dtype=np.float64)
+            for k in ("times", "amps", "freqs", "phases")]
+    return cols, np.concatenate(([0], np.cumsum([len(tr["times"]) for tr in tracks])))
+
+
+@pytest.mark.parametrize("field,i,bad", [
+    ("times", 1, np.nan), ("amps", 2, np.inf), ("freqs", 0, -np.inf), ("phases", 2, np.nan),
+    ("times", 1, 0.0), ("times", 2, 0.005), ("amps", 1, -0.1), ("freqs", 2, 0.0),
+    ("freqs", 0, -5.0)])
+def test_track_column_check_rejects_each_bad_anchor_as_partial_track_does(field, i, bad):
+    anchors = {k: list(v) for k, v in _ANCHORS.items()}
+    anchors[field][i] = bad
+    with pytest.raises(UsageError) as own:
+        PartialTrack(**anchors)
+    # the bad track between two good ones; times restart at each track
+    cols, offsets = _columns(_ANCHORS, anchors, _ANCHORS)
+    with pytest.raises(UsageError) as checked:
+        core.check_track_columns(*cols, offsets)
+    assert str(checked.value) == str(own.value)
+    with pytest.raises(UsageError) as built:
+        PartialTrack.from_columns(*cols, offsets)
+    assert str(built.value) == str(own.value)
+
+
+def test_track_column_check_rejects_empty_tracks_and_unequal_columns():
+    with pytest.raises(UsageError) as own:
+        PartialTrack(times=[], amps=[], freqs=[], phases=[])
+    cols, _ = _columns(_ANCHORS, _ANCHORS)
+    with pytest.raises(UsageError) as checked:
+        core.check_track_columns(*cols, np.array([0, 3, 3, 6]))
+    assert str(checked.value) == str(own.value)
+    with pytest.raises(UsageError) as own:
+        PartialTrack(times=[0.0, 0.01], amps=[0.5], freqs=[100.0, 100.0], phases=[0.0, 0.0])
+    with pytest.raises(UsageError) as checked:
+        core.check_track_columns(cols[0], cols[1][:-1], cols[2], cols[3], np.array([0, 3, 6]))
+    assert str(checked.value) == str(own.value)
+
+
+def test_tracks_from_columns_are_the_tracks_built_one_by_one():
+    later = dict(_ANCHORS, times=[0.03])  # a one-anchor track, then times restart
+    later = {k: v[:1] for k, v in later.items()}
+    tracks = [_ANCHORS, later, _ANCHORS]
+    cols, offsets = _columns(*tracks)
+    built = PartialTrack.from_columns(*cols, offsets)
+    assert len(built) == 3
+    for got, anchors in zip(built, tracks):
+        want = PartialTrack(**anchors)
+        for field in ("times", "amps", "freqs", "phases"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert built[2].times.base is cols[0]  # views into the columns
+    assert PartialTrack.from_columns(*(np.empty(0),) * 4, np.zeros(1, dtype=np.int64)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +684,7 @@ def test_sm_synthesize_matches_the_track_loop(monkeypatch, chunk):
     t = np.arange(n) / FS
     x = (0.6 * np.cos(2 * np.pi * 220.0 * t) * (t < 0.12)  # dies: a death ramp
          + 0.4 * np.cos(2 * np.pi * 530.0 * t + 1.0) * (t > 0.07))  # born: a birth ramp
-    tracks = sm_analyze(SampledSignal(samples=x, fs=FS), SMConfig(max_peaks=4))
+    tracks = sm_analyze_peaks(SampledSignal(samples=x, fs=FS), SMConfig(max_peaks=4)).tracks
     assert any(tr.amps[0] == 0 for tr in tracks) and any(tr.amps[-1] == 0 for tr in tracks)
     tracks += [
         PartialTrack(times=[0.05], amps=[0.3], freqs=[700.0], phases=[0.2]),  # lone anchor

@@ -97,15 +97,41 @@ def test_autocorr_norm_matches():
         frame = rng.normal(size=n)
         lag_min = int(rng.integers(1, 10))
         lag_max = int(rng.integers(lag_min, n + 5))  # may exceed the frame
-        a = _kernels.autocorr_norm(frame, lag_min, lag_max)
+        (a,) = _kernels.autocorr_norm(frame[None], lag_min, lag_max)
         b = _autocorr_norm_ref(frame, lag_min, lag_max)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_autocorr_norm_zero_frame():
     z = np.zeros(64)
-    np.testing.assert_array_equal(_kernels.autocorr_norm(z, 2, 10), np.zeros(9))
+    np.testing.assert_array_equal(_kernels.autocorr_norm(z[None], 2, 10), np.zeros((1, 9)))
     np.testing.assert_array_equal(_autocorr_norm_ref(z, 2, 10), np.zeros(9))
+
+
+def _one_frame_autocorr_norm(frame, lag_min, lag_max):
+    """autocorr_norm of one 1-D frame, as its own array ops."""
+    n = frame.shape[0]
+    r = np.zeros(lag_max - lag_min + 1, dtype=np.float64)
+    if not np.any(frame):
+        return r
+    full = np.correlate(frame, frame, mode="full")[n - 1:]
+    csq = np.concatenate(([0.0], np.cumsum(frame * frame)))
+    lags = np.arange(lag_min, min(lag_max + 1, n))
+    den = np.sqrt(csq[n - lags] * (csq[n] - csq[lags]))
+    np.divide(full[lags], den, out=r[:lags.shape[0]], where=den > 0.0)
+    return r
+
+
+def test_autocorr_norm_rows_are_the_one_frame_bits():
+    # a stack of frames, an all-zero one among them, gives each frame's own bits
+    frames = rng.normal(size=(6, 120))
+    frames[2] = 0.0
+    for lag_min, lag_max in ((1, 60), (5, 130), (119, 125)):
+        got = _kernels.autocorr_norm(frames, lag_min, lag_max)
+        assert got.shape == (6, lag_max - lag_min + 1)
+        for row, frame in zip(got, frames):
+            assert row.tobytes() == _one_frame_autocorr_norm(frame, lag_min, lag_max).tobytes()
+        assert not got[2].any()
 
 
 def test_hankel_build_matches():
@@ -119,5 +145,5 @@ def test_autocorr_unit_lag_of_periodic_signal():
     # exact period: correlation at the period lag is 1
     n, period = 240, 40
     frame = np.sin(2 * np.pi * np.arange(n) / period)
-    r = _kernels.autocorr_norm(frame, period, period)
-    assert r[0] == pytest.approx(1.0, abs=1e-12)
+    r = _kernels.autocorr_norm(frame[None], period, period)
+    assert r[0, 0] == pytest.approx(1.0, abs=1e-12)

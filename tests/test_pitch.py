@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sinemodel import pitch
+from sinemodel import _kernels, pitch
 from sinemodel.core import SampledSignal
 from sinemodel.errors import AnalysisError, UsageError
 from sinemodel.pitch import F0Track, average_pitch_period, estimate_f0
@@ -123,6 +123,92 @@ def test_estimate_f0_fill_matches_argmin_reference(monkeypatch):
         np.testing.assert_array_equal(g.voiced, want.voiced)
 
 
+def _pick_lag(r, lo):
+    """_pick_lags of one row, one lag at a time."""
+    n = r.shape[0]
+    g = float(np.max(r))
+    if g <= 0:
+        return 0.0, g
+    keep = pitch._PEAK_KEEP * g
+    for j in range(1, n - 1):
+        if r[j] > r[j - 1] and r[j] > r[j + 1] and r[j] >= keep:
+            a, b, c = r[j - 1], r[j], r[j + 1]
+            den = a - 2.0 * b + c
+            p = 0.0 if den == 0.0 else float(np.clip(0.5 * (a - c) / den, -0.5, 0.5))
+            return lo + j + p, float(b - 0.25 * (a - c) * p)
+    j = int(np.argmax(r))
+    return float(lo + j), g
+
+
+def test_pick_lags_match_the_one_row_reference():
+    rng = np.random.default_rng(9)
+    rows = [rng.uniform(-1.0, 1.0, 40) for _ in range(30)]
+    rows += [np.sin(np.linspace(0.0, k, 40)) for k in (3.0, 9.0, 20.0)]
+    rows += [
+        np.zeros(40), -np.ones(40),                  # no positive peak: lag 0
+        np.linspace(0.0, 1.0, 40),                   # rising: the global peak's lag
+        np.linspace(1.0, 0.0, 40),                   # falling: the same, at lag lo
+        np.r_[0.0, 1.0, 0.0, 0.95, 0.0, np.zeros(35)],  # the first near-peak wins
+        np.r_[0.0, 0.5, 0.0, 1.0, 0.0, np.zeros(35)],   # a small first maximum loses
+        np.r_[0.0, 0.9, 0.0, 1.0, 0.0, np.zeros(35)],   # one at exactly 0.9 of the peak wins
+        np.r_[0.2, 0.6, 1.0, 0.6, 0.2, np.zeros(35)],   # a symmetric peak: p = 0
+        np.r_[0.0, 0.5, 1.0, 1.0, 0.5, np.zeros(35)],   # a plateau is no maximum
+    ]
+    r = np.stack(rows)
+    lag, corr = pitch._pick_lags(r, 7)
+    want = np.array([_pick_lag(row, 7) for row in rows])
+    assert lag.tobytes() == want[:, 0].tobytes()
+    assert corr.tobytes() == want[:, 1].tobytes()
+
+
+def _per_frame_estimate_f0(signal, f_min, f_max, hop_ms):
+    """estimate_f0 one frame at a time."""
+    x, fs = signal.samples, signal.fs
+    lag_min = max(1, int(np.floor(fs / f_max)))
+    lag_max = int(np.ceil(fs / f_min))
+    frame_len = 2 * lag_max
+    hop = pitch.hop_samples(hop_ms, fs)
+    lo, hi = max(1, lag_min - 2), min(frame_len - 2, lag_max + 2)
+    starts = np.arange(0, x.shape[0] - frame_len + 1, hop)
+    f0 = np.zeros(starts.shape[0])
+    voiced = np.zeros(starts.shape[0], dtype=bool)
+    for i, s in enumerate(starts):
+        frame = x[s:s + frame_len]
+        frame = frame - np.mean(frame)
+        lag, corr = _pick_lag(_kernels.autocorr_norm(frame[None], lo, hi)[0], lo)
+        if corr >= pitch.VOICING_THRESHOLD and lag > 0:
+            cand = fs / lag
+            if f_min <= cand <= f_max:
+                f0[i] = cand
+                voiced[i] = True
+    if np.any(voiced):
+        f0 = f0[pitch._nearest_voiced(voiced)]
+        if f0.shape[0] >= pitch._MEDFILT_FRAMES:
+            f0 = pitch._median_filter(f0)
+        f0 = np.clip(f0, f_min, f_max)
+    return (starts + frame_len / 2.0) / fs, f0, voiced
+
+
+@pytest.mark.parametrize("block", [pitch.FRAME_BLOCK, 7])
+def test_estimate_f0_matches_the_per_frame_loop(monkeypatch, block):
+    monkeypatch.setattr(pitch, "FRAME_BLOCK", block)
+    t = np.arange(8000) / FS
+    chirp = np.cos(2 * np.pi * (120.0 * t + 150.0 * t * t))
+    inputs = _pitch_test_inputs() + [chirp, np.zeros(8000)]
+    frames = set()
+    for x in inputs:
+        sig = SampledSignal(samples=x, fs=FS)
+        for f_min, f_max, hop_ms in ((70.0, 400.0, 5.0), (60.0, 500.0, 1.0)):
+            got = estimate_f0(sig, f_min=f_min, f_max=f_max, hop_ms=hop_ms)
+            times, f0, voiced = _per_frame_estimate_f0(sig, f_min, f_max, hop_ms)
+            frames.add(len(got))
+            assert got.times.tobytes() == times.tobytes()
+            assert got.f0.tobytes() == f0.tobytes()
+            assert got.voiced.tobytes() == voiced.tobytes()
+    # more frames than one block, and not a whole number of blocks
+    assert any(n > block and n % block for n in frames)
+
+
 def test_estimate_f0_memory_stays_bounded_on_60s():
     # a frames x voiced matrix would need about 1 GB here
     t = np.arange(int(60 * FS)) / FS
@@ -151,14 +237,22 @@ def test_median_filter_matches_medfilt_reference():
         np.testing.assert_array_equal(pitch._median_filter(x), medfilt(x, 5))
 
 
+def _fresh_python(code: str) -> str:
+    """stdout of `code` in a new interpreter that imports the sinemodel under test."""
+    import sinemodel
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sinemodel.__file__)))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
 def test_import_loads_no_scipy_signal():
-    # scipy.io and audio_io load on the first file read or write, not at import
+    # audio_io loads on the first file read or write, not at import, and
+    # reads and writes WAV itself, so scipy.io never loads
     code = ("import sys, sinemodel; "
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', "
             "'scipy.io')) or m == 'sinemodel.audio_io'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
 
 
 def test_import_loads_no_scipy_interpolate():
@@ -167,18 +261,7 @@ def test_import_loads_no_scipy_interpolate():
     code = ("import sys, sinemodel, sinemodel.cli; "
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.interpolate', "
             "'scipy.special', 'scipy.optimize', 'scipy.spatial'))))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    assert out.strip() == "[]"
-
-
-def _fresh_python(code: str) -> str:
-    """stdout of `code` in a new interpreter that imports the sinemodel under test."""
-    import sinemodel
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sinemodel.__file__)))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=env).stdout
+    assert _fresh_python(code).strip() == "[]"
 
 
 def test_import_loads_no_scipy_linalg_io_or_numpy_test_tools():

@@ -18,9 +18,8 @@ from sinemodel.core import (TWO_PI, PartialTrack, SampledSignal, make_window, sr
 from sinemodel.errors import UsageError
 from sinemodel.generators import AMFMSpec, gen_amfm
 from sinemodel.harness import MODEL_TABLE, run_model
-from sinemodel.sm import (MAX_JUMP_HZ, THRESHOLD_DB, SMConfig, SMPeaks,
-                          analyze_frame_fft, sm_analyze, sm_peaks, sm_synthesize,
-                          track_partials)
+from sinemodel.sm import (_LOG_FLOOR, MAX_JUMP_HZ, THRESHOLD_DB, SMConfig, SMPeaks,
+                          sm_analyze_peaks, sm_peaks, sm_synthesize, track_partials)
 
 FS = 16000.0
 
@@ -61,7 +60,7 @@ def test_frame_peak_measures_off_bin_tone():
     t = (np.arange(L) - L // 2) / FS
     f, a, ph = 312.3, 0.8, 0.7  # deliberately between FFT bins
     frame = a * np.cos(2 * np.pi * f * t + ph)
-    (peaks,) = _lists(analyze_frame_fft(frame, make_window("hann", L), nfft, FS, max_peaks=5))
+    (peaks,) = _lists(sm._block_peaks(frame[None], make_window("hann", L), nfft, FS, 5))
     best = min(peaks, key=lambda p: abs(p.freq_hz - f))
     assert abs(best.freq_hz - f) < 0.01
     assert best.amp == pytest.approx(a, abs=1e-3)
@@ -72,14 +71,14 @@ def test_frame_peak_cap_and_ordering():
     L = 481
     t = (np.arange(L) - L // 2) / FS
     frame = sum(np.cos(2 * np.pi * f * t) for f in (300.0, 700.0, 1500.0, 2900.0))
-    (peaks,) = _lists(analyze_frame_fft(frame, make_window("hann", L), 2048, FS, max_peaks=2))
+    (peaks,) = _lists(sm._block_peaks(frame[None], make_window("hann", L), 2048, FS, 2))
     assert len(peaks) == 2
     freqs = [p.freq_hz for p in peaks]
     assert freqs == sorted(freqs)
 
 
 def _frame_peaks_ref(frame, window, fft_size, fs, max_peaks):
-    """analyze_frame_fft one local maximum at a time: interpolate every
+    """One frame's peaks one local maximum at a time: interpolate every
     maximum, then keep the max_peaks loudest, ordered by frequency."""
     w = window
     xw = frame * (w / np.sum(w))
@@ -122,13 +121,97 @@ def test_frame_peaks_match_scalar_reference():
             for _ in range(int(rng.integers(1, 6))):
                 frame += rng.uniform(0.1, 1.0) * np.cos(
                     2 * np.pi * rng.uniform(50.0, 7000.0) * t + rng.uniform(-np.pi, np.pi))
-            (got,) = _lists(analyze_frame_fft(frame, window, nfft, FS, max_peaks))
+            (got,) = _lists(sm._block_peaks(frame[None], window, nfft, FS, max_peaks))
             want = _frame_peaks_ref(frame, window, nfft, FS, max_peaks)
             assert len(got) == len(want) > 0
             for field in ("freq_hz", "amp", "phase", "bin"):
                 np.testing.assert_array_max_ulp(
                     np.array([getattr(pk, field) for pk in got]),
                     np.array([getattr(pk, field) for pk in want]), maxulp=4)
+
+
+def _full_spectrum_block_peaks(frames, w, fft_size, fs, max_peaks):
+    """_block_peaks taking dB and the unwrapped phase over the whole spectrum."""
+    spectrum = sm._zero_phase_spectra(frames, w, fft_size)
+    mag = 20.0 * np.log10(np.maximum(np.abs(spectrum), _LOG_FLOOR))
+    phase_spec = sm._unwrap_rows(np.angle(spectrum))
+    floor = mag.max(axis=1, keepdims=True) + THRESHOLD_DB
+    mid = mag[:, 1:-1]
+    rows, peak_bins = np.nonzero((mid > mag[:, :-2]) & (mid > mag[:, 2:]) & (mid > floor))
+    peak_bins += 1
+    left, mid, right = (mag[rows, peak_bins - 1], mag[rows, peak_bins],
+                        mag[rows, peak_bins + 1])
+    den = left - 2.0 * mid + right
+    p = np.divide(0.5 * (left - right), den, out=np.zeros_like(den), where=den != 0.0)
+    p = np.clip(p, -1.0, 1.0)
+    frac_bin = peak_bins + p
+    freq = frac_bin * fs / fft_size
+    amp = 2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0)
+    inside = np.flatnonzero((freq > 0.0) & (freq < fs / 2.0))
+    loud = inside[np.lexsort((-amp[inside], rows[inside]))]
+    rank = np.arange(loud.shape[0]) - np.searchsorted(rows[loud], rows[loud])
+    keep = loud[rank < max_peaks]
+    keep = keep[np.lexsort((freq[keep], rows[keep]))]
+    rows, frac_bin = rows[keep], frac_bin[keep]
+    lo_bin = frac_bin.astype(np.int64)
+    below = phase_spec[rows, lo_bin]
+    phase = wrap_phase((phase_spec[rows, lo_bin + 1] - below) * (frac_bin - lo_bin) + below)
+    counts = np.bincount(rows, minlength=frames.shape[0])
+    return SMPeaks(offsets=np.concatenate(([0], np.cumsum(counts))),
+                   values=np.stack((freq[keep], amp[keep], phase, frac_bin)))
+
+
+# a frame: a few cosines anywhere up to Nyquist (bin fft_size / 2), at a
+# scale that may put the whole spectrum below _LOG_FLOOR, or all zeros
+_TONES = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 1.0),
+                            st.floats(-np.pi, np.pi)), max_size=5)
+_SCALES = st.sampled_from([0.0, 1e-230, 1e-203, 1e-180, 1e-3, 1.0, 1e4])
+_BLOCK_FRAME = st.tuples(_TONES, _SCALES, st.booleans())
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(block=st.lists(_BLOCK_FRAME, min_size=1, max_size=6),
+       shape=st.sampled_from([(31, "hann", 64), (63, "rectangular", 64), (481, "hann", 2048),
+                              (301, "blackman", 1024)]),
+       max_peaks=st.sampled_from([1, 3, 100]))
+def test_peak_local_db_and_phase_are_the_full_spectrum_bits(block, shape, max_peaks):
+    L, kind, nfft = shape
+    w = make_window(kind, L)
+    n = np.arange(L) - L // 2
+    frames = np.zeros((len(block), L))
+    for row, (tones, scale, noisy) in zip(frames, block):
+        for at, a, ph in tones:  # at 1.0 the cosine sits on the last bin
+            row += a * np.cos(np.pi * at * n + ph)
+        if noisy:
+            row += np.random.default_rng(len(tones)).normal(0.0, 1e-3, L)
+        row *= scale
+    got = sm._block_peaks(frames, w, nfft, FS, max_peaks)
+    want = _full_spectrum_block_peaks(frames, w, nfft, FS, max_peaks)
+    assert got.offsets.tobytes() == want.offsets.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_peak_local_evaluation_edge_frames():
+    # an all-zero frame, a Nyquist cosine (the spectrum's maximum on the last
+    # bin), a tone whose peak is the last interior bin, and frames entirely
+    # or partly below _LOG_FLOOR
+    L, nfft = 63, 64
+    w = make_window("hann", L)
+    n = np.arange(L) - L // 2
+    nyquist = np.cos(np.pi * n)
+    near = np.cos(np.pi * (30.6 / 32.0) * n)
+    tone = np.cos(np.pi * (7.3 / 32.0) * n)
+    frames = np.stack([np.zeros(L), nyquist, nyquist + 0.5 * tone, near, 0.5 * near + tone,
+                       1e-205 * tone, 1e-195 * (tone + 1e-8 * near), tone + 1e-210 * near])
+    got = sm._block_peaks(frames, w, nfft, FS, 100)
+    want = _full_spectrum_block_peaks(frames, w, nfft, FS, 100)
+    assert got.offsets.tobytes() == want.offsets.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    counts = np.diff(got.offsets)
+    assert counts[0] == 0 and counts[5] == 0 and counts[[2, 4, 6, 7]].min() > 0
+    # the last interior bin is a peak of the full spectrum
+    spectrum = np.abs(sm._zero_phase_spectra(frames[3:4], w, nfft))[0]
+    assert spectrum[-2] > spectrum[-3] and spectrum[-2] > spectrum[-1]
 
 
 def _framed(x, w_len, hop):
@@ -172,7 +255,7 @@ def test_block_peaks_match_the_scalar_reference_frame_by_frame(monkeypatch, bloc
                     np.array([getattr(pk, field) for pk in got]),
                     np.array([getattr(pk, field) for pk in want]), maxulp=4)
         # batching changes nothing: each frame alone gives the same peaks
-        assert [got] == _lists(analyze_frame_fft(frame, window, 2048, FS, 3))
+        assert [got] == _lists(sm._block_peaks(frame[None], window, 2048, FS, 3))
     assert max(len(p) for p in lists) == 3
 
 
@@ -193,11 +276,7 @@ def test_block_peaks_single_centred_frame():
 
 def test_frame_analysis_edge_cases():
     w = make_window("hann", 31)
-    assert _lists(analyze_frame_fft(np.zeros(31), w, 64, FS, max_peaks=5)) == [[]]
-    with pytest.raises(UsageError):
-        analyze_frame_fft(np.zeros(30), w, 64, FS, max_peaks=5)
-    with pytest.raises(UsageError):
-        analyze_frame_fft(np.zeros(31), w, 16, FS, max_peaks=5)
+    assert _lists(sm._block_peaks(np.zeros((1, 31)), w, 64, FS, 5)) == [[]]
 
 
 def test_smconfig_validation():
@@ -361,6 +440,76 @@ def _assert_same_tracks(got, want):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
+def _match(last_f, f):
+    """One frame's greedy matching as one distance matrix: peaks at f (louder
+    first) against the tracks ending at last_f (in birth order)."""
+    if last_f.shape[0] == 0:
+        return np.full(f.shape[0], -1)
+    d = np.abs(last_f - f[:, None])
+    best = d.shape[1] - 1 - d[:, ::-1].argmin(axis=1)
+    best[d[np.arange(f.shape[0]), best] > MAX_JUMP_HZ] = -1
+    if np.bincount(best[best >= 0], minlength=1).max() <= 1:
+        return best  # no track is wanted twice, so each peak gets its nearest
+    taken = np.zeros(d.shape[1], dtype=bool)
+    for p, row in enumerate(d):
+        row = np.where(taken, np.inf, row)
+        j = row.shape[0] - 1 - int(row[::-1].argmin())
+        best[p] = j if row[j] <= MAX_JUMP_HZ else -1
+        taken[j] |= best[p] >= 0
+    return best
+
+
+def _frame_loop_track_partials(peaks, frame_times, hop_s):
+    """track_partials one frame at a time: match each frame against the
+    tracks alive after the frame before, recording each track's peaks."""
+    freq, amp, phase, offsets = peaks.freq_hz, peaks.amp, peaks.phase, peaks.offsets
+    frame_of = np.repeat(np.arange(len(peaks)), np.diff(offsets))
+    loud = np.lexsort((-amp, frame_of))
+    track_of = np.empty(freq.shape[0], dtype=np.int64)
+    active, last_f = np.empty(0, dtype=np.int64), np.empty(0)
+    retired = [active]  # track ids in the order the tracks die
+    n_tracks = 0
+    for i in range(len(peaks)):
+        order = loud[offsets[i]:offsets[i + 1]]
+        f = freq[order]
+        best = _match(last_f, f)
+        hit = best >= 0
+        taken = np.zeros(active.shape[0], dtype=bool)
+        taken[best[hit]] = True
+        born = np.arange(n_tracks, n_tracks + f.shape[0] - np.count_nonzero(hit))
+        n_tracks += born.shape[0]
+        track_of[order[hit]] = active[best[hit]]
+        track_of[order[~hit]] = born
+        retired.append(active[~taken][::-1])
+        last_f[best[hit]] = f[hit]
+        active = np.concatenate((active[taken], born))
+        last_f = np.concatenate((last_f[taken], f[~hit]))
+    n_peaks = np.bincount(track_of, minlength=n_tracks)
+    fade_in = np.arange(n_tracks) >= (offsets[1] if len(peaks) else 0)
+    length = fade_in + n_peaks + 1
+    end = np.cumsum(length)
+    start = end - length
+    by_track = np.argsort(track_of, kind="stable")
+    first = np.cumsum(n_peaks) - n_peaks
+    slot = np.repeat(start + fade_in - first, n_peaks) + np.arange(by_track.shape[0])
+    t_peak = np.asarray(frame_times)[frame_of]
+    times, amps, freqs, phases = anchors = np.empty((4, int(length.sum())))
+    for row, col in zip(anchors, (t_peak, amp, freq, phase)):
+        row[slot] = col[by_track]
+    p, s = by_track[first[fade_in]], start[fade_in]
+    times[s], amps[s], freqs[s] = t_peak[p] - hop_s, 0.0, freq[p]
+    phases[s] = wrap_phase(phase[p] - TWO_PI * freq[p] * hop_s)
+    p, s = by_track[first + n_peaks - 1], end - 1
+    times[s], amps[s], freqs[s] = t_peak[p] + hop_s, amp[p], freq[p]
+    phases[s] = wrap_phase(phase[p] + TWO_PI * freq[p] * hop_s)
+    amps[s[np.concatenate(retired)]] = 0.0
+    done = np.concatenate(retired + [active])
+    done = done[np.lexsort((freqs[start[done]], times[start[done]]))]
+    return [PartialTrack(times=times[a:b], amps=amps[a:b], freqs=freqs[a:b],
+                         phases=phases[a:b])
+            for a, b in zip(start[done].tolist(), end[done].tolist())]
+
+
 # a frame: peaks on a 10 Hz grid, so equal distances to two tracks and steps
 # of exactly MAX_JUMP_HZ are common, with a few loudness levels, so several
 # peaks contest one track and some tie in loudness
@@ -369,14 +518,47 @@ _FRAME = st.lists(st.tuples(st.integers(0, 20), st.sampled_from([0.0, 0.5]),
                   max_size=7, unique_by=lambda p: p[0])
 
 
+# short tables, and tables of 40 frames or more, whose tracks outlive any
+# fixed number of linking passes
 @settings(deadline=None, max_examples=400, derandomize=True)
-@given(table=st.lists(_FRAME, min_size=1, max_size=12))
+@given(table=st.lists(_FRAME, min_size=1, max_size=12) | st.lists(_FRAME, min_size=40,
+                                                                   max_size=60))
 def test_tracking_matches_the_reference_on_random_peak_tables(table):
     lists = [[_peak(100.0 + 10.0 * g + dg, amp, ph) for g, dg, amp, ph in sorted(frame)]
              for frame in table]
     times = 0.015 + 0.001 * np.arange(len(lists))
-    _assert_same_tracks(track_partials(_record(lists), times, 0.001),
-                        _reference_track_partials(lists, times, 0.001))
+    got = track_partials(_record(lists), times, 0.001)
+    _assert_same_tracks(got, _reference_track_partials(lists, times, 0.001))
+    _assert_same_tracks(got, _frame_loop_track_partials(_record(lists), times, 0.001))
+
+
+def test_tracking_tie_in_a_contested_frame_goes_to_the_later_born_track():
+    # a 140 Hz track from frame 0 and a louder 100 Hz one born in frame 1,
+    # both alive for 44 frames; then a loud peak 20 Hz from each (a tie, so
+    # the later-born 100 Hz track) and a quieter one nearest that track too,
+    # which falls back to the 140 Hz track
+    n = 45
+    lists = [[_peak(140.0, 1.0)]] + [[_peak(100.0, 2.0), _peak(140.0, 1.0)]] * (n - 1)
+    lists.append([_peak(115.0, 0.5), _peak(120.0, 3.0)])
+    times = 0.015 + 0.001 * np.arange(len(lists))
+    tracks = track_partials(_record(lists), times, 0.001)
+    ends = sorted((tr.freqs[0], tr.freqs[-2]) for tr in tracks)
+    assert ends == [(100.0, 120.0), (140.0, 115.0)]
+    _assert_same_tracks(tracks, _reference_track_partials(lists, times, 0.001))
+    _assert_same_tracks(tracks, _frame_loop_track_partials(_record(lists), times, 0.001))
+
+
+@pytest.mark.parametrize("low,high,peak", [
+    (100.0, 100.0, 101.0),    # two tracks at one frequency
+    (1e-16, 2e-16, 16.0)])    # distinct, but 16 Hz away from both once rounded
+def test_tracking_ties_with_a_candidate_past_the_nearest(low, high, peak):
+    # the quieter, so later-born, track is the lower one: the tie goes to it
+    lists = [[_peak(low, 1.0), _peak(high, 2.0)], [_peak(peak, 1.0)]]
+    assert abs(low - peak) == abs(high - peak)
+    times = np.array([0.015, 0.016])
+    tracks = track_partials(_record(lists), times, 0.001)
+    assert sorted((tr.amps[0], len(tr)) for tr in tracks) == [(1.0, 3), (2.0, 2)]
+    _assert_same_tracks(tracks, _reference_track_partials(lists, times, 0.001))
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +571,11 @@ def test_sm_pipeline_single_tone():
     x = 0.7 * np.cos(2 * np.pi * 100.0 * t + 0.3)
     sig = SampledSignal(samples=x, fs=FS)
     # knowing the component count, reconstruction is clean
-    tracks = sm_analyze(sig, SMConfig(max_peaks=1))
+    tracks = sm_analyze_peaks(sig, SMConfig(max_peaks=1)).tracks
     assert len(tracks) == 1
     assert srer(x, sm_synthesize(tracks, n, FS)) > 50.0
     # at the defaults, window sidelobes cost accuracy but stay usable
-    assert srer(x, sm_synthesize(sm_analyze(sig), n, FS)) > 25.0
+    assert srer(x, sm_synthesize(sm_analyze_peaks(sig).tracks, n, FS)) > 25.0
 
 
 def test_sm_pipeline_two_tones():
@@ -402,7 +584,7 @@ def test_sm_pipeline_two_tones():
     x = (0.7 * np.cos(2 * np.pi * 100.0 * t)
          + 0.4 * np.cos(2 * np.pi * 317.0 * t + 1.1))
     sig = SampledSignal(samples=x, fs=FS)
-    y = sm_synthesize(sm_analyze(sig), n, FS)
+    y = sm_synthesize(sm_analyze_peaks(sig).tracks, n, FS)
     assert srer(x, y) > 25.0
 
 
