@@ -18,9 +18,8 @@ from .core import (SRER_MAX_DB, PartialTrack, SampledSignal,
                    sample_track, srer, synthesize_tracks, wrap_phase)
 from .eaqhm import (AdaptationState, EaQHMConfig, adapt, eaqhm_analyze,
                     freq_correction, init_harmonic, ls_solve)
-from .edsm import (DampedSinusoid, EDSMConfig, EDSMFrame, build_hankel,
-                   components_to_poles, edsm_analyze, edsm_synthesize,
-                   esprit_poles, poles_to_components, vandermonde_amplitudes)
+from .edsm import (EDSMConfig, EDSMFrames, build_hankel, edsm_analyze,
+                   edsm_synthesize, esprit_poles, vandermonde_amplitudes)
 from .errors import (AnalysisError, AudioIOError, IllConditionedError,
                      SineModelError, UsageError)
 from .generators import (AMFMSpec, ChirpSpec, DampedSumSpec,
@@ -50,9 +49,8 @@ __all__ = [
     # sm
     "SMConfig", "SMPeaks", "track_partials", "sm_peaks", "sm_synthesize",
     # edsm
-    "DampedSinusoid", "EDSMFrame", "EDSMConfig", "build_hankel",
-    "esprit_poles", "vandermonde_amplitudes", "poles_to_components",
-    "components_to_poles", "edsm_analyze", "edsm_synthesize",
+    "EDSMFrames", "EDSMConfig", "build_hankel", "esprit_poles",
+    "vandermonde_amplitudes", "edsm_analyze", "edsm_synthesize",
     # eaqhm
     "EaQHMConfig", "AdaptationState", "ls_solve",
     "freq_correction", "init_harmonic", "adapt", "eaqhm_analyze",

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import PartialTrack, SampledSignal
-from .edsm import DampedSinusoid, EDSMFrame
+from .edsm import EDSMFrames
 from .errors import AudioIOError
 from .pitch import F0Track, _nearest_voiced
 
@@ -235,7 +235,7 @@ def write_eaqhm_json(path, tracks: Sequence[PartialTrack],
     _dump_json(path, payload)
 
 
-def write_frames_json(path, frames: Sequence[EDSMFrame], fs: float) -> None:
+def write_frames_json(path, frames: EDSMFrames, fs: float) -> None:
     payload = {
         "type": "edsm_frames",
         "fs": float(fs),
@@ -243,26 +243,23 @@ def write_frames_json(path, frames: Sequence[EDSMFrame], fs: float) -> None:
             "start": fr.start,
             "length": fr.length,
             "k_eff": fr.k_eff,
-            "components": [{"a": c.a, "delta_per_sample": c.delta,
-                            "freq_hz": c.freq_hz, "phase": c.phase}
-                           for c in fr.components],
+            "components": [{"a": a, "delta_per_sample": delta, "freq_hz": freq, "phase": phase}
+                           for freq, a, phase, delta in fr.components.tolist()],
         } for fr in frames],
     }
     _dump_json(path, payload)
 
 
-def read_frames_json(path) -> tuple[list[EDSMFrame], float]:
+def read_frames_json(path) -> tuple[EDSMFrames, float]:
     obj = _load_json(path)
     try:
-        frames = [EDSMFrame(start=int(fr["start"]), length=int(fr["length"]),
-                            k_eff=int(fr["k_eff"]),
-                            components=tuple(
-                                DampedSinusoid(a=c["a"], delta=c["delta_per_sample"],
-                                               freq_hz=c["freq_hz"], phase=c["phase"])
-                                for c in fr["components"]))
-                  for fr in obj["frames"]]
+        frames = EDSMFrames.from_frames(
+            (int(fr["start"]), int(fr["length"]), int(fr["k_eff"]),
+             [(c["freq_hz"], c["a"], c["phase"], c["delta_per_sample"])
+              for c in fr["components"]])
+            for fr in obj["frames"])
         return frames, float(obj["fs"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise AudioIOError(f"{path}: malformed frame JSON: {exc}") from exc
 
 

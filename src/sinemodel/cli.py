@@ -16,7 +16,6 @@ import numpy as np
 
 from . import audio_io
 from .core import PartialTrack, SampledSignal, srer
-from .edsm import EDSMFrame
 from .errors import AnalysisError, AudioIOError, UsageError
 from .generators import (AMFMSpec, ChirpSpec, default_damped_spec, gen_amfm,
                          gen_damped_sum, gen_stationary_plus_chirp)
@@ -69,12 +68,11 @@ def _cmd_gen(args) -> None:
         signal, scale = _scaled(signal)
         truth = ("tracks", [_scale_track(tr, scale) for tr in tracks])
     else:
-        signal, comps = gen_damped_sum(default_damped_spec(seed=seed, fs=fs))
+        signal, frames = gen_damped_sum(default_damped_spec(seed=seed, fs=fs))
         signal, scale = _scaled(signal)
-        comps = [dataclasses.replace(c, a=c.a * scale) for c in comps]
-        frame = EDSMFrame(start=0, length=signal.samples.shape[0],
-                          components=tuple(comps), k_eff=2 * len(comps))
-        truth = ("frames", [frame])
+        values = frames.values.copy()
+        values[1] *= scale  # the amplitude column
+        truth = ("frames", dataclasses.replace(frames, values=values))
     audio_io.write_wav(args.out, signal)
     if args.truth:
         kind, data = truth

@@ -99,6 +99,31 @@ class PartialTrack:
         return self.times.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class FrameRecord:
+    """Per-frame rows of a run of frames, kept as columns.
+
+    Column c of `values` is one row: its frequency (Hz), linear amplitude and
+    phase (rad), then one more value the kind of record names.  Frame i owns
+    columns offsets[i]:offsets[i + 1].  len() counts frames, and record[i] is
+    frame i's rows as a (k, 4) view.
+    """
+
+    offsets: np.ndarray  # n_frames + 1 ints
+    values: np.ndarray   # 4 x n_rows
+
+    freq_hz = property(lambda self: self.values[0])
+    amp = property(lambda self: self.values[1])
+    phase = property(lambda self: self.values[2])
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.values[:, self.offsets[i]:self.offsets[i + 1]].T
+
+
 def check_track_columns(times: np.ndarray, amps: np.ndarray, freqs: np.ndarray,
                         phases: np.ndarray, offsets: np.ndarray = None) -> None:
     """Raise PartialTrack's UsageError unless the float64 anchor columns hold

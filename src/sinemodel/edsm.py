@@ -3,52 +3,80 @@
 A frame is modeled as x[n] = sum_k alpha_k * z_k^n with poles
 z_k = exp(delta_k + i*omega_k); delta is the per-sample log-amplitude slope
 (positive grows, negative decays) and omega the per-sample angle.  Poles are
-estimated from the column space of a Hankel data matrix, amplitudes by a
-Vandermonde least-squares solve, and conjugate pairs are merged into real
-damped sinusoids (a, delta, f, phi).
+estimated from the row space of a Hankel data matrix (ESPRIT), and one real
+least-squares fit per frame gives the real damped sinusoids directly.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from ._lapack import ztrtrs
-from .core import TWO_PI, SampledSignal
+from ._lapack import dtrtrs
+from .core import TWO_PI, FrameRecord, SampledSignal
 from .errors import AnalysisError, UsageError
 from .pitch import F0Track
 
 RANK_RTOL = 1e-10      # singular values below this fraction of the largest are noise
 _REAL_POLE_TOL = 1e-9  # |Im z| below this (relative) makes a pole real
+_PINV_RCOND = 1e-15    # np.linalg.pinv's default cutoff
 _COND_WARN = 1e12
 _LOG_RANGE = 600.0     # |delta| * frame_len ceiling; exp(600) stays finite in float64
-ESPRIT_BLOCK = 1 << 16  # Hankel elements per stacked SVD in edsm_analyze
+ESPRIT_BLOCK = 1 << 16  # elements per stack: Hankel matrices in analysis, samples in synthesis
 
 
-@dataclass(frozen=True)
-class DampedSinusoid:
-    """Real damped sinusoid a * exp(delta*n) * cos(2*pi*f/fs*n + phi)."""
-
-    a: float         # amplitude at frame start, >= 0
-    delta: float     # per-sample damping; > 0 grows
-    freq_hz: float   # in [0, fs/2]
-    phase: float     # rad at frame start
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise UsageError(f"component amplitude must be >= 0, got {self.a}")
-
-
-@dataclass(frozen=True)
-class EDSMFrame:
-    """Per-frame analysis result; start/length in samples of the source signal."""
+class EDSMFrame(NamedTuple):
+    """One frame of an EDSMFrames record; components is a (C, 4) view."""
 
     start: int
     length: int
-    components: tuple
-    k_eff: int  # effective exponential order kept after the rank threshold
+    k_eff: int
+    components: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class EDSMFrames(FrameRecord):
+    """The damped sinusoids of non-overlapping frames, as a FrameRecord.
+
+    A component's row (freq_hz, amp, phase, delta) renders as
+    amp * exp(delta*n) * cos(2*pi*freq_hz/fs*n + phase), n counted from its
+    frame's start; a frame's rows ascend in frequency, louder first.  Frame i
+    spans samples start[i] to start[i] + length[i] - 1 and kept order
+    k_eff[i] (0 without components).  Iterating gives EDSMFrame views.
+    """
+
+    start: np.ndarray   # n_frames ints, ascending
+    length: np.ndarray
+    k_eff: np.ndarray
+
+    delta = property(lambda self: self.values[3])
+
+    def __post_init__(self):
+        if (self.amp < 0).any():
+            raise UsageError("component amplitudes must be >= 0")
+        if self.start.shape[0] and not (self.start[0] >= 0 and (self.length > 0).all() and (
+                self.start[1:] >= self.start[:-1] + self.length[:-1]).all()):
+            raise UsageError("frames must start at sample >= 0, be non-empty and not overlap")
+
+    def __getitem__(self, i: int) -> EDSMFrame:
+        i = range(len(self))[i]
+        return EDSMFrame(int(self.start[i]), int(self.length[i]), int(self.k_eff[i]),
+                         super().__getitem__(i))
+
+    @classmethod
+    def from_frames(cls, frames) -> EDSMFrames:
+        """The record of (start, length, k_eff, components) frames, each
+        frame's components as rows (freq_hz, amp, phase, delta)."""
+        frames = list(frames)
+        rows = [np.asarray(fr[3], dtype=np.float64).reshape(-1, 4) for fr in frames]
+        start, length, k_eff = np.array([fr[:3] for fr in frames],
+                                        dtype=np.int64).reshape(-1, 3).T
+        return cls(offsets=np.cumsum([0] + [r.shape[0] for r in rows]),
+                   values=np.concatenate([np.empty((0, 4))] + rows).T.copy(),
+                   start=start, length=length, k_eff=k_eff)
 
 
 @dataclass(frozen=True)
@@ -68,12 +96,15 @@ class EDSMConfig:
     rank_rtol: float = RANK_RTOL
 
     def __post_init__(self):
-        if self.window_samples < 4:
-            raise UsageError(f"window must be >= 4 samples, got {self.window_samples}")
+        w = self.window_samples
+        if not isinstance(w, (int, np.integer)) or w < 4:
+            raise UsageError(f"window must be an integer >= 4 samples, got {w!r}")
+        if not 0.0 <= self.rank_rtol <= 1.0:
+            raise UsageError(f"rank_rtol must be in [0, 1], got {self.rank_rtol!r}")
 
 
 # ---------------------------------------------------------------------------
-# estimation primitives
+# estimation stages
 # ---------------------------------------------------------------------------
 
 def build_hankel(frame: np.ndarray, n_cols: int) -> np.ndarray:
@@ -95,7 +126,8 @@ def esprit_poles(frame: np.ndarray, k_exp: int,
     the right singular basis of its Hankel matrix with L//2 columns.
 
     Returns (poles, k_eff) where k_eff <= k_exp is the order kept after
-    dropping singular values below rank_rtol times the largest.
+    dropping singular values below rank_rtol times the largest.  This is
+    edsm_analyze's ESPRIT stage on one frame.
     """
     x = np.asarray(frame, dtype=np.float64)
     length = x.shape[0]
@@ -110,45 +142,142 @@ def esprit_poles(frame: np.ndarray, k_exp: int,
     if k_exp > min(n, rows) - 1:
         raise UsageError(
             f"order {k_exp} too high for Hankel of {rows}x{n}; need N > K and R > K")
-    (poles,), (k_eff,) = _esprit_block(x[np.newaxis], np.array([k_exp]), rank_rtol)
-    return poles, int(k_eff)
+    k_eff, groups = _esprit_block(x[np.newaxis], np.array([k_exp]), rank_rtol)
+    poles = groups[0][1][0] if groups else np.empty(0, dtype=np.complex128)
+    return poles, int(k_eff[0])
 
 
 def _esprit_block(frames: np.ndarray, k_max: np.ndarray,
-                  rank_rtol: float) -> tuple[list, np.ndarray]:
-    """esprit_poles of each row of frames (g x L, none all-zero) with order
-    cap k_max[i]: one stacked SVD for the block, then one stacked pinv and
+                  rank_rtol: float) -> tuple[np.ndarray, list]:
+    """ESPRIT on each row of frames (g x L, none all-zero) with order cap
+    k_max[i]: one stacked SVD for the block, then one stacked shift solve and
     eigvals per group of frames with equal k_eff.  numpy runs the LAPACK and
     BLAS routine of a lone matrix on each matrix of a stack, so each frame's
     poles are those of a call on that frame alone.
+
+    Returns k_eff and, per group, (its rows of frames, their poles as one row
+    per frame, ordered by angle, then magnitude).
     """
     length = frames.shape[1]
     n = length // 2
     X = _kernels.hankel_build(frames, length - n + 1, n)
+    # the R >= N + 1 rows outnumber the N columns, so the thin vh is N x N
     _, s, vh = np.linalg.svd(X, full_matrices=False)
     k_eff = np.minimum(np.count_nonzero(s >= rank_rtol * s[:, :1], axis=1), k_max)
-    poles = [np.empty(0, dtype=np.complex128)] * frames.shape[0]
+    groups = []
     for k in np.unique(k_eff[k_eff > 0]).tolist():
-        group = np.flatnonzero(k_eff == k)
-        vs = vh[group, :k].conj().swapaxes(1, 2)  # N x k_eff singular bases
-        phi = np.linalg.pinv(vs[:, :-1]) @ vs[:, 1:]
-        z = np.linalg.eigvals(phi)
-        order = np.lexsort((np.abs(z), np.angle(z)), axis=-1)
-        for g, zg, og in zip(group.tolist(), z, order):
-            poles[g] = zg[og]
-    return poles, k_eff
+        rows = np.flatnonzero(k_eff == k)
+        z = np.linalg.eigvals(_shift_matrices(vh[rows], k))
+        groups.append((rows, np.take_along_axis(
+            z, np.lexsort((np.abs(z), np.angle(z)), axis=-1), axis=-1)))
+    return k_eff, groups
+
+
+def _shift_matrices(vh: np.ndarray, k: int) -> np.ndarray:
+    """ESPRIT's shift matrix Phi = pinv(V1) V2 for each stacked N x N right
+    singular basis vh, in closed form.  V1, V2: the first and last N - 1
+    coordinates of V = vh[:k].  With u = V[:, -1] and w = vh[k:, -1],
+    V1'V1 = I - uu' and |u|^2 + |w|^2 = 1, so Phi = M + u(u'M) / |w|^2,
+    M = V[:, :-1] V[:, 1:]'.  u'M is formed from the complement rows, as
+    u'V[:, :-1] = -w'vh[k:, :-1]: its error is then eps*|w|, not eps.  Where
+    |w| (V1's smallest singular value) is at most pinv's cutoff, Phi is
+    pinv's minimum-norm M - u(u'M) / |u|^2.
+    """
+    v, rest = vh[:, :k], vh[:, k:]
+    u, w = v[:, :, -1:], rest[:, :, -1:]
+    v_next = v[:, :, 1:].swapaxes(1, 2)
+    m = v[:, :, :-1] @ v_next
+    neg_um = (w.swapaxes(1, 2) @ rest[:, :, :-1]) @ v_next
+    ww = w.swapaxes(1, 2) @ w
+    denom = np.where(ww > _PINV_RCOND ** 2, ww, -(u.swapaxes(1, 2) @ u))
+    return m - u * (neg_um / denom)
+
+
+def _conjugate_split(z: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the real (Im z == 0) and upper (Im z > 0) poles among those
+    kept, for g x k poles (one frame a row).  Raises UsageError unless each
+    frame's kept complex poles come in exact conjugate pairs, as the
+    eigenvalues of a real matrix do."""
+    none = complex(np.inf, np.inf)
+    up = keep & (z.imag > 0)
+    if not np.array_equal(np.sort(np.where(up, z, none), axis=-1),
+                          np.sort(np.where(keep & (z.imag < 0), z.conj(), none), axis=-1)):
+        raise UsageError("complex poles must come in exact conjugate pairs")
+    return keep & (z.imag == 0), up
+
+
+def _amplitude_block(frames: np.ndarray, real: np.ndarray,
+                     up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of each row of frames (g x L) on the
+    columns r^n of its real poles (g x n_r), then Re z^n and Im z^n of its
+    upper poles (g x n_p), each scaled by its maximum (2-norms can overflow),
+    and each frame's condition estimate: one R-only QR of [columns | frame]
+    for the stack, then per frame one dtrtrs on R[:K, :K] and R[:K, K].  A
+    rank cutoff would drop the near-unit-circle columns that carry the fit
+    when a strongly damped pole inflates the spectrum, so a degenerate or
+    non-finite solve falls back to least squares without one.
+    """
+    g, length = frames.shape
+    n = np.arange(length, dtype=np.float64)
+    env, angle = np.abs(up)[:, :, None] ** n, np.angle(up)[:, :, None] * n
+    a = np.concatenate((real[:, :, None] ** n, env * np.cos(angle), env * np.sin(angle),
+                        frames[:, None, :]), axis=1)
+    k = a.shape[1] - 1
+    scale = np.max(np.abs(a[:, :k]), axis=2)
+    scale[scale == 0.0] = 1.0
+    a[:, :k] /= scale[:, :, None]
+    r = np.linalg.qr(a.swapaxes(1, 2), mode="r")
+    d = np.abs(np.diagonal(r[:, :k, :k], axis1=1, axis2=2))
+    d_min = d.min(axis=1)
+    cond = np.divide(d.max(axis=1), d_min, out=np.full(g, np.inf), where=d_min != 0.0)
+    coef = np.full((g, k), np.nan)
+    square = r.shape[1] >= k
+    for i in np.flatnonzero(square & (d_min > 0.0) & np.isfinite(r).all(axis=(1, 2))).tolist():
+        coef[i] = dtrtrs(r[i, :k, :k], r[i, :k, k])[0]
+    for i in np.flatnonzero(~np.isfinite(coef).all(axis=1)).tolist():
+        coef[i] = np.linalg.lstsq(a[i, :k].T, a[i, k], rcond=1e-30)[0]
+    return coef / scale, cond
+
+
+def _warn_ill_conditioned(cond: np.ndarray) -> None:
+    for c in cond[cond > _COND_WARN].tolist():
+        warnings.warn(f"Vandermonde system ill-conditioned (cond={c:.3e}); "
+                      "near-coincident poles", RuntimeWarning, stacklevel=3)
+
+
+def _components(real: np.ndarray, c_real: np.ndarray, up: np.ndarray, c_cos: np.ndarray,
+                c_sin: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (freq_hz, amp, phase, delta) of stacked frames' components from
+    their nonzero real and upper poles and coefficients, and which to keep.
+    A real pole is amplitude |c|, phase 0 or pi and frequency 0 or fs/2 by
+    sign.  A pair is hypot(c_cos, c_sin), phase atan2(-c_sin, c_cos) and z's
+    damping and frequency, or, real within _REAL_POLE_TOL, two real
+    components of |c_cos| / 2: its second one is kept after all the pairs.
+    """
+    mag = np.hypot(up.real, up.imag)
+    near = np.abs(up.imag) <= _REAL_POLE_TOL * (1.0 + mag)
+
+    def band_edge(re, c, r_mag):
+        return (np.where(re >= 0, 0.0, fs / 2.0), np.abs(c), np.where(c >= 0, 0.0, np.pi),
+                np.log(r_mag))
+
+    pair = (np.angle(up) * fs / TWO_PI, np.hypot(c_cos, c_sin), np.arctan2(-c_sin, c_cos),
+            np.log(mag))
+    split = band_edge(up.real, c_cos / 2.0, mag)
+    rows = np.stack([np.concatenate((r, np.where(near, s, p), s), axis=1) for r, p, s in
+                     zip(band_edge(real, c_real, np.abs(real)), pair, split)], axis=-1)
+    keep = np.concatenate((np.ones(real.shape, dtype=bool), np.ones_like(near), near), axis=1)
+    return rows, keep
 
 
 def vandermonde_amplitudes(frame: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """Least-squares complex amplitudes alpha solving frame = Z^T alpha.
-
-    Z^T has columns z_k^n, n = 0..L-1.  The solve is QR on the column-
-    equilibrated system: a singular-value cutoff relative to the largest
-    column would discard the near-unit-circle columns that carry the fit
-    whenever a strongly damped pole inflates the spectrum, so no rank
-    truncation is applied unless the factorization itself degenerates.
-    Warns with the condition number when near-coincident poles make the
-    system ill-conditioned.
+    """Least-squares complex amplitudes alpha solving frame = Z^T alpha (Z^T's
+    columns z_k^n, n = 0..L-1) for a conjugate-closed pole set, as ESPRIT's on
+    a real frame are: UsageError unless each complex pole's exact conjugate
+    is among the poles.  This is edsm_analyze's amplitude stage on one frame:
+    alpha is c for a real pole and (c_cos - i c_sin) / 2 for z, its conjugate
+    for conj z.  Warns with the condition number when near-coincident poles
+    make the system ill-conditioned.
     """
     x = np.asarray(frame, dtype=np.float64)
     poles = np.asarray(poles, dtype=np.complex128)
@@ -159,87 +288,19 @@ def vandermonde_amplitudes(frame: np.ndarray, poles: np.ndarray) -> np.ndarray:
     if max_growth > 700.0:
         raise AnalysisError(
             f"pole magnitudes overflow over {length} samples (|delta|*L = {max_growth:.1f})")
-    zt = poles[None, :] ** np.arange(length, dtype=np.float64)[:, None]
-    y = x.astype(np.complex128)
-    # equilibrate by per-column max; 2-norms can overflow for damped poles
-    scale = np.max(np.abs(zt), axis=0)
-    scale[scale == 0.0] = 1.0
-    zs = zt / scale
-    q, r = np.linalg.qr(zs)
-    d = np.abs(np.diag(r))
-    cond = np.inf if d.min() == 0.0 else d.max() / d.min()
-    if cond > _COND_WARN:
-        warnings.warn(f"Vandermonde system ill-conditioned (cond={cond:.3e}); "
-                      "near-coincident poles", RuntimeWarning, stacklevel=2)
-    if r.shape[0] == r.shape[1] and d.min() > 0.0 and np.isfinite(r).all():
-        # a square, C-ordered r: r.T is the Fortran-order lower factor LAPACK takes
-        alphas = ztrtrs(r.T, q.conj().T @ y, lower=1, trans=1)[0] / scale
-        if np.isfinite(alphas).all():
-            return alphas
-    alphas, _, _, _ = np.linalg.lstsq(zs, y, rcond=1e-30)
-    return alphas / scale
-
-
-# ---------------------------------------------------------------------------
-# pole <-> real-sinusoid conversions
-# ---------------------------------------------------------------------------
-
-def poles_to_components(poles: np.ndarray, alphas: np.ndarray,
-                        fs: float) -> tuple[DampedSinusoid, ...]:
-    """Merge conjugate pole pairs into real damped sinusoids.
-
-    A pair (z, conj(z)) with amplitudes (alpha, conj(alpha)) renders as
-    2|alpha| exp(delta n) cos(omega n + arg alpha).  Real poles map to f=0
-    (or fs/2 for negative real z) with the phase folded into {0, pi}.
-    Every complex pole needs its exact conjugate among the poles, as the
-    eigenvalues of a real matrix have.
-    """
-    poles = np.asarray(poles, dtype=np.complex128)
-    alphas = np.asarray(alphas, dtype=np.complex128)
-    if poles.shape != alphas.shape:
-        raise UsageError("poles and amplitudes must align")
-    is_real = np.abs(poles.imag) <= _REAL_POLE_TOL * (1.0 + np.abs(poles))
-    # magnitudes are hypot(re, im), as a complex scalar's abs is; numpy's
-    # complex-array abs loop can differ from it in the last bit
-    mag = np.hypot(poles.real, poles.imag)
-    re = np.flatnonzero(is_real & (mag > 0))
-    # a real frame's poles come in exact conjugate pairs: sorting both
-    # half-planes the same way lines each pole up with its conjugate
-    up = np.flatnonzero(~is_real & (poles.imag > 0))
-    lo = np.flatnonzero(~is_real & (poles.imag < 0))
-    up = up[np.lexsort((poles[up].imag, poles[up].real))]
-    lo = lo[np.lexsort((-poles[lo].imag, poles[lo].real))]
-    if up.shape != lo.shape or not np.array_equal(poles[lo], poles[up].conj()):
-        raise UsageError("complex poles must come in exact conjugate pairs")
-    ai, aj = alphas[up], alphas[lo]
-    a = np.concatenate((np.abs(alphas[re].real),
-                        np.hypot(ai.real, ai.imag) + np.hypot(aj.real, aj.imag)))
-    delta = np.concatenate((np.log(mag[re]), 0.5 * (np.log(mag[up]) + np.log(mag[lo]))))
-    omega = 0.5 * (np.angle(poles[up]) - np.angle(poles[lo]))
-    freq = np.concatenate((np.where(poles[re].real >= 0, 0.0, fs / 2.0), omega * fs / TWO_PI))
-    phase = np.concatenate((np.where(alphas[re].real >= 0, 0.0, np.pi), np.angle(ai)))
-    order = np.lexsort((-a, freq))
-    return tuple(DampedSinusoid(*c)
-                 for c in np.stack((a, delta, freq, phase), axis=1)[order].tolist())
-
-
-def components_to_poles(components, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Expand real damped sinusoids into (poles, alphas); inverse of
-    poles_to_components for components with 0 < f < fs/2."""
-    poles: list[complex] = []
-    alphas: list[complex] = []
-    for c in components:
-        omega = TWO_PI * c.freq_hz / fs
-        if 0.0 < c.freq_hz < fs / 2.0:
-            z = np.exp(c.delta + 1j * omega)
-            al = 0.5 * c.a * np.exp(1j * c.phase)
-            poles.extend([z, z.conjugate()])
-            alphas.extend([al, al.conjugate()])
-        else:
-            z = np.exp(c.delta) * (1.0 if c.freq_hz == 0.0 else -1.0)
-            poles.append(complex(z))
-            alphas.append(complex(c.a * np.cos(c.phase)))
-    return np.asarray(poles, dtype=np.complex128), np.asarray(alphas, dtype=np.complex128)
+    real, up = _conjugate_split(poles[None], np.ones((1, poles.shape[0]), dtype=bool))
+    real, up = np.flatnonzero(real[0]), np.flatnonzero(up[0])
+    coef, cond = _amplitude_block(x[None], poles[None, real].real, poles[None, up])
+    _warn_ill_conditioned(cond)
+    c_real, c_cos, c_sin = np.split(coef[0], [real.shape[0], real.shape[0] + up.shape[0]])
+    alphas = np.empty(poles.shape, dtype=np.complex128)
+    alphas[real] = c_real
+    alphas.real[up], alphas.imag[up] = c_cos / 2.0, -c_sin / 2.0
+    # sorting both half-planes the same way lines each pole up with its conjugate
+    lo = np.flatnonzero(poles.imag < 0)
+    alphas[lo[np.lexsort((-poles[lo].imag, poles[lo].real))]] = \
+        alphas[up[np.lexsort((poles[up].imag, poles[up].real))]].conj()
+    return alphas
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +328,7 @@ def full_band_orders(f0track: F0Track, signal: SampledSignal,
     return np.maximum(1, (signal.fs / (2.0 * f0)).astype(np.int64)).tolist()
 
 
-def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> list[EDSMFrame]:
+def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> EDSMFrames:
     """Analyze non-overlapping rectangular frames into damped sinusoids.
 
     Per frame the requested sinusoid count k is doubled into an exponential
@@ -275,63 +336,89 @@ def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> list[EDSMFrame]:
     shift-invariance structure stays valid; the rank threshold may lower it
     further.  The trailing partial frame is analyzed at its reduced length
     under its own capacity; only a tail too short to carry even one pole
-    pair is zero-padded up to the minimum workable length.
+    pair is zero-padded up to the minimum workable length.  A block of
+    equal-length frames shares one _esprit_block, and its frames with equal
+    renderable real and upper pole counts share one _amplitude_block.
     """
     x = signal.samples
     n = x.shape[0]
-    w = int(config.window_samples)
+    w = config.window_samples
     starts = np.arange(0, n, w)
     orders = np.array(_frame_orders(config.order, starts.shape[0]), dtype=np.int64)
     if np.any(orders < 1):
         raise UsageError(f"per-frame order must be >= 1, got {orders[orders < 1][0]}")
     lengths = np.minimum(w, n - starts)
-    frames: list[EDSMFrame] = []
-    # the full frames, then a shorter tail, in blocks of at most ESPRIT_BLOCK
-    # Hankel elements or of one frame
+    k_kept = np.zeros(starts.shape[0], dtype=np.int64)
+    cond = np.zeros(starts.shape[0])
+    frame_of, rows = [np.empty(0, dtype=np.int64)], [np.empty((0, 4))]
     for length in sorted(set(lengths.tolist()), reverse=True):
         seg_len = max(length, 8)
         n_cols = seg_len // 2
         k_cap = min(n_cols, seg_len - n_cols + 1) - 1
+        bound = _LOG_RANGE / max(seg_len - 1, 1)
         same = np.flatnonzero(lengths == length)
         step = max(1, ESPRIT_BLOCK // ((seg_len - n_cols + 1) * n_cols))
         for block in np.array_split(same, range(step, same.shape[0], step)):
             segs = np.zeros((block.shape[0], seg_len))
             segs[:, :length] = x[starts[block, None] + np.arange(length)]
             live = np.flatnonzero(np.any(segs, axis=1))
-            poles, k_eff = _esprit_block(segs[live], np.minimum(2 * orders[block[live]], k_cap),
-                                         config.rank_rtol)
-            comps, k_kept = [()] * block.shape[0], np.zeros(block.shape[0], dtype=np.int64)
-            for i, z, k in zip(live.tolist(), poles, k_eff.tolist()):
-                # keep poles renderable over this frame
+            _, groups = _esprit_block(segs[live], np.minimum(2 * orders[block[live]], k_cap),
+                                      config.rank_rtol)
+            solves = {}  # (real, upper) pole counts -> frames, k_eff, real and upper poles
+            for at, z in groups:
                 mag = np.abs(z)
-                z = z[(mag > 0) & (np.abs(np.log(np.maximum(mag, 1e-300)))
-                                   <= _LOG_RANGE / max(seg_len - 1, 1))]
-                if k and z.shape[0]:
-                    alphas = vandermonde_amplitudes(segs[i], z)
-                    comps[i], k_kept[i] = poles_to_components(z, alphas, signal.fs), k
-            frames += [EDSMFrame(start=s, length=length, components=c, k_eff=k)
-                       for s, c, k in zip(starts[block].tolist(), comps, k_kept.tolist())]
-    return frames
+                # keep poles renderable over this frame
+                keep = (mag > 0) & (np.abs(np.log(np.maximum(mag, 1e-300))) <= bound)
+                real, up = _conjugate_split(z, keep)
+                counts = np.stack((real.sum(axis=1), up.sum(axis=1)), axis=1)
+                for n_real, n_up in np.unique(counts[counts.any(axis=1)], axis=0).tolist():
+                    sub = np.flatnonzero((counts == (n_real, n_up)).all(axis=1))
+                    solves.setdefault((n_real, n_up), []).append((
+                        live[at[sub]], np.full(sub.shape[0], z.shape[1]),
+                        z[sub][real[sub]].real.reshape(sub.shape[0], n_real),
+                        z[sub][up[sub]].reshape(sub.shape[0], n_up).astype(np.complex128)))
+            for (n_real, n_up), parts in solves.items():
+                at, k_eff, real, up = (np.concatenate(p) for p in zip(*parts))
+                coef, cond[block[at]] = _amplitude_block(segs[at], real, up)
+                comps, keep = _components(real, coef[:, :n_real], up,
+                                          coef[:, n_real:n_real + n_up],
+                                          coef[:, n_real + n_up:], signal.fs)
+                k_kept[block[at]] = k_eff
+                frame_of.append(np.broadcast_to(block[at, None], keep.shape)[keep])
+                rows.append(comps[keep])
+    _warn_ill_conditioned(cond)
+    frame_of, rows = np.concatenate(frame_of), np.concatenate(rows)
+    order = np.lexsort((-rows[:, 1], rows[:, 0], frame_of))
+    return EDSMFrames(
+        offsets=np.concatenate(([0], np.cumsum(np.bincount(frame_of,
+                                                           minlength=starts.shape[0])))),
+        values=rows[order].T.copy(), start=starts, length=lengths, k_eff=k_kept)
 
 
-def edsm_synthesize(frames, n_samples: int, fs: float) -> np.ndarray:
+def edsm_synthesize(frames: EDSMFrames, n_samples: int, fs: float) -> np.ndarray:
     """Concatenative resynthesis; each frame is rendered over its own support.
 
-    Damping is clamped so exp(delta * n) stays finite over the frame.
+    Frames of equal rendered length and component count are rendered as
+    (g, C, L) arrays of at most ESPRIT_BLOCK samples, summed over components
+    in order.  Damping is clamped so exp(delta * n) stays finite.
     """
-    out = np.zeros(int(n_samples), dtype=np.float64)
-    for fr in frames:
-        stop = min(fr.start + fr.length, n_samples)
-        if stop <= fr.start:
-            continue
-        n = np.arange(stop - fr.start, dtype=np.float64)
-        bound = _LOG_RANGE / max(stop - fr.start - 1, 1)
-        a, delta, freq, phase = np.array(
-            [(c.a, c.delta, c.freq_hz, c.phase) for c in fr.components]).reshape(-1, 4).T
-        seg = np.zeros(n.shape[0], dtype=np.float64)
-        # each component's samples, added in component order
-        for row in (a[:, None] * np.exp(np.clip(delta, -bound, bound)[:, None] * n)
-                    * np.cos(TWO_PI * freq[:, None] / fs * n + phase[:, None])):
-            seg += row
-        out[fr.start:stop] = seg
+    n_samples = int(n_samples)
+    out = np.zeros(n_samples, dtype=np.float64)
+    span = np.minimum(frames.start + frames.length, n_samples) - frames.start
+    count = np.diff(frames.offsets)
+    shape = np.stack((span, count), axis=1)
+    for length, c in np.unique(shape[(span > 0) & (count > 0)], axis=0).tolist():
+        same = np.flatnonzero((shape == (length, c)).all(axis=1))
+        n = np.arange(length, dtype=np.float64)
+        bound = _LOG_RANGE / max(length - 1, 1)
+        step = max(1, ESPRIT_BLOCK // (c * length))
+        for part in np.array_split(same, range(step, same.shape[0], step)):
+            freq, amp, phase, delta = frames.values[:, frames.offsets[part, None] + np.arange(c),
+                                                    None]
+            terms = (amp * np.exp(np.clip(delta, -bound, bound) * n)
+                     * np.cos(TWO_PI * freq / fs * n + phase))
+            seg = np.zeros((part.shape[0], length))
+            for term in terms.swapaxes(0, 1):  # each component's samples, in order
+                seg += term
+            out[frames.start[part, None] + np.arange(length)] = seg
     return out

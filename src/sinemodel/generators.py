@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, PartialTrack, SampledSignal
-from .edsm import DampedSinusoid
+from .edsm import EDSMFrames
 from .errors import UsageError
 
 
@@ -149,8 +149,9 @@ def default_damped_spec(seed: int = 0, fs: float = 16000.0,
     return DampedSumSpec(components=comps, duration=duration, fs=fs)
 
 
-def gen_damped_sum(spec: DampedSumSpec) -> tuple[SampledSignal, list[DampedSinusoid]]:
-    """Generate a damped-sinusoid sum plus the exact component set.
+def gen_damped_sum(spec: DampedSumSpec) -> tuple[SampledSignal, EDSMFrames]:
+    """Generate a damped-sinusoid sum plus the exact component set, as one
+    edsm frame over the whole signal with the spec's components in order.
 
     Ground-truth damping is converted to the per-sample pole convention:
     delta = -d/fs (the envelope exp(-d*t) equals exp(delta*n) at t = n/fs).
@@ -159,9 +160,9 @@ def gen_damped_sum(spec: DampedSumSpec) -> tuple[SampledSignal, list[DampedSinus
     n = int(round(spec.duration * fs))
     t = np.arange(n) / fs
     samples = np.zeros(n)
-    truth: list[DampedSinusoid] = []
+    rows = []
     for a, d, f, phi in spec.components:
         samples += a * np.exp(-d * t) * np.cos(TWO_PI * f * t + phi)
-        truth.append(DampedSinusoid(a=float(a), delta=float(-d / fs),
-                                    freq_hz=float(f), phase=float(phi)))
+        rows.append((float(f), float(a), float(phi), float(-d / fs)))
+    truth = EDSMFrames.from_frames([(0, n, 2 * len(rows), rows)])
     return SampledSignal(samples=samples, fs=fs), truth

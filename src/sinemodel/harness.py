@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import PartialTrack, SampledSignal, srer, synthesize_tracks
 from .eaqhm import EaQHMConfig, adapt, init_harmonic
-from .edsm import (EDSMConfig, EDSMFrame, edsm_analyze, edsm_synthesize,
+from .edsm import (EDSMConfig, EDSMFrames, edsm_analyze, edsm_synthesize,
                    full_band_orders)
 from .errors import IllConditionedError, SineModelError, UsageError
 from .generators import AMFMSpec, ChirpSpec, gen_amfm, gen_stationary_plus_chirp
@@ -39,9 +39,9 @@ def _track_param_count(tracks: Sequence[PartialTrack]) -> int:
     return sum(3 * tr.times.shape[0] for tr in tracks)
 
 
-def _frame_param_count(frames: Sequence[EDSMFrame]) -> int:
+def _frame_param_count(frames: EDSMFrames) -> int:
     # 4 per component: amplitude, damping, frequency, phase
-    return sum(4 * len(fr.components) for fr in frames)
+    return 4 * frames.values.shape[1]
 
 
 def _given(cfg, **fields):
@@ -119,7 +119,7 @@ def run_model(model: str, signal: SampledSignal, f0track: F0Track, cfg):
     or EaQHMConfig) and resynthesize it.
 
     Returns (srer_db, result, resynthesis, param_count); result is an
-    SMAnalysis (frame times, peaks, tracks), the edsm frame list or the
+    SMAnalysis (frame times, peaks, tracks), the edsm EDSMFrames record or the
     eaqhm AdaptationState.  f0track is used by eaqhm only.
     """
     entry = MODEL_TABLE[model]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (TWO_PI, PartialTrack, SampledSignal, hop_samples, make_window,
-                   synthesize_tracks, wrap_phase)
+from .core import (TWO_PI, FrameRecord, PartialTrack, SampledSignal, hop_samples,
+                   make_window, synthesize_tracks, wrap_phase)
 from .errors import UsageError
 
 _LOG_FLOOR = 1e-200
@@ -29,31 +29,15 @@ LINK_BLOCK = 512      # frames per nearest-candidate pass in track_partials
 WINDOW_MS = 30.0      # the protocol window, used when SMConfig.window_samples is None
 
 
-@dataclass(frozen=True, eq=False)
-class SMPeaks:
-    """The spectral peaks of a run of frames, as columns.
+class SMPeaks(FrameRecord):
+    """The spectral peaks of a run of frames, as a FrameRecord.
 
-    Column c of `values` is one peak's (freq_hz, amp, phase, bin): its
-    frequency, the linear amplitude of the underlying cosine, the phase (rad)
-    at the frame center and the fractional FFT bin.  Frame i owns columns
-    offsets[i]:offsets[i + 1], by ascending frequency.  len() counts frames,
-    and peaks[i] is frame i's peaks as (k, 4) rows.
+    A peak's row is (freq_hz, amp, phase, bin): its frequency, the linear
+    amplitude of the underlying cosine, the phase (rad) at the frame center
+    and the fractional FFT bin.  A frame's peaks ascend in frequency.
     """
 
-    offsets: np.ndarray  # n_frames + 1 ints
-    values: np.ndarray   # 4 x n_peaks
-
-    freq_hz = property(lambda self: self.values[0])
-    amp = property(lambda self: self.values[1])
-    phase = property(lambda self: self.values[2])
     bin = property(lambda self: self.values[3])
-
-    def __len__(self) -> int:
-        return self.offsets.shape[0] - 1
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        i = range(len(self))[i]
-        return self.values[:, self.offsets[i]:self.offsets[i + 1]].T
 
 
 @dataclass(frozen=True)
@@ -256,9 +240,12 @@ def _link(freq: np.ndarray, amp: np.ndarray, offsets: np.ndarray,
     return track_of, born, last, loud_pos[born]
 
 
-def track_partials(peaks: SMPeaks, frame_times: np.ndarray,
+def track_partials(peaks: FrameRecord, frame_times: np.ndarray,
                    hop_s: float) -> list[PartialTrack]:
     """Greedy nearest-frequency matching of peaks into partial tracks.
+
+    peaks is any FrameRecord (sm's SMPeaks, edsm's EDSMFrames): only its
+    offsets and its frequency, amplitude and phase columns are read.
 
     Louder peaks claim tracks first, each the nearest free track within
     MAX_JUMP_HZ.  A track with no match dies with a
@@ -273,7 +260,7 @@ def track_partials(peaks: SMPeaks, frame_times: np.ndarray,
     return PartialTrack.from_columns(*_anchor_columns(peaks, frame_times, hop_s))
 
 
-def _anchor_columns(peaks: SMPeaks, frame_times: np.ndarray,
+def _anchor_columns(peaks: FrameRecord, frame_times: np.ndarray,
                     hop_s: float) -> tuple[np.ndarray, ...]:
     """track_partials' anchor columns (times, amps, freqs, phases), track k
     at bounds[k]:bounds[k + 1], and bounds."""

@@ -89,14 +89,14 @@ def test_criterion_1_damped_sum_exact_recovery():
             x += a * np.exp(d * ns) * np.cos(2.0 * np.pi * f / FS * ns + p)
         frames = edsm_analyze(SampledSignal(samples=x, fs=FS),
                               EDSMConfig(window_samples=n, order=m))
-        comps = sorted(frames[0].components, key=lambda c: c.freq_hz)
+        comps = frames[0].components  # rows (freq_hz, amp, phase, delta) by frequency
         assert len(comps) == m
         worst_srer = min(worst_srer, srer(x, edsm_synthesize(frames, n, FS)))
-        for comp, a, d, f, p in zip(comps, amps, deltas, freqs, phases):
-            for est, ref in ((comp.a, a), (comp.delta, d), (comp.freq_hz, f)):
+        for (c_f, c_a, c_p, c_d), a, d, f, p in zip(comps, amps, deltas, freqs, phases):
+            for est, ref in ((c_a, a), (c_d, d), (c_f, f)):
                 worst_err = max(worst_err, abs(est - ref) / max(1.0, abs(ref)))
             worst_err = max(worst_err,
-                            abs(wrap_phase(comp.phase - p)) / max(1.0, abs(p)))
+                            abs(wrap_phase(c_p - p)) / max(1.0, abs(p)))
     elapsed = time.perf_counter() - t0
     ok = worst_err <= 1e-6 and worst_srer >= 80.0 and elapsed < 30.0
     _record(f"[criterion 1] damped-sum exact recovery (50 trials, 1..5 "

@@ -110,8 +110,11 @@ def test_damped_sum_matches_closed_form():
     np.testing.assert_allclose(
         sig.samples, 0.8 * np.exp(-3.0 * t) * np.cos(2 * np.pi * 440.0 * t + 0.5),
         atol=1e-14)
-    assert truth[0].delta == pytest.approx(-3.0 / FS)
-    assert truth[0].freq_hz == 440.0
+    assert truth.delta[0] == pytest.approx(-3.0 / FS)
+    assert truth.freq_hz[0] == 440.0
+    (frame,) = truth
+    assert frame[:3] == (0, len(sig), 2)
+    assert frame.components.tolist() == [[440.0, 0.8, 0.5, -3.0 / FS]]
 
 
 def test_default_damped_spec_structure():

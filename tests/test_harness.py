@@ -8,7 +8,7 @@ import pytest
 from sinemodel import audio_io, eaqhm, harness, sm
 from sinemodel.core import PartialTrack, SampledSignal
 from sinemodel.eaqhm import ADAPT_WINDOW_KIND, EaQHMConfig
-from sinemodel.edsm import DampedSinusoid, EDSMConfig, EDSMFrame, full_band_orders
+from sinemodel.edsm import EDSMConfig, EDSMFrames, full_band_orders
 from sinemodel.errors import UsageError
 from sinemodel.harness import (MODEL_TABLE, MODELS, PITCH_BAND_HZ, ComparisonRow,
                                SRERCurve, SweepCell, SweepSpec, _frame_param_count,
@@ -78,12 +78,11 @@ def test_curve_accessor():
 def test_param_count_convention():
     tr = PartialTrack(times=[0.0, 0.01], amps=[1, 1], freqs=[100, 100],
                       phases=[0, 0])
-    frame = EDSMFrame(start=0, length=100, k_eff=4, components=(
-        DampedSinusoid(a=1.0, delta=0.0, freq_hz=100.0, phase=0.0),
-        DampedSinusoid(a=1.0, delta=0.0, freq_hz=200.0, phase=0.0)))
+    frames = EDSMFrames.from_frames([
+        (0, 100, 4, [(100.0, 1.0, 0.0, 0.0), (200.0, 1.0, 0.0, 0.0)]), (100, 50, 0, [])])
     # 3 per track anchor vs 4 per damped component: one extra per partial
     assert _track_param_count([tr]) == 6
-    assert _frame_param_count([frame]) == 8
+    assert _frame_param_count(frames) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from scipy.io import wavfile
 
 from sinemodel import audio_io
 from sinemodel.core import PartialTrack, SampledSignal
-from sinemodel.edsm import DampedSinusoid, EDSMFrame
+from sinemodel.edsm import EDSMFrames
 from sinemodel.errors import AudioIOError
 from sinemodel.pitch import F0Track
 from sinemodel.sm import SMPeaks
@@ -248,15 +248,17 @@ def test_tracks_json_roundtrip_exact(tmp_path):
 
 
 def test_frames_json_roundtrip(tmp_path):
-    frames = [EDSMFrame(start=0, length=300, k_eff=4, components=(
-        DampedSinusoid(a=0.5, delta=-0.001, freq_hz=440.0, phase=0.2),
-        DampedSinusoid(a=0.25, delta=0.0004, freq_hz=880.0, phase=-1.0))),
-        EDSMFrame(start=300, length=100, k_eff=0, components=())]
+    frames = EDSMFrames.from_frames([
+        (0, 300, 4, [(440.0, 0.5, 0.2, -0.001), (880.0, 0.25, -1.0, 0.0004)]),
+        (300, 100, 0, [])])
     path = tmp_path / "frames.json"
     audio_io.write_frames_json(path, frames, fs=FS)
     back, fs = audio_io.read_frames_json(path)
     assert fs == FS
-    assert back == frames
+    assert [fr[:3] for fr in back] == [(0, 300, 4), (300, 100, 0)]
+    for name in ("offsets", "values", "start", "length", "k_eff"):
+        got, want = getattr(back, name), getattr(frames, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_model_dumps_have_schema_keys(tmp_path):

@@ -284,7 +284,7 @@ def test_lapack_routines_are_scipys_own():
                                  ("dpotrf", "potrf", np.float64),
                                  ("dpocon", "pocon", np.float64),
                                  ("dpotrs", "potrs", np.float64),
-                                 ("ztrtrs", "trtrs", np.complex128)):
+                                 ("dtrtrs", "trtrs", np.float64)):
         assert getattr(_lapack, routine) is scipy.linalg.get_lapack_funcs(name, dtype=dtype)
 
 
