@@ -14,12 +14,11 @@ sweeps, multi-model comparison tables) behind the `sinemodel` CLI.
 """
 from .core import (SRER_MAX_DB, PartialTrack, SampledSignal,
                    interp_amplitude_linear, interp_frequency_spline,
-                   make_window, phase_by_freq_integration, phase_cubic_mq,
-                   sample_track, srer, synthesize_tracks, wrap_phase)
+                   make_window, phase_by_freq_integration, sample_track, srer,
+                   synthesize_tracks, wrap_phase)
 from .eaqhm import (AdaptationState, EaQHMConfig, adapt, eaqhm_analyze,
                     freq_correction, init_harmonic, ls_solve)
-from .edsm import (EDSMConfig, EDSMFrames, build_hankel, edsm_analyze,
-                   edsm_synthesize, esprit_poles, vandermonde_amplitudes)
+from .edsm import EDSMConfig, EDSMFrames, edsm_analyze, edsm_synthesize
 from .errors import (AnalysisError, AudioIOError, IllConditionedError,
                      SineModelError, UsageError)
 from .generators import (AMFMSpec, ChirpSpec, DampedSumSpec,
@@ -41,16 +40,15 @@ __all__ = [
     # core
     "SampledSignal", "PartialTrack",
     "make_window", "srer", "wrap_phase", "interp_amplitude_linear",
-    "interp_frequency_spline", "phase_by_freq_integration", "phase_cubic_mq",
-    "sample_track", "synthesize_tracks",
+    "interp_frequency_spline", "phase_by_freq_integration", "sample_track",
+    "synthesize_tracks",
     # generators
     "ChirpSpec", "AMFMSpec", "DampedSumSpec", "default_damped_spec",
     "gen_stationary_plus_chirp", "gen_amfm", "gen_damped_sum",
     # sm
     "SMConfig", "SMPeaks", "track_partials", "sm_peaks", "sm_synthesize",
     # edsm
-    "EDSMFrames", "EDSMConfig", "build_hankel", "esprit_poles",
-    "vandermonde_amplitudes", "edsm_analyze", "edsm_synthesize",
+    "EDSMFrames", "EDSMConfig", "edsm_analyze", "edsm_synthesize",
     # eaqhm
     "EaQHMConfig", "AdaptationState", "ls_solve",
     "freq_correction", "init_harmonic", "adapt", "eaqhm_analyze",

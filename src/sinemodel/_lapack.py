@@ -36,4 +36,4 @@ dgtsv = _flapack.dgtsv     # core.interp_frequency_spline
 dpotrf = _flapack.dpotrf   # eaqhm.ls_solve
 dpocon = _flapack.dpocon
 dpotrs = _flapack.dpotrs
-dtrtrs = _flapack.dtrtrs   # edsm._amplitude_block
+dtrtrs = _flapack.dtrtrs   # edsm.vandermonde_amplitudes

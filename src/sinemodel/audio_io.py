@@ -163,14 +163,6 @@ def read_f0_csv(path) -> F0Track:
     return F0Track(times=np.asarray(times), f0=f0_arr, voiced=voiced)
 
 
-def write_tracks_csv(path, tracks: Sequence[PartialTrack]) -> None:
-    rows = []
-    for i, tr in enumerate(tracks):
-        for t, a, f, p in zip(tr.times, tr.amps, tr.freqs, tr.phases):
-            rows.append((i, t, a, f, p))
-    write_csv(path, ("track", "time_s", "amp", "freq_hz", "phase_rad"), rows)
-
-
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------

@@ -178,6 +178,12 @@ def hop_samples(hop_ms: float, fs: float) -> int:
     return max(1, int(round(hop_ms * fs / 1000.0)))
 
 
+def check_count(name: str, value, low: int) -> None:
+    """UsageError unless value is an integer (Python or numpy) >= low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _as_samples(x) -> np.ndarray:
     if isinstance(x, SampledSignal):
         return x.samples
@@ -315,21 +321,11 @@ def phase_by_freq_integration(freq_hz: np.ndarray, fs: float, phi0: float = 0.0,
     return phase
 
 
-def phase_cubic_mq(dt: float, phi1: float, f1: float, phi2: float, f2: float,
-                   tau: np.ndarray) -> np.ndarray:
-    """Cubic phase between two anchors with minimal-|M| unwrapping.
-
-    dt is the anchor spacing in seconds; tau holds evaluation offsets in
-    [0, dt].  Endpoint phases are met modulo 2*pi and endpoint frequencies
-    exactly.  The arguments broadcast, so one call can evaluate many spans.
-    """
-    w1, a, b = _cubic_coeffs(dt, phi1, f1, phi2, f2)
-    tau = np.asarray(tau, dtype=np.float64)
-    return phi1 + w1 * tau + a * tau**2 + b * tau**3
-
-
 def _cubic_coeffs(dt, phi1, f1, phi2, f2):
-    """Per-span (w1, a, b) of phase_cubic_mq's phi1 + w1*tau + a*tau**2 + b*tau**3."""
+    """Per-span (w1, a, b) of the cubic phase phi1 + w1*tau + a*tau**2 +
+    b*tau**3 between two anchors dt seconds apart, with minimal-|M|
+    unwrapping: it meets the endpoint phases modulo 2*pi and the endpoint
+    frequencies exactly.  The arguments broadcast, one span per element."""
     dt = np.asarray(dt, dtype=np.float64)
     if np.any(dt <= 0):
         raise UsageError(f"anchor spacing must be positive, got {np.min(dt)}")

@@ -49,8 +49,8 @@ import numpy as np
 from . import _kernels
 from ._blas import single_threaded_blas
 from ._lapack import dpocon, dpotrf, dpotrs
-from .core import (PartialTrack, SampledSignal, hop_samples, make_window, render_spans,
-                   sample_track, srer, wrap_phase)
+from .core import (PartialTrack, SampledSignal, check_count, hop_samples, make_window,
+                   render_spans, sample_track, srer, wrap_phase)
 # adapt renders its iterates itself; the name stays bound here because
 # perfbench's tracer rebinds eaqhm.synthesize_tracks
 from .core import synthesize_tracks  # noqa: F401
@@ -79,11 +79,16 @@ class EaQHMConfig:
     f_guard_hz: float = None         # conditioning guard; None: local f0
 
     def __post_init__(self):
-        if self.max_adaptations < 0:
-            raise UsageError("max_adaptations must be >= 0")
-        if self.window_samples is None and not 0 < self.window_periods < np.inf:
+        check_count("max_adaptations", self.max_adaptations, 0)
+        if self.max_partials is not None:
+            check_count("max_partials", self.max_partials, 1)
+        if self.window_samples is not None:
+            check_count("window_samples", self.window_samples, 1)
+        elif not 0 < self.window_periods < np.inf:
             raise UsageError(f"window_periods must be positive and finite, "
                              f"got {self.window_periods}")
+        if self.f_guard_hz is not None and not 0 < self.f_guard_hz < np.inf:
+            raise UsageError(f"f_guard_hz must be positive and finite, got {self.f_guard_hz}")
 
 
 @dataclass

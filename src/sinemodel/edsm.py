@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _kernels
 from ._lapack import dtrtrs
-from .core import TWO_PI, FrameRecord, SampledSignal
-from .errors import AnalysisError, UsageError
+from .core import TWO_PI, FrameRecord, SampledSignal, check_count
+from .errors import UsageError
 from .pitch import F0Track
 
 RANK_RTOL = 1e-10      # singular values below this fraction of the largest are noise
@@ -96,9 +96,7 @@ class EDSMConfig:
     rank_rtol: float = RANK_RTOL
 
     def __post_init__(self):
-        w = self.window_samples
-        if not isinstance(w, (int, np.integer)) or w < 4:
-            raise UsageError(f"window must be an integer >= 4 samples, got {w!r}")
+        check_count("window_samples", self.window_samples, 4)
         if not 0.0 <= self.rank_rtol <= 1.0:
             raise UsageError(f"rank_rtol must be in [0, 1], got {self.rank_rtol!r}")
 
@@ -107,56 +105,19 @@ class EDSMConfig:
 # estimation stages
 # ---------------------------------------------------------------------------
 
-def build_hankel(frame: np.ndarray, n_cols: int) -> np.ndarray:
-    """Hankel data matrix X[r, n] = frame[r + n] with n_cols columns.
-
-    Row count R satisfies n_cols + R - 1 == len(frame).
-    """
-    x = np.asarray(frame, dtype=np.float64)
-    length = x.shape[0]
-    rows = length - n_cols + 1
-    if n_cols < 1 or rows < 1:
-        raise UsageError(f"invalid Hankel shape for frame of {length} samples, N={n_cols}")
-    return _kernels.hankel_build(x, rows, n_cols)
-
-
-def esprit_poles(frame: np.ndarray, k_exp: int,
-                 rank_rtol: float = RANK_RTOL) -> tuple[np.ndarray, int]:
-    """Estimate up to k_exp poles from one frame via the shift-invariance of
-    the right singular basis of its Hankel matrix with L//2 columns.
-
-    Returns (poles, k_eff) where k_eff <= k_exp is the order kept after
-    dropping singular values below rank_rtol times the largest.  This is
-    edsm_analyze's ESPRIT stage on one frame.
-    """
-    x = np.asarray(frame, dtype=np.float64)
-    length = x.shape[0]
-    if k_exp < 1:
-        raise UsageError(f"k_exp must be >= 1, got {k_exp}")
-    if not np.any(x):
-        raise AnalysisError("cannot estimate poles of an all-zero frame")
-    n = length // 2
-    rows = length - n + 1
-    if n < 2 or rows < 2:
-        raise UsageError(f"frame of {length} samples too short for N={n}")
-    if k_exp > min(n, rows) - 1:
-        raise UsageError(
-            f"order {k_exp} too high for Hankel of {rows}x{n}; need N > K and R > K")
-    k_eff, groups = _esprit_block(x[np.newaxis], np.array([k_exp]), rank_rtol)
-    poles = groups[0][1][0] if groups else np.empty(0, dtype=np.complex128)
-    return poles, int(k_eff[0])
-
-
-def _esprit_block(frames: np.ndarray, k_max: np.ndarray,
-                  rank_rtol: float) -> tuple[np.ndarray, list]:
+def esprit_poles(frames: np.ndarray, k_max: np.ndarray,
+                 rank_rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """ESPRIT on each row of frames (g x L, none all-zero) with order cap
-    k_max[i]: one stacked SVD for the block, then one stacked shift solve and
-    eigvals per group of frames with equal k_eff.  numpy runs the LAPACK and
-    BLAS routine of a lone matrix on each matrix of a stack, so each frame's
-    poles are those of a call on that frame alone.
+    k_max[i]: poles from the shift invariance of the right singular basis of
+    each frame's Hankel matrix with L//2 columns.  One stacked SVD for the
+    block, then one stacked shift solve and eigvals per group of frames with
+    equal kept order.  numpy runs the LAPACK and BLAS routine of a lone matrix
+    on each matrix of a stack, so each frame's poles are those of a call on
+    that frame alone.
 
-    Returns k_eff and, per group, (its rows of frames, their poles as one row
-    per frame, ordered by angle, then magnitude).
+    Returns k_eff, the order kept after dropping singular values below
+    rank_rtol times the largest (at most k_max), and g x max(k_eff) poles:
+    row i holds its k_eff[i] poles ordered by angle, then magnitude, then NaN.
     """
     length = frames.shape[1]
     n = length // 2
@@ -164,13 +125,13 @@ def _esprit_block(frames: np.ndarray, k_max: np.ndarray,
     # the R >= N + 1 rows outnumber the N columns, so the thin vh is N x N
     _, s, vh = np.linalg.svd(X, full_matrices=False)
     k_eff = np.minimum(np.count_nonzero(s >= rank_rtol * s[:, :1], axis=1), k_max)
-    groups = []
+    poles = np.full((frames.shape[0], k_eff.max(initial=0)), np.nan, dtype=np.complex128)
     for k in np.unique(k_eff[k_eff > 0]).tolist():
         rows = np.flatnonzero(k_eff == k)
         z = np.linalg.eigvals(_shift_matrices(vh[rows], k))
-        groups.append((rows, np.take_along_axis(
-            z, np.lexsort((np.abs(z), np.angle(z)), axis=-1), axis=-1)))
-    return k_eff, groups
+        poles[rows, :k] = np.take_along_axis(
+            z, np.lexsort((np.abs(z), np.angle(z)), axis=-1), axis=-1)
+    return k_eff, poles
 
 
 def _shift_matrices(vh: np.ndarray, k: int) -> np.ndarray:
@@ -206,8 +167,8 @@ def _conjugate_split(z: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.nd
     return keep & (z.imag == 0), up
 
 
-def _amplitude_block(frames: np.ndarray, real: np.ndarray,
-                     up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def vandermonde_amplitudes(frames: np.ndarray, real: np.ndarray,
+                           up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients of each row of frames (g x L) on the
     columns r^n of its real poles (g x n_r), then Re z^n and Im z^n of its
     upper poles (g x n_p), each scaled by its maximum (2-norms can overflow),
@@ -216,6 +177,10 @@ def _amplitude_block(frames: np.ndarray, real: np.ndarray,
     rank cutoff would drop the near-unit-circle columns that carry the fit
     when a strongly damped pole inflates the spectrum, so a degenerate or
     non-finite solve falls back to least squares without one.
+
+    Returns (coef, cond), coef's rows (c_real, c_cos, c_sin): as complex
+    amplitudes of frame = sum alpha z^n, alpha is c for a real pole and
+    (c_cos - i c_sin) / 2 for z, its conjugate for conj z.
     """
     g, length = frames.shape
     n = np.arange(length, dtype=np.float64)
@@ -270,39 +235,6 @@ def _components(real: np.ndarray, c_real: np.ndarray, up: np.ndarray, c_cos: np.
     return rows, keep
 
 
-def vandermonde_amplitudes(frame: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """Least-squares complex amplitudes alpha solving frame = Z^T alpha (Z^T's
-    columns z_k^n, n = 0..L-1) for a conjugate-closed pole set, as ESPRIT's on
-    a real frame are: UsageError unless each complex pole's exact conjugate
-    is among the poles.  This is edsm_analyze's amplitude stage on one frame:
-    alpha is c for a real pole and (c_cos - i c_sin) / 2 for z, its conjugate
-    for conj z.  Warns with the condition number when near-coincident poles
-    make the system ill-conditioned.
-    """
-    x = np.asarray(frame, dtype=np.float64)
-    poles = np.asarray(poles, dtype=np.complex128)
-    if poles.size == 0:
-        return np.empty(0, dtype=np.complex128)
-    length = x.shape[0]
-    max_growth = np.max(np.abs(np.log(np.maximum(np.abs(poles), 1e-12)))) * (length - 1)
-    if max_growth > 700.0:
-        raise AnalysisError(
-            f"pole magnitudes overflow over {length} samples (|delta|*L = {max_growth:.1f})")
-    real, up = _conjugate_split(poles[None], np.ones((1, poles.shape[0]), dtype=bool))
-    real, up = np.flatnonzero(real[0]), np.flatnonzero(up[0])
-    coef, cond = _amplitude_block(x[None], poles[None, real].real, poles[None, up])
-    _warn_ill_conditioned(cond)
-    c_real, c_cos, c_sin = np.split(coef[0], [real.shape[0], real.shape[0] + up.shape[0]])
-    alphas = np.empty(poles.shape, dtype=np.complex128)
-    alphas[real] = c_real
-    alphas.real[up], alphas.imag[up] = c_cos / 2.0, -c_sin / 2.0
-    # sorting both half-planes the same way lines each pole up with its conjugate
-    lo = np.flatnonzero(poles.imag < 0)
-    alphas[lo[np.lexsort((-poles[lo].imag, poles[lo].real))]] = \
-        alphas[up[np.lexsort((poles[up].imag, poles[up].real))]].conj()
-    return alphas
-
-
 # ---------------------------------------------------------------------------
 # frame-based analysis / synthesis
 # ---------------------------------------------------------------------------
@@ -337,8 +269,9 @@ def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> EDSMFrames:
     further.  The trailing partial frame is analyzed at its reduced length
     under its own capacity; only a tail too short to carry even one pole
     pair is zero-padded up to the minimum workable length.  A block of
-    equal-length frames shares one _esprit_block, and its frames with equal
-    renderable real and upper pole counts share one _amplitude_block.
+    equal-length frames shares one esprit_poles call, and its frames with
+    equal renderable real and upper pole counts share one
+    vandermonde_amplitudes call.
     """
     x = signal.samples
     n = x.shape[0]
@@ -362,28 +295,21 @@ def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> EDSMFrames:
             segs = np.zeros((block.shape[0], seg_len))
             segs[:, :length] = x[starts[block, None] + np.arange(length)]
             live = np.flatnonzero(np.any(segs, axis=1))
-            _, groups = _esprit_block(segs[live], np.minimum(2 * orders[block[live]], k_cap),
-                                      config.rank_rtol)
-            solves = {}  # (real, upper) pole counts -> frames, k_eff, real and upper poles
-            for at, z in groups:
-                mag = np.abs(z)
-                # keep poles renderable over this frame
-                keep = (mag > 0) & (np.abs(np.log(np.maximum(mag, 1e-300))) <= bound)
-                real, up = _conjugate_split(z, keep)
-                counts = np.stack((real.sum(axis=1), up.sum(axis=1)), axis=1)
-                for n_real, n_up in np.unique(counts[counts.any(axis=1)], axis=0).tolist():
-                    sub = np.flatnonzero((counts == (n_real, n_up)).all(axis=1))
-                    solves.setdefault((n_real, n_up), []).append((
-                        live[at[sub]], np.full(sub.shape[0], z.shape[1]),
-                        z[sub][real[sub]].real.reshape(sub.shape[0], n_real),
-                        z[sub][up[sub]].reshape(sub.shape[0], n_up).astype(np.complex128)))
-            for (n_real, n_up), parts in solves.items():
-                at, k_eff, real, up = (np.concatenate(p) for p in zip(*parts))
-                coef, cond[block[at]] = _amplitude_block(segs[at], real, up)
-                comps, keep = _components(real, coef[:, :n_real], up,
-                                          coef[:, n_real:n_real + n_up],
+            k_eff, z = esprit_poles(segs[live], np.minimum(2 * orders[block[live]], k_cap),
+                                    config.rank_rtol)
+            mag = np.abs(z)
+            # keep poles renderable over this frame; NaN pads are not
+            real, up = _conjugate_split(
+                z, (mag > 0) & (np.abs(np.log(np.maximum(mag, 1e-300))) <= bound))
+            counts = np.stack((real.sum(axis=1), up.sum(axis=1)), axis=1)
+            for n_real, n_up in np.unique(counts[counts.any(axis=1)], axis=0).tolist():
+                sub = np.flatnonzero((counts == (n_real, n_up)).all(axis=1))
+                at, g = live[sub], sub.shape[0]
+                r, u = z[sub][real[sub]].real.reshape(g, n_real), z[sub][up[sub]].reshape(g, n_up)
+                coef, cond[block[at]] = vandermonde_amplitudes(segs[at], r, u)
+                comps, keep = _components(r, coef[:, :n_real], u, coef[:, n_real:n_real + n_up],
                                           coef[:, n_real + n_up:], signal.fs)
-                k_kept[block[at]] = k_eff
+                k_kept[block[at]] = k_eff[sub]
                 frame_of.append(np.broadcast_to(block[at, None], keep.shape)[keep])
                 rows.append(comps[keep])
     _warn_ill_conditioned(cond)

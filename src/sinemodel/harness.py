@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PartialTrack, SampledSignal, srer, synthesize_tracks
+from .core import PartialTrack, SampledSignal, check_count, srer, synthesize_tracks
 from .eaqhm import EaQHMConfig, adapt, init_harmonic
 from .edsm import (EDSMConfig, EDSMFrames, edsm_analyze, edsm_synthesize,
                    full_band_orders)
@@ -149,6 +149,10 @@ class SweepSpec:
             raise UsageError("multiples must be positive and strictly ascending")
         object.__setattr__(self, "multiples", mult)
         _check_models(self.models)
+        _check_models(self.partials)
+        for model, count in self.partials.items():
+            if count is not None:
+                check_count(f"{model} partial count", count, 1)
 
 
 @dataclass(frozen=True)

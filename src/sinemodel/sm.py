@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (TWO_PI, FrameRecord, PartialTrack, SampledSignal, hop_samples,
-                   make_window, synthesize_tracks, wrap_phase)
+from .core import (TWO_PI, FrameRecord, PartialTrack, SampledSignal, check_count,
+                   hop_samples, make_window, synthesize_tracks, wrap_phase)
 from .errors import UsageError
 
 _LOG_FLOOR = 1e-200
@@ -48,8 +48,7 @@ class SMConfig:
     window_samples: int = None    # forced odd; None: WINDOW_MS
 
     def __post_init__(self):
-        if self.max_peaks < 1:
-            raise UsageError("max_peaks must be >= 1")
+        check_count("max_peaks", self.max_peaks, 1)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
 
+from sinemodel import _kernels, edsm
 from sinemodel.core import SampledSignal, srer, wrap_phase
 from sinemodel.eaqhm import EaQHMConfig, eaqhm_analyze, freq_correction
-from sinemodel.edsm import (EDSMConfig, build_hankel, edsm_analyze,
-                            edsm_synthesize, vandermonde_amplitudes)
+from sinemodel.edsm import EDSMConfig, edsm_analyze, edsm_synthesize
 from sinemodel.harness import (MODELS, SweepSpec, generate_standins,
                                run_comparison, run_window_sweep)
 from sinemodel.pitch import F0Track, estimate_f0
@@ -236,13 +236,14 @@ def test_criterion_6_unit_oracles():
 
     # 4-sample structure cases, checked index-wise
     seg = np.array([1.0, 2.0, -3.0, 0.25])
-    hankel_ok = np.array_equal(build_hankel(seg, 2),
+    hankel_ok = np.array_equal(_kernels.hankel_build(seg, 3, 2),
                                np.array([[1.0, 2.0], [2.0, -3.0], [-3.0, 0.25]]))
     z = 0.9 * np.exp(1j * 0.7)
     coeff = 0.4 * np.exp(1j * 1.1)
-    poles = np.array([z, np.conj(z)])
     x4 = (coeff * z ** np.arange(4) + np.conj(coeff) * np.conj(z) ** np.arange(4)).real
-    amps = vandermonde_amplitudes(x4, poles)
+    # the stage's real coefficients of Re z^n, Im z^n as amplitudes of z, conj z
+    c_cos, c_sin = edsm.vandermonde_amplitudes(x4[None], np.empty((1, 0)), np.array([[z]]))[0][0]
+    amps = [(c_cos - 1j * c_sin) / 2.0, (c_cos + 1j * c_sin) / 2.0]
     vand_err = max(abs(amps[0] - coeff), abs(amps[1] - np.conj(coeff)),
                    float(np.max(np.abs(
                        amps[0] * z ** np.arange(4)

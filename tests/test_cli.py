@@ -141,6 +141,17 @@ def test_hop_and_window_must_be_positive_and_finite(tone_wav, tmp_path, capsys, 
     assert not any((tmp_path / name).exists() for name in ("p.json", "r.wav", "f0.csv"))
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_analyze_rejects_a_count_below_one(tone_wav, tmp_path, capsys, model):
+    # eaqhm once ran a zero count to "harmonic initialization failed" (exit 4)
+    params = tmp_path / "p.json"
+    code = main(["analyze", "--model", model, "--in", str(tone_wav), "--partials", "0",
+                 "--params", str(params), "--resynth", str(tmp_path / "r.wav")])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not params.exists()
+
+
 def test_analyze_rejects_f0_for_a_model_without_pitch(tone_wav, tmp_path, capsys):
     # sm tracks no pitch: --f0 is a usage error, before the file is read
     params = tmp_path / "p.json"

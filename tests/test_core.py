@@ -9,7 +9,7 @@ from sinemodel import _kernels, core
 from sinemodel.core import (SRER_MAX_DB, TWO_PI, PartialTrack, SampledSignal,
                             _cubic_track_samples, hop_samples, interp_amplitude_linear,
                             interp_frequency_spline, make_window,
-                            phase_by_freq_integration, phase_cubic_mq, render_spans,
+                            phase_by_freq_integration, render_spans,
                             sample_track, srer, synthesize_tracks, wrap_phase)
 from sinemodel.errors import UsageError
 from sinemodel.sm import SMConfig, sm_analyze_peaks, sm_synthesize
@@ -35,6 +35,13 @@ def _phase_by_freq_integration_ref(freq_hz, fs, phi0, anchor_idx, anchor_phases)
     return phase
 
 
+def _phase_cubic_mq(dt, phi1, f1, phi2, f2, tau):
+    """The renderer's cubic phase between two anchors at offsets tau in [0, dt]."""
+    w1, a, b = core._cubic_coeffs(dt, phi1, f1, phi2, f2)
+    tau = np.asarray(tau, dtype=np.float64)
+    return phi1 + w1 * tau + a * tau**2 + b * tau**3
+
+
 def _track_phase_cubic_ref(track, n0, t, fs):
     phase = np.empty(t.shape[0], dtype=np.float64)
     times, freqs, phases = track.times, track.freqs, track.phases
@@ -53,7 +60,7 @@ def _track_phase_cubic_ref(track, n0, t, fs):
             continue
         stop = ib + 1 if j == times.shape[0] - 2 else ib
         tau = t[ia:stop] - times[j]
-        phase[ia:stop] = phase_cubic_mq(times[j + 1] - times[j], phases[j],
+        phase[ia:stop] = _phase_cubic_mq(times[j + 1] - times[j], phases[j],
                                         freqs[j], phases[j + 1], freqs[j + 1], tau)
     return phase
 
@@ -495,7 +502,7 @@ def test_phase_cubic_degenerates_to_linear():
     dt = 0.01
     phi2 = 2 * np.pi * f * dt  # consistent with constant-frequency advance
     tau = np.linspace(0, dt, 50)
-    ph = phase_cubic_mq(dt, 0.0, f, phi2, f, tau)
+    ph = _phase_cubic_mq(dt, 0.0, f, phi2, f, tau)
     np.testing.assert_allclose(ph, 2 * np.pi * f * tau, atol=1e-9)
 
 
@@ -503,17 +510,17 @@ def test_phase_cubic_endpoint_conditions():
     dt = 0.005
     phi1, f1, phi2, f2 = 0.3, 100.0, 2.0, 140.0
     tau = np.array([0.0, dt])
-    ph = phase_cubic_mq(dt, phi1, f1, phi2, f2, tau)
+    ph = _phase_cubic_mq(dt, phi1, f1, phi2, f2, tau)
     assert ph[0] == pytest.approx(phi1)
     assert wrap_phase(ph[1] - phi2) == pytest.approx(0.0, abs=1e-9)
     # endpoint derivatives: finite differences at both ends
     eps = 1e-7
-    d0 = np.diff(phase_cubic_mq(dt, phi1, f1, phi2, f2, np.array([0.0, eps])))[0] / eps
-    d1 = np.diff(phase_cubic_mq(dt, phi1, f1, phi2, f2, np.array([dt - eps, dt])))[0] / eps
+    d0 = np.diff(_phase_cubic_mq(dt, phi1, f1, phi2, f2, np.array([0.0, eps])))[0] / eps
+    d1 = np.diff(_phase_cubic_mq(dt, phi1, f1, phi2, f2, np.array([dt - eps, dt])))[0] / eps
     assert d0 == pytest.approx(2 * np.pi * f1, rel=1e-4)
     assert d1 == pytest.approx(2 * np.pi * f2, rel=1e-4)
     with pytest.raises(UsageError):
-        phase_cubic_mq(0.0, phi1, f1, phi2, f2, tau)
+        _phase_cubic_mq(0.0, phi1, f1, phi2, f2, tau)
 
 
 def test_phase_cubic_broadcasts_over_spans():
@@ -522,11 +529,11 @@ def test_phase_cubic_broadcasts_over_spans():
     phi1, phi2 = rng.uniform(-np.pi, np.pi, (2, 40))
     f1, f2 = rng.uniform(50.0, 4000.0, (2, 40))
     tau = rng.uniform(0.0, 1.0, 40) * dt
-    ph = phase_cubic_mq(dt, phi1, f1, phi2, f2, tau)
+    ph = _phase_cubic_mq(dt, phi1, f1, phi2, f2, tau)
     for i in range(40):
-        assert ph[i] == phase_cubic_mq(dt[i], phi1[i], f1[i], phi2[i], f2[i], tau[i])
+        assert ph[i] == _phase_cubic_mq(dt[i], phi1[i], f1[i], phi2[i], f2[i], tau[i])
     with pytest.raises(UsageError):
-        phase_cubic_mq(np.array([0.01, -0.01]), 0.0, 100.0, 0.0, 100.0, 0.0)
+        _phase_cubic_mq(np.array([0.01, -0.01]), 0.0, 100.0, 0.0, 100.0, 0.0)
 
 
 def test_cubic_resynthesis_of_stationary_tone():

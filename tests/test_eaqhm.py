@@ -1051,6 +1051,25 @@ def test_config_validation():
         EaQHMConfig(window_periods=0.0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"max_partials": 0}, {"max_partials": -3}, {"max_partials": 2.5},
+    {"window_samples": float("nan")}, {"window_samples": 160.0}, {"window_samples": 0},
+    {"f_guard_hz": 0.0}, {"f_guard_hz": -5.0}, {"f_guard_hz": float("nan")},
+    {"f_guard_hz": float("inf")}, {"max_adaptations": 2.5},
+])
+def test_config_rejects_values_that_would_break_later(fields):
+    # each of these once ended in AnalysisError, a bare ValueError,
+    # ZeroDivisionError or TypeError, or silently switched the guard off
+    with pytest.raises(UsageError):
+        EaQHMConfig(**fields)
+
+
+def test_config_takes_numpy_integers():
+    cfg = EaQHMConfig(window_samples=np.int64(161), max_partials=np.int32(2),
+                      max_adaptations=np.int64(0), f_guard_hz=100.0)
+    assert cfg.window_samples == 161 and cfg.max_partials == 2
+
+
 # ---------------------------------------------------------------------------
 # adaptation loop
 # ---------------------------------------------------------------------------

@@ -202,12 +202,16 @@ def test_analyze_window_floors():
     assert [MODEL_TABLE["eaqhm"].window_floor(w) for w in (4, 20, 21)] == [9, 21, 21]
 
 
-def test_sweep_count_of_zero_fails_the_cell():
-    # None is the only "default" count; 0 peaks or sinusoids is no model
-    curve = run_window_sweep(SweepSpec(source="chirp", models=("sm", "edsm"),
-                                       multiples=(1.0,), partials={"sm": 0, "edsm": 0}))
-    assert [(r.model, r.status) for r in curve.rows] == [("sm", "failed"),
-                                                         ("edsm", "failed")]
+@pytest.mark.parametrize("partials", [{"foo": 1}, {"sm": 0}, {"edsm": 0}, {"eaqhm": -1},
+                                      {"edsm": 2.5}, {"sm": 1.0}])
+def test_sweep_spec_rejects_bad_partial_counts(partials):
+    # None is the only "default" count; 0 peaks or sinusoids is no model, and
+    # an unknown model key or a fractional count was once silently ignored
+    # or truncated
+    with pytest.raises(UsageError):
+        SweepSpec(source="chirp", partials=partials)
+    spec = SweepSpec(source="chirp", partials={"sm": np.int64(2), "edsm": None})
+    assert spec.partials == {"sm": 2, "edsm": None}
 
 
 def test_sweep_propagates_programming_errors(monkeypatch, tone_wav):

@@ -214,16 +214,6 @@ def test_f0_csv_malformed(tmp_path):
         audio_io.read_f0_csv(bad)
 
 
-def test_tracks_csv(tmp_path):
-    tr = PartialTrack(times=[0.0, 0.01], amps=[1.0, 0.5], freqs=[100.0, 101.0],
-                      phases=[0.0, 0.3])
-    path = tmp_path / "tr.csv"
-    audio_io.write_tracks_csv(path, [tr, tr])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "track,time_s,amp,freq_hz,phase_rad"
-    assert len(lines) == 5
-
-
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------

@@ -282,6 +282,9 @@ def test_frame_analysis_edge_cases():
 def test_smconfig_validation():
     with pytest.raises(UsageError):
         SMConfig(max_peaks=0)
+    with pytest.raises(UsageError):   # once ran as 3 peaks
+        SMConfig(max_peaks=2.5)
+    assert SMConfig(max_peaks=np.int64(3)).max_peaks == 3
 
 
 # ---------------------------------------------------------------------------
