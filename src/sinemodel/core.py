@@ -179,8 +179,8 @@ def hop_samples(hop_ms: float, fs: float) -> int:
 
 
 def check_count(name: str, value, low: int) -> None:
-    """UsageError unless value is an integer (Python or numpy) >= low."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    """UsageError unless value is an integer (Python or numpy, not bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

@@ -24,20 +24,19 @@ S = (A+eps) sin(phase) over the signal, and the track values at every frame
 center.  A frame's columns are its C and S rows rotated by the frame-center
 phase, so no frame evaluates cos or sin of its own phase block.
 
-Frames are solved in stacked blocks.  Frames with the same sample offsets
-from their center and the same component count (hence the same width, time
-axis, window and column count) form a group, cut into blocks of at most
-FRAME_BLOCK design elements.  A block's designs are one frame-interleaved
-(n, G, q) view at the start of one buffer per loop (frame g's sample i is row
-i*G + g), so element-wise steps run over G*q contiguous values, and ls_solve
-works inside it.  Gathering the C and S rows, rotation, the design's DC and
-slope columns, and every step of ls_solve but each frame's Cholesky factor,
-condition estimate and triangular solve run on the whole block; each frame's
-result is bitwise that of solving it alone.  The frame layout, eligibility,
-rotation factors and the coefficient-to-anchor mapping are array passes over
-all frames.  Every frame system is a few hundred samples wide, so the block
-loops of init_harmonic and of each adaptation pass run on single-threaded
-OpenBLAS (see _blas) and restore the previous thread count afterwards.
+Every frame fit runs through one block stage, _fit_frames; init_harmonic
+and the adaptation pass keep only the basis they write into a block's cos and
+sin rows and their map from coefficients to anchors.  Frames with the same
+sample offsets from their center and the same component count (so the same
+width, time axis, window and column count) form a group, cut into blocks of
+at most FRAME_BLOCK design elements.  A block's designs are one
+frame-interleaved (n, G, q) view into the stage's one buffer set (frame g's
+sample i is row i*G + g), so element-wise steps, and every step of ls_solve
+but each frame's Cholesky factor, condition estimate and triangular solve,
+run on the whole block; each frame's result is bitwise that of solving it
+alone.  Layout, eligibility, rotation and the anchor maps are array passes
+over all frames.  Frame systems are a few hundred samples wide, so the stage
+runs on single-threaded OpenBLAS (see _blas).
 """
 from __future__ import annotations
 
@@ -332,52 +331,65 @@ def _blocks(layout: _Layout, frames: np.ndarray, counts: np.ndarray) -> list[_Bl
     return out
 
 
-class _BlockBuffers:
-    """One set of buffers for a loop over blocks, sized for its largest
-    block; each call hands out C-contiguous views at their starts."""
+def _fit_frames(x: np.ndarray, fs: float, layout: _Layout, counts: np.ndarray,
+                window_kind: str, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Fit x over every frame f with counts[f] >= 1 against its design
+    [1 | A cos | A sin | t | t A cos | t A sin] of counts[f] components,
+    solved in _blocks under a window_kind window.
 
-    def __init__(self, blocks: list[_Block], fs: float, window_kind: str):
-        size = max((b.g * b.n for b in blocks), default=0)
-        design = max((b.g * b.n * b.q for b in blocks), default=0)
-        cols = max((b.g * b.n * b.m for b in blocks), default=0)
-        self._design, self._transposed = np.empty(design), np.empty(design)
-        self._target, self._cols = np.empty(size), np.empty((2, cols))
-        self._index = np.empty(cols, dtype=np.int64)
-        self._fs, self._kind = fs, window_kind
-        self._windows: dict = {}
+    basis(b, cols, t, scratch, index) writes the cos and sin rows of block
+    b's designs into cols, their (G, q, n) transpose, given the LS time axis
+    t in seconds; scratch ((2, G, m, n) float64) and index ((G, m, n) int64)
+    are its own.  One set of buffers, sized for the largest block, serves all.
 
-    def design(self, b: _Block) -> np.ndarray:
-        """The frame-interleaved (n, G, q) design of block b."""
-        return self._design[:b.n * b.g * b.q].reshape(b.n, b.g, b.q)
+    Returns coef, (4, n_frames, max count): a's cos and sin coefficients,
+    then b's, of a frame's j-th component in column j, NaN where the frame
+    was not solved; and ill, (n_frames,), the frames fitted but
+    ill-conditioned.
+    """
+    blocks = _blocks(layout, np.flatnonzero(counts >= 1), counts)
+    coef = np.full((4, len(layout), int(np.max(counts, initial=0))), np.nan)
+    ill = np.zeros(len(layout), dtype=bool)
+    design = np.empty(max((b.g * b.n * b.q for b in blocks), default=0))
+    transposed = np.empty_like(design)
+    target = np.empty(max((b.g * b.n for b in blocks), default=0))
+    size = max((b.g * b.n * b.m for b in blocks), default=0)
+    scratch, index = np.empty((2, size)), np.empty(size, dtype=np.int64)
+    windows = {n: make_window(window_kind, n) for n in {b.n for b in blocks}}
+    with single_threaded_blas():
+        for b in blocks:
+            g, n, m, q = b.g, b.n, b.m, b.q
+            t = np.arange(b.lo, b.lo + n) / fs
+            cols = transposed[:g * q * n].reshape(g, q, n)
+            basis(b, cols, t, scratch[:, :g * m * n].reshape(2, g, m, n),
+                  index[:g * m * n].reshape(g, m, n))
+            e = design[:n * g * q].reshape(n, g, q)
+            _complete_design(e, cols, t)
+            # x over each frame, interleaved as the design's rows
+            rows = layout.center[b.frames] + b.lo + np.arange(n)[:, None]
+            y = np.take(x, rows, out=target[:rows.size].reshape(rows.shape), mode="clip")
+            c, d, cond = ls_solve(e.reshape(-1, q), windows[n], y.reshape(-1))
+            # the rows of frames not solved are NaN
+            coef[:2, b.frames, :m] = c[:, 1:].reshape(g, 2, m).transpose(1, 0, 2)
+            coef[2:, b.frames, :m] = d[:, 1:].reshape(g, 2, m).transpose(1, 0, 2)
+            ill[b.frames] = ~(cond <= COND_BOUND)
+    return coef, ill
 
-    def transposed(self, b: _Block) -> np.ndarray:
-        """A (G, q, n) scratch of block b: its frame designs transposed."""
-        return self._transposed[:b.g * b.q * b.n].reshape(b.g, b.q, b.n)
 
-    def cols(self, b: _Block, i: int, shape: tuple) -> np.ndarray:
-        """The i-th of two per-component scratches of block b: G*n*m
-        elements in the given shape."""
-        return self._cols[i, :b.g * b.n * b.m].reshape(shape)
-
-    def index(self, b: _Block) -> np.ndarray:
-        """A (G, m, n) int64 scratch of block b."""
-        return self._index[:b.g * b.n * b.m].reshape(b.g, b.m, b.n)
-
-    def target(self, x: np.ndarray, layout: _Layout, b: _Block) -> np.ndarray:
-        """x over each frame of block b, interleaved as the design's rows."""
-        rows = layout.center[b.frames] + b.lo + np.arange(b.n)[:, None]
-        return np.take(x, rows, out=self._target[:rows.size].reshape(rows.shape),
-                       mode="clip").reshape(-1)
-
-    def times(self, b: _Block) -> np.ndarray:
-        """The block's LS time axis in seconds."""
-        return np.arange(b.lo, b.lo + b.n) / self._fs
-
-    def window(self, b: _Block) -> np.ndarray:
-        w = self._windows.get(b.n)
-        if w is None:
-            w = self._windows[b.n] = make_window(self._kind, b.n)
-        return w
+def _tracks(times: np.ndarray, amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray,
+            carried) -> list[PartialTrack]:
+    """One track per column of the (n_frames, n_columns) anchors, from the
+    frames whose amplitude is not NaN.  A column with no such frame is
+    carried[k] unchanged, or no track when carried is None."""
+    out: list[PartialTrack] = []
+    for k in range(amps.shape[1]):
+        keep = ~np.isnan(amps[:, k])
+        if keep.any():
+            out.append(PartialTrack(times=times[keep], amps=amps[keep, k],
+                                    freqs=freqs[keep, k], phases=phases[keep, k]))
+        elif carried is not None:
+            out.append(carried[k])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,41 +419,21 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
         band = np.minimum(band, config.max_partials)
     k_maxes = np.minimum(band, layout.k_budget)
     harmonics = np.arange(1, max(0, int(k_maxes.max())) + 1, dtype=np.float64)
-    # cos and sin coefficients per (frame, harmonic); NaN where none was solved
-    cos_coef = np.full((len(layout), harmonics.shape[0]), np.nan)
-    sin_coef = np.full_like(cos_coef, np.nan)
-    blocks = _blocks(layout, np.flatnonzero(k_maxes >= 1), k_maxes)
-    bufs = _BlockBuffers(blocks, fs, config.init_window_kind)
     omega = 2.0 * np.pi * layout.f0
-    skipped = 0
-    with single_threaded_blas():
-        for b in blocks:
-            k = b.m
-            e, t, cols = bufs.design(b), bufs.times(b), bufs.transposed(b)
-            phase = bufs.cols(b, 0, (b.g, k, b.n))
-            np.multiply((omega[b.frames][:, None] * t)[:, None], harmonics[:k, None], out=phase)
-            np.cos(phase, out=cols[:, 1:k + 1])
-            np.sin(phase, out=cols[:, k + 1:2 * k + 1])
-            _complete_design(e, cols, t)
-            c, _, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b), bufs.target(x, layout, b))
-            # the rows of frames not solved are NaN, which the coefficients hold already
-            skipped += int(np.count_nonzero(~(cond <= COND_BOUND)))
-            cos_coef[b.frames, :k] = c[:, 1:k + 1]
-            sin_coef[b.frames, :k] = c[:, k + 1:]
-    if skipped:
-        warnings.warn(f"harmonic initialization skipped {skipped} ill-conditioned "
+
+    def basis(b, cols, t, scratch, index):
+        k, phase = b.m, scratch[0]
+        np.multiply((omega[b.frames][:, None] * t)[:, None], harmonics[:k, None], out=phase)
+        np.cos(phase, out=cols[:, 1:k + 1])
+        np.sin(phase, out=cols[:, k + 1:2 * k + 1])
+
+    coef, ill = _fit_frames(x, fs, layout, k_maxes, config.init_window_kind, basis)
+    if ill.any():
+        warnings.warn(f"harmonic initialization skipped {np.count_nonzero(ill)} ill-conditioned "
                       f"frame(s) of {len(layout)}", RuntimeWarning, stacklevel=2)
-    a = _mirrored(cos_coef, sin_coef)
-    amps = 2.0 * np.abs(a)
-    phases = np.angle(a)
-    times = layout.center / fs
-    tracks: list[PartialTrack] = []
-    for k in range(amps.shape[1]):
-        keep = ~np.isnan(amps[:, k])
-        if keep.any():
-            tracks.append(PartialTrack(times=times[keep], amps=amps[keep, k],
-                                       freqs=(k + 1) * layout.f0[keep],
-                                       phases=phases[keep, k]))
+    a = _mirrored(coef[0], coef[1])
+    tracks = _tracks(layout.center / fs, 2.0 * np.abs(a), np.multiply.outer(layout.f0, harmonics),
+                     np.angle(a), None)
     if not tracks:
         raise AnalysisError("harmonic initialization failed on every frame")
     return tracks
@@ -513,36 +505,28 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
     order = np.argsort(sampled.freq_c, axis=1, kind="stable")
     below = sampled.freq_c < fs / 2.0 - NYQUIST_MARGIN_HZ
     count = np.minimum(np.count_nonzero(below, axis=1), budget)
-    fitted = np.flatnonzero(count)
     cc, sc = _rotation_factors(sampled.amp_c, sampled.phase_c)
-    blocks = _blocks(layout, fitted, count)
-    bufs = _BlockBuffers(blocks, fs, ADAPT_WINDOW_KIND)
-    # cos and sin coefficients of a, then of b, per (frame, track)
-    coef = np.full((4, n_frames, n_tracks), np.nan)
-    ill = np.zeros(n_frames, dtype=bool)
-    with single_threaded_blas():
-        for b in blocks:
-            m, frames = b.m, b.frames[:, None]
-            idx = order[b.frames, :m]
-            # flat index of (track, sample) in the C and S rows
-            at = np.add((idx * x.shape[0] + layout.center[frames] + b.lo)[:, :, None],
-                        np.arange(b.n), out=bufs.index(b))
-            c_rows = np.take(sampled.c_rows, at, out=bufs.cols(b, 0, at.shape), mode="clip")
-            s_rows = np.take(sampled.s_rows, at, out=bufs.cols(b, 1, at.shape), mode="clip")
-            cols = bufs.transposed(b)
-            _rotate_into(cols, c_rows, s_rows, cc[frames, idx][..., None], sc[frames, idx][..., None])
-            e = bufs.design(b)
-            _complete_design(e, cols, bufs.times(b))
-            c, d, cond = ls_solve(e.reshape(-1, b.q), bufs.window(b), bufs.target(x, layout, b))
-            # a's cos and sin coefficients, then b's; the rows of frames not
-            # solved are NaN, which coef holds already
-            solved = np.stack((c[:, 1:], d[:, 1:]), axis=1).reshape(-1, 4, m)
-            coef[:, frames, idx] = solved.transpose(1, 0, 2)
-            ill[b.frames] = ~(cond <= COND_BOUND)
-    if ill[fitted].all():
+    n = x.shape[0]
+
+    def basis(b, cols, t, scratch, index):
+        frames = b.frames[:, None]
+        idx = order[b.frames, :b.m]
+        # flat index of (track, sample) in the C and S rows
+        at = np.add((idx * n + layout.center[frames] + b.lo)[:, :, None], np.arange(b.n),
+                    out=index)
+        c_rows = np.take(sampled.c_rows, at, out=scratch[0], mode="clip")
+        s_rows = np.take(sampled.s_rows, at, out=scratch[1], mode="clip")
+        _rotate_into(cols, c_rows, s_rows, cc[frames, idx][..., None], sc[frames, idx][..., None])
+
+    slots, ill = _fit_frames(x, fs, layout, count, ADAPT_WINDOW_KIND, basis)
+    if ill[count > 0].all():
         raise AnalysisError("adaptation pass failed on every frame")
     # the rows are the bulk of sampled: release them before the mapping
     sampled.c_rows = sampled.s_rows = None
+    # slot j of a frame is track order[f, j]; slots past its count are NaN and
+    # land on tracks it does not fit
+    coef = np.full((4, n_frames, n_tracks), np.nan)
+    np.put_along_axis(coef, order[None, :, :slots.shape[2]], slots, axis=2)
     a = _mirrored(coef[0], coef[1])
     half_f0 = layout.f0[:, None] / 2.0
     eta = np.clip(freq_correction(a, _mirrored(coef[2], coef[3])), -half_f0, half_f0)
@@ -557,16 +541,7 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
     amps[kept] = sampled.amp_c[kept]
     freqs[kept] = sampled.freq_c[kept]
     phases[kept] = wrap_phase(sampled.phase_c[kept])
-    times = layout.center / fs
-    out: list[PartialTrack] = []
-    for k, tr in enumerate(tracks):
-        keep = ~np.isnan(amps[:, k])
-        if not keep.any():
-            out.append(tr)  # never eligible this pass; carry unchanged
-            continue
-        out.append(PartialTrack(times=times[keep], amps=amps[keep, k],
-                                freqs=freqs[keep, k], phases=phases[keep, k]))
-    return out
+    return _tracks(layout.center / fs, amps, freqs, phases, tracks)
 
 
 def adapt(signal: SampledSignal, tracks: list[PartialTrack], f0track: F0Track,

@@ -97,6 +97,9 @@ class EDSMConfig:
 
     def __post_init__(self):
         check_count("window_samples", self.window_samples, 4)
+        if self.order is not None:
+            for k in [self.order] if np.isscalar(self.order) else self.order:
+                check_count("order", k, 1)
         if not 0.0 <= self.rank_rtol <= 1.0:
             raise UsageError(f"rank_rtol must be in [0, 1], got {self.rank_rtol!r}")
 
@@ -239,12 +242,10 @@ def _components(real: np.ndarray, c_real: np.ndarray, up: np.ndarray, c_cos: np.
 # frame-based analysis / synthesis
 # ---------------------------------------------------------------------------
 
-def _frame_orders(order, n_frames: int) -> list[int]:
+def _frame_orders(order, n_frames: int) -> np.ndarray:
     if order is None:
         raise UsageError("EDSM needs an order: an int or a per-frame sequence")
-    if np.isscalar(order):
-        return [int(order)] * n_frames
-    orders = [int(k) for k in order]
+    orders = np.array([order] * n_frames if np.isscalar(order) else order, dtype=np.int64)
     if len(orders) != n_frames:
         raise UsageError(f"per-frame order list has {len(orders)} entries, need {n_frames}")
     return orders
@@ -277,9 +278,7 @@ def edsm_analyze(signal: SampledSignal, config: EDSMConfig) -> EDSMFrames:
     n = x.shape[0]
     w = config.window_samples
     starts = np.arange(0, n, w)
-    orders = np.array(_frame_orders(config.order, starts.shape[0]), dtype=np.int64)
-    if np.any(orders < 1):
-        raise UsageError(f"per-frame order must be >= 1, got {orders[orders < 1][0]}")
+    orders = _frame_orders(config.order, starts.shape[0])
     lengths = np.minimum(w, n - starts)
     k_kept = np.zeros(starts.shape[0], dtype=np.int64)
     cond = np.zeros(starts.shape[0])

@@ -145,8 +145,9 @@ class SweepSpec:
         if self.t_min_s is not None and not 0 < self.t_min_s < np.inf:
             raise UsageError(f"t_min_s must be positive and finite, got {self.t_min_s}")
         mult = tuple(float(m) for m in self.multiples)
-        if not mult or mult[0] <= 0 or any(b <= a for a, b in zip(mult, mult[1:])):
-            raise UsageError("multiples must be positive and strictly ascending")
+        if not (mult and 0 < mult[0] and mult[-1] < np.inf
+                and all(a < b for a, b in zip(mult, mult[1:]))):
+            raise UsageError("multiples must be positive, finite and strictly ascending")
         object.__setattr__(self, "multiples", mult)
         _check_models(self.models)
         _check_models(self.partials)

@@ -49,6 +49,8 @@ class SMConfig:
 
     def __post_init__(self):
         check_count("max_peaks", self.max_peaks, 1)
+        if self.window_samples is not None:
+            check_count("window_samples", self.window_samples, 1)
 
 
 @dataclass(frozen=True)

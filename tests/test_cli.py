@@ -261,6 +261,16 @@ def test_sweep_command_writes_curve(tmp_path, capsys):
     assert all(ln.startswith("sm,") and ln.endswith(",ok") for ln in lines[1:])
 
 
+@pytest.mark.parametrize("multiples", ["nan", "1,inf", "0.5,nan,2"])
+def test_sweep_rejects_multiples_that_are_not_finite(tmp_path, capsys, multiples):
+    # once a traceback and exit 1
+    code = main(["sweep", "--signal", "chirp", "--models", "sm",
+                 "--multiples", multiples, "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_sweep_rejects_unknown_model(tmp_path, capsys):
     code = main(["sweep", "--signal", "chirp", "--models", "svm",
                  "--multiples", "1", "--out", str(tmp_path / "c.csv")])

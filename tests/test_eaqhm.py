@@ -889,6 +889,62 @@ def test_blocked_pass_keeps_ill_frames_like_the_reference():
     _same_tracks(got, want)
 
 
+def test_init_leaves_frames_above_the_band_unfitted_like_the_reference():
+    # at 7,900 Hz no harmonic lies below the Nyquist margin: such a frame is
+    # neither solved nor counted as skipped
+    n = 1600
+    sig = SampledSignal(samples=np.random.default_rng(0).normal(size=n), fs=FS)
+    times = np.arange(0, n, 80) / FS
+    f0t = F0Track(times=times, f0=np.where(np.arange(times.size) % 2, 7900.0, 200.0),
+                  voiced=np.ones(times.size, dtype=bool))
+    cfg = EaQHMConfig(window_samples=401)
+    layout = eaqhm._frame_layout(n, FS, f0t, cfg)
+    above = layout.f0 > FS / 2.0 - eaqhm.NYQUIST_MARGIN_HZ
+    assert 0 < np.count_nonzero(above) < len(layout)
+    got, got_warned = _outcome(init_harmonic, sig, f0t, cfg)
+    want, want_warned = _outcome(_per_frame_init_harmonic, sig, f0t, cfg)
+    assert got_warned == want_warned == []
+    _same_tracks(got, want)
+
+
+def test_every_frame_fit_runs_through_the_one_block_stage(monkeypatch):
+    n = 3200
+    sig = SampledSignal(samples=_harmonic(n, k_max=3), fs=FS)
+    f0t = _const_f0(n, 150.0)
+    cfg = EaQHMConfig(max_partials=3, max_adaptations=2)
+    want_init = init_harmonic(sig, _const_f0(n, 151.5), cfg)   # detuned: adapt runs
+    want = adapt(sig, want_init, f0t, cfg)
+    depth, solves, fits = [0], [], []
+    real_fit, real_solve = eaqhm._fit_frames, eaqhm.ls_solve
+
+    def fit(*args):
+        depth[0] += 1
+        before = len(solves)
+        try:
+            return real_fit(*args)
+        finally:
+            depth[0] -= 1
+            fits.append(len(solves) - before)
+
+    def solve(*args):
+        solves.append(depth[0])
+        return real_solve(*args)
+
+    monkeypatch.setattr(eaqhm, "_fit_frames", fit)
+    monkeypatch.setattr(eaqhm, "ls_solve", solve)
+    # a block of five interior frames (321 samples, 3 components)
+    monkeypatch.setattr(eaqhm, "FRAME_BLOCK", 5 * 321 * 14)
+    got_init = init_harmonic(sig, _const_f0(n, 151.5), cfg)
+    assert len(fits) == 1
+    got = adapt(sig, got_init, f0t, cfg)
+    assert got.iteration >= 1 and len(fits) == 1 + got.iteration
+    assert set(solves) == {1}   # every solve inside a _fit_frames call
+    assert min(fits) > 1        # several blocks per fit
+    _same_tracks(got_init, want_init)
+    _same_tracks(got.tracks, want.tracks)
+    assert repr(got.srer_history) == repr(want.srer_history)
+
+
 @pytest.mark.parametrize("fs", [8000.0, 44100.0, 48000.0])
 def test_eaqhm_at_other_rates_matches_the_per_frame_reference(fs, monkeypatch):
     sig = gen_amfm(AMFMSpec(duration=0.03, fs=fs, seed=2))[0]
@@ -1056,10 +1112,12 @@ def test_config_validation():
     {"window_samples": float("nan")}, {"window_samples": 160.0}, {"window_samples": 0},
     {"f_guard_hz": 0.0}, {"f_guard_hz": -5.0}, {"f_guard_hz": float("nan")},
     {"f_guard_hz": float("inf")}, {"max_adaptations": 2.5},
+    {"max_adaptations": True}, {"max_partials": True}, {"window_samples": True},
 ])
 def test_config_rejects_values_that_would_break_later(fields):
     # each of these once ended in AnalysisError, a bare ValueError,
-    # ZeroDivisionError or TypeError, or silently switched the guard off
+    # ZeroDivisionError or TypeError, silently switched the guard off, or
+    # (True) ran as a count of 1
     with pytest.raises(UsageError):
         EaQHMConfig(**fields)
 

@@ -465,6 +465,24 @@ def test_config_rejects_values_that_would_break_silently(fields):
         EDSMConfig(**{"window_samples": 80, "order": 3, **fields})
 
 
+@pytest.mark.parametrize("order", [2.5, [2.7, 2.7], True, float("nan"), 0, [1, 0], [1, True],
+                                   np.array([2.0, 3.0])])
+def test_config_rejects_orders_that_are_not_counts(order):
+    # 2.5, [2.7] * n and True once ran as 2, 2 and 1 sinusoids, nan ended in
+    # a bare ValueError, and 0 passed until analysis
+    with pytest.raises(UsageError, match="order"):
+        EDSMConfig(window_samples=80, order=order)
+
+
+def test_config_takes_numpy_integer_orders():
+    sig = gen_amfm(AMFMSpec(duration=0.02, seed=0))[0]
+    want = edsm_analyze(sig, EDSMConfig(window_samples=80, order=[3, 2, 3, 1]))
+    for order in (np.array([3, 2, 3, 1]), [np.int64(3), 2, np.int32(3), 1]):
+        got = edsm_analyze(sig, EDSMConfig(window_samples=80, order=order))
+        assert got.values.tobytes() == want.values.tobytes()
+    assert EDSMConfig(window_samples=80).order is None   # an error only at analysis
+
+
 def test_config_takes_numpy_integers_and_the_rank_bounds():
     sig = gen_amfm(AMFMSpec(duration=0.05, seed=0))[0]
     for cfg in (EDSMConfig(window_samples=np.int64(80), order=3, rank_rtol=0.0),

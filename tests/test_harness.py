@@ -60,6 +60,12 @@ def test_sweep_spec_validation():
     for bad in (float("nan"), float("inf"), -0.01):
         with pytest.raises(UsageError, match="t_min_s must be positive and finite"):
             SweepSpec(source="amfm", t_min_s=bad)
+    # NaN slipped past both comparisons, and a sweep then raised a bare
+    # ValueError or OverflowError
+    nan, inf = float("nan"), float("inf")
+    for bad in ((nan,), (1.0, inf), (1.0, nan), (nan, 1.0), (inf,), (1.0, nan, 2.0)):
+        with pytest.raises(UsageError, match="finite"):
+            SweepSpec(source="amfm", multiples=bad)
 
 
 def test_sweep_cell_status_validation():
@@ -203,11 +209,11 @@ def test_analyze_window_floors():
 
 
 @pytest.mark.parametrize("partials", [{"foo": 1}, {"sm": 0}, {"edsm": 0}, {"eaqhm": -1},
-                                      {"edsm": 2.5}, {"sm": 1.0}])
+                                      {"edsm": 2.5}, {"sm": 1.0}, {"sm": True}])
 def test_sweep_spec_rejects_bad_partial_counts(partials):
     # None is the only "default" count; 0 peaks or sinusoids is no model, and
     # an unknown model key or a fractional count was once silently ignored
-    # or truncated
+    # or truncated, and True ran as 1
     with pytest.raises(UsageError):
         SweepSpec(source="chirp", partials=partials)
     spec = SweepSpec(source="chirp", partials={"sm": np.int64(2), "edsm": None})

@@ -285,6 +285,17 @@ def test_smconfig_validation():
     with pytest.raises(UsageError):   # once ran as 3 peaks
         SMConfig(max_peaks=2.5)
     assert SMConfig(max_peaks=np.int64(3)).max_peaks == 3
+    with pytest.raises(UsageError):   # once ran as 1 peak
+        SMConfig(max_peaks=True)
+    # a numpy integer window still takes the odd-length rule
+    assert sm._resolve_window_samples(SMConfig(window_samples=np.int64(80)), FS) == 81
+
+
+@pytest.mark.parametrize("w", [float("nan"), 80.5, 81.0, 0, True])
+def test_smconfig_rejects_windows_that_are_not_counts(w):
+    # nan once ended in a bare ValueError in sm_peaks, 80.5 ran as 81 samples
+    with pytest.raises(UsageError, match="window_samples"):
+        SMConfig(window_samples=w)
 
 
 # ---------------------------------------------------------------------------
