@@ -33,7 +33,6 @@ def _load_flapack():
 _flapack = _load_flapack()
 
 dgtsv = _flapack.dgtsv     # core.interp_frequency_spline
-dpotrf = _flapack.dpotrf   # eaqhm.ls_solve
+dposv = _flapack.dposv     # eaqhm.ls_solve
 dpocon = _flapack.dpocon
-dpotrs = _flapack.dpotrs
 dtrtrs = _flapack.dtrtrs   # edsm.vandermonde_amplitudes

@@ -152,29 +152,30 @@ def check_track_columns(times: np.ndarray, amps: np.ndarray, freqs: np.ndarray,
 # windows and SRER
 # ---------------------------------------------------------------------------
 
+def check_window_kind(kind: str) -> None:
+    """UsageError unless kind names one of WINDOW_KINDS (in any case)."""
+    if not isinstance(kind, str) or kind.lower() not in WINDOW_KINDS:
+        raise UsageError(f"unknown window kind {kind!r}, expected one of {WINDOW_KINDS}")
+
+
 def make_window(kind: str, length: int) -> np.ndarray:
     """Symmetric float64 analysis window of the given kind and length."""
     if length < 1:
         raise UsageError(f"window length must be >= 1, got {length}")
-    kind = kind.lower()
-    if kind == "hamming":
-        values = np.hamming(length)
-    elif kind == "hann":
-        values = np.hanning(length)
-    elif kind == "blackman":
-        values = np.blackman(length)
-    elif kind == "rectangular":
-        values = np.ones(length)
-    else:
-        raise UsageError(f"unknown window kind {kind!r}, expected one of {WINDOW_KINDS}")
-    return values.astype(np.float64)
+    check_window_kind(kind)
+    window = dict(zip(WINDOW_KINDS, (np.hamming, np.hanning, np.blackman, np.ones)))
+    return window[kind.lower()](length).astype(np.float64)
+
+
+def check_hop_ms(hop_ms: float) -> None:
+    """UsageError unless a frame hop of hop_ms milliseconds is positive and finite."""
+    if not 0 < hop_ms < np.inf:
+        raise UsageError(f"hop must be a positive finite number of ms, got {hop_ms}")
 
 
 def hop_samples(hop_ms: float, fs: float) -> int:
-    """A frame hop of hop_ms milliseconds in samples, at least one; hop_ms
-    must be positive and finite."""
-    if not 0 < hop_ms < np.inf:
-        raise UsageError(f"hop must be a positive finite number of ms, got {hop_ms}")
+    """A frame hop of hop_ms milliseconds in samples, at least one (check_hop_ms)."""
+    check_hop_ms(hop_ms)
     return max(1, int(round(hop_ms * fs / 1000.0)))
 
 

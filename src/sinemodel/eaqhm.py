@@ -29,14 +29,15 @@ and the adaptation pass keep only the basis they write into a block's cos and
 sin rows and their map from coefficients to anchors.  Frames with the same
 sample offsets from their center and the same component count (so the same
 width, time axis, window and column count) form a group, cut into blocks of
-at most FRAME_BLOCK design elements.  A block's designs are one
-frame-interleaved (n, G, q) view into the stage's one buffer set (frame g's
-sample i is row i*G + g), so element-wise steps, and every step of ls_solve
-but each frame's Cholesky factor, condition estimate and triangular solve,
-run on the whole block; each frame's result is bitwise that of solving it
-alone.  Layout, eligibility, rotation and the anchor maps are array passes
-over all frames.  Frame systems are a few hundred samples wide, so the stage
-runs on single-threaded OpenBLAS (see _blas).
+at most FRAME_BLOCK design elements.  A block's designs are one (q, G, n)
+buffer in the stage's one buffer set (row j holds column j of every frame,
+each frame's samples contiguous); the basis fills write it and ls_solve reads
+it in place, so element-wise steps, and every step of ls_solve but each
+frame's Cholesky solve and condition estimate, run on the whole block; each
+frame's result is bitwise that of solving it alone in the same layout.
+Layout, eligibility, rotation and the anchor maps are array passes over all
+frames.  Frame systems are a few hundred samples wide, so the stage runs on
+single-threaded OpenBLAS (see _blas).
 """
 from __future__ import annotations
 
@@ -47,9 +48,9 @@ import numpy as np
 
 from . import _kernels
 from ._blas import single_threaded_blas
-from ._lapack import dpocon, dpotrf, dpotrs
-from .core import (PartialTrack, SampledSignal, check_count, hop_samples, make_window,
-                   render_spans, sample_track, srer, wrap_phase)
+from ._lapack import dpocon, dposv
+from .core import (PartialTrack, SampledSignal, check_count, check_hop_ms, check_window_kind,
+                   hop_samples, make_window, render_spans, sample_track, srer, wrap_phase)
 # adapt renders its iterates itself; the name stays bound here because
 # perfbench's tracer rebinds eaqhm.synthesize_tracks
 from .core import synthesize_tracks  # noqa: F401
@@ -63,7 +64,6 @@ COND_BOUND = 1e10          # on the real normal matrix of a frame fit
 NYQUIST_MARGIN_HZ = 200.0  # partials stay this far below fs/2
 COL_RATIO = 2.0 / 3.0      # LS columns capped at this fraction of the frame
 ADAPT_WINDOW_KIND = "hamming"
-_NORM_BLOCK = 8192         # squares per block of rows in ls_solve's column norms
 FRAME_BLOCK = 65536        # design elements per block of frames solved together
 
 
@@ -78,6 +78,8 @@ class EaQHMConfig:
     f_guard_hz: float = None         # conditioning guard; None: local f0
 
     def __post_init__(self):
+        check_hop_ms(self.hop_ms)
+        check_window_kind(self.init_window_kind)
         check_count("max_adaptations", self.max_adaptations, 0)
         if self.max_partials is not None:
             check_count("max_partials", self.max_partials, 1)
@@ -104,22 +106,24 @@ class AdaptationState:
 def ls_solve(e: np.ndarray, window: np.ndarray,
              target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted LS solves of target ~ E [a; b] via the normal equations, for
-    one or more frames interleaved row by row.
+    one or more frames stacked row by row.
 
-    E is a real float64 (n*G, q) design, n = len(window): frame g's sample i
-    is row i*G + g of E and of the (n*G,) target (the frame fits pass the
-    real mirrored design).  Returns a and b, each (G, q/2), and cond, (G,):
-    LAPACK's condition estimate of each frame's normal matrix.  A frame is
-    solved exactly when its cond <= COND_BOUND; the others (more columns
-    than samples, not positive definite, or past the bound) have cond inf or
-    above the bound and NaN rows in a and b.
+    E is a real float64 (G*n, q) design, n = len(window): frame g's sample i
+    is row g*n + i of E and of the (G*n,) target (the frame fits pass the
+    real mirrored design, as the transpose of a (q, G*n) buffer, so each
+    column of a frame is contiguous).  Returns a and b, each (G, q/2), and
+    cond, (G,): LAPACK's condition estimate of each frame's normal matrix.  A
+    frame is solved exactly when its cond <= COND_BOUND; the others (more
+    columns than samples, not positive definite, or past the bound) have cond
+    inf or above the bound and NaN rows in a and b.
 
-    E is overwritten: it is weighted and equilibrated in place and then holds
-    scratch, so the solve copies no normal matrix and E only when q = 2.
-    Columns are equilibrated to unit norm first (exact algebra, keeps the
-    condition check about basis structure, not units).  Every step but the
-    Cholesky factor, its condition estimate and its solve runs on all G frames
-    at once, and each frame's result is bitwise that of solving it alone.
+    E is overwritten: it is weighted in place and then holds scratch, so the
+    solve copies neither E nor a normal matrix.  The normal equations are
+    equilibrated to a unit diagonal, r_ij / sqrt(r_ii r_jj) (exact algebra:
+    the normal matrix of unit-norm columns, so the condition check is about
+    basis structure, not units).  Every step but each frame's Cholesky solve
+    and condition estimate runs on all G frames at once, and each frame's
+    result is bitwise that of solving it alone in the same layout.
     """
     if not (isinstance(e, np.ndarray) and e.dtype == np.float64 and e.ndim == 2):
         raise UsageError("ls_solve takes a real float64 design matrix")
@@ -128,63 +132,42 @@ def ls_solve(e: np.ndarray, window: np.ndarray,
     rows, q = e.shape
     n = w.shape[0]
     if w.ndim != 1 or n == 0 or rows % n or y.shape != (rows,) or q % 2:
-        raise UsageError("ls_solve takes an (n*G, q) design with even q, an (n,) "
-                         "window and an (n*G,) target")
+        raise UsageError("ls_solve takes a (G*n, q) design with even q, an (n,) "
+                         "window and a (G*n,) target")
     g, half = rows // n, q // 2
     coef = np.full((g, q), np.nan)
     cond = np.full(g, np.inf)
     if n < q:
         return coef[:, :half], coef[:, half:], cond
-    e3 = e.reshape(n, g, q)
-    e3 *= w[:, None, None]
-    yw = np.multiply(y.reshape(n, g).T, w, out=np.empty((g, n)))[:, :, None]
-    scale = _column_norms(e3)
-    scale[scale == 0.0] = 1.0
-    e3 /= scale
-    frames, et = e3.transpose(1, 0, 2), e3.transpose(1, 2, 0)
+    frames = e.reshape(g, n, q)
+    frames *= w[:, None]
+    yw = np.multiply(y.reshape(g, n), w)[:, :, None]
+    # same-buffer products: numpy takes syrk for each frame's Gram matrix
+    et = frames.transpose(0, 2, 1)
     r = np.matmul(et, frames)
-    # OpenBLAS's gemv sums a contiguous two-column frame in an order of its
-    # own, so a q = 2 stack (DC and slope only) multiplies contiguous frames
-    rhs = np.matmul(et if q > 2 else np.ascontiguousarray(frames).transpose(0, 2, 1), yw)
-    # E is dead now: it takes |r| for pocon's 1-norm, and potrf factors each
-    # r in place (r is symmetric, so r.T is the Fortran-order matrix LAPACK
-    # takes)
-    abs_r = np.abs(r, out=e.reshape(-1)[:g * q * q].reshape(g, q, q))
-    anorm = np.max(np.add.reduce(abs_r, axis=1), axis=1)
+    rhs = np.matmul(et, yw)
+    scale = np.sqrt(np.diagonal(r, axis1=1, axis2=2))
+    scale[scale == 0.0] = 1.0
+    # E is dead now: it takes the scale's outer product s_i s_j (a matmul
+    # over one term, which needs no broadcast buffers), then |r| for pocon's
+    # 1-norm
+    scratch = np.ravel(e, order="K")[:g * q * q].reshape(g, q, q)
+    r /= np.matmul(scale[:, :, None], scale[:, None, :], out=scratch)
+    rhs /= scale[:, :, None]
+    anorm = np.max(np.add.reduce(np.abs(r, out=scratch), axis=1), axis=1)
     for i in range(g):
-        chol, info = dpotrf(r[i].T, lower=1, overwrite_a=1)
+        # r is symmetric, so r.T is the Fortran-order matrix LAPACK takes,
+        # and posv factors and solves it in place
+        chol, sol, info = dposv(r[i].T, rhs[i], lower=1, overwrite_a=1, overwrite_b=1)
         if info != 0:
             continue
         rcond, info = dpocon(chol, anorm[i], uplo=b"L")
         if info == 0 and rcond != 0.0:
             cond[i] = 1.0 / float(rcond)
-        if not cond[i] <= COND_BOUND:
-            continue
-        sol, info = dpotrs(chol, rhs[i], lower=1)
-        if info != 0:
-            cond[i] = np.inf
-            continue
-        coef[i] = sol[:, 0]
+        if cond[i] <= COND_BOUND:
+            coef[i] = sol[:, 0]
     coef /= scale
     return coef[:, :half], coef[:, half:], cond
-
-
-def _column_norms(e: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(e[:, g], axis=0) of every frame g of an (n, G, q)
-    stack, as (G, q), bit for bit: each column's squares are summed down the
-    rows in order.  The squares are formed a block of rows at a time, never
-    for all of e at once, one reduction serving every frame; each block is
-    reduced below the running sums, which keeps the order."""
-    n, g, q = e.shape
-    rows = max(1, _NORM_BLOCK // max(g * q, 1))
-    scratch = np.empty((rows + 1, g, q))
-    out = np.square(e[0])
-    for i in range(1, n, rows):
-        k = min(rows, n - i)
-        scratch[0] = out
-        np.square(e[i:i + k], out=scratch[1:k + 1])
-        np.add.reduce(scratch[:k + 1], axis=0, out=out)
-    return np.sqrt(out, out=out)
 
 
 def freq_correction(a, b):
@@ -210,14 +193,13 @@ def _mirrored(cos_coef: np.ndarray, sin_coef: np.ndarray) -> np.ndarray:
     return (cos_coef - 1j * sin_coef) / 2.0
 
 
-def _complete_design(e: np.ndarray, cols: np.ndarray, t: np.ndarray) -> None:
-    """Fill the (n, G, q) design stack e = [1 | A cos | A sin | t | t A cos |
-    t A sin] from cols, its (G, q, n) transpose with the cos and sin rows set:
-    cols gets its DC and slope rows, then e is copied from it in one pass."""
-    p = cols.shape[1] // 2
-    cols[:, 0], cols[:, p] = 1.0, t
-    np.multiply(cols[:, 1:p], t, out=cols[:, p + 1:])
-    e[...] = cols.transpose(2, 0, 1)
+def _complete_design(design: np.ndarray, t: np.ndarray) -> None:
+    """Fill the DC row, the t row and the slope twins of a (q, G, n) block
+    of designs [1 | A cos | A sin | t | t A cos | t A sin] (one row per
+    column, every frame's samples contiguous) whose cos and sin rows are set."""
+    p = design.shape[0] // 2
+    design[0], design[p] = 1.0, t
+    np.multiply(design[1:p], t, out=design[p + 1:])
 
 
 def _rotation_factors(amp_c: np.ndarray,
@@ -232,7 +214,7 @@ def _rotate_into(cols: np.ndarray, c_rows: np.ndarray, s_rows: np.ndarray,
                  cc: np.ndarray, sc: np.ndarray) -> None:
     """Write the (A+eps)/(A_c+eps) cos(phase - phase_c) columns of a stack
     of frames and their sin twins into the cos and sin rows of cols, the
-    (G, q, n) transpose of their designs.
+    (G, q, n) view of their designs.
 
     c_rows and s_rows are the frames' (G, m, n) samples of C = (A+eps)
     cos(phase) and S = (A+eps) sin(phase), one row per component; cc and sc
@@ -337,10 +319,12 @@ def _fit_frames(x: np.ndarray, fs: float, layout: _Layout, counts: np.ndarray,
     [1 | A cos | A sin | t | t A cos | t A sin] of counts[f] components,
     solved in _blocks under a window_kind window.
 
-    basis(b, cols, t, scratch, index) writes the cos and sin rows of block
-    b's designs into cols, their (G, q, n) transpose, given the LS time axis
-    t in seconds; scratch ((2, G, m, n) float64) and index ((G, m, n) int64)
-    are its own.  One set of buffers, sized for the largest block, serves all.
+    A block's designs are one (q, G, n) buffer: row j holds column j of every
+    frame, frame after frame.  basis(b, cols, t, scratch, index) writes the
+    cos and sin rows of block b's designs into cols, the buffer's (G, q, n)
+    view, given the LS time axis t in seconds; scratch ((2, G, m, n) float64)
+    and index ((G, m, n) int64) are its own.  One set of buffers, sized for
+    the largest block, serves all.
 
     Returns coef, (4, n_frames, max count): a's cos and sin coefficients,
     then b's, of a frame's j-th component in column j, NaN where the frame
@@ -351,7 +335,6 @@ def _fit_frames(x: np.ndarray, fs: float, layout: _Layout, counts: np.ndarray,
     coef = np.full((4, len(layout), int(np.max(counts, initial=0))), np.nan)
     ill = np.zeros(len(layout), dtype=bool)
     design = np.empty(max((b.g * b.n * b.q for b in blocks), default=0))
-    transposed = np.empty_like(design)
     target = np.empty(max((b.g * b.n for b in blocks), default=0))
     size = max((b.g * b.n * b.m for b in blocks), default=0)
     scratch, index = np.empty((2, size)), np.empty(size, dtype=np.int64)
@@ -360,15 +343,14 @@ def _fit_frames(x: np.ndarray, fs: float, layout: _Layout, counts: np.ndarray,
         for b in blocks:
             g, n, m, q = b.g, b.n, b.m, b.q
             t = np.arange(b.lo, b.lo + n) / fs
-            cols = transposed[:g * q * n].reshape(g, q, n)
-            basis(b, cols, t, scratch[:, :g * m * n].reshape(2, g, m, n),
+            buf = design[:q * g * n].reshape(q, g, n)
+            basis(b, buf.transpose(1, 0, 2), t, scratch[:, :g * m * n].reshape(2, g, m, n),
                   index[:g * m * n].reshape(g, m, n))
-            e = design[:n * g * q].reshape(n, g, q)
-            _complete_design(e, cols, t)
-            # x over each frame, interleaved as the design's rows
-            rows = layout.center[b.frames] + b.lo + np.arange(n)[:, None]
+            _complete_design(buf, t)
+            # x over each frame, frame after frame as in the design's rows
+            rows = (layout.center[b.frames] + b.lo)[:, None] + np.arange(n)
             y = np.take(x, rows, out=target[:rows.size].reshape(rows.shape), mode="clip")
-            c, d, cond = ls_solve(e.reshape(-1, q), windows[n], y.reshape(-1))
+            c, d, cond = ls_solve(buf.reshape(q, g * n).T, windows[n], y.reshape(-1))
             # the rows of frames not solved are NaN
             coef[:2, b.frames, :m] = c[:, 1:].reshape(g, 2, m).transpose(1, 0, 2)
             coef[2:, b.frames, :m] = d[:, 1:].reshape(g, 2, m).transpose(1, 0, 2)

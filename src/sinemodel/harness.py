@@ -162,6 +162,7 @@ class SweepCell:
     multiple: float
     srer_db: float          # None when the cell did not produce a result
     status: str
+    error: str = None       # "Type: message" of the error a cell that is not "ok" raised
 
     def __post_init__(self):
         if self.status not in CELL_STATUSES:
@@ -226,16 +227,20 @@ def _sweep_cell(signal: SampledSignal, f0track: F0Track, model: str,
                 multiple: float, t_min: float, counts: dict) -> SweepCell:
     entry = MODEL_TABLE[model]
     w = sweep_window_samples(multiple, t_min, signal.fs)
-    srer_db, status = None, "ok"
+    srer_db, status, error = None, "ok", None
     try:
         cfg = replace(entry.config(signal, f0track, w, counts.get(model)),
                       **entry.sweep_fields(t_min))
         srer_db = run_model(model, signal, f0track, cfg)[0]
-    except IllConditionedError:
-        status = "ill_conditioned"
-    except SineModelError:
-        status = "failed"
-    return SweepCell(model=model, multiple=multiple, srer_db=srer_db, status=status)
+    except SineModelError as exc:
+        status = "ill_conditioned" if isinstance(exc, IllConditionedError) else "failed"
+        error = _reason(exc)
+    return SweepCell(model=model, multiple=multiple, srer_db=srer_db, status=status,
+                     error=error)
+
+
+def _reason(exc: SineModelError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_window_sweep(spec: SweepSpec) -> SRERCurve:
@@ -245,7 +250,8 @@ def run_window_sweep(spec: SweepSpec) -> SRERCurve:
     (model-major, then multiples ascending).  A cell whose analysis raises
     a SineModelError never aborts the sweep: it carries status
     "ill_conditioned" (window below the adaptive model's conditioning
-    bound) or "failed".  Any other exception propagates.
+    bound) or "failed", and the error's type and message.  Any other
+    exception propagates.
     """
     signal, t_min, band, counts = _resolve_source(spec)
     f0track = None
@@ -267,6 +273,7 @@ class ComparisonRow:
     srer_db: dict = field(default_factory=dict)      # model -> dB
     param_counts: dict = field(default_factory=dict)  # model -> synthesis params
     wall_time_s: dict = field(default_factory=dict)   # model -> seconds
+    errors: dict = field(default_factory=dict)        # model -> "Type: message" if it failed
 
 
 def run_comparison(files: Sequence, models: Sequence[str] = MODELS) -> list[ComparisonRow]:
@@ -299,8 +306,9 @@ def run_comparison(files: Sequence, models: Sequence[str] = MODELS) -> list[Comp
                 cfg = MODEL_TABLE[model].config(signal, f0track, None, None)
                 s, _, _, p = run_model(model, signal, f0track, cfg)
                 dt = time.perf_counter() - t0
-            except SineModelError:
+            except SineModelError as exc:
                 s, p, dt = None, None, None
+                row.errors[model] = _reason(exc)
             row.srer_db[model] = s
             row.param_counts[model] = p
             row.wall_time_s[model] = dt
@@ -353,34 +361,34 @@ def export(data, path) -> None:
             audio_io._dump_json(path, {
                 "type": "srer_curve",
                 "rows": [{"model": r.model, "multiple": r.multiple,
-                          "srer_db": r.srer_db, "status": r.status}
+                          "srer_db": r.srer_db, "status": r.status, "error": r.error}
                          for r in data.rows]})
         elif not data.rows:
             raise UsageError("cannot export an empty curve as CSV")
         else:
             audio_io.write_csv(
-                path, ("model", "multiple", "srer_db", "status"),
+                path, ("model", "multiple", "srer_db", "status", "error"),
                 [(r.model, r.multiple, 0.0 if r.srer_db is None else r.srer_db,
-                  r.status) for r in data.rows])
+                  r.status, _blank(r.error)) for r in data.rows])
         return
     if isinstance(data, (list, tuple)) and data and isinstance(data[0], ComparisonRow):
         models = sorted({m for r in data for m in r.srer_db})
         header = ["file", "status"]
         for m in models:
-            header += [f"{m}_srer_db", f"{m}_params", f"{m}_time_s"]
+            header += [f"{m}_srer_db", f"{m}_params", f"{m}_time_s", f"{m}_error"]
         table = []
         for r in data:
             row = [r.file_id, r.status]
             for m in models:
                 row += [_blank(r.srer_db.get(m)), _blank(r.param_counts.get(m)),
-                        _blank(r.wall_time_s.get(m))]
+                        _blank(r.wall_time_s.get(m)), _blank(r.errors.get(m))]
             table.append(row)
         if as_json:
             audio_io._dump_json(path, {
                 "type": "comparison_table",
                 "rows": [{"file": r.file_id, "status": r.status,
                           "srer_db": r.srer_db, "param_counts": r.param_counts,
-                          "wall_time_s": r.wall_time_s} for r in data]})
+                          "wall_time_s": r.wall_time_s, "errors": r.errors} for r in data]})
         else:
             audio_io.write_csv(path, header, table)
         return

@@ -17,7 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (TWO_PI, FrameRecord, PartialTrack, SampledSignal, check_count,
-                   hop_samples, make_window, synthesize_tracks, wrap_phase)
+                   check_hop_ms, check_window_kind, hop_samples, make_window,
+                   synthesize_tracks, wrap_phase)
 from .errors import UsageError
 
 _LOG_FLOOR = 1e-200
@@ -48,6 +49,8 @@ class SMConfig:
     window_samples: int = None    # forced odd; None: WINDOW_MS
 
     def __post_init__(self):
+        check_window_kind(self.window_kind)
+        check_hop_ms(self.hop_ms)
         check_count("max_peaks", self.max_peaks, 1)
         if self.window_samples is not None:
             check_count("window_samples", self.window_samples, 1)

@@ -256,9 +256,9 @@ def test_sweep_command_writes_curve(tmp_path, capsys):
                  "--multiples", "1,2", "--out", str(out)]) == 0
     assert "(2 cells)" in capsys.readouterr().out
     lines = out.read_text().splitlines()
-    assert lines[0] == "model,multiple,srer_db,status"
+    assert lines[0] == "model,multiple,srer_db,status,error"
     assert len(lines) == 3
-    assert all(ln.startswith("sm,") and ln.endswith(",ok") for ln in lines[1:])
+    assert all(ln.startswith("sm,") and ln.endswith(",ok,") for ln in lines[1:])
 
 
 @pytest.mark.parametrize("multiples", ["nan", "1,inf", "0.5,nan,2"])

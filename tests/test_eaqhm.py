@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from sinemodel import _lapack, eaqhm
 from sinemodel._blas import blas_thread_counts, single_threaded_blas
@@ -23,6 +23,8 @@ from sinemodel.harness import MODEL_TABLE, PITCH_BAND_HZ, run_model
 from sinemodel.pitch import F0Track, estimate_f0
 
 FS = 16000.0
+# the references factor and solve in two calls where ls_solve makes one posv
+dpotrf, dpotrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +89,19 @@ def _solve_mirrored(seg, cos_cols, sin_cols, window, t):
 
 
 def _reference_ls_solve(e, window, target):
-    """ls_solve as a function that leaves e alone: fresh weighted and squared
-    copies of the design, np.linalg.norm column norms and a copied factor."""
+    """ls_solve as a function that leaves e alone: a fresh weighted copy of
+    the design (in e's layout), an equilibrated copy of the normal equations
+    and a copied factor, solved by potrf and potrs."""
     w = np.asarray(window, dtype=np.float64)
     es = e * w[:, None]
     yw = np.asarray(target, dtype=np.float64) * w
-    scale = np.linalg.norm(es, axis=0)
-    scale[scale == 0.0] = 1.0
-    es /= scale
     r = es.T @ es
     rhs = es.T @ yw
-    chol, info = _lapack.dpotrf(r, lower=1)
+    scale = np.sqrt(np.diag(r))
+    scale[scale == 0.0] = 1.0
+    r = r / np.multiply.outer(scale, scale)
+    rhs = rhs / scale
+    chol, info = dpotrf(r, lower=1)
     if info != 0:
         raise IllConditionedError("normal equations not positive definite", np.inf)
     anorm = float(np.max(np.sum(np.abs(r), axis=0)))
@@ -105,7 +109,7 @@ def _reference_ls_solve(e, window, target):
     cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
     if info != 0 or not np.isfinite(cond) or cond > eaqhm.COND_BOUND:
         raise IllConditionedError("condition exceeds bound", cond)
-    c, info = _lapack.dpotrs(chol, rhs[:, None], lower=1)
+    c, info = dpotrs(chol, rhs[:, None], lower=1)
     c = c[:, 0] / scale
     m = e.shape[1] // 2
     return c[:m], c[m:]
@@ -158,19 +162,6 @@ def _frames_of(layout):
                                          layout.k_budget.tolist())]
 
 
-def _per_frame_column_norms(e):
-    n, q = e.shape
-    rows = max(1, eaqhm._NORM_BLOCK // max(q, 1))
-    scratch = np.empty((rows + 1, q))
-    out = np.square(e[0])
-    for i in range(1, n, rows):
-        block = e[i:i + rows]
-        scratch[0] = out
-        np.square(block, out=scratch[1:block.shape[0] + 1])
-        np.add.reduce(scratch[:block.shape[0] + 1], axis=0, out=out)
-    return np.sqrt(out, out=out)
-
-
 def _per_frame_ls_solve(e, window, target):
     """One frame's solve, overwriting e; raises IllConditionedError with the
     condition estimate for a frame it does not solve."""
@@ -180,21 +171,21 @@ def _per_frame_ls_solve(e, window, target):
     w = np.asarray(window, dtype=np.float64)
     e *= w[:, None]
     yw = np.asarray(target, dtype=np.float64) * w
-    scale = _per_frame_column_norms(e)
-    scale[scale == 0.0] = 1.0
-    e /= scale
     r = e.T @ e
     rhs = e.T @ yw
-    abs_r = np.abs(r, out=e.reshape(-1)[:q * q].reshape(q, q))
-    anorm = float(np.max(np.sum(abs_r, axis=0)))
-    chol, info = _lapack.dpotrf(r.T, lower=1, overwrite_a=1)
+    scale = np.sqrt(np.diag(r))
+    scale[scale == 0.0] = 1.0
+    r /= np.multiply.outer(scale, scale)
+    rhs /= scale
+    anorm = float(np.max(np.sum(np.abs(r), axis=0)))
+    chol, info = dpotrf(r.T, lower=1, overwrite_a=1)
     if info != 0:
         raise IllConditionedError("normal equations not positive definite", np.inf)
     rcond, info = _lapack.dpocon(chol, anorm, uplo=b"L")
     cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
     if info != 0 or not np.isfinite(cond) or cond > eaqhm.COND_BOUND:
         raise IllConditionedError("condition exceeds bound", cond)
-    c, info = _lapack.dpotrs(chol, rhs[:, None], lower=1)
+    c, info = dpotrs(chol, rhs[:, None], lower=1)
     if info != 0:
         raise IllConditionedError("normal-equations solve failed", cond)
     c = c[:, 0] / scale
@@ -229,7 +220,7 @@ def _per_frame_init_harmonic(signal, f0track, config):
             fr, k = frames[j], int(k_maxes[j])
             w_len = fr.hi - fr.lo + 1
             t = np.arange(fr.lo - fr.center, fr.hi - fr.center + 1) / fs
-            e = np.empty((w_len, 2 * (2 * k + 1)))
+            e = np.empty((2 * (2 * k + 1), w_len)).T   # the block layout: columns contiguous
             phase = np.multiply(2.0 * np.pi * fr.f0 * t[:, None], harmonics[:k])
             e[:, 1:k + 1] = np.cos(phase)
             e[:, k + 1:2 * k + 1] = np.sin(phase)
@@ -279,7 +270,7 @@ def _per_frame_adaptation_pass(x, fs, tracks, sampled, layout, config):
             fr, m = frames[j], int(count[j])
             w_len = fr.hi - fr.lo + 1
             idx = order[j, :m]
-            e = np.empty((w_len, 2 * (2 * m + 1)))
+            e = np.empty((2 * (2 * m + 1), w_len)).T   # the block layout: columns contiguous
             c_rows = sampled.c_rows[idx, fr.lo:fr.hi + 1].T
             s_rows = sampled.s_rows[idx, fr.lo:fr.hi + 1].T
             p = 2 * m + 1
@@ -450,11 +441,11 @@ def test_ls_solve_matches_the_non_mutating_reference(shape):
     rng = np.random.default_rng(shape[1])
     n, q = shape
     t = (np.arange(n) - n // 2) / FS
-    e = rng.normal(size=(n, q))
+    e = rng.normal(size=(q, n)).T   # the block layout: columns contiguous
     e[:, q // 2:] = t[:, None] * e[:, :q // 2]   # slope half, as in the frame designs
     w, y = np.hamming(n), rng.normal(size=n)
     want = _reference_ls_solve(e, w, y)
-    got = ls_solve(e.copy(), w, y)
+    got = ls_solve(e.T.copy().T, w, y)
     for g, r in zip(got, want):
         assert g[0].tobytes() == r.tobytes()
 
@@ -478,37 +469,41 @@ def test_ls_solve_allocates_no_design_sized_temporaries():
     import tracemalloc
 
     rng = np.random.default_rng(2)
-    n, q = 321, 174
-    e, w, y = rng.normal(size=(n, q)), np.hamming(n), rng.normal(size=n)
-    tracemalloc.start()
-    try:
-        ls_solve(e, w, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the normal matrix is its one q x q array; weighting, |r| and the factor
-    # reuse e or r, and the column norms square a small block of rows at a
-    # time (one copy of e would take n * q * 8 bytes)
-    assert peak < q * q * 8 + n * q * 8 / 4
+    for n, g, q in ((321, 1, 174), (215, 2, 138)):
+        # a block's designs as the fit stage passes them: the (G*n, q)
+        # transpose of a (q, G*n) buffer
+        e = rng.normal(size=(q, g * n)).T
+        w, y = np.hamming(n), rng.normal(size=g * n)
+        tracemalloc.start()
+        try:
+            ls_solve(e, w, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the normal matrices are the one G x q x q array; weighting, the
+        # scale's outer product, |r| and the factors reuse e or r (one copy
+        # of e would take G * n * q * 8 bytes)
+        assert peak < g * q * q * 8 + g * n * q * 8 / 4, (n, g, q)
 
 
 @pytest.mark.parametrize("n, g, q", [(481, 22, 6), (641, 17, 6), (321, 34, 6), (320, 8, 6),
                                      (336, 6, 6), (352, 5, 6), (215, 2, 138), (223, 2, 146),
                                      (321, 1, 210), (267, 1, 174)])
 def test_interleaved_frame_products_match_contiguous_frames(n, g, q):
-    # ls_solve forms each frame's Gram matrix and right-hand side on a view
-    # of the (n, G, q) block whose row stride is G*q; the blocks' bitwise
-    # equality with per-frame solves rests on BLAS summing such a view as it
-    # sums the contiguous frame (block shapes of the benchmark workloads)
+    # ls_solve forms each frame's Gram matrix and right-hand side on the
+    # (q, n) view of a frame in the (q, G, n) block, whose row stride is G*n;
+    # the blocks' bitwise equality with per-frame solves rests on BLAS
+    # summing such a view as it sums the contiguous (q, n) frame (block
+    # shapes of the benchmark workloads)
     rng = np.random.default_rng(g * q)
-    frames = rng.normal(size=(n, g, q)).transpose(1, 0, 2)
+    frames = rng.normal(size=(q, g, n)).transpose(1, 0, 2)
     contiguous = np.ascontiguousarray(frames)
     yw = rng.normal(size=(g, n, 1))
     for name, a, b in (("Gram matrix", frames, frames), ("right-hand side", frames, yw)):
-        got = np.matmul(a.transpose(0, 2, 1), b)
-        want = np.matmul(contiguous.transpose(0, 2, 1), contiguous if b is frames else yw)
+        got = np.matmul(a, b.transpose(0, 2, 1) if b is frames else b)
+        want = np.matmul(contiguous, contiguous.transpose(0, 2, 1) if b is frames else yw)
         assert got.tobytes() == want.tobytes(), (
-            f"the {name} of an interleaved (n, G, q) = {(n, g, q)} frame view is not "
+            f"the {name} of a frame view of a (q, G, n) = {(q, g, n)} block is not "
             "bitwise that of the contiguous frame: this numpy/OpenBLAS sums strided "
             "operands differently, so eaqhm's stacked solves no longer equal "
             "per-frame solves")
@@ -559,18 +554,19 @@ def test_rotated_columns_match_direct_trig_over_60s():
         phase = 2 * np.pi * f[:, None] * t + 0.3 * np.sin(2 * np.pi * 3.0 * t)
         amp = 1.0 + 0.5 * np.cos(2 * np.pi * f_am[:, None] * t)
         top = max(top, phase.max())
-        cols = np.empty((1, 2 * (2 * 3 + 1), 321))   # one frame's design, transposed
+        design = np.empty((2 * (2 * 3 + 1), 1, 321))   # one frame's (q, G, n) design
         cc, sc = eaqhm._rotation_factors(amp[:, 160], phase[:, 160])
-        eaqhm._rotate_into(cols, (amp + eaqhm._AMP_EPS)[None] * np.cos(phase),
+        eaqhm._rotate_into(design.transpose(1, 0, 2),
+                           (amp + eaqhm._AMP_EPS)[None] * np.cos(phase),
                            (amp + eaqhm._AMP_EPS)[None] * np.sin(phase),
                            cc[None, :, None], sc[None, :, None])
-        e = np.empty((321, 1, 2 * (2 * 3 + 1)))   # its (n, G, q) design
         times = (np.arange(321) - 160) / FS
-        eaqhm._complete_design(e, cols, times)
-        cos_cols, sin_cols = e[:, 0, 1:4], e[:, 0, 4:7]
+        eaqhm._complete_design(design, times)
+        e = design[:, 0].T
+        cos_cols, sin_cols = e[:, 1:4], e[:, 4:7]
         # the DC column and the slope twins, bit for bit
-        assert (e[:, 0, 0] == 1.0).all() and (e[:, 0, 7] == times).all()
-        assert (e[:, 0, 8:14] == times[:, None] * e[:, 0, 1:7]).all()
+        assert (e[:, 0] == 1.0).all() and (e[:, 7] == times).all()
+        assert (e[:, 8:14] == times[:, None] * e[:, 1:7]).all()
         ratio = ((amp + eaqhm._AMP_EPS) / (amp[:, 160:161] + eaqhm._AMP_EPS)).T
         diff = (phase - phase[:, 160:161]).T
         np.testing.assert_allclose(cos_cols, ratio * np.cos(diff), rtol=0, atol=1e-8)
@@ -644,9 +640,9 @@ def test_adaptation_pass_matches_per_frame_reference(monkeypatch):
 
     def refuse_one(e, window, target):
         # the 700th frame of a pass is ill-conditioned; a block's frames are
-        # told apart by their samples, which the target interleaves
+        # told apart by their samples, which the target holds frame after frame
         c, d, cond = solve(e, window, target)
-        frames = target.reshape(len(window), -1).T
+        frames = target.reshape(-1, len(window))
         calls["n"] += frames.shape[0]
         if frames.shape[1] == forced_samples.shape[0]:
             hit = (frames == forced_samples).all(axis=1)
@@ -803,13 +799,13 @@ def test_stacked_ls_solve_matches_the_per_frame_reference(g, n, m, kinds, seed):
         elif kind == "scaled":
             e[i] *= 10.0 ** rng.uniform(-6, 6, size=q)
     w, y = np.hamming(n), rng.normal(size=g * n)
-    # frame i's sample j is row j*g + i of the interleaved design and target
-    c, d, cond = ls_solve(e.transpose(1, 0, 2).reshape(n * g, q).copy(), w,
-                          y.reshape(g, n).T.reshape(-1))
+    # frame i's sample j is row i*n + j of the design and target; the design
+    # is the transpose of a (q, G*n) buffer, as the fit stage passes it
+    c, d, cond = ls_solve(np.ascontiguousarray(e.transpose(2, 0, 1)).reshape(q, g * n).T, w, y)
     assert c.shape == d.shape == (g, q // 2) and cond.shape == (g,)
     for i in range(g):
         try:
-            want = _per_frame_ls_solve(e[i].copy(), w, y[i * n:(i + 1) * n])
+            want = _per_frame_ls_solve(e[i].T.copy().T, w, y[i * n:(i + 1) * n])
         except IllConditionedError as err:
             assert cond[i] == err.condition
             assert np.isnan(c[i]).all() and np.isnan(d[i]).all()
@@ -1113,11 +1109,14 @@ def test_config_validation():
     {"f_guard_hz": 0.0}, {"f_guard_hz": -5.0}, {"f_guard_hz": float("nan")},
     {"f_guard_hz": float("inf")}, {"max_adaptations": 2.5},
     {"max_adaptations": True}, {"max_partials": True}, {"window_samples": True},
+    {"init_window_kind": "nope"}, {"hop_ms": float("nan")}, {"hop_ms": -1.0},
+    {"hop_ms": 0.0}, {"hop_ms": float("inf")},
 ])
 def test_config_rejects_values_that_would_break_later(fields):
     # each of these once ended in AnalysisError, a bare ValueError,
-    # ZeroDivisionError or TypeError, silently switched the guard off, or
-    # (True) ran as a count of 1
+    # ZeroDivisionError or TypeError, silently switched the guard off,
+    # (True) ran as a count of 1, or (a window kind, a hop) was accepted and
+    # raised only inside the analysis
     with pytest.raises(UsageError):
         EaQHMConfig(**fields)
 

@@ -9,7 +9,7 @@ from sinemodel import audio_io, eaqhm, harness, sm
 from sinemodel.core import PartialTrack, SampledSignal
 from sinemodel.eaqhm import ADAPT_WINDOW_KIND, EaQHMConfig
 from sinemodel.edsm import EDSMConfig, EDSMFrames, full_band_orders
-from sinemodel.errors import UsageError
+from sinemodel.errors import AnalysisError, UsageError
 from sinemodel.harness import (MODEL_TABLE, MODELS, PITCH_BAND_HZ, ComparisonRow,
                                SRERCurve, SweepCell, SweepSpec, _frame_param_count,
                                _track_param_count, export, generate_standins,
@@ -127,6 +127,56 @@ def test_sweep_isolates_failing_cells(tmp_path):
     curve = run_window_sweep(spec)
     assert curve.cell("sm", 1.0).status == "ok"
     assert curve.cell("eaqhm", 1.0).status == "failed"
+    assert curve.cell("sm", 1.0).error is None
+    assert curve.cell("eaqhm", 1.0).error.startswith("AnalysisError: ")
+
+
+_INJECTED = "injected: frame 7 has no poles, so no fit"
+
+
+def _inject_edsm_failure(monkeypatch):
+    def fail(signal, cfg):
+        raise AnalysisError(_INJECTED)
+
+    monkeypatch.setattr(harness, "edsm_analyze", fail)
+
+
+def test_failed_sweep_cell_exports_its_error(monkeypatch, tone_wav, tmp_path):
+    import csv
+    import json
+
+    _inject_edsm_failure(monkeypatch)
+    curve = run_window_sweep(SweepSpec(source=str(tone_wav), models=("sm", "edsm"),
+                                       multiples=(1.0,), t_min_s=0.01))
+    cell = curve.cell("edsm", 1.0)
+    assert (cell.status, cell.srer_db) == ("failed", None)
+    assert cell.error == f"AnalysisError: {_INJECTED}"
+    export(curve, tmp_path / "c.csv")
+    export(curve, tmp_path / "c.json")
+    with open(tmp_path / "c.csv", newline="") as fh:
+        rows = {r["model"]: r for r in csv.DictReader(fh)}
+    assert rows["edsm"]["error"] == f"AnalysisError: {_INJECTED}"
+    assert rows["sm"]["error"] == "" and rows["sm"]["status"] == "ok"
+    rows = {r["model"]: r for r in json.loads((tmp_path / "c.json").read_text())["rows"]}
+    assert rows["edsm"]["error"] == f"AnalysisError: {_INJECTED}"
+    assert rows["sm"]["error"] is None
+
+
+def test_failed_comparison_model_exports_its_error(monkeypatch, tmp_path):
+    import csv
+    import json
+
+    _inject_edsm_failure(monkeypatch)
+    row = run_comparison([_tone_wav(tmp_path, FS)], models=("sm", "edsm"))[0]
+    assert row.status == "ok" and row.srer_db["edsm"] is None and row.srer_db["sm"] > 0
+    assert row.errors == {"edsm": f"AnalysisError: {_INJECTED}"}
+    export([row], tmp_path / "t.csv")
+    export([row], tmp_path / "t.json")
+    with open(tmp_path / "t.csv", newline="") as fh:
+        (got,) = csv.DictReader(fh)
+    assert got["edsm_error"] == f"AnalysisError: {_INJECTED}" and got["sm_error"] == ""
+    (got,) = json.loads((tmp_path / "t.json").read_text())["rows"]
+    assert got["errors"] == {"edsm": f"AnalysisError: {_INJECTED}"}
 
 
 def test_sweep_runs_cells_in_spec_order_on_the_calling_thread(monkeypatch, tone_wav):
@@ -383,9 +433,9 @@ def test_export_curve_csv(tmp_path):
     export(_tiny_curve(), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 4
-    assert lines[0] == "model,multiple,srer_db,status"
+    assert lines[0] == "model,multiple,srer_db,status,error"
     # the ill-conditioned cell plots as zero
-    assert lines[3] == "eaqhm,0.5,0,ill_conditioned"
+    assert lines[3] == "eaqhm,0.5,0,ill_conditioned,"
 
 
 def test_export_curve_json_keeps_null(tmp_path):
@@ -407,7 +457,7 @@ def test_export_comparison(tmp_path):
     path = tmp_path / "table.csv"
     export(_tiny_table(), path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "file,status,sm_srer_db,sm_params,sm_time_s"
+    assert lines[0] == "file,status,sm_srer_db,sm_params,sm_time_s,sm_error"
     assert lines[1].startswith("x.wav,ok,10,12,")
 
 
@@ -416,8 +466,9 @@ def test_export_picks_json_or_csv_by_suffix(tmp_path, name):
     import json
 
     for data, kind, header in (
-            (_tiny_curve(), "srer_curve", "model,multiple,srer_db,status"),
-            (_tiny_table(), "comparison_table", "file,status,sm_srer_db,sm_params,sm_time_s")):
+            (_tiny_curve(), "srer_curve", "model,multiple,srer_db,status,error"),
+            (_tiny_table(), "comparison_table",
+             "file,status,sm_srer_db,sm_params,sm_time_s,sm_error")):
         path = tmp_path / name
         export(data, path)
         text = path.read_text()

@@ -1,4 +1,5 @@
-"""Property tests: SRER scale invariance and the WAV round trip."""
+"""Property tests: SRER scale invariance, the WAV round trip, and what the
+pitch tracker returns on silence, white noise and clipped input."""
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from sinemodel import audio_io
 from sinemodel.core import SRER_MAX_DB, SampledSignal, srer
+from sinemodel.harness import PITCH_BAND_HZ
+from sinemodel.pitch import estimate_f0
 
 SETTINGS = settings(deadline=None, max_examples=300, derandomize=True)
 EPS = np.finfo(np.float64).eps
@@ -71,3 +74,77 @@ def test_wav_round_trip_within_one_lsb(tmp_path_factory, x, fs):
     assert back.fs == fs
     assert back.samples.shape == x.shape
     assert np.max(np.abs(back.samples - x)) < 1.0 / 32768.0
+
+
+# ---------------------------------------------------------------------------
+# pitch on silence, white noise and clipped input
+# ---------------------------------------------------------------------------
+
+PITCH_SETTINGS = settings(deadline=None, max_examples=100, derandomize=True)
+
+
+def _check_track(track, n, fs, band):
+    """What every track is: one frame per hop of 5 ms whose window of two
+    longest periods fits the input, and either no voiced frame (f0 0
+    everywhere) or an f0 inside the band on every frame."""
+    f_min, f_max = band
+    frame_len = 2 * int(np.ceil(fs / f_min))
+    hop = max(1, int(round(5.0 * fs / 1000.0)))
+    starts = np.arange(0, n - frame_len + 1, hop)
+    assert track.times.tobytes() == ((starts + frame_len / 2.0) / fs).tobytes()
+    if track.any_voiced:
+        assert np.all((f_min <= track.f0) & (track.f0 <= f_max))
+    else:
+        assert np.all(track.f0 == 0.0)
+
+
+@PITCH_SETTINGS
+@given(extra=st.integers(0, 6000),
+       level=st.sampled_from([0.0, 1e-300]) | st.floats(-1e6, 1e6, allow_subnormal=False),
+       fs=st.sampled_from([8000.0, 16000.0, 44100.0]),
+       band=st.sampled_from([PITCH_BAND_HZ, (60.0, 500.0), (150.0, 1000.0)]))
+def test_pitch_on_silence_is_unvoiced_with_f0_zero(extra, level, fs, band):
+    # silence, or a constant (DC) level, which the per-frame mean removes
+    n = 2 * int(np.ceil(fs / band[0])) + extra   # at least one frame
+    track = estimate_f0(SampledSignal(samples=np.full(n, level), fs=fs), *band)
+    _check_track(track, n, fs, band)
+    assert len(track) > 0 and not track.any_voiced
+
+
+def _noise(seed, n, gain):
+    """Gaussian white noise, hard-clipped to +-1 after `gain` when gain > 1."""
+    x = np.random.default_rng(seed).normal(size=n)
+    return np.clip(gain * x, -1.0, 1.0) if gain > 1.0 else x
+
+
+@PITCH_SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), seconds=st.floats(0.06, 0.3),
+       fs=st.sampled_from([16000.0, 44100.0, 48000.0]),
+       gain=st.sampled_from([1.0, 3.0, 100.0]), k=st.integers(-40, 40))
+def test_pitch_on_white_noise_voices_at_most_one_frame(seed, seconds, fs, gain, k):
+    # plain or clipped white noise under the comparison band: its normalized
+    # autocorrelation stays below the voicing threshold on all but rare
+    # frames (at 8 kHz, with 230-sample frames, it does not)
+    n = int(seconds * fs)
+    x = _noise(seed, n, gain)
+    track = estimate_f0(SampledSignal(samples=x, fs=fs), *PITCH_BAND_HZ)
+    _check_track(track, n, fs, PITCH_BAND_HZ)
+    assert np.count_nonzero(track.voiced) <= 1
+    # the tracker is scale-free: a power-of-two gain changes no bit
+    scaled = estimate_f0(SampledSignal(samples=x * 2.0 ** k, fs=fs), *PITCH_BAND_HZ)
+    assert scaled.voiced.tobytes() == track.voiced.tobytes()
+    assert scaled.f0.tobytes() == track.f0.tobytes()
+
+
+@PITCH_SETTINGS
+@given(f=st.floats(75.0, 395.0), gain=st.floats(1.0, 1000.0), phase=st.floats(0.0, 6.3),
+       fs=st.sampled_from([8000.0, 16000.0, 44100.0]))
+def test_pitch_on_a_clipped_tone_keeps_its_period(f, gain, phase, fs):
+    # clipping a tone (up to a square wave) adds odd harmonics but keeps the
+    # period: every frame is voiced at the tone's f0
+    n = int(0.1 * fs)
+    x = np.clip(gain * np.cos(2.0 * np.pi * f * np.arange(n) / fs + phase), -1.0, 1.0)
+    track = estimate_f0(SampledSignal(samples=x, fs=fs), *PITCH_BAND_HZ)
+    _check_track(track, n, fs, PITCH_BAND_HZ)
+    assert track.voiced.all()
+    assert np.max(np.abs(track.f0 - f)) <= 0.01 * f

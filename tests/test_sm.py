@@ -289,6 +289,12 @@ def test_smconfig_validation():
         SMConfig(max_peaks=True)
     # a numpy integer window still takes the odd-length rule
     assert sm._resolve_window_samples(SMConfig(window_samples=np.int64(80)), FS) == 81
+    # a window kind and a hop were once accepted and raised only inside sm_peaks
+    for fields in ({"window_kind": "nope"}, {"window_kind": None}, {"hop_ms": float("nan")},
+                   {"hop_ms": -1.0}, {"hop_ms": 0.0}, {"hop_ms": float("inf")}):
+        with pytest.raises(UsageError):
+            SMConfig(**fields)
+    assert SMConfig(window_kind="HAMMING").window_kind == "HAMMING"   # any case, as make_window
 
 
 @pytest.mark.parametrize("w", [float("nan"), 80.5, 81.0, 0, True])
