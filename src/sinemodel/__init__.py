@@ -17,7 +17,7 @@ from .core import (SRER_MAX_DB, PartialTrack, SampledSignal,
                    make_window, phase_by_freq_integration, sample_track, srer,
                    synthesize_tracks, wrap_phase)
 from .eaqhm import (AdaptationState, EaQHMConfig, adapt, eaqhm_analyze,
-                    freq_correction, init_harmonic, ls_solve)
+                    init_harmonic, ls_solve)
 from .edsm import EDSMConfig, EDSMFrames, edsm_analyze, edsm_synthesize
 from .errors import (AnalysisError, AudioIOError, IllConditionedError,
                      SineModelError, UsageError)
@@ -51,7 +51,7 @@ __all__ = [
     "EDSMFrames", "EDSMConfig", "edsm_analyze", "edsm_synthesize",
     # eaqhm
     "EaQHMConfig", "AdaptationState", "ls_solve",
-    "freq_correction", "init_harmonic", "adapt", "eaqhm_analyze",
+    "init_harmonic", "adapt", "eaqhm_analyze",
     # pitch
     "F0Track", "estimate_f0", "average_pitch_period",
     # harness

@@ -57,11 +57,6 @@ def _loaded_controls() -> dict[str, tuple]:
     return controls
 
 
-def blas_thread_counts() -> dict[str, int]:
-    """Current thread count of every loaded OpenBLAS build, by library path."""
-    return {path: get() for path, (get, _) in _loaded_controls().items()}
-
-
 @contextmanager
 def single_threaded_blas():
     """Run the body with every loaded OpenBLAS build on one thread."""

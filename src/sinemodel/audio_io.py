@@ -1,4 +1,4 @@
-"""WAV, CSV, and JSON serialization.
+"""WAV and CSV reading and writing, and JSON writing.
 
 JSON schemas (all floats are plain JSON numbers, round-trip exact):
 
@@ -54,6 +54,10 @@ def read_wav(path) -> SampledSignal:
     if dtype is None:
         raise AudioIOError(f"{path}: unsupported sample format; "
                            "need 16-bit PCM or 32-bit float")
+    if fs == 0:
+        raise AudioIOError(f"{path}: the fmt chunk gives sample rate 0")
+    if nbytes < dtype.itemsize:
+        raise AudioIOError(f"{path}: the data chunk holds no sample")
     x = np.frombuffer(buf, dtype, nbytes // dtype.itemsize, offset)
     if dtype.kind == "i":
         x = np.maximum(x / _INT16_FULL, -1.0)
@@ -172,13 +176,6 @@ def _track_obj(track: PartialTrack) -> dict:
             "freqs": track.freqs.tolist(), "phases": track.phases.tolist()}
 
 
-def _track_from_obj(obj: dict) -> PartialTrack:
-    return PartialTrack(times=np.asarray(obj["times"], dtype=np.float64),
-                        amps=np.asarray(obj["amps"], dtype=np.float64),
-                        freqs=np.asarray(obj["freqs"], dtype=np.float64),
-                        phases=np.asarray(obj["phases"], dtype=np.float64))
-
-
 def write_tracks_json(path, tracks: Sequence[PartialTrack], fs: float = None,
                       extra: dict = None) -> None:
     payload = {"type": "partial_tracks",
@@ -187,14 +184,6 @@ def write_tracks_json(path, tracks: Sequence[PartialTrack], fs: float = None,
     if extra:
         payload.update(extra)
     _dump_json(path, payload)
-
-
-def read_tracks_json(path) -> list[PartialTrack]:
-    obj = _load_json(path)
-    try:
-        return [_track_from_obj(t) for t in obj["tracks"]]
-    except (KeyError, TypeError) as exc:
-        raise AudioIOError(f"{path}: malformed track JSON: {exc}") from exc
 
 
 def write_sm_json(path, tracks: Sequence[PartialTrack], frame_times,
@@ -242,19 +231,6 @@ def write_frames_json(path, frames: EDSMFrames, fs: float) -> None:
     _dump_json(path, payload)
 
 
-def read_frames_json(path) -> tuple[EDSMFrames, float]:
-    obj = _load_json(path)
-    try:
-        frames = EDSMFrames.from_frames(
-            (int(fr["start"]), int(fr["length"]), int(fr["k_eff"]),
-             [(c["freq_hz"], c["a"], c["phase"], c["delta_per_sample"])
-              for c in fr["components"]])
-            for fr in obj["frames"])
-        return frames, float(obj["fs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AudioIOError(f"{path}: malformed frame JSON: {exc}") from exc
-
-
 def _dump_json(path, payload: dict) -> None:
     try:
         with open(path, "w") as fh:
@@ -262,13 +238,3 @@ def _dump_json(path, payload: dict) -> None:
             fh.write("\n")
     except OSError as exc:
         raise AudioIOError(f"cannot write JSON file {path}: {exc}") from exc
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise AudioIOError(f"cannot read JSON file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise AudioIOError(f"{path}: invalid JSON: {exc}") from exc

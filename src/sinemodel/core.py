@@ -45,8 +45,8 @@ class SampledSignal:
             raise UsageError("signal must contain at least one sample")
         if not np.all(np.isfinite(samples)):
             raise UsageError("signal contains non-finite samples")
-        if not (self.fs > 0):
-            raise UsageError(f"sample rate must be positive, got {self.fs}")
+        if not 0 < self.fs < np.inf:
+            raise UsageError(f"sample rate must be positive and finite, got {self.fs}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "fs", float(self.fs))
 
@@ -227,6 +227,12 @@ def srer(reference, estimate) -> float:
 def wrap_phase(phi):
     """Wrap angles to (-pi, pi]."""
     return np.angle(np.exp(1j * np.asarray(phi, dtype=np.float64)))
+
+
+def amp_phase(c, s):
+    """Amplitude hypot(c, s) and phase atan2(-s, c) of c cos(x) + s sin(x)
+    written as amp cos(x + phase)."""
+    return np.hypot(c, s), np.arctan2(-s, c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,23 @@
 """Extended adaptive quasi-harmonic analysis.
 
 Each frame is fit by weighted least squares against time-modulated basis
-functions psi_k(t) = amp_k(t) * exp(i*phase_k(t)) together with their
-slope-carrying twins t * psi_k(t); the complex pair (a_k, b_k) then yields a
-frequency-mismatch correction eta_k.  Analysis alternates between solving
-frames against the basis sampled from the current partial tracks and
-re-anchoring the tracks from the solutions, keeping the best-SRER iterate.
-
-The fit of the real target is two-sided: every component k=1..m is paired
-with its conjugate, and DC is added.  That mirrored complex fit is
-conjugate-symmetric, so it is solved as the real design
+functions psi_k(t) = amp_k(t) * exp(i*phase_k(t)), k=1..m, each paired with
+its conjugate, together with their slope-carrying twins t * psi_k(t) and DC.
+That mirrored fit of a real target is solved as the real design
 [1 | A cos | A sin | t | t A cos | t A sin] (Pantazis, Rosec & Stylianou
-2011) at a quarter of the flops, and mapped back by a_0 = c_0 and
-a_k = (c_k - i s_k) / 2, likewise for b.
+2011), and the anchors are read from its real coefficients: component k's
+cos and sin coefficients give its amplitude and phase (core.amp_phase), and
+its slope coefficients its frequency-mismatch correction eta_k
+(_freq_correction).  Analysis alternates between solving frames against the
+basis sampled from the current partial tracks and re-anchoring the tracks
+from the solutions, keeping the best-SRER iterate.
 
 Basis columns are normalized per frame: amplitude is divided by its value
-at the frame center and phase is zeroed there, so |a_k| and arg(a_k) are
-directly the frame-center amplitude and phase anchors.  The LS time
-variable is in seconds, which makes eta_k come out in Hz.  Each iterate's
-tracks are sampled once, one sample_track per track: that gives the
-iterate's synthesis (for its SRER), C = (A+eps) cos(phase) and
+at the frame center and phase is zeroed there, so that amplitude and phase
+are directly the frame-center anchors.  The LS time variable is in
+seconds, which makes eta_k come out in Hz.  Each iterate's tracks are
+sampled once, one sample_track per track: that gives the iterate's
+synthesis (for its SRER), C = (A+eps) cos(phase) and
 S = (A+eps) sin(phase) over the signal, and the track values at every frame
 center.  A frame's columns are its C and S rows rotated by the frame-center
 phase, so no frame evaluates cos or sin of its own phase block.
@@ -49,8 +47,9 @@ import numpy as np
 from . import _kernels
 from ._blas import single_threaded_blas
 from ._lapack import dpocon, dposv
-from .core import (PartialTrack, SampledSignal, check_count, check_hop_ms, check_window_kind,
-                   hop_samples, make_window, render_spans, sample_track, srer, wrap_phase)
+from .core import (TWO_PI, PartialTrack, SampledSignal, amp_phase, check_count, check_hop_ms,
+                   check_window_kind, hop_samples, make_window, render_spans, sample_track, srer,
+                   wrap_phase)
 # adapt renders its iterates itself; the name stays bound here because
 # perfbench's tracer rebinds eaqhm.synthesize_tracks
 from .core import synthesize_tracks  # noqa: F401
@@ -170,27 +169,14 @@ def ls_solve(e: np.ndarray, window: np.ndarray,
     return coef[:, :half], coef[:, half:], cond
 
 
-def freq_correction(a, b):
-    """Frequency-mismatch estimate (Re a Im b - Im a Re b) / (2 pi |a|^2), Hz.
-
-    With the frame time axis in seconds this is directly the correction to
-    add to the component's frequency.  Components with |a| = 0 get 0.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    den = np.abs(a) ** 2
-    num = a.real * b.imag - a.imag * b.real
-    out = np.divide(num, 2.0 * np.pi * den, out=np.zeros_like(num),
-                    where=den > 0)
-    if np.isscalar(a) or out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _mirrored(cos_coef: np.ndarray, sin_coef: np.ndarray) -> np.ndarray:
-    """Complex amplitudes (c_k - i s_k) / 2 of components k >= 1 from their
-    cos and sin coefficients in the real design."""
-    return (cos_coef - 1j * sin_coef) / 2.0
+def _freq_correction(c_a, s_a, c_b, s_b) -> np.ndarray:
+    """Frequency-mismatch estimate (s_a c_b - c_a s_b) / (2 pi (c_a^2 + s_a^2)),
+    Hz, of components with cos and sin coefficients (c_a, s_a) and slope
+    coefficients (c_b, s_b): with the frame time axis in seconds, directly the
+    correction to add to the frequency.  0 where the amplitude is 0."""
+    den = c_a * c_a + s_a * s_a
+    num = s_a * c_b - c_a * s_b
+    return np.divide(num, TWO_PI * den, out=np.zeros_like(num), where=den > 0)
 
 
 def _complete_design(design: np.ndarray, t: np.ndarray) -> None:
@@ -382,7 +368,8 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
                   config: EaQHMConfig = EaQHMConfig()) -> list[PartialTrack]:
     """Initial tracks from per-frame stationary-harmonic LS fits at k*f0.
 
-    Anchors carry (2|a_k|, k*f0_local, arg a_k) per solved frame.
+    Anchors carry (hypot(c_k, s_k), k*f0_local, atan2(-s_k, c_k)) per
+    solved frame, from the cos and sin coefficients c_k and s_k of harmonic k.
     Ill-conditioned frames are skipped with a warning; failing every frame
     is an error.
     """
@@ -413,9 +400,9 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
     if ill.any():
         warnings.warn(f"harmonic initialization skipped {np.count_nonzero(ill)} ill-conditioned "
                       f"frame(s) of {len(layout)}", RuntimeWarning, stacklevel=2)
-    a = _mirrored(coef[0], coef[1])
-    tracks = _tracks(layout.center / fs, 2.0 * np.abs(a), np.multiply.outer(layout.f0, harmonics),
-                     np.angle(a), None)
+    amps, phases = amp_phase(coef[0], coef[1])
+    tracks = _tracks(layout.center / fs, amps, np.multiply.outer(layout.f0, harmonics), phases,
+                     None)
     if not tracks:
         raise AnalysisError("harmonic initialization failed on every frame")
     return tracks
@@ -509,13 +496,11 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
     # land on tracks it does not fit
     coef = np.full((4, n_frames, n_tracks), np.nan)
     np.put_along_axis(coef, order[None, :, :slots.shape[2]], slots, axis=2)
-    a = _mirrored(coef[0], coef[1])
-    half_f0 = layout.f0[:, None] / 2.0
-    eta = np.clip(freq_correction(a, _mirrored(coef[2], coef[3])), -half_f0, half_f0)
     # new anchors per (frame, track); NaN where the track was not fitted
-    amps = 2.0 * np.abs(a)
+    amps, phases = amp_phase(coef[0], coef[1])
+    half_f0 = layout.f0[:, None] / 2.0
+    eta = np.clip(_freq_correction(*coef), -half_f0, half_f0)
     freqs = np.clip(sampled.freq_c + eta, 1.0, fs / 2.0 - 1.0)
-    phases = np.angle(a)
     # an ill-conditioned frame keeps the previous iterate's values
     kept = np.zeros_like(ill, shape=amps.shape)
     np.put_along_axis(kept, order, (np.arange(n_tracks) < count[:, None]) & ill[:, None],

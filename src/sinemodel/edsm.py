@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from ._lapack import dtrtrs
-from .core import TWO_PI, FrameRecord, SampledSignal, check_count
+from .core import TWO_PI, FrameRecord, SampledSignal, amp_phase, check_count
 from .errors import UsageError
 from .pitch import F0Track
 
@@ -218,9 +218,9 @@ def _components(real: np.ndarray, c_real: np.ndarray, up: np.ndarray, c_cos: np.
     """Rows (freq_hz, amp, phase, delta) of stacked frames' components from
     their nonzero real and upper poles and coefficients, and which to keep.
     A real pole is amplitude |c|, phase 0 or pi and frequency 0 or fs/2 by
-    sign.  A pair is hypot(c_cos, c_sin), phase atan2(-c_sin, c_cos) and z's
-    damping and frequency, or, real within _REAL_POLE_TOL, two real
-    components of |c_cos| / 2: its second one is kept after all the pairs.
+    sign.  A pair is amp_phase(c_cos, c_sin) and z's damping and frequency,
+    or, real within _REAL_POLE_TOL, two real components of |c_cos| / 2: its
+    second one is kept after all the pairs.
     """
     mag = np.hypot(up.real, up.imag)
     near = np.abs(up.imag) <= _REAL_POLE_TOL * (1.0 + mag)
@@ -229,8 +229,7 @@ def _components(real: np.ndarray, c_real: np.ndarray, up: np.ndarray, c_cos: np.
         return (np.where(re >= 0, 0.0, fs / 2.0), np.abs(c), np.where(c >= 0, 0.0, np.pi),
                 np.log(r_mag))
 
-    pair = (np.angle(up) * fs / TWO_PI, np.hypot(c_cos, c_sin), np.arctan2(-c_sin, c_cos),
-            np.log(mag))
+    pair = (np.angle(up) * fs / TWO_PI, *amp_phase(c_cos, c_sin), np.log(mag))
     split = band_edge(up.real, c_cos / 2.0, mag)
     rows = np.stack([np.concatenate((r, np.where(near, s, p), s), axis=1) for r, p, s in
                      zip(band_edge(real, c_real, np.abs(real)), pair, split)], axis=-1)

@@ -6,7 +6,10 @@ maximum comes within 10% of the global peak (this prefers the true period
 over its multiples).  The lag is refined parabolically.  Frames whose peak
 correlation falls below the voicing threshold are unvoiced; unvoiced frames
 inherit the nearest voiced f0 so windowing decisions downstream always have
-a usable value.
+a usable value.  The threshold is VOICING_THRESHOLD, or, for frames so short
+that white noise correlates above it, 4/sqrt(n) for the n samples the widest
+lag searched overlaps (white noise's normalized autocorrelation at a lag
+spreads as 1/sqrt of its overlap).
 """
 from __future__ import annotations
 
@@ -126,7 +129,8 @@ def estimate_f0(signal: SampledSignal, f_min: float = 60.0, f_max: float = 500.0
         lag[i:i + FRAME_BLOCK], corr[i:i + FRAME_BLOCK] = _pick_lags(
             _kernels.autocorr_norm(block, lo, hi), lo)
     f0 = np.divide(fs, lag, out=np.zeros_like(lag), where=lag > 0)
-    voiced = (corr >= VOICING_THRESHOLD) & (lag > 0) & (f_min <= f0) & (f0 <= f_max)
+    threshold = max(VOICING_THRESHOLD, 4.0 / np.sqrt(frame_len - hi))
+    voiced = (corr >= threshold) & (lag > 0) & (f_min <= f0) & (f0 <= f_max)
     f0[~voiced] = 0.0
     if np.any(voiced):
         # unvoiced frames inherit the nearest voiced estimate

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
 
-from sinemodel import _kernels, edsm
+from sinemodel import _kernels, eaqhm, edsm
 from sinemodel.core import SampledSignal, srer, wrap_phase
-from sinemodel.eaqhm import EaQHMConfig, eaqhm_analyze, freq_correction
+from sinemodel.eaqhm import EaQHMConfig, eaqhm_analyze
 from sinemodel.edsm import EDSMConfig, edsm_analyze, edsm_synthesize
 from sinemodel.harness import (MODELS, SweepSpec, generate_standins,
                                run_comparison, run_window_sweep)
@@ -216,6 +216,14 @@ def test_criterion_5_adaptation_convergence(standins):
 # 6: closed-form unit oracles
 # ---------------------------------------------------------------------------
 
+def _freq_correction(a, b):
+    """eaqhm's frequency correction of a component of complex amplitude
+    a = (c - i s) / 2 and slope b, read from its real cos and sin
+    coefficients."""
+    return float(eaqhm._freq_correction(2.0 * a.real, -2.0 * a.imag,
+                                        2.0 * b.real, -2.0 * b.imag))
+
+
 def test_criterion_6_unit_oracles():
     rng = np.random.default_rng(6)
     # error metric against its direct formula
@@ -227,12 +235,12 @@ def test_criterion_6_unit_oracles():
     # frequency-correction identities: zero for any real multiple, exact
     # detuning recovery, and invariance under a common complex scale
     a = 1.3 * np.exp(0.4j)
-    ident_zero = abs(freq_correction(a, 2.5 * a))
+    ident_zero = abs(_freq_correction(a, 2.5 * a))
     delta = 12.75
-    ident_delta = abs(freq_correction(a, 1j * 2.0 * np.pi * delta * a) - delta)
+    ident_delta = abs(_freq_correction(a, 1j * 2.0 * np.pi * delta * a) - delta)
     b = -0.2 + 0.9j
     c = 1.7 - 2.2j
-    ident_scale = abs(freq_correction(c * a, c * b) - freq_correction(a, b))
+    ident_scale = abs(_freq_correction(c * a, c * b) - _freq_correction(a, b))
 
     # 4-sample structure cases, checked index-wise
     seg = np.array([1.0, 2.0, -3.0, 0.25])

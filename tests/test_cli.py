@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -42,7 +43,9 @@ def test_gen_writes_wav_and_truth(tmp_path, capsys, signal):
     else:
         assert obj["type"] == "partial_tracks"
         assert "scale" in obj
-        assert audio_io.read_tracks_json(truth)
+        assert obj["tracks"] and all(
+            len(tr[name]) == len(tr["times"]) > 0 for tr in obj["tracks"]
+            for name in ("amps", "freqs", "phases"))
 
 
 def test_gen_env_seed_overrides_flag(tmp_path, monkeypatch):
@@ -227,6 +230,27 @@ def test_analyze_missing_input_is_io_error(tmp_path, capsys):
                  "--resynth", str(tmp_path / "r.wav")])
     assert code == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def _header_only_wav(path, fs: int, data: bytes):
+    """A mono 16-bit PCM WAV whose fmt chunk gives fs, around data."""
+    path.write_bytes(b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+                     + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, fs, 2 * fs, 2, 16)
+                     + b"data" + struct.pack("<I", len(data)) + data)
+    return path
+
+
+@pytest.mark.parametrize("fs, data", [(0, bytes(200)), (16000, b"")],
+                         ids=["zero-fs", "empty-data"])
+def test_bad_wav_header_is_io_error(tone_wav, tmp_path, capsys, fs, data):
+    # both once reached SampledSignal and exited 2 as usage errors
+    bad = _header_only_wav(tmp_path / "bad.wav", fs, data)
+    for argv in (["srer", "--ref", str(tone_wav), "--test", str(bad)],
+                 ["srer", "--ref", str(bad), "--test", str(tone_wav)],
+                 ["analyze", "--model", "sm", "--in", str(bad),
+                  "--params", str(tmp_path / "p.json"), "--resynth", str(tmp_path / "r.wav")]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,12 @@ def test_sampled_signal_validation():
     assert sig.samples.dtype == np.float64
 
 
+@pytest.mark.parametrize("fs", [np.inf, -np.inf, np.nan, -1.0])
+def test_sampled_signal_rejects_a_rate_that_is_not_positive_and_finite(fs):
+    with pytest.raises(UsageError, match="sample rate must be positive and finite"):
+        SampledSignal(samples=np.zeros(4), fs=fs)
+
+
 def test_partial_track_validation():
     with pytest.raises(UsageError):
         PartialTrack(times=np.array([]), amps=np.array([]),

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
-from sinemodel import _lapack, eaqhm
-from sinemodel._blas import blas_thread_counts, single_threaded_blas
-from sinemodel.core import (PartialTrack, SampledSignal, hop_samples, make_window,
+from sinemodel import _blas, _lapack, eaqhm
+from sinemodel._blas import single_threaded_blas
+from sinemodel.core import (PartialTrack, SampledSignal, amp_phase, hop_samples, make_window,
                             sample_track, srer, synthesize_tracks, wrap_phase)
-from sinemodel.eaqhm import (EaQHMConfig, adapt, eaqhm_analyze, freq_correction,
-                             init_harmonic, ls_solve)
+from sinemodel.eaqhm import EaQHMConfig, adapt, eaqhm_analyze, init_harmonic, ls_solve
 from sinemodel.errors import AnalysisError, IllConditionedError, UsageError
 from sinemodel.generators import AMFMSpec, gen_amfm
 from sinemodel.harness import MODEL_TABLE, PITCH_BAND_HZ, run_model
@@ -47,6 +46,24 @@ def build_ls_system(frame, basis, window, t):
         raise UsageError("frame, basis, window and time axis must share sample count")
     e0 = basis.amp * np.exp(1j * basis.phase)
     return np.hstack([e0, t[:, None] * e0]), window, frame
+
+
+def freq_correction(a, b):
+    """The frequency-mismatch estimate (Re a Im b - Im a Re b) / (2 pi |a|^2),
+    Hz, of complex amplitudes a and slopes b; 0 where |a| = 0."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    den = np.abs(a) ** 2
+    num = a.real * b.imag - a.imag * b.real
+    return np.divide(num, 2.0 * np.pi * den, out=np.zeros_like(num), where=den > 0)
+
+
+def _real_correction(a, b):
+    """eaqhm's correction of components of complex amplitudes a = (c - i s) / 2
+    and slopes b, read from their real cos and sin coefficients."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    return eaqhm._freq_correction(2.0 * a.real, -2.0 * a.imag, 2.0 * b.real, -2.0 * b.imag)
 
 
 def complex_ls_solve(e, window, target):
@@ -236,8 +253,7 @@ def _per_frame_init_harmonic(signal, f0track, config):
     if skipped:
         warnings.warn(f"harmonic initialization skipped {skipped} ill-conditioned "
                       f"frame(s) of {len(frames)}", RuntimeWarning, stacklevel=2)
-    a = eaqhm._mirrored(cos_coef, sin_coef)
-    amps, phases = 2.0 * np.abs(a), np.angle(a)
+    amps, phases = amp_phase(cos_coef, sin_coef)
     times = np.array([fr.center for fr in frames]) / fs
     f0s = np.array([fr.f0 for fr in frames])
     tracks = []
@@ -291,12 +307,10 @@ def _per_frame_adaptation_pass(x, fs, tracks, sampled, layout, config):
     if ill[fitted].all():
         raise AnalysisError("adaptation pass failed on every frame")
     sampled.c_rows = sampled.s_rows = None
-    a = eaqhm._mirrored(coef[0], coef[1])
+    amps, phases = amp_phase(coef[0], coef[1])
     half_f0 = np.array([fr.f0 for fr in frames])[:, None] / 2.0
-    eta = np.clip(freq_correction(a, eaqhm._mirrored(coef[2], coef[3])), -half_f0, half_f0)
-    amps = 2.0 * np.abs(a)
+    eta = np.clip(eaqhm._freq_correction(*coef), -half_f0, half_f0)
     freqs = np.clip(sampled.freq_c + eta, 1.0, fs / 2.0 - 1.0)
-    phases = np.angle(a)
     kept = np.zeros_like(ill, shape=amps.shape)
     np.put_along_axis(kept, order, (np.arange(n_tracks) < count[:, None]) & ill[:, None],
                       axis=1)
@@ -350,7 +364,7 @@ def _harmonic(n, f0=150.0, k_max=5):
 def test_freq_correction_zero_for_aligned_slope():
     # b a real multiple of a carries no rotation, hence no correction
     a = 0.8 * np.exp(0.9j)
-    assert freq_correction(a, 2.5 * a) == pytest.approx(0.0, abs=1e-15)
+    assert float(_real_correction(a, 2.5 * a)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_freq_correction_recovers_known_detuning():
@@ -358,24 +372,37 @@ def test_freq_correction_recovers_known_detuning():
     for df in (0.5, -12.25, 40.0):
         a = 0.8 * np.exp(0.9j)
         b = 1j * 2 * np.pi * df * a
-        assert freq_correction(a, b) == pytest.approx(df, rel=1e-12)
+        assert float(_real_correction(a, b)) == pytest.approx(df, rel=1e-12)
 
 
 def test_freq_correction_scale_invariance():
     rng = np.random.default_rng(5)
     a = rng.normal() + 1j * rng.normal()
     b = rng.normal() + 1j * rng.normal()
-    base = freq_correction(a, b)
+    base = float(_real_correction(a, b))
     for c in (2.0, -0.3, 1.7 - 2.2j):
-        assert freq_correction(c * a, c * b) == pytest.approx(base, rel=1e-12)
+        assert float(_real_correction(c * a, c * b)) == pytest.approx(base, rel=1e-12)
 
 
 def test_freq_correction_vector_and_degenerate():
     a = np.array([1.0 + 0j, 0.0 + 0j])
     b = np.array([1j * 2 * np.pi * 3.0, 1.0 + 1j])
-    out = freq_correction(a, b)
+    out = _real_correction(a, b)
     assert out[0] == pytest.approx(3.0)
     assert out[1] == 0.0  # zero-amplitude component gets no correction
+
+
+def test_real_read_out_matches_the_complex_amplitudes():
+    # the anchors read from cos and sin coefficients are |2a|, arg a and the
+    # complex correction of a = (c - i s) / 2 and its slope
+    rng = np.random.default_rng(12)
+    c_a, s_a, c_b, s_b = rng.normal(size=(4, 5, 40)) * rng.uniform(1e-6, 1e3, (4, 5, 1))
+    a, b = (c_a - 1j * s_a) / 2.0, (c_b - 1j * s_b) / 2.0
+    amps, phases = amp_phase(c_a, s_a)
+    np.testing.assert_allclose(amps, 2.0 * np.abs(a), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(phases, np.angle(a), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(eaqhm._freq_correction(c_a, s_a, c_b, s_b),
+                               freq_correction(a, b), rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +989,11 @@ def test_eaqhm_at_other_rates_matches_the_per_frame_reference(fs, monkeypatch):
 # ---------------------------------------------------------------------------
 # BLAS threading around the frame loops
 # ---------------------------------------------------------------------------
+
+def blas_thread_counts():
+    """Current thread count of every loaded OpenBLAS build, by library path."""
+    return {path: get() for path, (get, _) in _blas._loaded_controls().items()}
+
 
 needs_openblas = pytest.mark.skipif(not blas_thread_counts(),
                                     reason="no OpenBLAS thread-count symbol loaded")

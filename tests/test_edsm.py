@@ -1,5 +1,8 @@
 """Subspace estimation of damped sinusoids: poles, amplitudes, frames."""
-import json
+import os
+import subprocess
+import sys
+import time
 import warnings
 from unittest import mock
 
@@ -9,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from sinemodel import _kernels, audio_io, edsm
+import sinemodel
+from sinemodel import _kernels, edsm
 from sinemodel.core import TWO_PI, SampledSignal, srer, wrap_phase
 from sinemodel.edsm import (EDSMConfig, EDSMFrames, edsm_analyze, edsm_synthesize,
                             full_band_orders)
@@ -435,15 +439,9 @@ def test_components_poles_roundtrip():
     np.testing.assert_allclose(back[:, 3], comps[:, 3], rtol=1e-9)
 
 
-def test_component_amplitude_must_be_nonnegative(tmp_path):
+def test_component_amplitude_must_be_nonnegative():
     with pytest.raises(UsageError):
         EDSMFrames.from_frames([(0, 100, 2, [(100.0, -0.1, 0.0, 0.0)])])
-    path = tmp_path / "frames.json"
-    path.write_text(json.dumps({"type": "edsm_frames", "fs": FS, "frames": [
-        {"start": 0, "length": 100, "k_eff": 2, "components": [
-            {"a": -0.1, "delta_per_sample": 0.0, "freq_hz": 100.0, "phase": 0.0}]}]}))
-    with pytest.raises(UsageError):
-        audio_io.read_frames_json(path)
     # frames edsm_synthesize can render one after another: from sample 0 on,
     # non-empty, not overlapping
     for layout in ([(-1, 100)], [(0, 0)], [(0, 100), (99, 100)]):
@@ -830,3 +828,54 @@ def test_full_band_orders_match_the_per_frame_reference():
         got = full_band_orders(f0track, sig, window)
         assert got == _reference_full_band_orders(f0track, sig, window)
         assert all(type(k) is int for k in got)
+
+
+# ---------------------------------------------------------------------------
+# long input
+# ---------------------------------------------------------------------------
+
+LONG_S = 30
+LONG_WALL_S = 30.0    # the child's wall time, start-up and input generation included
+LONG_RSS_MB = 128.0   # the child's peak resident set
+
+_LONG_CHILD = f"""
+import numpy as np
+from sinemodel.core import TWO_PI, SampledSignal
+from sinemodel.generators import AMFMSpec
+from sinemodel.harness import MODEL_TABLE, PITCH_BAND_HZ, run_model
+from sinemodel.pitch import estimate_f0
+# gen_amfm's sum, built without its per-sample truth tracks (four arrays of
+# the input's length per partial)
+spec = AMFMSpec(duration={LONG_S})
+t = np.arange(int(round(spec.duration * spec.fs))) / spec.fs
+r = np.random.default_rng(spec.seed).uniform(0.0, 1.0, spec.n_partials)
+carrier = np.cos(TWO_PI * spec.f_c * t)
+x = np.zeros(t.shape[0])
+for k in range(1, spec.n_partials + 1):
+    x += (0.5 + r[k - 1] / k) * np.cos(TWO_PI * k * spec.f0 * t + k * spec.rho * carrier)
+del t, carrier
+sig = SampledSignal(samples=x, fs=spec.fs)
+f0track = estimate_f0(sig, *PITCH_BAND_HZ)
+cfg = MODEL_TABLE["edsm"].config(sig, f0track, None, None)
+srer_db, frames, _, _ = run_model("edsm", sig, f0track, cfg)
+# this process image's own peak resident set, in KiB: ru_maxrss would also
+# count the resident set of the process that started it
+with open("/proc/self/status") as fh:
+    peak_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(srer_db, len(frames), peak_kib / 1024.0)
+"""
+
+
+def test_edsm_on_30_s_of_audio_stays_within_time_and_memory():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(sinemodel.__file__)))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", _LONG_CHILD], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    wall = time.perf_counter() - t0
+    srer_db, frames, rss_mb = out.split()
+    # the protocol's window of 0.75 periods of the 150 Hz fundamental: 80 samples
+    assert int(frames) == LONG_S * 16000 // 80
+    assert float(srer_db) > 150.0
+    assert wall < LONG_WALL_S, f"{LONG_S} s of audio took {wall:.1f} s"
+    assert float(rss_mb) < LONG_RSS_MB, f"{LONG_S} s of audio peaked at {float(rss_mb):.0f} MB"

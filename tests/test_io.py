@@ -1,4 +1,4 @@
-"""WAV, CSV and JSON round trips."""
+"""WAV and CSV round trips, and the JSON the writers emit."""
 import json
 import struct
 
@@ -139,8 +139,13 @@ def test_wav_skips_other_chunks_and_their_pad_bytes(tmp_path):
     # a 14-byte fmt chunk: read as 16 bytes, the next chunk's id would give 16 bits
     _riff(_chunk(b"fmt ", struct.pack("<HHIIH", 1, 1, 16000, 32000, 2)),
           _chunk(b"\x10\x00id", b""), _chunk(b"data", bytes(8))),
+    _riff(_fmt_chunk(fs=0), _chunk(b"data", bytes(8))),           # sample rate 0
+    _riff(_fmt_chunk(), _chunk(b"data", b"")),                     # no sample
+    _riff(_fmt_chunk(), _chunk(b"data", b"\0")),                   # half a sample
+    _riff(_fmt_chunk(tag=3, bits=32), _chunk(b"data", bytes(3))),  # float, no sample
 ], ids=["not-riff", "truncated", "no-fmt", "no-data", "data-past-eof", "rifx",
-        "stereo", "int32", "pcm8", "float64", "short-fmt"])
+        "stereo", "int32", "pcm8", "float64", "short-fmt", "zero-fs", "empty-data",
+        "odd-byte-data", "short-float-data"])
 def test_malformed_or_unsupported_wav_is_audio_io_error(tmp_path, payload):
     path = tmp_path / "bad.wav"
     path.write_bytes(payload)
@@ -227,14 +232,14 @@ def test_tracks_json_roundtrip_exact(tmp_path):
               for _ in range(3)]
     path = tmp_path / "tracks.json"
     audio_io.write_tracks_json(path, tracks, fs=FS)
-    back = audio_io.read_tracks_json(path)
-    assert len(back) == 3
-    for a, b in zip(tracks, back):
+    with open(path) as fh:
+        obj = json.load(fh)
+    assert obj["type"] == "partial_tracks" and obj["fs"] == FS
+    assert len(obj["tracks"]) == 3
+    for a, b in zip(tracks, obj["tracks"]):
         # JSON carries full double precision; anchors return bit-identical
-        np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.amps, b.amps)
-        np.testing.assert_array_equal(a.freqs, b.freqs)
-        np.testing.assert_array_equal(a.phases, b.phases)
+        for name in ("times", "amps", "freqs", "phases"):
+            assert np.asarray(b[name]).tobytes() == getattr(a, name).tobytes()
 
 
 def test_frames_json_roundtrip(tmp_path):
@@ -243,8 +248,13 @@ def test_frames_json_roundtrip(tmp_path):
         (300, 100, 0, [])])
     path = tmp_path / "frames.json"
     audio_io.write_frames_json(path, frames, fs=FS)
-    back, fs = audio_io.read_frames_json(path)
-    assert fs == FS
+    with open(path) as fh:
+        obj = json.load(fh)
+    assert obj["type"] == "edsm_frames" and obj["fs"] == FS
+    back = EDSMFrames.from_frames(
+        (fr["start"], fr["length"], fr["k_eff"],
+         [(c["freq_hz"], c["a"], c["phase"], c["delta_per_sample"]) for c in fr["components"]])
+        for fr in obj["frames"])
     assert [fr[:3] for fr in back] == [(0, 300, 4), (300, 100, 0)]
     for name in ("offsets", "values", "start", "length", "k_eff"):
         got, want = getattr(back, name), getattr(frames, name)
@@ -269,13 +279,14 @@ def test_model_dumps_have_schema_keys(tmp_path):
 
 
 def test_json_error_paths(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(AudioIOError):
-        audio_io.read_tracks_json(bad)
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text('{"type": "partial_tracks"}')
-    with pytest.raises(AudioIOError):
-        audio_io.read_tracks_json(wrong)
-    with pytest.raises(AudioIOError):
-        audio_io.read_frames_json(tmp_path / "missing.json")
+    tr = PartialTrack(times=[0.0, 0.01], amps=[1.0, 1.0], freqs=[100.0, 100.0],
+                      phases=[0.0, 0.3])
+    no_peaks = SMPeaks(offsets=np.zeros(2, dtype=np.int64), values=np.empty((4, 0)))
+    frames = EDSMFrames.from_frames([(0, 100, 0, [])])
+    path = tmp_path / "no" / "dir.json"
+    for write in (lambda: audio_io.write_tracks_json(path, [tr], fs=FS),
+                  lambda: audio_io.write_sm_json(path, [tr], np.array([0.0]), no_peaks, FS),
+                  lambda: audio_io.write_eaqhm_json(path, [tr], [10.0], 1, FS),
+                  lambda: audio_io.write_frames_json(path, frames, FS)):
+        with pytest.raises(AudioIOError, match="cannot write JSON file"):
+            write()
