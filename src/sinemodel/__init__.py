@@ -12,10 +12,8 @@ plus synthetic signal generators with exact ground truth, an
 autocorrelation pitch tracker, and a benchmark harness (window-size SRER
 sweeps, multi-model comparison tables) behind the `sinemodel` CLI.
 """
-from .core import (SRER_MAX_DB, PartialTrack, SampledSignal,
-                   interp_amplitude_linear, interp_frequency_spline,
-                   make_window, phase_by_freq_integration, sample_track, srer,
-                   synthesize_tracks, wrap_phase)
+from .core import (SRER_MAX_DB, PartialTrack, SampledSignal, interp_frequency_spline,
+                   make_window, sample_track, srer, synthesize_tracks, wrap_phase)
 from .eaqhm import (AdaptationState, EaQHMConfig, adapt, eaqhm_analyze,
                     init_harmonic, ls_solve)
 from .edsm import EDSMConfig, EDSMFrames, edsm_analyze, edsm_synthesize
@@ -39,8 +37,7 @@ __all__ = [
     "IllConditionedError",
     # core
     "SampledSignal", "PartialTrack",
-    "make_window", "srer", "wrap_phase", "interp_amplitude_linear",
-    "interp_frequency_spline", "phase_by_freq_integration", "sample_track",
+    "make_window", "srer", "wrap_phase", "interp_frequency_spline", "sample_track",
     "synthesize_tracks",
     # generators
     "ChirpSpec", "AMFMSpec", "DampedSumSpec", "default_damped_spec",

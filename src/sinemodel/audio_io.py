@@ -61,6 +61,8 @@ def read_wav(path) -> SampledSignal:
     x = np.frombuffer(buf, dtype, nbytes // dtype.itemsize, offset)
     if dtype.kind == "i":
         x = np.maximum(x / _INT16_FULL, -1.0)
+    elif not np.isfinite(x).all():
+        raise AudioIOError(f"{path}: the data chunk holds a non-finite sample")
     return SampledSignal(samples=x, fs=float(fs))
 
 
@@ -139,8 +141,9 @@ def write_f0_csv(path, track: F0Track) -> None:
 def read_f0_csv(path) -> F0Track:
     """Inverse of write_f0_csv; any row with f0 > 0 counts as voiced.
 
-    Unvoiced rows carry the nearest voiced f0 (the earlier one on a tie),
-    or 1 Hz when no row is voiced.
+    Times must be finite and strictly increasing, and f0 finite.  Unvoiced
+    rows carry the nearest voiced f0 (the earlier one on a tie), or 1 Hz
+    when no row is voiced.
     """
     times: list[float] = []
     f0: list[float] = []
@@ -161,10 +164,14 @@ def read_f0_csv(path) -> F0Track:
         raise AudioIOError(f"{path}: malformed f0 CSV: {exc}") from exc
     if not times:
         raise AudioIOError(f"{path}: f0 CSV has no data rows")
-    f0_arr = np.asarray(f0, dtype=np.float64)
+    times_arr, f0_arr = np.asarray(times), np.asarray(f0)
+    if not (np.isfinite(times_arr).all() and np.isfinite(f0_arr).all()):
+        raise AudioIOError(f"{path}: f0 CSV holds a non-finite value")
+    if not (np.diff(times_arr) > 0).all():
+        raise AudioIOError(f"{path}: f0 CSV times are not strictly increasing")
     voiced = f0_arr > 0
     f0_arr = f0_arr[_nearest_voiced(voiced)] if voiced.any() else np.ones_like(f0_arr)
-    return F0Track(times=np.asarray(times), f0=f0_arr, voiced=voiced)
+    return F0Track(times=times_arr, f0=f0_arr, voiced=voiced)
 
 
 # ---------------------------------------------------------------------------

@@ -239,16 +239,6 @@ def amp_phase(c, s):
 # interpolation between anchors
 # ---------------------------------------------------------------------------
 
-def interp_amplitude_linear(times: np.ndarray, amps: np.ndarray,
-                            t_eval: np.ndarray) -> np.ndarray:
-    """Linear amplitude interpolation, constant beyond the anchor span."""
-    times = np.asarray(times, dtype=np.float64)
-    amps = np.asarray(amps, dtype=np.float64)
-    if times.size == 0:
-        raise UsageError("need at least one amplitude anchor")
-    return np.interp(np.asarray(t_eval, dtype=np.float64), times, amps)
-
-
 def interp_frequency_spline(times: np.ndarray, freqs: np.ndarray,
                             t_eval: np.ndarray) -> np.ndarray:
     """Natural cubic-spline frequency interpolation, constant beyond the span.
@@ -295,39 +285,6 @@ def interp_frequency_spline(times: np.ndarray, freqs: np.ndarray,
     return ((freqs[k] + s[k] * z) + c1[k] * z2) + c0[k] * (z2 * z)
 
 
-def phase_by_freq_integration(freq_hz: np.ndarray, fs: float, phi0: float = 0.0,
-                              anchor_idx: np.ndarray = None,
-                              anchor_phases: np.ndarray = None) -> np.ndarray:
-    """Per-sample phase as the trapezoid integral of 2*pi*f/fs.
-
-    With anchors (sample indices in non-decreasing order), the integrated
-    phase is pinned to each anchor phase modulo 2*pi; every span's residual
-    is spread linearly across it so the curve stays continuous.
-    """
-    freq_hz = np.asarray(freq_hz, dtype=np.float64)
-    phase = _kernels.trapezoid_phase(freq_hz, float(fs), float(phi0))
-    if anchor_idx is None or len(anchor_idx) == 0:
-        return phase
-    idx = np.asarray(anchor_idx, dtype=np.int64)
-    tgt = np.asarray(anchor_phases, dtype=np.float64)
-    if idx.shape != tgt.shape:
-        raise UsageError("anchor index/phase arrays must have equal length")
-    if np.any(idx < 0) or np.any(idx >= freq_hz.shape[0]):
-        raise UsageError("anchor index out of range")
-    if np.any(np.diff(idx) < 0):
-        raise UsageError("anchor indices must be non-decreasing")
-    phase += tgt[0] - phase[idx[0]]
-    # span j's residual r[j] ramps in over samples idx[j]+1..idx[j+1] and
-    # holds after them; ramp_base[j] sums the residuals of the earlier spans
-    r = np.append(wrap_phase(np.diff(tgt) - np.diff(phase[idx])), 0.0)
-    span = np.append(np.diff(idx), 1)
-    ramp_base = np.concatenate(([0.0], np.cumsum(r[:-1])))
-    s = np.arange(idx[0] + 1, phase.shape[0])
-    j = np.searchsorted(idx, s) - 1  # last anchor strictly before s
-    phase[idx[0] + 1:] += ramp_base[j] + r[j] * ((s - idx[j]) / span[j])
-    return phase
-
-
 def _cubic_coeffs(dt, phi1, f1, phi2, f2):
     """Per-span (w1, a, b) of the cubic phase phi1 + w1*tau + a*tau**2 +
     b*tau**3 between two anchors dt seconds apart, with minimal-|M|
@@ -354,27 +311,35 @@ def sample_track(track: PartialTrack, fs: float, n0: int,
     """Per-sample (amplitude, frequency, phase) of a track over samples
     n0..n1 inclusive.
 
-    Amplitude is linear between anchors, frequency a natural cubic spline,
-    phase the trapezoid integral of frequency pinned to the anchor phases
-    modulo 2*pi.  Beyond the anchor span, amplitude and frequency hold their
-    endpoint values and phase keeps advancing at the endpoint frequency.
-    A sample's amplitude and frequency do not depend on the requested
-    range; its phase does only in the last bits, through the point the
-    frequency integral starts from.
+    Amplitude is linear between anchors, frequency a natural cubic spline;
+    beyond the anchor span both hold their endpoint values.  Phase starts at
+    the first anchor phase on the first anchor's sample: after it, phase is
+    the trapezoid integral of frequency, and each span's residual against
+    the next anchor phase (modulo 2*pi) is spread linearly across the span
+    and held after it; before it, frequency holds, so phase falls linearly.
+    Every value of a sample is the same, bit for bit, whatever range holds it.
     """
     if n1 < n0:
         raise UsageError("empty sample range")
     anchors = np.round(track.times * fs).astype(np.int64)
-    lo = min(n0, int(anchors[0]))
-    hi = max(n1, int(anchors[-1]))
+    lo, hi = min(n0, int(anchors[0])), max(n1, int(anchors[-1]))
     t = np.arange(lo, hi + 1, dtype=np.float64) / fs
     freq = interp_frequency_spline(track.times, track.freqs, t)
-    phase = phase_by_freq_integration(freq, fs, phi0=track.phases[0],
-                                      anchor_idx=anchors - lo,
-                                      anchor_phases=track.phases)
+    back, idx = anchors[0] - lo, anchors - anchors[0]
+    phase = np.concatenate((
+        track.phases[0] - (TWO_PI * track.freqs[0] / fs) * np.arange(back, 0, -1),
+        _kernels.trapezoid_phase(freq[back:], fs, track.phases[0])))
+    ahead = phase[back:]
+    # span j's residual r[j] ramps in over samples idx[j]+1..idx[j+1] and
+    # holds after them; ramp_base[j] sums the residuals of the earlier spans
+    r = np.append(wrap_phase(np.diff(track.phases) - np.diff(ahead[idx])), 0.0)
+    span = np.append(np.diff(idx), 1)
+    ramp_base = np.concatenate(([0.0], np.cumsum(r[:-1])))
+    s = np.arange(1, ahead.shape[0])
+    j = np.searchsorted(idx, s) - 1  # last anchor strictly before s
+    ahead[1:] += ramp_base[j] + r[j] * ((s - idx[j]) / span[j])
     sl = slice(n0 - lo, n1 - lo + 1)
-    amp = interp_amplitude_linear(track.times, track.amps, t[sl])
-    return amp, freq[sl], phase[sl]
+    return np.interp(t[sl], track.times, track.amps), freq[sl], phase[sl]
 
 
 def render_spans(tracks, n_samples: int, fs: float) -> tuple[np.ndarray, np.ndarray]:

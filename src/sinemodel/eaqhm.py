@@ -16,8 +16,9 @@ Basis columns are normalized per frame: amplitude is divided by its value
 at the frame center and phase is zeroed there, so that amplitude and phase
 are directly the frame-center anchors.  The LS time variable is in
 seconds, which makes eta_k come out in Hz.  Each iterate's tracks are
-sampled once, one sample_track per track: that gives the iterate's
-synthesis (for its SRER), C = (A+eps) cos(phase) and
+sampled once, one sample_track per track over the whole signal: that gives
+the iterate's synthesis (for its SRER; a track adds the samples of its
+render_spans range), C = (A+eps) cos(phase) and
 S = (A+eps) sin(phase) over the signal, and the track values at every frame
 center.  A frame's columns are its C and S rows rotated by the frame-center
 phase, so no frame evaluates cos or sin of its own phase block.
@@ -427,10 +428,8 @@ def _render(tracks: list[PartialTrack], fs: float, n: int,
     """An iterate's synthesis and its _Sampled tracks, from one sample_track
     per track over the whole signal.
 
-    The synthesis is synthesize_tracks' own: each track, in order, adds over
-    its render_spans range.  A track whose range is not the whole signal (a
-    zero-amplitude end anchor) is sampled again over that range, because a
-    sample's phase depends on the requested range in its last bits.
+    The synthesis is synthesize_tracks' own: each track, in order, adds its
+    samples over its render_spans range.
     """
     n_tracks = len(tracks)
     synth = np.zeros(n)
@@ -441,11 +440,7 @@ def _render(tracks: list[PartialTrack], fs: float, n: int,
     lo, hi = render_spans(tracks, n, fs)
     for k, (tr, r0, r1) in enumerate(zip(tracks, lo.tolist(), hi.tolist())):
         amp, freq, phase = sample_track(tr, fs, 0, n - 1)
-        if (r0, r1) == (0, n - 1):
-            _kernels.accumulate_cosine(synth, 0, amp, phase)
-        elif r1 >= r0:
-            amp_r, _, phase_r = sample_track(tr, fs, r0, r1)
-            _kernels.accumulate_cosine(synth, r0, amp_r, phase_r)
+        _kernels.accumulate_cosine(synth, r0, amp[r0:r1 + 1], phase[r0:r1 + 1])
         sampled.amp_c[:, k] = amp[centers]
         sampled.freq_c[:, k] = freq[centers]
         sampled.phase_c[:, k] = phase[centers]

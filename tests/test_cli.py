@@ -253,6 +253,38 @@ def test_bad_wav_header_is_io_error(tone_wav, tmp_path, capsys, fs, data):
         assert capsys.readouterr().err.startswith("i/o error:")
 
 
+def test_non_finite_float_wav_is_io_error(tone_wav, tmp_path, capsys):
+    # the bad value comes from the file: once a usage error (exit 2)
+    bad = tmp_path / "nan.wav"
+    x = np.zeros(1600, dtype=np.float32)
+    x[100] = np.nan
+    bad.write_bytes(b"RIFF" + struct.pack("<I", 36 + 4 * x.size) + b"WAVE"
+                    + b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 16000, 64000, 4, 32)
+                    + b"data" + struct.pack("<I", 4 * x.size) + x.tobytes())
+    for argv in (["srer", "--ref", str(tone_wav), "--test", str(bad)],
+                 ["analyze", "--model", "sm", "--in", str(bad),
+                  "--params", str(tmp_path / "p.json"), "--resynth", str(tmp_path / "r.wav")]):
+        assert main(argv) == 3
+        assert "non-finite sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [1, 2], ids=["nan-time", "inf-f0"])
+def test_analyze_with_a_non_finite_f0_csv_is_io_error(tmp_path, capsys, row):
+    wav, f0csv = tmp_path / "amfm.wav", tmp_path / "f0.csv"
+    assert main(["gen", "--signal", "amfm", "--out", str(wav)]) == 0
+    assert main(["pitch", "--in", str(wav), "--out", str(f0csv)]) == 0
+    lines = f0csv.read_text().splitlines()
+    t, f = lines[10].split(",")
+    lines[10] = ",".join(("nan", f) if row == 1 else (t, "inf"))
+    f0csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--model", "eaqhm", "--in", str(wav), "--f0", str(f0csv),
+                 "--max-adapt", "0", "--params", str(tmp_path / "p.json"),
+                 "--resynth", str(tmp_path / "r.wav")]) == 3
+    assert "non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # srer
 # ---------------------------------------------------------------------------

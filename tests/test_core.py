@@ -7,10 +7,9 @@ from scipy.interpolate import CubicSpline
 
 from sinemodel import _kernels, core
 from sinemodel.core import (SRER_MAX_DB, TWO_PI, PartialTrack, SampledSignal,
-                            _cubic_track_samples, hop_samples, interp_amplitude_linear,
-                            interp_frequency_spline, make_window,
-                            phase_by_freq_integration, render_spans,
-                            sample_track, srer, synthesize_tracks, wrap_phase)
+                            _cubic_track_samples, hop_samples, interp_frequency_spline,
+                            make_window, render_spans, sample_track, srer,
+                            synthesize_tracks, wrap_phase)
 from sinemodel.errors import UsageError
 from sinemodel.sm import SMConfig, sm_analyze_peaks, sm_synthesize
 
@@ -21,11 +20,16 @@ FS = 16000.0
 # loop references: the track renderer one anchor span at a time
 # ---------------------------------------------------------------------------
 
-def _phase_by_freq_integration_ref(freq_hz, fs, phi0, anchor_idx, anchor_phases):
-    phase = _kernels.trapezoid_phase(freq_hz, float(fs), float(phi0))
+def _phase_by_freq_integration_ref(freq_hz, fs, anchor_idx, anchor_phases):
+    """sample_track's phase over samples whose spline frequencies are
+    freq_hz, with the anchors on samples anchor_idx: integrated out from the
+    first anchor both ways, then pinned span by span."""
     idx = np.asarray(anchor_idx, dtype=np.int64)
     tgt = np.asarray(anchor_phases, dtype=np.float64)
-    phase += tgt[0] - phase[idx[0]]
+    phase = np.empty(freq_hz.shape[0])
+    phase[idx[0]:] = _kernels.trapezoid_phase(freq_hz[idx[0]:], fs, tgt[0])
+    for i in range(idx[0] - 1, -1, -1):  # the spline holds its first value here
+        phase[i] = phase[i + 1] - TWO_PI * freq_hz[i] / fs
     for j in range(idx.shape[0] - 1):
         ia, ib = int(idx[j]), int(idx[j + 1])
         r = float(wrap_phase(tgt[j + 1] - phase[ib]))
@@ -74,14 +78,9 @@ def _spline_ref(times, freqs, t_eval):
 
 def _sample_track_ref(track, fs, n0, n1):
     """sample_track with the CubicSpline frequency spline."""
-    anchors = np.round(track.times * fs).astype(np.int64)
-    lo, hi = min(n0, int(anchors[0])), max(n1, int(anchors[-1]))
-    t = np.arange(lo, hi + 1, dtype=np.float64) / fs
-    freq = _spline_ref(track.times, track.freqs, t)
-    phase = phase_by_freq_integration(freq, fs, phi0=track.phases[0],
-                                      anchor_idx=anchors - lo, anchor_phases=track.phases)
-    sl = slice(n0 - lo, n1 - lo + 1)
-    return interp_amplitude_linear(track.times, track.amps, t[sl]), freq[sl], phase[sl]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "interp_frequency_spline", _spline_ref)
+        return sample_track(track, fs, n0, n1)
 
 
 def _render_range(track, n_samples, fs):
@@ -104,14 +103,13 @@ def _synthesize_tracks_ref(tracks, n_samples, fs, phase_mode):
         if hi < lo:
             continue
         t = np.arange(n0, n1 + 1, dtype=np.float64) / fs
-        amp = interp_amplitude_linear(track.times, track.amps, t)
+        amp = np.interp(t, track.times, track.amps)
         if phase_mode == "cubic":
             phase = _track_phase_cubic_ref(track, n0, t, fs)
         else:
             phase = _phase_by_freq_integration_ref(
                 interp_frequency_spline(track.times, track.freqs, t), fs,
-                track.phases[0], np.round(track.times * fs).astype(np.int64) - n0,
-                track.phases)
+                np.round(track.times * fs).astype(np.int64) - n0, track.phases)
         sl = slice(lo - n0, hi - n0 + 1)
         _kernels.accumulate_cosine(out, lo, amp[sl], phase[sl])
     return out
@@ -353,16 +351,23 @@ def test_wrap_phase_range():
 # interpolation
 # ---------------------------------------------------------------------------
 
+def _amplitude_at(times, amps, t_eval, fs=4.0):
+    """sample_track's amplitudes of a track at times t_eval (samples at fs)."""
+    track = PartialTrack(times=times, amps=amps, freqs=np.full(len(times), 1.0),
+                         phases=np.zeros(len(times)))
+    s = np.round(np.asarray(t_eval) * fs).astype(int)
+    return sample_track(track, fs, s.min(), s.max())[0][s - s.min()]
+
+
 def test_interp_amplitude_linear():
     t = np.array([0.0, 1.0])
     a = np.array([1.0, 3.0])
-    assert interp_amplitude_linear(t, a, np.array([0.5]))[0] == pytest.approx(2.0)
+    assert _amplitude_at(t, a, np.array([0.5]))[0] == pytest.approx(2.0)
     # constant extension outside the span
-    np.testing.assert_allclose(interp_amplitude_linear(t, a, np.array([-1.0, 2.0])),
-                               [1.0, 3.0])
-    assert interp_amplitude_linear([0.0], [0.7], np.array([5.0]))[0] == 0.7
-    with pytest.raises(UsageError):
-        interp_amplitude_linear(np.array([]), np.array([]), np.array([0.0]))
+    np.testing.assert_allclose(_amplitude_at(t, a, np.array([-1.0, 2.0])), [1.0, 3.0])
+    assert _amplitude_at([0.0], [0.7], np.array([5.0]))[0] == 0.7
+    with pytest.raises(UsageError):  # no track, so nothing to sample, without anchors
+        PartialTrack(times=[], amps=[], freqs=[], phases=[])
 
 
 def test_interp_frequency_spline_reproduces_linear_and_constant():
@@ -441,49 +446,40 @@ def test_interp_frequency_spline_validation():
 # ---------------------------------------------------------------------------
 
 def test_phase_integration_constant_frequency():
-    freq = np.full(161, 100.0)
-    ph = phase_by_freq_integration(freq, FS, phi0=0.0)
+    track = PartialTrack(times=[0.0], amps=[1.0], freqs=[100.0], phases=[0.0])
+    ph = sample_track(track, FS, 0, 160)[2]
     assert ph[160] == pytest.approx(2 * np.pi, abs=1e-10)
 
 
 def test_phase_integration_zero_frequency():
-    ph = phase_by_freq_integration(np.zeros(100), FS, phi0=0.4)
+    # a track's frequency is positive: the integration kernel takes the zeros
+    ph = _kernels.trapezoid_phase(np.zeros(100), FS, 0.4)
     np.testing.assert_allclose(ph, 0.4)
 
 
 def test_phase_integration_chirp_matches_closed_form():
     n = 16001
     t = np.arange(n) / FS
-    freq = 100.0 + 900.0 * t
-    ph = phase_by_freq_integration(freq, FS)
     exact = 2 * np.pi * (100.0 * t + 450.0 * t * t)
+    # a two-anchor spline is the linear law 100 + 900 t
+    track = PartialTrack(times=[0.0, 1.0], amps=[1.0, 1.0], freqs=[100.0, 1000.0],
+                         phases=[0.0, exact[-1]])
+    ph = sample_track(track, FS, 0, n - 1)[2]
     assert np.max(np.abs(ph - exact)) < 1e-3
 
 
 def test_phase_integration_anchor_reconciliation():
     n = 400
-    freq = np.full(n, 123.0)
     idx = np.array([0, 150, 399])
     # anchors deliberately offset from the pure integral
     tgt = np.array([0.2, 1.0, 2.5])
-    ph = phase_by_freq_integration(freq, FS, phi0=0.0,
-                                   anchor_idx=idx, anchor_phases=tgt)
+    track = PartialTrack(times=idx / FS, amps=np.ones(3), freqs=np.full(3, 123.0),
+                         phases=tgt)
+    ph = sample_track(track, FS, 0, n - 1)[2]
     for i, p in zip(idx, tgt):
         assert wrap_phase(ph[i] - p) == pytest.approx(0.0, abs=1e-9)
     # continuity: no sample-to-sample jump beyond the reconciliation slope
     assert np.max(np.abs(np.diff(ph))) < 0.1
-
-
-def test_phase_integration_anchor_validation():
-    with pytest.raises(UsageError):
-        phase_by_freq_integration(np.zeros(10), FS, anchor_idx=np.array([3]),
-                                  anchor_phases=np.array([0.0, 1.0]))
-    with pytest.raises(UsageError):
-        phase_by_freq_integration(np.zeros(10), FS, anchor_idx=np.array([99]),
-                                  anchor_phases=np.array([0.0]))
-    with pytest.raises(UsageError):  # decreasing
-        phase_by_freq_integration(np.zeros(10), FS, anchor_idx=np.array([2, 5, 4]),
-                                  anchor_phases=np.array([0.0, 1.0, 2.0]))
 
 
 def test_phase_integration_matches_loop_reference():
@@ -491,15 +487,15 @@ def test_phase_integration_matches_loop_reference():
     for n_anchors in (1, 2, 5, 60):
         for _ in range(10):
             n = int(rng.integers(100, 3000))
-            freq = rng.uniform(20.0, 5000.0, n)
-            # about a fifth of the anchor samples carry a second anchor
-            idx = np.sort(rng.choice(n, n_anchors, replace=False))
-            idx = np.sort(np.concatenate((idx, idx[rng.random(n_anchors) < 0.2])))
-            tgt = rng.uniform(-np.pi, np.pi, idx.shape[0])
-            phi0 = rng.uniform(-10.0, 10.0)
-            ref = _phase_by_freq_integration_ref(freq, FS, phi0, idx, tgt)
-            ph = phase_by_freq_integration(freq, FS, phi0=phi0, anchor_idx=idx,
-                                           anchor_phases=tgt)
+            # up to 200 samples before the first anchor; about a fifth of the
+            # anchor samples carry a second anchor
+            track = _random_track(rng, n_anchors, rng.uniform(0.0, n / FS / 2))
+            anchors = np.round(track.times * FS).astype(np.int64)
+            n0, n1 = -int(rng.integers(0, 200)), max(n - 1, int(anchors[-1]))
+            freq = interp_frequency_spline(track.times, track.freqs,
+                                           np.arange(n0, n1 + 1) / FS)
+            ref = _phase_by_freq_integration_ref(freq, FS, anchors - n0, track.phases)
+            ph = sample_track(track, FS, n0, n1)[2]
             np.testing.assert_allclose(ph, ref, rtol=0, atol=1e-9)
 
 
@@ -618,9 +614,8 @@ def test_sample_track_is_independent_of_the_range():
     for a, b in ranges:
         part = sample_track(track, FS, a, b)
         sl = slice(a - n0, b - n0 + 1)
-        np.testing.assert_array_equal(part[0], full[0][sl])
-        np.testing.assert_array_equal(part[1], full[1][sl])
-        np.testing.assert_allclose(part[2], full[2][sl], rtol=0, atol=1e-9)
+        for got, want in zip(part, full):
+            assert got.tobytes() == want[sl].tobytes()
 
 
 def test_track_phase_matches_loop_references():
@@ -637,8 +632,7 @@ def test_track_phase_matches_loop_references():
                                           _track_phase_cubic_ref(track, n0, t, FS)[s - n0])
         anchors = np.round(track.times * FS).astype(np.int64) - n0
         freq = interp_frequency_spline(track.times, track.freqs, t)
-        ref = _phase_by_freq_integration_ref(freq, FS, track.phases[0], anchors,
-                                             track.phases)
+        ref = _phase_by_freq_integration_ref(freq, FS, anchors, track.phases)
         np.testing.assert_allclose(sample_track(track, FS, n0, n1)[2], ref,
                                    rtol=0, atol=1e-9)
 

@@ -1223,6 +1223,10 @@ def test_adapt_samples_each_track_once_per_rendered_iterate(monkeypatch):
     sig = SampledSignal(samples=_harmonic(n, k_max=3), fs=FS)
     cfg = EaQHMConfig(max_partials=3, max_adaptations=2)
     start = init_harmonic(sig, _const_f0(n, 151.5), cfg)   # detuned: adapt runs
+    # above the three fitted partials, so every pass carries it unchanged; its
+    # zero-amplitude end anchors keep its synthesis range short of the signal
+    start.append(PartialTrack(times=[0.05, 0.1, 0.15], amps=[0.0, 0.2, 0.0],
+                              freqs=[2000.0, 2010.0, 2000.0], phases=[0.0, 1.0, 2.0]))
     calls = []
     real = core.sample_track
 
@@ -1236,6 +1240,31 @@ def test_adapt_samples_each_track_once_per_rendered_iterate(monkeypatch):
     assert state.iteration >= 1
     # the start and every iterate a pass produced, one sample_track per track
     assert len(calls) == (1 + state.iteration) * len(start)
+    assert sum(tr is start[-1] for tr in calls) == 1 + state.iteration
+
+
+def test_render_synthesis_is_synthesize_tracks():
+    rng = np.random.default_rng(26)
+    n = 1600
+    tracks = []
+    for i in range(24):
+        # starts before 0 or past the signal put anchors outside it; odd tracks
+        # ramp from and to zero amplitude, so they cover part of the signal
+        m = int(rng.integers(1, 30))
+        times = rng.uniform(-0.02, 0.11) + np.cumsum(rng.uniform(1e-6, 8e-3, m))
+        amps = rng.uniform(0.1, 1.0, m)
+        if i % 2:
+            amps[[0, -1]] = 0.0
+        tracks.append(PartialTrack(times=times, amps=amps, freqs=rng.uniform(50.0, 4000.0, m),
+                                   phases=rng.uniform(-np.pi, np.pi, m)))
+    centers = np.arange(0, n, 80)
+    synth, sampled = eaqhm._render(tracks, FS, n, centers)
+    assert synth.tobytes() == synthesize_tracks(tracks, n, FS).tobytes()
+    for k, tr in enumerate(tracks):
+        amp, freq, phase = sample_track(tr, FS, 0, n - 1)
+        assert sampled.amp_c[:, k].tobytes() == amp[centers].tobytes()
+        assert sampled.freq_c[:, k].tobytes() == freq[centers].tobytes()
+        assert sampled.phase_c[:, k].tobytes() == phase[centers].tobytes()
 
 
 def test_adapt_peak_memory_on_one_second_of_audio():

@@ -143,9 +143,14 @@ def test_wav_skips_other_chunks_and_their_pad_bytes(tmp_path):
     _riff(_fmt_chunk(), _chunk(b"data", b"")),                     # no sample
     _riff(_fmt_chunk(), _chunk(b"data", b"\0")),                   # half a sample
     _riff(_fmt_chunk(tag=3, bits=32), _chunk(b"data", bytes(3))),  # float, no sample
+    _riff(_fmt_chunk(tag=3, bits=32),
+          _chunk(b"data", np.array([0.0, np.nan, 0.0], "<f4").tobytes())),
+    _riff(_fmt_chunk(tag=3, bits=32),
+          _chunk(b"data", np.array([0.5, -np.inf], "<f4").tobytes())),
+    _riff(_fmt_chunk(tag=3, bits=32), _chunk(b"data", np.array([np.inf], "<f4").tobytes())),
 ], ids=["not-riff", "truncated", "no-fmt", "no-data", "data-past-eof", "rifx",
         "stereo", "int32", "pcm8", "float64", "short-fmt", "zero-fs", "empty-data",
-        "odd-byte-data", "short-float-data"])
+        "odd-byte-data", "short-float-data", "float-nan", "float-neg-inf", "float-inf"])
 def test_malformed_or_unsupported_wav_is_audio_io_error(tmp_path, payload):
     path = tmp_path / "bad.wav"
     path.write_bytes(payload)
@@ -217,6 +222,22 @@ def test_f0_csv_malformed(tmp_path):
     bad.write_text("time_s,f0_hz\nnot,numbers\n")
     with pytest.raises(AudioIOError):
         audio_io.read_f0_csv(bad)
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ("nan,150\n0.005,150\n", "non-finite"),
+    ("0,150\ninf,150\n", "non-finite"),
+    ("0,150\n0.005,inf\n", "non-finite"),
+    ("0,150\n0.005,nan\n", "non-finite"),
+    ("0,-inf\n0.005,150\n", "non-finite"),
+    ("0.005,150\n0,150\n", "strictly increasing"),
+    ("0,150\n0.005,150\n0.005,151\n", "strictly increasing"),
+], ids=["nan-time", "inf-time", "inf-f0", "nan-f0", "neg-inf-f0", "reversed", "repeated"])
+def test_f0_csv_rejects_non_finite_values_and_unordered_times(tmp_path, rows, reason):
+    path = tmp_path / "f0.csv"
+    path.write_text("time_s,f0_hz\n" + rows)
+    with pytest.raises(AudioIOError, match=reason):
+        audio_io.read_f0_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Property tests: SRER scale invariance, the WAV round trip, and what the
-pitch tracker returns on silence, white noise and clipped input."""
+"""Property tests: SRER scale invariance, the WAV round trip, what the
+pitch tracker returns on silence, white noise and clipped input, and what
+each model returns on edge inputs."""
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sinemodel import audio_io
 from sinemodel.core import SRER_MAX_DB, SampledSignal, srer
-from sinemodel.harness import PITCH_BAND_HZ
+from sinemodel.errors import SineModelError
+from sinemodel.harness import MODEL_TABLE, MODELS, PITCH_BAND_HZ, run_model
 from sinemodel.pitch import estimate_f0
 
 SETTINGS = settings(deadline=None, max_examples=300, derandomize=True)
@@ -148,3 +153,61 @@ def test_pitch_on_a_clipped_tone_keeps_its_period(f, gain, phase, fs):
     _check_track(track, n, fs, PITCH_BAND_HZ)
     assert track.voiced.all()
     assert np.max(np.abs(track.f0 - f)) <= 0.01 * f
+
+
+# ---------------------------------------------------------------------------
+# every model on edge inputs
+# ---------------------------------------------------------------------------
+
+def _edge_inputs(n=4000, fs=16000.0):
+    """0.25 s inputs at the edges of what a model is asked to fit."""
+    t = np.arange(n) / fs
+    tone = 0.5 * np.cos(2.0 * np.pi * 150.0 * t + 0.3)
+    impulse = np.zeros(n)
+    impulse[n // 2] = 0.9
+    return {"silence": np.zeros(n), "dc": np.full(n, 0.25), "impulse": impulse,
+            "noise": np.random.default_rng(0).normal(0.0, 0.1, n),
+            "clipped_tone": np.clip(4.0 * tone, -0.5, 0.5),
+            "tone_then_silence": np.where(t < 0.125, tone, 0.0)}
+
+
+def _run_protocol(model, x, fs=16000.0):
+    """(srer_db, resynthesis) of `model` under the comparison protocol, or
+    None when it raises a SineModelError."""
+    sig = SampledSignal(samples=x, fs=fs)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # skipped frames
+            f0track = estimate_f0(sig, *PITCH_BAND_HZ) if MODEL_TABLE[model].needs_f0 else None
+            s, _, y, _ = run_model(model, sig, f0track,
+                                   MODEL_TABLE[model].config(sig, f0track, None, None))
+    except SineModelError:
+        return None
+    return s, y
+
+
+# known scale dependences (each a strict xfail, so a fix shows)
+_SCALE_DEPENDENT = {
+    ("impulse", "sm"): "sm picks peaks on an impulse's flat spectrum by comparing "
+                       "dB values whose rounding depends on the input's scale",
+    ("clipped_tone", "eaqhm"): "eaqhm's _AMP_EPS is an absolute 1e-10, so it outweighs "
+                               "the amplitudes of a quiet input",
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("name", list(_edge_inputs()))
+def test_models_on_edge_inputs_are_finite_and_scale_free(name, model, request):
+    if (name, model) in _SCALE_DEPENDENT:
+        request.applymarker(pytest.mark.xfail(strict=True,
+                                              reason=_SCALE_DEPENDENT[name, model]))
+    x = _edge_inputs()[name]
+    base = _run_protocol(model, x)
+    for k in (-200, 200):
+        scaled = _run_protocol(model, x * 2.0 ** k)
+        assert (scaled is None) == (base is None)
+        if base is not None:
+            assert np.isfinite(scaled[0]) and np.isfinite(scaled[1]).all()
+            assert abs(scaled[0] - base[0]) <= 1e-9
+    if base is not None:
+        assert np.isfinite(base[0]) and np.isfinite(base[1]).all()
