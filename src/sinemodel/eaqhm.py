@@ -18,25 +18,26 @@ are directly the frame-center anchors.  The LS time variable is in
 seconds, which makes eta_k come out in Hz.  Each iterate's tracks are
 sampled once, one sample_track per track over the whole signal: that gives
 the iterate's synthesis (for its SRER; a track adds the samples of its
-render_spans range), C = (A+eps) cos(phase) and
-S = (A+eps) sin(phase) over the signal, and the track values at every frame
-center.  A frame's columns are its C and S rows rotated by the frame-center
-phase, so no frame evaluates cos or sin of its own phase block.
+render_spans range), C = (A+eps) cos(phase) and S = (A+eps) sin(phase) over
+the signal (eps is _AMP_EPS times the power of two that brings the input's
+peak into [0.5, 1), so analysis is exact under power-of-two gain), and the
+track values at every frame center.  A frame's columns are its C and S rows
+rotated by the frame-center phase, so no frame evaluates cos or sin of its
+own phase block.
 
 Every frame fit runs through one block stage, _fit_frames; init_harmonic
 and the adaptation pass keep only the basis they write into a block's cos and
 sin rows and their map from coefficients to anchors.  Frames with the same
-sample offsets from their center and the same component count (so the same
-width, time axis, window and column count) form a group, cut into blocks of
-at most FRAME_BLOCK design elements.  A block's designs are one (q, G, n)
-buffer in the stage's one buffer set (row j holds column j of every frame,
-each frame's samples contiguous); the basis fills write it and ls_solve reads
-it in place, so element-wise steps, and every step of ls_solve but each
-frame's Cholesky solve and condition estimate, run on the whole block; each
-frame's result is bitwise that of solving it alone in the same layout.
-Layout, eligibility, rotation and the anchor maps are array passes over all
-frames.  Frame systems are a few hundred samples wide, so the stage runs on
-single-threaded OpenBLAS (see _blas).
+width and component count (so the same window and column count) form a
+group, cut into blocks of at most FRAME_BLOCK design elements.  A block's
+designs are one (q, G, n) array of its own (row j holds column j of every
+frame, each frame's samples contiguous); the basis fills write it and
+ls_solve reads it in place, so element-wise steps, and every step of
+ls_solve but each frame's Cholesky solve and condition estimate, run on the
+whole block; each frame's result is bitwise that of solving it alone in the
+same layout.  Layout, eligibility, rotation and the anchor maps are array
+passes over all frames.  Frame systems are a few hundred samples wide, so
+the stage runs on single-threaded OpenBLAS (see _blas).
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from .core import synthesize_tracks  # noqa: F401
 from .errors import AnalysisError, IllConditionedError, UsageError
 from .pitch import F0Track
 
-_AMP_EPS = 1e-10  # guards the per-frame center normalization of dead partials
+_AMP_EPS = 1e-10  # guards the per-frame center normalization of dead partials (_amp_eps)
 SRER_THRESHOLD_DB = 0.1    # adaptation stops once an iterate improves by less
 SRER_CEILING_DB = 150.0    # past this, the residual is numerical noise
 COND_BOUND = 1e10          # on the real normal matrix of a frame fit
@@ -183,17 +184,24 @@ def _freq_correction(c_a, s_a, c_b, s_b) -> np.ndarray:
 def _complete_design(design: np.ndarray, t: np.ndarray) -> None:
     """Fill the DC row, the t row and the slope twins of a (q, G, n) block
     of designs [1 | A cos | A sin | t | t A cos | t A sin] (one row per
-    column, every frame's samples contiguous) whose cos and sin rows are set."""
+    column, every frame's samples contiguous) whose cos and sin rows are set,
+    given each frame's time axis t, (G, n)."""
     p = design.shape[0] // 2
     design[0], design[p] = 1.0, t
     np.multiply(design[1:p], t, out=design[p + 1:])
 
 
-def _rotation_factors(amp_c: np.ndarray,
-                      phase_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _amp_eps(x: np.ndarray) -> float:
+    """_AMP_EPS scaled by 2^k, k the frexp exponent of x's peak |x|: the same
+    for peaks in [0.5, 1), and exact under power-of-two gain."""
+    return float(np.ldexp(_AMP_EPS, np.frexp(np.max(np.abs(x)))[1]))
+
+
+def _rotation_factors(amp_c: np.ndarray, phase_c: np.ndarray,
+                      eps: float) -> tuple[np.ndarray, np.ndarray]:
     """cos(phase_c) / (A_c + eps) and sin(phase_c) / (A_c + eps), the
     factors _rotate_into turns C and S rows with."""
-    g = 1.0 / (amp_c + _AMP_EPS)
+    g = 1.0 / (amp_c + eps)
     return np.cos(phase_c) * g, np.sin(phase_c) * g
 
 
@@ -206,14 +214,10 @@ def _rotate_into(cols: np.ndarray, c_rows: np.ndarray, s_rows: np.ndarray,
     c_rows and s_rows are the frames' (G, m, n) samples of C = (A+eps)
     cos(phase) and S = (A+eps) sin(phase), one row per component; cc and sc
     are the (G, m, 1) _rotation_factors at the frame centers.  By angle
-    addition the columns are C cc + S sc and S cc - C sc, formed row by row;
-    c_rows is overwritten."""
+    addition the columns are C cc + S sc and S cc - C sc."""
     m = cc.shape[-2]
-    cos, sin = cols[:, 1:m + 1], cols[:, m + 1:2 * m + 1]
-    np.multiply(c_rows, cc, out=cos)
-    cos += np.multiply(s_rows, sc, out=sin)
-    np.multiply(s_rows, cc, out=sin)
-    sin -= np.multiply(c_rows, sc, out=c_rows)
+    cols[:, 1:m + 1] = c_rows * cc + s_rows * sc
+    cols[:, m + 1:2 * m + 1] = s_rows * cc - c_rows * sc
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +265,12 @@ def _frame_layout(n: int, fs: float, f0track: F0Track,
 
 @dataclass(frozen=True)
 class _Block:
-    """Frames solved together: they share their sample offsets from the
-    center (so their width, time axis and window) and their component count."""
+    """Frames solved together: they share their width (so their window) and
+    their component count."""
 
     frames: np.ndarray  # frame indices, in center order
-    lo: int             # first sample, relative to the center
     n: int              # samples per frame
     m: int              # components per frame
-
-    @property
-    def g(self) -> int:
-        return self.frames.shape[0]
 
     @property
     def q(self) -> int:
@@ -279,23 +278,21 @@ class _Block:
 
 
 def _blocks(layout: _Layout, frames: np.ndarray, counts: np.ndarray) -> list[_Block]:
-    """The given frames grouped by (lo - center, hi - center, component
-    count), each group cut into blocks of at most FRAME_BLOCK design elements
-    (and at least one frame)."""
-    lo = layout.lo[frames] - layout.center[frames]
-    hi = layout.hi[frames] - layout.center[frames]
+    """The given frames grouped by (width, component count), each group cut
+    into blocks of at most FRAME_BLOCK design elements (and at least one
+    frame)."""
+    width = layout.hi[frames] - layout.lo[frames] + 1
     m = counts[frames]
-    order = np.lexsort((m, hi, lo))
-    keys = np.stack((lo, hi, m))[:, order]
+    order = np.lexsort((m, width))
+    keys = np.stack((width, m))[:, order]
     # a group starts at the first frame and wherever the key changes
     starts = np.flatnonzero(np.r_[order.size > 0, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
     out = []
     for s0, s1 in zip(starts.tolist(), [*starts[1:].tolist(), order.shape[0]]):
-        lo_k, hi_k, m_k = keys[:, s0].tolist()
-        n = hi_k - lo_k + 1
+        n, m_k = keys[:, s0].tolist()
         per = max(1, FRAME_BLOCK // (n * 2 * (2 * m_k + 1)))
         group = frames[order[s0:s1]]
-        out.extend(_Block(frames=group[i:i + per], lo=lo_k, n=n, m=m_k)
+        out.extend(_Block(frames=group[i:i + per], n=n, m=m_k)
                    for i in range(0, group.shape[0], per))
     return out
 
@@ -306,12 +303,10 @@ def _fit_frames(x: np.ndarray, fs: float, layout: _Layout, counts: np.ndarray,
     [1 | A cos | A sin | t | t A cos | t A sin] of counts[f] components,
     solved in _blocks under a window_kind window.
 
-    A block's designs are one (q, G, n) buffer: row j holds column j of every
-    frame, frame after frame.  basis(b, cols, t, scratch, index) writes the
-    cos and sin rows of block b's designs into cols, the buffer's (G, q, n)
-    view, given the LS time axis t in seconds; scratch ((2, G, m, n) float64)
-    and index ((G, m, n) int64) are its own.  One set of buffers, sized for
-    the largest block, serves all.
+    A block's designs are one (q, G, n) array: row j holds column j of every
+    frame, frame after frame.  basis(b, cols, t) writes the cos and sin rows
+    of block b's designs into cols, the array's (G, q, n) view, given each
+    frame's LS time axis t, (G, n), in seconds from its center.
 
     Returns coef, (4, n_frames, max count): a's cos and sin coefficients,
     then b's, of a frame's j-th component in column j, NaN where the frame
@@ -321,23 +316,17 @@ def _fit_frames(x: np.ndarray, fs: float, layout: _Layout, counts: np.ndarray,
     blocks = _blocks(layout, np.flatnonzero(counts >= 1), counts)
     coef = np.full((4, len(layout), int(np.max(counts, initial=0))), np.nan)
     ill = np.zeros(len(layout), dtype=bool)
-    design = np.empty(max((b.g * b.n * b.q for b in blocks), default=0))
-    target = np.empty(max((b.g * b.n for b in blocks), default=0))
-    size = max((b.g * b.n * b.m for b in blocks), default=0)
-    scratch, index = np.empty((2, size)), np.empty(size, dtype=np.int64)
     windows = {n: make_window(window_kind, n) for n in {b.n for b in blocks}}
     with single_threaded_blas():
         for b in blocks:
-            g, n, m, q = b.g, b.n, b.m, b.q
-            t = np.arange(b.lo, b.lo + n) / fs
-            buf = design[:q * g * n].reshape(q, g, n)
-            basis(b, buf.transpose(1, 0, 2), t, scratch[:, :g * m * n].reshape(2, g, m, n),
-                  index[:g * m * n].reshape(g, m, n))
-            _complete_design(buf, t)
-            # x over each frame, frame after frame as in the design's rows
-            rows = (layout.center[b.frames] + b.lo)[:, None] + np.arange(n)
-            y = np.take(x, rows, out=target[:rows.size].reshape(rows.shape), mode="clip")
-            c, d, cond = ls_solve(buf.reshape(q, g * n).T, windows[n], y.reshape(-1))
+            g, n, m, q = b.frames.shape[0], b.n, b.m, b.q
+            # each frame's samples, frame after frame as in the design's rows
+            rows = layout.lo[b.frames][:, None] + np.arange(n)
+            t = (rows - layout.center[b.frames][:, None]) / fs
+            design = np.empty((q, g, n))
+            basis(b, design.transpose(1, 0, 2), t)
+            _complete_design(design, t)
+            c, d, cond = ls_solve(design.reshape(q, g * n).T, windows[n], x[rows].reshape(-1))
             # the rows of frames not solved are NaN
             coef[:2, b.frames, :m] = c[:, 1:].reshape(g, 2, m).transpose(1, 0, 2)
             coef[2:, b.frames, :m] = d[:, 1:].reshape(g, 2, m).transpose(1, 0, 2)
@@ -391,9 +380,9 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
     harmonics = np.arange(1, max(0, int(k_maxes.max())) + 1, dtype=np.float64)
     omega = 2.0 * np.pi * layout.f0
 
-    def basis(b, cols, t, scratch, index):
-        k, phase = b.m, scratch[0]
-        np.multiply((omega[b.frames][:, None] * t)[:, None], harmonics[:k, None], out=phase)
+    def basis(b, cols, t):
+        k = b.m
+        phase = (omega[b.frames][:, None] * t)[:, None] * harmonics[:k, None]
         np.cos(phase, out=cols[:, 1:k + 1])
         np.sin(phase, out=cols[:, k + 1:2 * k + 1])
 
@@ -421,12 +410,13 @@ class _Sampled:
     amp_c: np.ndarray   # (n_frames, n_tracks)
     freq_c: np.ndarray
     phase_c: np.ndarray
+    eps: float          # the _amp_eps of the input
 
 
-def _render(tracks: list[PartialTrack], fs: float, n: int,
-            centers: np.ndarray) -> tuple[np.ndarray, _Sampled]:
-    """An iterate's synthesis and its _Sampled tracks, from one sample_track
-    per track over the whole signal.
+def _render(tracks: list[PartialTrack], fs: float, n: int, centers: np.ndarray,
+            eps: float) -> tuple[np.ndarray, _Sampled]:
+    """An iterate's synthesis and its _Sampled tracks with amplitude guard
+    eps, from one sample_track per track over the whole signal.
 
     The synthesis is synthesize_tracks' own: each track, in order, adds its
     samples over its render_spans range.
@@ -436,7 +426,7 @@ def _render(tracks: list[PartialTrack], fs: float, n: int,
     sampled = _Sampled(c_rows=np.empty((n_tracks, n)), s_rows=np.empty((n_tracks, n)),
                        amp_c=np.empty((centers.shape[0], n_tracks)),
                        freq_c=np.empty((centers.shape[0], n_tracks)),
-                       phase_c=np.empty((centers.shape[0], n_tracks)))
+                       phase_c=np.empty((centers.shape[0], n_tracks)), eps=eps)
     lo, hi = render_spans(tracks, n, fs)
     for k, (tr, r0, r1) in enumerate(zip(tracks, lo.tolist(), hi.tolist())):
         amp, freq, phase = sample_track(tr, fs, 0, n - 1)
@@ -444,7 +434,7 @@ def _render(tracks: list[PartialTrack], fs: float, n: int,
         sampled.amp_c[:, k] = amp[centers]
         sampled.freq_c[:, k] = freq[centers]
         sampled.phase_c[:, k] = phase[centers]
-        amp += _AMP_EPS
+        amp += eps
         np.multiply(amp, np.cos(phase), out=sampled.c_rows[k])
         np.multiply(amp, np.sin(phase), out=sampled.s_rows[k])
     return synth, sampled
@@ -469,18 +459,16 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
     order = np.argsort(sampled.freq_c, axis=1, kind="stable")
     below = sampled.freq_c < fs / 2.0 - NYQUIST_MARGIN_HZ
     count = np.minimum(np.count_nonzero(below, axis=1), budget)
-    cc, sc = _rotation_factors(sampled.amp_c, sampled.phase_c)
+    cc, sc = _rotation_factors(sampled.amp_c, sampled.phase_c, sampled.eps)
     n = x.shape[0]
 
-    def basis(b, cols, t, scratch, index):
+    def basis(b, cols, t):
         frames = b.frames[:, None]
         idx = order[b.frames, :b.m]
         # flat index of (track, sample) in the C and S rows
-        at = np.add((idx * n + layout.center[frames] + b.lo)[:, :, None], np.arange(b.n),
-                    out=index)
-        c_rows = np.take(sampled.c_rows, at, out=scratch[0], mode="clip")
-        s_rows = np.take(sampled.s_rows, at, out=scratch[1], mode="clip")
-        _rotate_into(cols, c_rows, s_rows, cc[frames, idx][..., None], sc[frames, idx][..., None])
+        at = (idx * n + layout.lo[frames])[:, :, None] + np.arange(b.n)
+        _rotate_into(cols, np.take(sampled.c_rows, at), np.take(sampled.s_rows, at),
+                     cc[frames, idx][..., None], sc[frames, idx][..., None])
 
     slots, ill = _fit_frames(x, fs, layout, count, ADAPT_WINDOW_KIND, basis)
     if ill[count > 0].all():
@@ -521,8 +509,9 @@ def adapt(signal: SampledSignal, tracks: list[PartialTrack], f0track: F0Track,
     n = x.shape[0]
     fs = signal.fs
     layout = _frame_layout(n, fs, f0track, config)
+    eps = _amp_eps(x)
     current = list(tracks)
-    synth, sampled = _render(current, fs, n, layout.center)
+    synth, sampled = _render(current, fs, n, layout.center, eps)
     best_srer = srer(x, synth)
     state = AdaptationState(iteration=0, srer_history=[best_srer], tracks=current)
     if best_srer >= SRER_CEILING_DB:
@@ -530,7 +519,7 @@ def adapt(signal: SampledSignal, tracks: list[PartialTrack], f0track: F0Track,
     for it in range(1, config.max_adaptations + 1):
         new_tracks = _adaptation_pass(x, fs, current, sampled, layout, config)
         del sampled  # free its frame-center values before the next render
-        synth, sampled = _render(new_tracks, fs, n, layout.center)
+        synth, sampled = _render(new_tracks, fs, n, layout.center, eps)
         s = srer(x, synth)
         state.iteration = it
         if s <= best_srer:

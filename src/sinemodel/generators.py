@@ -40,6 +40,10 @@ class ChirpSpec:
     def __post_init__(self):
         _check_positive(fs=self.fs, stationary_duration=self.stationary_duration,
                         chirp_duration=self.chirp_duration)
+        for name in ("stationary_freq", "chirp_f_end"):
+            f = getattr(self, name)
+            if not 0 < f < self.fs / 2:
+                raise UsageError(f"{name} {f} outside (0, fs/2)")
 
 
 @dataclass(frozen=True)

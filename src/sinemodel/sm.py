@@ -80,18 +80,22 @@ def _block_peaks(frames: np.ndarray, w: np.ndarray, fft_size: int, fs: float,
     A peak is a local maximum of the dB spectrum above the frame's maximum
     plus THRESHOLD_DB.  dB is non-decreasing in |X|, so every peak is a local
     maximum of |X| and the frame's dB maximum is the dB of its |X| maximum:
-    dB is taken only at those maxima and their neighbours.  The phase is
-    unwrapped only up to the highest bin read, and the unwrap's sum starts at
-    bin 0, so the prefix is the whole spectrum's.  An all-zero frame yields
-    no peaks.
+    dB is taken only at those maxima and their neighbours, of the magnitudes
+    scaled by the power of two that brings the frame's maximum into [0.5, 1)
+    (so peaks are exact under power-of-two gain), and the amplitudes get
+    that scale back.  The phase is unwrapped only up to the highest bin read,
+    and the unwrap's sum starts at bin 0, so the prefix is the whole
+    spectrum's.  An all-zero frame yields no peaks.
     """
     spectrum = _zero_phase_spectra(frames, w, fft_size)
     mag = np.abs(spectrum)
     mid = mag[:, 1:-1]
     rows, peak_bins = np.nonzero((mid > mag[:, :-2]) & (mid > mag[:, 2:]))
     peak_bins += 1
-    left, mid, right = _db(mag[rows[:, None], peak_bins[:, None] + np.arange(-1, 2)]).T
-    floor = _db(mag.max(axis=1)) + THRESHOLD_DB
+    top, exp = np.frexp(mag.max(axis=1))
+    left, mid, right = _db(np.ldexp(mag[rows[:, None], peak_bins[:, None] + np.arange(-1, 2)],
+                                    -exp[rows, None])).T
+    floor = _db(top) + THRESHOLD_DB
     is_peak = np.flatnonzero((mid > left) & (mid > right) & (mid > floor[rows]))
     rows, peak_bins = rows[is_peak], peak_bins[is_peak]
     left, mid, right = left[is_peak], mid[is_peak], right[is_peak]
@@ -100,7 +104,7 @@ def _block_peaks(frames: np.ndarray, w: np.ndarray, fft_size: int, fs: float,
     p = np.clip(p, -1.0, 1.0)
     frac_bin = peak_bins + p
     freq = frac_bin * fs / fft_size
-    amp = 2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0)
+    amp = np.ldexp(2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0), exp[rows])
     inside = np.flatnonzero((freq > 0.0) & (freq < fs / 2.0))
     # per frame, the max_peaks loudest (ties keep bin order), then ordered by
     # frequency (ties keep loudness order); lexsort is stable

@@ -75,6 +75,17 @@ def test_gen_rejects_a_sample_rate_that_is_not_positive_and_finite(tmp_path, cap
     assert not wav.exists()
 
 
+@pytest.mark.parametrize("signal", ["chirp", "amfm", "damped"])
+def test_gen_rejects_a_rate_whose_nyquist_is_below_the_signal(tmp_path, capsys, signal):
+    # the defaults reach 1000 Hz (chirp), 1500 Hz (amfm) and about 1080 Hz
+    # (damped): at 1500 Hz nothing is written
+    wav, truth = tmp_path / "x.wav", tmp_path / "x.json"
+    assert main(["gen", "--signal", signal, "--fs", "1500", "--out", str(wav),
+                 "--truth", str(truth)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not wav.exists() and not truth.exists()
+
+
 # ---------------------------------------------------------------------------
 # pitch / analyze
 # ---------------------------------------------------------------------------

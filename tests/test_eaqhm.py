@@ -278,7 +278,7 @@ def _per_frame_adaptation_pass(x, fs, tracks, sampled, layout, config):
     below = sampled.freq_c < fs / 2.0 - eaqhm.NYQUIST_MARGIN_HZ
     count = np.minimum(np.count_nonzero(below, axis=1), budget)
     fitted = np.flatnonzero(count)
-    cc, sc = eaqhm._rotation_factors(sampled.amp_c, sampled.phase_c)
+    cc, sc = eaqhm._rotation_factors(sampled.amp_c, sampled.phase_c, sampled.eps)
     coef = np.full((4, n_frames, n_tracks), np.nan)
     ill = np.zeros(n_frames, dtype=bool)
     with single_threaded_blas():
@@ -338,11 +338,15 @@ def _one_frame_solve(e, window, target):
     return c[0], d[0]
 
 
+def _sampled(tracks, x, fs, layout):
+    """`tracks` sampled over x as adapt samples them."""
+    return eaqhm._render(tracks, fs, x.shape[0], layout.center, eaqhm._amp_eps(x))[1]
+
+
 def _one_pass(x, fs, tracks, f0track, config):
     """One adaptation pass of `tracks`, rendered and laid out as adapt does."""
     layout = eaqhm._frame_layout(x.shape[0], fs, f0track, config)
-    _, sampled = eaqhm._render(tracks, fs, x.shape[0], layout.center)
-    return eaqhm._adaptation_pass(x, fs, tracks, sampled, layout, config)
+    return eaqhm._adaptation_pass(x, fs, tracks, _sampled(tracks, x, fs, layout), layout, config)
 
 
 def _const_f0(n, f0, hop=80):
@@ -582,7 +586,7 @@ def test_rotated_columns_match_direct_trig_over_60s():
         amp = 1.0 + 0.5 * np.cos(2 * np.pi * f_am[:, None] * t)
         top = max(top, phase.max())
         design = np.empty((2 * (2 * 3 + 1), 1, 321))   # one frame's (q, G, n) design
-        cc, sc = eaqhm._rotation_factors(amp[:, 160], phase[:, 160])
+        cc, sc = eaqhm._rotation_factors(amp[:, 160], phase[:, 160], eaqhm._AMP_EPS)
         eaqhm._rotate_into(design.transpose(1, 0, 2),
                            (amp + eaqhm._AMP_EPS)[None] * np.cos(phase),
                            (amp + eaqhm._AMP_EPS)[None] * np.sin(phase),
@@ -611,6 +615,8 @@ def _reference_adaptation_pass(x, fs, tracks, f0track, config):
     freq_all = np.array([s[1] for s in sampled])
     phase_all = np.array([s[2] for s in sampled])
     f_ceiling = fs / 2.0 - eaqhm.NYQUIST_MARGIN_HZ
+    # the amplitude guard, scaled by the power of two of the input's peak
+    eps = np.ldexp(eaqhm._AMP_EPS, np.frexp(np.max(np.abs(x)))[1])
     anchors = {}
     for fr in _per_frame_layout(n, fs, f0track, config):
         eligible = [k for k in range(len(tracks)) if freq_all[k, fr.center] < f_ceiling]
@@ -623,7 +629,7 @@ def _reference_adaptation_pass(x, fs, tracks, f0track, config):
         t = (np.arange(fr.lo, fr.hi + 1) - fr.center) / fs
         w = make_window(eaqhm.ADAPT_WINDOW_KIND, fr.hi - fr.lo + 1)
         amp_cols = amp_all[eligible, fr.lo:fr.hi + 1].T
-        amp_cols = (amp_cols + eaqhm._AMP_EPS) / (amp_cols[fr.center - fr.lo] + eaqhm._AMP_EPS)
+        amp_cols = (amp_cols + eps) / (amp_cols[fr.center - fr.lo] + eps)
         phase_cols = phase_all[eligible, fr.lo:fr.hi + 1].T - phase_all[eligible, fr.center]
         t_c = fr.center / fs
         try:
@@ -775,7 +781,7 @@ def test_frame_layout_matches_the_loop_reference():
             assert layout.center.dtype == layout.k_budget.dtype == np.int64
 
 
-def test_blocks_group_frames_by_offsets_and_count():
+def test_blocks_group_frames_by_width_and_count():
     sig = gen_amfm(AMFMSpec(duration=0.3, seed=3))[0]
     n = sig.samples.shape[0]
     f0t = estimate_f0(sig, *PITCH_BAND_HZ)
@@ -791,8 +797,7 @@ def test_blocks_group_frames_by_offsets_and_count():
         assert sorted(np.concatenate([b.frames for b in blocks]).tolist()) == fitted.tolist()
         for b in blocks:
             assert np.all(np.diff(b.frames) > 0)
-            assert (layout.lo[b.frames] - layout.center[b.frames] == b.lo).all()
-            assert (layout.hi[b.frames] - layout.center[b.frames] == b.lo + b.n - 1).all()
+            assert (layout.hi[b.frames] - layout.lo[b.frames] + 1 == b.n).all()
             assert (counts[b.frames] == b.m).all()
             assert b.frames.shape[0] == 1 or b.frames.shape[0] * b.n * b.q <= budget
         sizes = [b.frames.shape[0] for b in blocks if b.n == 161]
@@ -802,6 +807,39 @@ def test_blocks_group_frames_by_offsets_and_count():
             # the interior frames share one key and are cut every `split` frames
             assert sizes[:-1] == [split] * (len(sizes) - 1) and 0 < sizes[-1] <= split
             assert any(b.n < 161 for b in blocks)   # clipped edge frames
+
+
+def test_start_and_end_clipped_frames_of_one_width_share_a_block():
+    # 321-sample windows every 16 samples over 16*100 + 1 samples: the first
+    # frame (center 0) and the last (center n - 1) are both clipped to 161
+    # samples, on opposite sides of their centers
+    n = 1601
+    sig = SampledSignal(samples=_harmonic(n, k_max=3), fs=FS)
+    f0t = _const_f0(n, 150.0)
+    cfg = EaQHMConfig(window_samples=321, f_guard_hz=1000.0, max_partials=3)
+    layout = eaqhm._frame_layout(n, FS, f0t, cfg)
+    assert layout.center[0] == 0 and layout.center[-1] == n - 1
+    assert layout.hi[0] - layout.lo[0] == layout.hi[-1] - layout.lo[-1] == 160
+    shared = []
+    real_blocks = eaqhm._blocks
+
+    def record(*args):
+        blocks = real_blocks(*args)
+        shared.append(any({0, len(layout) - 1} <= set(b.frames.tolist()) for b in blocks))
+        return blocks
+
+    with mock.patch.object(eaqhm, "_blocks", record):
+        got = init_harmonic(sig, f0t, cfg)
+        _same_tracks(got, _per_frame_init_harmonic(sig, f0t, cfg))
+        tracks = got + [_shadow(got[0])]
+        got = eaqhm._adaptation_pass(sig.samples, FS, tracks,
+                                     _sampled(tracks, sig.samples, FS, layout), layout, cfg)
+    want = _per_frame_adaptation_pass(sig.samples, FS, tracks,
+                                      _sampled(tracks, sig.samples, FS, layout), layout, cfg)
+    assert shared == [True, True]
+    _same_tracks(got, want)
+    # both edge frames are solved, in the pass as in the initialization
+    assert all(tr.times[0] == 0.0 and tr.times[-1] == (n - 1) / FS for tr in got + tracks)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
@@ -878,9 +916,9 @@ def test_blocked_loops_match_the_per_frame_references(fs, window, guard, partial
         tracks = want + [_shadow(want[0])] if shadow else want
         layout = eaqhm._frame_layout(n, fs, f0t, cfg)
         got = _outcome(eaqhm._adaptation_pass, x, fs, tracks,
-                       eaqhm._render(tracks, fs, n, layout.center)[1], layout, cfg)[0]
+                       _sampled(tracks, x, fs, layout), layout, cfg)[0]
         want = _outcome(_per_frame_adaptation_pass, x, fs, tracks,
-                        eaqhm._render(tracks, fs, n, layout.center)[1], layout, cfg)[0]
+                        _sampled(tracks, x, fs, layout), layout, cfg)[0]
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -904,11 +942,9 @@ def test_blocked_pass_keeps_ill_frames_like_the_reference():
         return c, d, cond
 
     with mock.patch.object(eaqhm, "ls_solve", record):
-        got = eaqhm._adaptation_pass(x, FS, tracks, eaqhm._render(tracks, FS, n, layout.center)[1],
-                                     layout, cfg)
+        got = eaqhm._adaptation_pass(x, FS, tracks, _sampled(tracks, x, FS, layout), layout, cfg)
     assert 0 < solved.count(False) < len(solved)   # blocks mix solved and ill frames
-    want = _per_frame_adaptation_pass(x, FS, tracks,
-                                      eaqhm._render(tracks, FS, n, layout.center)[1], layout, cfg)
+    want = _per_frame_adaptation_pass(x, FS, tracks, _sampled(tracks, x, FS, layout), layout, cfg)
     _same_tracks(got, want)
 
 
@@ -1258,7 +1294,7 @@ def test_render_synthesis_is_synthesize_tracks():
         tracks.append(PartialTrack(times=times, amps=amps, freqs=rng.uniform(50.0, 4000.0, m),
                                    phases=rng.uniform(-np.pi, np.pi, m)))
     centers = np.arange(0, n, 80)
-    synth, sampled = eaqhm._render(tracks, FS, n, centers)
+    synth, sampled = eaqhm._render(tracks, FS, n, centers, eaqhm._AMP_EPS)
     assert synth.tobytes() == synthesize_tracks(tracks, n, FS).tobytes()
     for k, tr in enumerate(tracks):
         amp, freq, phase = sample_track(tr, FS, 0, n - 1)

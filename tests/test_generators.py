@@ -92,6 +92,14 @@ def test_specs_reject_a_rate_or_duration_that_is_not_positive_and_finite(bad):
             make(bad)
 
 
+@pytest.mark.parametrize("field", ["stationary_freq", "chirp_f_end"])
+@pytest.mark.parametrize("bad", [0.0, -100.0, 8000.0, 9000.0, float("nan"), float("inf")])
+def test_chirp_spec_rejects_a_frequency_outside_the_band(field, bad):
+    with pytest.raises(UsageError, match=rf"^{field} .* outside \(0, fs/2\)"):
+        ChirpSpec(fs=16000.0, **{field: bad})
+    ChirpSpec(fs=16000.0, **{field: 7999.0})   # just below Nyquist is fine
+
+
 def test_amfm_validation():
     with pytest.raises(UsageError):
         AMFMSpec(n_partials=0)

@@ -186,21 +186,9 @@ def _run_protocol(model, x, fs=16000.0):
     return s, y
 
 
-# known scale dependences (each a strict xfail, so a fix shows)
-_SCALE_DEPENDENT = {
-    ("impulse", "sm"): "sm picks peaks on an impulse's flat spectrum by comparing "
-                       "dB values whose rounding depends on the input's scale",
-    ("clipped_tone", "eaqhm"): "eaqhm's _AMP_EPS is an absolute 1e-10, so it outweighs "
-                               "the amplitudes of a quiet input",
-}
-
-
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("name", list(_edge_inputs()))
-def test_models_on_edge_inputs_are_finite_and_scale_free(name, model, request):
-    if (name, model) in _SCALE_DEPENDENT:
-        request.applymarker(pytest.mark.xfail(strict=True,
-                                              reason=_SCALE_DEPENDENT[name, model]))
+def test_models_on_edge_inputs_are_finite_and_scale_free(name, model):
     x = _edge_inputs()[name]
     base = _run_protocol(model, x)
     for k in (-200, 200):

@@ -86,7 +86,9 @@ def _frame_peaks_ref(frame, window, fft_size, fs, max_peaks):
     buf[:half_hi] = xw[half_lo:]
     buf[-half_lo:] = xw[:half_lo]
     spectrum = np.fft.rfft(buf)
-    mag = 20.0 * np.log10(np.maximum(np.abs(spectrum), 1e-200))
+    # dB of the magnitudes scaled to a maximum in [0.5, 1), by a power of two
+    exp = np.frexp(np.abs(spectrum).max())[1]
+    mag = 20.0 * np.log10(np.maximum(np.ldexp(np.abs(spectrum), -exp), 1e-200))
     phase_spec = np.unwrap(np.angle(spectrum))
     peaks = []
     for b in range(1, mag.shape[0] - 1):
@@ -100,7 +102,7 @@ def _frame_peaks_ref(frame, window, fft_size, fs, max_peaks):
         freq = frac_bin * fs / fft_size
         if not (0.0 < freq < fs / 2.0):
             continue
-        amp = 2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0)
+        amp = np.ldexp(2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0), exp)
         phase = float(wrap_phase(np.interp(frac_bin, np.arange(phase_spec.shape[0]),
                                            phase_spec)))
         peaks.append(SpectralPeak(freq_hz=float(freq), amp=float(amp),
@@ -130,9 +132,12 @@ def test_frame_peaks_match_scalar_reference():
 
 
 def _full_spectrum_block_peaks(frames, w, fft_size, fs, max_peaks):
-    """_block_peaks taking dB and the unwrapped phase over the whole spectrum."""
+    """_block_peaks taking dB (of each frame's magnitudes scaled by a power of
+    two to a maximum in [0.5, 1)) and the unwrapped phase over the whole
+    spectrum."""
     spectrum = sm._zero_phase_spectra(frames, w, fft_size)
-    mag = 20.0 * np.log10(np.maximum(np.abs(spectrum), _LOG_FLOOR))
+    exp = np.frexp(np.abs(spectrum).max(axis=1))[1]
+    mag = 20.0 * np.log10(np.maximum(np.ldexp(np.abs(spectrum), -exp[:, None]), _LOG_FLOOR))
     phase_spec = sm._unwrap_rows(np.angle(spectrum))
     floor = mag.max(axis=1, keepdims=True) + THRESHOLD_DB
     mid = mag[:, 1:-1]
@@ -145,7 +150,7 @@ def _full_spectrum_block_peaks(frames, w, fft_size, fs, max_peaks):
     p = np.clip(p, -1.0, 1.0)
     frac_bin = peak_bins + p
     freq = frac_bin * fs / fft_size
-    amp = 2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0)
+    amp = np.ldexp(2.0 * 10.0 ** ((mid - 0.25 * (left - right) * p) / 20.0), exp[rows])
     inside = np.flatnonzero((freq > 0.0) & (freq < fs / 2.0))
     loud = inside[np.lexsort((-amp[inside], rows[inside]))]
     rank = np.arange(loud.shape[0]) - np.searchsorted(rows[loud], rows[loud])
@@ -192,8 +197,10 @@ def test_peak_local_db_and_phase_are_the_full_spectrum_bits(block, shape, max_pe
 
 def test_peak_local_evaluation_edge_frames():
     # an all-zero frame, a Nyquist cosine (the spectrum's maximum on the last
-    # bin), a tone whose peak is the last interior bin, and frames entirely
-    # or partly below _LOG_FLOOR
+    # bin), a tone whose peak is the last interior bin, and frames far below
+    # _LOG_FLOOR in absolute terms (dB is taken relative to each frame's
+    # power-of-two scale, so they keep their peaks) or with a component far
+    # below it relative to their own peak
     L, nfft = 63, 64
     w = make_window("hann", L)
     n = np.arange(L) - L // 2
@@ -201,13 +208,18 @@ def test_peak_local_evaluation_edge_frames():
     near = np.cos(np.pi * (30.6 / 32.0) * n)
     tone = np.cos(np.pi * (7.3 / 32.0) * n)
     frames = np.stack([np.zeros(L), nyquist, nyquist + 0.5 * tone, near, 0.5 * near + tone,
-                       1e-205 * tone, 1e-195 * (tone + 1e-8 * near), tone + 1e-210 * near])
+                       2.0 ** -680 * tone, 1e-195 * (tone + 1e-8 * near), tone + 1e-210 * near])
     got = sm._block_peaks(frames, w, nfft, FS, 100)
     want = _full_spectrum_block_peaks(frames, w, nfft, FS, 100)
     assert got.offsets.tobytes() == want.offsets.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
     counts = np.diff(got.offsets)
-    assert counts[0] == 0 and counts[5] == 0 and counts[[2, 4, 6, 7]].min() > 0
+    assert counts[0] == 0 and counts[[2, 4, 5, 6, 7]].min() > 0
+    # the 2^-680 tone (about 1e-205) has the peaks of the unit tone, its
+    # amplitudes scaled by 2^-680 exactly
+    quiet, loud = (got.values[:, got.offsets[i]:got.offsets[i + 1]] for i in (5, 7))
+    assert quiet[[0, 2, 3]].tobytes() == loud[[0, 2, 3]].tobytes()
+    assert quiet[1].tobytes() == np.ldexp(loud[1], -680).tobytes()
     # the last interior bin is a peak of the full spectrum
     spectrum = np.abs(sm._zero_phase_spectra(frames[3:4], w, nfft))[0]
     assert spectrum[-2] > spectrum[-3] and spectrum[-2] > spectrum[-1]
