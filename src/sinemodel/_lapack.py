@@ -35,4 +35,5 @@ _flapack = _load_flapack()
 dgtsv = _flapack.dgtsv     # core.interp_frequency_spline
 dposv = _flapack.dposv     # eaqhm.ls_solve
 dpocon = _flapack.dpocon
+dsyevr = _flapack.dsyevr   # edsm.esprit_poles
 dtrtrs = _flapack.dtrtrs   # edsm.vandermonde_amplitudes

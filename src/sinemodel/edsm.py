@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._lapack import dtrtrs
+from ._lapack import dsyevr, dtrtrs
 from .core import TWO_PI, FrameRecord, SampledSignal, amp_phase, check_count
 from .errors import UsageError
 from .pitch import F0Track
@@ -23,6 +23,9 @@ from .pitch import F0Track
 RANK_RTOL = 1e-10      # singular values below this fraction of the largest are noise
 _REAL_POLE_TOL = 1e-9  # |Im z| below this (relative) makes a pole real
 _PINV_RCOND = 1e-15    # np.linalg.pinv's default cutoff
+_GRAM_COST = 8         # a fixed-order frame may use its Gram when this * (k + 1) <= N
+_GRAM_MARGIN = 1e-4    # the Gram's squared rounding bound, relative to the k-pole residual
+_EPS = float(np.finfo(np.float64).eps)
 _COND_WARN = 1e12
 _LOG_RANGE = 600.0     # |delta| * frame_len ceiling; exp(600) stays finite in float64
 ESPRIT_BLOCK = 1 << 16  # elements per stack: Hankel matrices in analysis, samples in synthesis
@@ -111,12 +114,20 @@ class EDSMConfig:
 def esprit_poles(frames: np.ndarray, k_max: np.ndarray,
                  rank_rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """ESPRIT on each row of frames (g x L, none all-zero) with order cap
-    k_max[i]: poles from the shift invariance of the right singular basis of
-    each frame's Hankel matrix with L//2 columns.  One stacked SVD for the
-    block, then one stacked shift solve and eigvals per group of frames with
-    equal kept order.  numpy runs the LAPACK and BLAS routine of a lone matrix
-    on each matrix of a stack, so each frame's poles are those of a call on
-    that frame alone.
+    k_max[i]: poles from the shift invariance of the top right singular
+    vectors of each frame's Hankel matrix X with L//2 = N columns.
+
+    A frame of a fixed-order block (rank_rtol == 0, so k_eff = k_max and no
+    singular value is read) takes its k basis vectors from the k + 1 largest
+    eigenpairs of the Gram X'X (one stacked syrk, then one dsyevr per frame)
+    when that is cheaper, _GRAM_COST * (k + 1) <= N, and accurate enough: the
+    Gram's rounding bound theta = N eps l_1 / (l_k - l_{k+1}) has theta^2 at
+    most _GRAM_MARGIN times the residual (trace - l_1 - ... - l_k) / trace the
+    k-pole fit leaves, and |u|^2 <= 1/2 (see _shift_matrices).  Every other
+    frame gets the block's one stacked SVD.  Then one stacked shift solve and
+    eigvals per group of frames with equal kept order and basis kind.  numpy
+    runs the LAPACK and BLAS routine of a lone matrix on each matrix of a
+    stack, so each frame's poles are those of a call on that frame alone.
 
     Returns k_eff, the order kept after dropping singular values below
     rank_rtol times the largest (at most k_max), and g x max(k_eff) poles:
@@ -125,35 +136,79 @@ def esprit_poles(frames: np.ndarray, k_max: np.ndarray,
     length = frames.shape[1]
     n = length // 2
     X = _kernels.hankel_build(frames, length - n + 1, n)
-    # the R >= N + 1 rows outnumber the N columns, so the thin vh is N x N
-    _, s, vh = np.linalg.svd(X, full_matrices=False)
-    k_eff = np.minimum(np.count_nonzero(s >= rank_rtol * s[:, :1], axis=1), k_max)
+    k_eff = np.array(k_max, dtype=np.int64)
+    bases = _gram_bases(X, k_eff) if rank_rtol == 0.0 else {}
+    by_gram = np.fromiter(bases, dtype=np.int64, count=len(bases))
+    by_svd = np.setdiff1d(np.arange(frames.shape[0]), by_gram)
+    groups = [(rows, np.stack([bases[i] for i in rows.tolist()]))
+              for rows in _by_order(by_gram, k_eff)]
+    if by_svd.shape[0]:
+        # the R >= N + 1 rows outnumber the N columns, so the thin vh is N x N
+        _, s, vh = np.linalg.svd(X[by_svd] if bases else X, full_matrices=False)
+        k_eff[by_svd] = np.minimum(np.count_nonzero(s >= rank_rtol * s[:, :1], axis=1),
+                                   k_eff[by_svd])
+        groups += [(rows, vh[np.searchsorted(by_svd, rows)]) for rows in _by_order(by_svd, k_eff)]
     poles = np.full((frames.shape[0], k_eff.max(initial=0)), np.nan, dtype=np.complex128)
-    for k in np.unique(k_eff[k_eff > 0]).tolist():
-        rows = np.flatnonzero(k_eff == k)
-        z = np.linalg.eigvals(_shift_matrices(vh[rows], k))
+    for rows, vh in groups:
+        k = int(k_eff[rows[0]])
+        z = np.linalg.eigvals(_shift_matrices(vh, k))
         poles[rows, :k] = np.take_along_axis(
             z, np.lexsort((np.abs(z), np.angle(z)), axis=-1), axis=-1)
     return k_eff, poles
 
 
+def _by_order(rows: np.ndarray, k_eff: np.ndarray):
+    """The frames among rows with equal k_eff, one array per k_eff > 0."""
+    for k in np.unique(k_eff[rows]).tolist():
+        if k > 0:
+            yield rows[k_eff[rows] == k]
+
+
+def _gram_bases(X: np.ndarray, k_max: np.ndarray) -> dict:
+    """{frame: k x N top eigenvectors of its Gram X'X, largest first} for the
+    frames of a fixed-order stack (k = k_max) whose Gram is cheaper than the
+    SVD and accurate enough (see esprit_poles)."""
+    n = X.shape[2]
+    cand = np.flatnonzero(_GRAM_COST * (k_max + 1) <= n)
+    xs = X[cand]
+    bases = {}
+    for i, gram in zip(cand.tolist(), xs.swapaxes(1, 2) @ xs):  # same-buffer matmul: syrk
+        k = int(k_max[i])
+        # the k + 1 largest eigenpairs, ascending; a failed solve leaves the frame to the SVD
+        lam, vecs, _, _, info = dsyevr(gram, range="I", il=n - k, iu=n)
+        top, lam = vecs[:, :0:-1].T, lam[k::-1].tolist()
+        trace = float(np.trace(gram))
+        gap = lam[k - 1] - lam[k]
+        if (info == 0 and gap > 0.0 and (n * _EPS * lam[0] / gap) ** 2 <= _GRAM_MARGIN * (
+                trace - sum(lam[:k])) / trace and top[:, -1] @ top[:, -1] <= 0.5):
+            bases[i] = top
+    return bases
+
+
 def _shift_matrices(vh: np.ndarray, k: int) -> np.ndarray:
-    """ESPRIT's shift matrix Phi = pinv(V1) V2 for each stacked N x N right
-    singular basis vh, in closed form.  V1, V2: the first and last N - 1
-    coordinates of V = vh[:k].  With u = V[:, -1] and w = vh[k:, -1],
-    V1'V1 = I - uu' and |u|^2 + |w|^2 = 1, so Phi = M + u(u'M) / |w|^2,
-    M = V[:, :-1] V[:, 1:]'.  u'M is formed from the complement rows, as
-    u'V[:, :-1] = -w'vh[k:, :-1]: its error is then eps*|w|, not eps.  Where
-    |w| (V1's smallest singular value) is at most pinv's cutoff, Phi is
-    pinv's minimum-norm M - u(u'M) / |u|^2.
+    """ESPRIT's shift matrix Phi = pinv(V1) V2 for each stacked basis vh, in
+    closed form: an N x N right singular basis, or the k x N top subspace
+    alone.  V1, V2: the first and last N - 1 coordinates of V = vh[:k].  With
+    u = V[:, -1] and w = vh[k:, -1], V1'V1 = I - uu' and |u|^2 + |w|^2 = 1,
+    so Phi = M + u(u'M) / |w|^2, M = V[:, :-1] V[:, 1:]'.  Given the
+    complement rows, u'M is formed from them, as u'V[:, :-1] =
+    -w'vh[k:, :-1]: its error is then eps*|w|, not eps.  Without them u'M is
+    formed directly and |w|^2 = 1 - |u|^2, which loses at most a factor
+    sqrt(2) where |u|^2 <= 1/2.  Where |w| (V1's smallest singular value) is
+    at most pinv's cutoff, Phi is pinv's minimum-norm M - u(u'M) / |u|^2.
     """
     v, rest = vh[:, :k], vh[:, k:]
-    u, w = v[:, :, -1:], rest[:, :, -1:]
+    u = v[:, :, -1:]
+    uu = u.swapaxes(1, 2) @ u
     v_next = v[:, :, 1:].swapaxes(1, 2)
     m = v[:, :, :-1] @ v_next
-    neg_um = (w.swapaxes(1, 2) @ rest[:, :, :-1]) @ v_next
-    ww = w.swapaxes(1, 2) @ w
-    denom = np.where(ww > _PINV_RCOND ** 2, ww, -(u.swapaxes(1, 2) @ u))
+    if rest.shape[1]:
+        w = rest[:, :, -1:]
+        neg_um = (w.swapaxes(1, 2) @ rest[:, :, :-1]) @ v_next
+        ww = w.swapaxes(1, 2) @ w
+    else:
+        neg_um, ww = -(u.swapaxes(1, 2) @ m), 1.0 - uu
+    denom = np.where(ww > _PINV_RCOND ** 2, ww, -uu)
     return m - u * (neg_um / denom)
 
 

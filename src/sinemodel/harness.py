@@ -29,9 +29,13 @@ PITCH_BAND_HZ = (70.0, 400.0)  # f0 search band of comparisons, analyses and swe
 
 
 def _check_models(models: Sequence[str]) -> None:
+    models = list(models)
     bad = [m for m in models if m not in MODELS]
     if bad:
         raise UsageError(f"unknown model(s): {', '.join(bad)}")
+    repeated = sorted({m for m in models if models.count(m) > 1})
+    if repeated:
+        raise UsageError(f"model(s) named more than once: {', '.join(repeated)}")
 
 
 def _track_param_count(tracks: Sequence[PartialTrack]) -> int:

@@ -345,6 +345,15 @@ def test_sweep_rejects_unknown_model(tmp_path, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_model_named_twice(tmp_path, capsys):
+    # once exit 0, with each sm row written twice
+    code = main(["sweep", "--signal", "chirp", "--models", "sm,sm",
+                 "--multiples", "1", "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert "named more than once: sm" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_compare_with_list(tmp_path, capsys):
     noise = _noise_wav(tmp_path)
     listing = tmp_path / "files.txt"

@@ -14,6 +14,7 @@ from scipy.linalg import solve_triangular
 
 import sinemodel
 from sinemodel import _kernels, edsm
+from sinemodel._lapack import dsyevr
 from sinemodel.core import TWO_PI, SampledSignal, srer, wrap_phase
 from sinemodel.edsm import (EDSMConfig, EDSMFrames, edsm_analyze, edsm_synthesize,
                             full_band_orders)
@@ -633,7 +634,24 @@ def test_track_partials_links_an_edsm_record_of_a_steady_tone():
 # frame-by-frame references
 # ---------------------------------------------------------------------------
 
-def _reference_esprit_poles(x, k_exp, rank_rtol):
+def _gram_rule(x, k):
+    """The Gram rule's values for one frame x and order k, as esprit_poles
+    forms them from its Hankel matrix X: (the k x N top eigenvectors of X'X,
+    largest first; theta^2, the squared rounding bound, inf for a tie; rho,
+    the residual fraction the k-pole fit leaves; |u|^2)."""
+    n = x.shape[0] // 2
+    X = np.lib.stride_tricks.sliding_window_view(x, n).copy()
+    gram = X.T @ X
+    lam, vecs = dsyevr(gram, range="I", il=n - k, iu=n)[:2]
+    # contiguous, as esprit_poles stacks them: matmul takes BLAS for these only
+    top, lam = np.ascontiguousarray(vecs[:, :0:-1].T), lam[k::-1].tolist()
+    trace = float(np.trace(gram))
+    gap = lam[k - 1] - lam[k]
+    theta2 = (n * EPS * lam[0] / gap) ** 2 if gap > 0.0 else np.inf
+    return top, theta2, (trace - sum(lam[:k])) / trace, float(top[:, -1] @ top[:, -1])
+
+
+def _svd_esprit_poles(x, k_exp, rank_rtol):
     """esprit_poles of one frame with its own SVD, closed-form shift solve
     and eigvals."""
     n = x.shape[0] // 2
@@ -648,8 +666,26 @@ def _reference_esprit_poles(x, k_exp, rank_rtol):
     neg_um = (w.T @ rest[:, :-1]) @ v[:, 1:].T
     ww = w.T @ w
     denom = ww if ww[0, 0] > 1e-30 else -(u.T @ u)
-    poles = np.linalg.eigvals(m - u * (neg_um / denom))
-    return poles[np.lexsort((np.abs(poles), np.angle(poles)))], k_eff
+    return _sorted_poles(np.linalg.eigvals(m - u * (neg_um / denom))), k_eff
+
+
+def _reference_esprit_poles(x, k_exp, rank_rtol):
+    """esprit_poles of one frame: at a fixed order (rank_rtol 0), from the top
+    eigenvectors of its Gram when 8 (k + 1) <= N, theta^2 <= 1e-4 rho and
+    |u|^2 <= 1/2, with u'M formed directly; otherwise _svd_esprit_poles."""
+    n = x.shape[0] // 2
+    if rank_rtol == 0.0 and 8 * (k_exp + 1) <= n:
+        v, theta2, rho, uu = _gram_rule(x, k_exp)
+        if theta2 <= 1e-4 * rho and uu <= 0.5:
+            u = v[:, -1:]
+            m = v[:, :-1] @ v[:, 1:].T
+            phi = m - u * (-(u.T @ m) / (1.0 - u.T @ u))
+            return _sorted_poles(np.linalg.eigvals(phi)), k_exp
+    return _svd_esprit_poles(x, k_exp, rank_rtol)
+
+
+def _sorted_poles(poles):
+    return poles[np.lexsort((np.abs(poles), np.angle(poles)))].astype(np.complex128)
 
 
 def _reference_edsm_analyze(signal, config):
@@ -800,12 +836,110 @@ def test_analysis_runs_through_the_two_named_stages(monkeypatch):
 
 def test_esprit_poles_is_the_one_frame_reference():
     rng = np.random.default_rng(9)
-    for length, k_exp, rtol in ((80, 12, 1e-10), (9, 3, 0.0), (200, 30, 1e-6)):
+    for length, k_exp, rtol in ((80, 12, 1e-10), (9, 3, 0.0), (200, 30, 1e-6), (400, 4, 0.0)):
         x = _random_damped_sum(length, rng)
         poles, k_eff = _esprit_poles(x, k_exp, rank_rtol=rtol)
         want, want_k = _reference_esprit_poles(x, k_exp, rtol)
         assert k_eff == want_k
         assert poles.dtype == want.dtype and poles.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# fixed-order frames: the Gram path and the rule that sends a frame to the SVD
+# ---------------------------------------------------------------------------
+
+GRAM_POLE_RTOL = 1e-10  # |Gram pole - SVD pole| / max |SVD pole| on noisy frames
+
+
+def _noisy_tones(length, k, rng):
+    """max(1, k // 2) damped or growing tones with white noise 20 to 140 dB
+    down: a frame whose k-pole fit leaves a residual."""
+    n = np.arange(length)
+    x = sum(rng.uniform(0.1, 1.0) * np.exp(rng.uniform(-0.01, 0.003) * n)
+            * np.cos(rng.uniform(0.05, 3.0) * n + rng.uniform(-np.pi, np.pi))
+            for _ in range(max(1, k // 2)))
+    return x + rng.normal(0.0, 10.0 ** rng.uniform(-7.0, -1.0), length)
+
+
+def _traced_esprit_poles(x, k, rank_rtol):
+    """_esprit_poles and the number of dsyevr calls it made."""
+    with mock.patch.object(edsm, "dsyevr", wraps=dsyevr) as spy:
+        poles, k_eff = _esprit_poles(x, k, rank_rtol)
+    return poles, k_eff, spy.call_count
+
+
+def test_gram_poles_match_the_svd_poles_on_noisy_low_order_frames():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        k = int(rng.choice([1, 2, 4, 6]))
+        x = _noisy_tones(int(rng.integers(16 * (k + 1), 700)), k, rng)
+        _, theta2, rho, uu = _gram_rule(x, k)
+        assert theta2 <= 1e-4 * rho and uu <= 0.5
+        poles, k_eff, calls = _traced_esprit_poles(x, k, 0.0)
+        want, _ = _reference_esprit_poles(x, k, 0.0)
+        assert calls == 1 and k_eff == k and poles.tobytes() == want.tobytes()
+        svd, _ = _svd_esprit_poles(x, k, 0.0)
+        assert np.abs(poles - svd).max() <= GRAM_POLE_RTOL * np.abs(svd).max()
+
+
+def _fs4_tone():
+    # 161 samples: R = 82 rows, half of each phase, so the tone's two
+    # eigenvalues are equal up to rounding
+    return np.cos(np.pi / 2 * np.arange(161) + 0.3)
+
+
+def _growing_tone(rng):
+    # |u|^2 = 0.63 for the k = 2 subspace, though the Gram is accurate
+    n = np.arange(161)
+    return np.exp(0.25 * n) * (np.cos(0.9 * n + 0.2) + rng.normal(0.0, 1e-3, 161))
+
+
+@pytest.mark.parametrize("case", ["rank_rtol", "order", "near_n_over_8", "tie", "growing"])
+def test_frames_failing_the_gram_rule_take_the_svd(case):
+    rng = np.random.default_rng(4)
+    x, k, rank_rtol, calls = {
+        "rank_rtol": (_noisy_tones(161, 2, rng), 2, 1e-12, 0),
+        # 8 (k + 1) = 88 > N = 80
+        "order": (_noisy_tones(161, 10, rng), 10, 0.0, 0),
+        # 8 (k + 1) = 24 > N = 23
+        "near_n_over_8": (_noisy_tones(47, 2, rng), 2, 0.0, 0),
+        "tie": (_fs4_tone(), 1, 0.0, 1),
+        "growing": (_growing_tone(rng), 2, 0.0, 1),
+    }[case]
+    if calls:
+        # dsyevr ran, and only the condition under test fails
+        _, theta2, rho, uu = _gram_rule(x, k)
+        assert (theta2 <= 1e-4 * rho) == (case != "tie") and (uu <= 0.5) == (case != "growing")
+    poles, k_eff, got_calls = _traced_esprit_poles(x, k, rank_rtol)
+    want, want_k = _svd_esprit_poles(x, k, rank_rtol)
+    assert got_calls == calls and k_eff == want_k == k
+    assert poles.tobytes() == want.tobytes()
+    if case == "near_n_over_8":
+        # one sample more makes N = 24, and the frame takes the Gram
+        assert _traced_esprit_poles(np.append(x, 0.5), k, 0.0)[2] == 1
+
+
+def test_fixed_order_blocks_mix_gram_and_svd_frames():
+    # 161-sample frames (N = 80): orders 1-4 (k = 2-8) take the Gram, orders
+    # 5 and 6 (k = 10, 12) exceed N / 8; a silent frame, a growing one that
+    # dsyevr sees and the rule sends to the SVD, and a short tail (N = 20)
+    rng = np.random.default_rng(8)
+    orders = [1 + i % 6 for i in range(12)]
+    tones = [_noisy_tones(161, 2 * k, rng) for k in orders]
+    growing = _growing_tone(rng)
+    for x, k in zip(tones, orders):
+        if k <= 4:
+            _, theta2, rho, uu = _gram_rule(x, 2 * k)
+            assert theta2 <= 1e-4 * rho and uu <= 0.5
+    assert _gram_rule(growing, 2)[3] > 0.5
+    sig = SampledSignal(samples=np.concatenate(tones + [np.zeros(161), growing,
+                                                        _noisy_tones(40, 2, rng)]), fs=FS)
+    cfg = EDSMConfig(window_samples=161, order=orders + [1, 1, 2], rank_rtol=0.0)
+    with mock.patch.object(edsm, "dsyevr", wraps=dsyevr) as spy:
+        got = edsm_analyze(sig, cfg)
+    assert spy.call_count == 9
+    assert got.k_eff.tolist() == [2 * k for k in orders] + [0, 2, 4]
+    assert _frame_bits(got) == _frame_bits(_reference_edsm_analyze(sig, cfg))
 
 
 @pytest.mark.parametrize("fs", [8000.0, 44100.0, 48000.0])

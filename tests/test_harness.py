@@ -406,6 +406,14 @@ def test_run_comparison_rejects_unknown_model():
         run_comparison([], models=("sm", "svm"))
 
 
+def test_a_model_named_twice_is_a_usage_error(tone_wav):
+    # both once ran sm twice, and a sweep wrote each of its cells twice
+    with pytest.raises(UsageError, match="named more than once: sm"):
+        run_comparison([tone_wav], models=("sm", "edsm", "sm"))
+    with pytest.raises(UsageError, match="named more than once: edsm, sm"):
+        SweepSpec(source="chirp", models=("sm", "edsm", "sm", "edsm"))
+
+
 def test_generate_standins(tmp_path):
     paths = generate_standins(tmp_path)
     assert [p.rsplit("/", 1)[-1] for p in paths] == [

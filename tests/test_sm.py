@@ -197,10 +197,11 @@ def test_peak_local_db_and_phase_are_the_full_spectrum_bits(block, shape, max_pe
 
 def test_peak_local_evaluation_edge_frames():
     # an all-zero frame, a Nyquist cosine (the spectrum's maximum on the last
-    # bin), a tone whose peak is the last interior bin, and frames far below
+    # bin), a tone whose peak is the last interior bin, frames far below
     # _LOG_FLOOR in absolute terms (dB is taken relative to each frame's
-    # power-of-two scale, so they keep their peaks) or with a component far
-    # below it relative to their own peak
+    # power-of-two scale, so they keep their peaks), and a tone a few hundred
+    # subnormal steps high, whose spectrum rounds to exact zeros beside
+    # some of its peaks: those bins read as _LOG_FLOOR
     L, nfft = 63, 64
     w = make_window("hann", L)
     n = np.arange(L) - L // 2
@@ -208,21 +209,30 @@ def test_peak_local_evaluation_edge_frames():
     near = np.cos(np.pi * (30.6 / 32.0) * n)
     tone = np.cos(np.pi * (7.3 / 32.0) * n)
     frames = np.stack([np.zeros(L), nyquist, nyquist + 0.5 * tone, near, 0.5 * near + tone,
-                       2.0 ** -680 * tone, 1e-195 * (tone + 1e-8 * near), tone + 1e-210 * near])
+                       2.0 ** -680 * tone, 1e-195 * (tone + 1e-8 * near), tone,
+                       2.0 ** -1067 * tone])
     got = sm._block_peaks(frames, w, nfft, FS, 100)
     want = _full_spectrum_block_peaks(frames, w, nfft, FS, 100)
     assert got.offsets.tobytes() == want.offsets.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
     counts = np.diff(got.offsets)
-    assert counts[0] == 0 and counts[[2, 4, 5, 6, 7]].min() > 0
+    assert counts[0] == 0 and counts[[2, 4, 5, 6, 7, 8]].min() > 0
     # the 2^-680 tone (about 1e-205) has the peaks of the unit tone, its
     # amplitudes scaled by 2^-680 exactly
     quiet, loud = (got.values[:, got.offsets[i]:got.offsets[i + 1]] for i in (5, 7))
     assert quiet[[0, 2, 3]].tobytes() == loud[[0, 2, 3]].tobytes()
     assert quiet[1].tobytes() == np.ldexp(loud[1], -680).tobytes()
+    # the subnormal tone keeps peaks with a neighbour bin at exactly zero, so
+    # _block_peaks takes that bin's dB at the floor
+    spectra = np.abs(sm._zero_phase_spectra(frames, w, nfft))
+    mag = spectra[8]
+    peak_bins = np.flatnonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])) + 1
+    frac_bins = got.bin[got.offsets[8]:got.offsets[9]]
+    kept = [b for b in peak_bins.tolist() if np.abs(frac_bins - b).min() < 1.0]
+    assert any(mag[b - 1] == 0.0 or mag[b + 1] == 0.0 for b in kept)
+    assert sm._db(np.zeros(1))[0] == 20.0 * np.log10(_LOG_FLOOR)
     # the last interior bin is a peak of the full spectrum
-    spectrum = np.abs(sm._zero_phase_spectra(frames[3:4], w, nfft))[0]
-    assert spectrum[-2] > spectrum[-3] and spectrum[-2] > spectrum[-1]
+    assert spectra[3, -2] > spectra[3, -3] and spectra[3, -2] > spectra[3, -1]
 
 
 def _framed(x, w_len, hop):
