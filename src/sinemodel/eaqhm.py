@@ -12,18 +12,18 @@ its slope coefficients its frequency-mismatch correction eta_k
 basis sampled from the current partial tracks and re-anchoring the tracks
 from the solutions, keeping the best-SRER iterate.
 
-Basis columns are normalized per frame: amplitude is divided by its value
-at the frame center and phase is zeroed there, so that amplitude and phase
-are directly the frame-center anchors.  The LS time variable is in
-seconds, which makes eta_k come out in Hz.  Each iterate's tracks are
-sampled once, one sample_track per track over the whole signal: that gives
-the iterate's synthesis (for its SRER; a track adds the samples of its
-render_spans range), C = (A+eps) cos(phase) and S = (A+eps) sin(phase) over
-the signal (eps is _AMP_EPS times the power of two that brings the input's
-peak into [0.5, 1), so analysis is exact under power-of-two gain), and the
-track values at every frame center.  A frame's columns are its C and S rows
-rotated by the frame-center phase, so no frame evaluates cos or sin of its
-own phase block.
+The anchors are those of basis columns normalized per frame (amplitude
+divided by its value at the frame center, phase zeroed there).  The LS time
+variable is in seconds, which makes eta_k come out in Hz.  Each iterate's
+tracks are sampled once, one sample_track per track over the whole signal:
+that gives the iterate's synthesis (its SRER, and adapt's result),
+C = (A+eps) cos(phase) and S = (A+eps) sin(phase) over the signal (eps is
+_AMP_EPS times the power of two that brings the input's peak into [0.5, 1),
+so analysis is exact under power-of-two gain), and the track values at every
+frame center.  No frame evaluates cos or sin of its own phase block: its
+columns are its raw C and S rows, whose coefficients the pass turns to the
+normalized columns' (by the center phase and A_c+eps, a 2x2 map per track
+that leaves eta_k unchanged), or init_harmonic's rows by angle addition.
 
 Every frame fit runs through one block stage, _fit_frames; init_harmonic
 and the adaptation pass keep only the basis they write into a block's cos and
@@ -35,8 +35,8 @@ frame, each frame's samples contiguous); the basis fills write it and
 ls_solve reads it in place, so element-wise steps, and every step of
 ls_solve but each frame's Cholesky solve and condition estimate, run on the
 whole block; each frame's result is bitwise that of solving it alone in the
-same layout.  Layout, eligibility, rotation and the anchor maps are array
-passes over all frames.  Frame systems are a few hundred samples wide, so
+same layout.  Layout, eligibility and the anchor maps are array passes over
+all frames.  Frame systems are a few hundred samples wide, so
 the stage runs on single-threaded OpenBLAS (see _blas).
 """
 from __future__ import annotations
@@ -98,6 +98,7 @@ class AdaptationState:
     iteration: int
     srer_history: list[float] = field(default_factory=list)
     tracks: list[PartialTrack] = field(default_factory=list)
+    synthesis: np.ndarray = None  # the tracks' synthesize_tracks, from adapt's render
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +120,14 @@ def ls_solve(e: np.ndarray, window: np.ndarray,
     inf or above the bound and NaN rows in a and b.
 
     E is overwritten: it is weighted in place and then holds scratch, so the
-    solve copies neither E nor a normal matrix.  The normal equations are
-    equilibrated to a unit diagonal, r_ij / sqrt(r_ii r_jj) (exact algebra:
-    the normal matrix of unit-norm columns, so the condition check is about
-    basis structure, not units).  Every step but each frame's Cholesky solve
-    and condition estimate runs on all G frames at once, and each frame's
-    result is bitwise that of solving it alone in the same layout.
+    solve copies neither E nor a normal matrix.  posv factors and solves
+    R = E^T W^2 E unequilibrated (Cholesky is invariant under diagonal
+    scaling, van der Sluis 1969); cond is that of DRD, D = diag(1/sqrt(r_jj)),
+    the normal matrix of unit-norm columns (so the check is about basis
+    structure, not units), from pocon on D L and ||DRD||_1 = max_j d_j sum_i
+    |r_ij| d_i.  Every step but each frame's Cholesky solve and condition
+    estimate runs on all G frames at once, and each frame's result is bitwise
+    that of solving it alone in the same layout.
     """
     if not (isinstance(e, np.ndarray) and e.dtype == np.float64 and e.ndim == 2):
         raise UsageError("ls_solve takes a real float64 design matrix")
@@ -147,27 +150,23 @@ def ls_solve(e: np.ndarray, window: np.ndarray,
     et = frames.transpose(0, 2, 1)
     r = np.matmul(et, frames)
     rhs = np.matmul(et, yw)
-    scale = np.sqrt(np.diagonal(r, axis1=1, axis2=2))
-    scale[scale == 0.0] = 1.0
-    # E is dead now: it takes the scale's outer product s_i s_j (a matmul
-    # over one term, which needs no broadcast buffers), then |r| for pocon's
-    # 1-norm
+    d = np.sqrt(np.diagonal(r, axis1=1, axis2=2))
+    d = 1.0 / np.where(d == 0.0, 1.0, d)   # such a frame's posv fails
+    # E is dead now: it takes |r| for the 1-norm of DRD
     scratch = np.ravel(e, order="K")[:g * q * q].reshape(g, q, q)
-    r /= np.matmul(scale[:, :, None], scale[:, None, :], out=scratch)
-    rhs /= scale[:, :, None]
-    anorm = np.max(np.add.reduce(np.abs(r, out=scratch), axis=1), axis=1)
+    anorm = np.max(np.matmul(np.abs(r, out=scratch), d[:, :, None])[:, :, 0] * d, axis=1)
     for i in range(g):
         # r is symmetric, so r.T is the Fortran-order matrix LAPACK takes,
         # and posv factors and solves it in place
         chol, sol, info = dposv(r[i].T, rhs[i], lower=1, overwrite_a=1, overwrite_b=1)
         if info != 0:
             continue
+        chol *= d[i, :, None]   # D L, the factor of DRD
         rcond, info = dpocon(chol, anorm[i], uplo=b"L")
         if info == 0 and rcond != 0.0:
             cond[i] = 1.0 / float(rcond)
         if cond[i] <= COND_BOUND:
             coef[i] = sol[:, 0]
-    coef /= scale
     return coef[:, :half], coef[:, half:], cond
 
 
@@ -197,27 +196,20 @@ def _amp_eps(x: np.ndarray) -> float:
     return float(np.ldexp(_AMP_EPS, np.frexp(np.max(np.abs(x)))[1]))
 
 
-def _rotation_factors(amp_c: np.ndarray, phase_c: np.ndarray,
-                      eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos(phase_c) / (A_c + eps) and sin(phase_c) / (A_c + eps), the
-    factors _rotate_into turns C and S rows with."""
-    g = 1.0 / (amp_c + eps)
-    return np.cos(phase_c) * g, np.sin(phase_c) * g
-
-
-def _rotate_into(cols: np.ndarray, c_rows: np.ndarray, s_rows: np.ndarray,
-                 cc: np.ndarray, sc: np.ndarray) -> None:
-    """Write the (A+eps)/(A_c+eps) cos(phase - phase_c) columns of a stack
-    of frames and their sin twins into the cos and sin rows of cols, the
-    (G, q, n) view of their designs.
-
-    c_rows and s_rows are the frames' (G, m, n) samples of C = (A+eps)
-    cos(phase) and S = (A+eps) sin(phase), one row per component; cc and sc
-    are the (G, m, 1) _rotation_factors at the frame centers.  By angle
-    addition the columns are C cc + S sc and S cc - C sc."""
-    m = cc.shape[-2]
-    cols[:, 1:m + 1] = c_rows * cc + s_rows * sc
-    cols[:, m + 1:2 * m + 1] = s_rows * cc - c_rows * sc
+def _harmonic_rows(cos_rows: np.ndarray, sin_rows: np.ndarray, wt: np.ndarray) -> None:
+    """Write cos(j wt) and sin(j wt), j = 1..k, into the (G, k, n) rows,
+    given wt, (G, n): harmonic 1 is one cos and sin per sample, and harmonics
+    j+1..2j are harmonics 1..j times harmonic j by angle addition."""
+    np.cos(wt, out=cos_rows[:, 0])
+    np.sin(wt, out=sin_rows[:, 0])
+    j, k = 1, cos_rows.shape[1]
+    while j < k:
+        h = min(j, k - j)
+        c, s = cos_rows[:, :h], sin_rows[:, :h]
+        c_j, s_j = cos_rows[:, j - 1:j], sin_rows[:, j - 1:j]
+        np.subtract(c * c_j, s * s_j, out=cos_rows[:, j:j + h])
+        np.add(s * c_j, c * s_j, out=sin_rows[:, j:j + h])
+        j += h
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +373,8 @@ def init_harmonic(signal: SampledSignal, f0track: F0Track,
     omega = 2.0 * np.pi * layout.f0
 
     def basis(b, cols, t):
-        k = b.m
-        phase = (omega[b.frames][:, None] * t)[:, None] * harmonics[:k, None]
-        np.cos(phase, out=cols[:, 1:k + 1])
-        np.sin(phase, out=cols[:, k + 1:2 * k + 1])
+        _harmonic_rows(cols[:, 1:b.m + 1], cols[:, b.m + 1:2 * b.m + 1],
+                       omega[b.frames][:, None] * t)
 
     coef, ill = _fit_frames(x, fs, layout, k_maxes, config.init_window_kind, basis)
     if ill.any():
@@ -459,16 +449,15 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
     order = np.argsort(sampled.freq_c, axis=1, kind="stable")
     below = sampled.freq_c < fs / 2.0 - NYQUIST_MARGIN_HZ
     count = np.minimum(np.count_nonzero(below, axis=1), budget)
-    cc, sc = _rotation_factors(sampled.amp_c, sampled.phase_c, sampled.eps)
     n = x.shape[0]
 
     def basis(b, cols, t):
-        frames = b.frames[:, None]
         idx = order[b.frames, :b.m]
-        # flat index of (track, sample) in the C and S rows
-        at = (idx * n + layout.lo[frames])[:, :, None] + np.arange(b.n)
-        _rotate_into(cols, np.take(sampled.c_rows, at), np.take(sampled.s_rows, at),
-                     cc[frames, idx][..., None], sc[frames, idx][..., None])
+        # flat index of (track, sample) in the C and S rows; each is in range, and
+        # "clip" lets take write straight into the design ("raise" buffers it)
+        at = (idx * n + layout.lo[b.frames, None])[:, :, None] + np.arange(b.n)
+        np.take(sampled.c_rows, at, out=cols[:, 1:b.m + 1], mode="clip")
+        np.take(sampled.s_rows, at, out=cols[:, b.m + 1:2 * b.m + 1], mode="clip")
 
     slots, ill = _fit_frames(x, fs, layout, count, ADAPT_WINDOW_KIND, basis)
     if ill[count > 0].all():
@@ -479,10 +468,19 @@ def _adaptation_pass(x: np.ndarray, fs: float, tracks: list[PartialTrack],
     # land on tracks it does not fit
     coef = np.full((4, n_frames, n_tracks), np.nan)
     np.put_along_axis(coef, order[None, :, :slots.shape[2]], slots, axis=2)
-    # new anchors per (frame, track); NaN where the track was not fitted
-    amps, phases = amp_phase(coef[0], coef[1])
     half_f0 = layout.f0[:, None] / 2.0
     eta = np.clip(_freq_correction(*coef), -half_f0, half_f0)
+    # to the normalized columns, in place: (c, s) turned by the center phase, times A_c+eps
+    c, s = coef[0], coef[1]
+    gain = sampled.amp_c + sampled.eps
+    g_cos, g_sin = np.cos(sampled.phase_c) * gain, np.sin(sampled.phase_c) * gain
+    c_g_sin = c * g_sin
+    c *= g_cos
+    c += np.multiply(s, g_sin, out=g_sin)
+    s *= g_cos
+    s -= c_g_sin
+    # new anchors per (frame, track); NaN where the track was not fitted
+    amps, phases = amp_phase(c, s)
     freqs = np.clip(sampled.freq_c + eta, 1.0, fs / 2.0 - 1.0)
     # an ill-conditioned frame keeps the previous iterate's values
     kept = np.zeros_like(ill, shape=amps.shape)
@@ -503,7 +501,8 @@ def adapt(signal: SampledSignal, tracks: list[PartialTrack], f0track: F0Track,
     iterate, so it is non-decreasing by construction; an iterate that fails
     to improve (or improves by less than the threshold) stops the loop.
     Each iterate is rendered once (_render): its synthesis gives its SRER
-    and its sampled tracks feed the next pass.
+    (and is the state's, for the best iterate) and its sampled tracks feed
+    the next pass.
     """
     x = signal.samples
     n = x.shape[0]
@@ -513,7 +512,7 @@ def adapt(signal: SampledSignal, tracks: list[PartialTrack], f0track: F0Track,
     current = list(tracks)
     synth, sampled = _render(current, fs, n, layout.center, eps)
     best_srer = srer(x, synth)
-    state = AdaptationState(iteration=0, srer_history=[best_srer], tracks=current)
+    state = AdaptationState(iteration=0, srer_history=[best_srer], tracks=current, synthesis=synth)
     if best_srer >= SRER_CEILING_DB:
         return state  # already at the double-precision noise floor
     for it in range(1, config.max_adaptations + 1):
@@ -528,7 +527,7 @@ def adapt(signal: SampledSignal, tracks: list[PartialTrack], f0track: F0Track,
         best_srer = s
         current = new_tracks
         state.srer_history.append(s)
-        state.tracks = new_tracks
+        state.tracks, state.synthesis = new_tracks, synth
         if improvement < SRER_THRESHOLD_DB or s >= SRER_CEILING_DB:
             break
     return state

@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PartialTrack, SampledSignal, check_count, srer, synthesize_tracks
+# synthesize_tracks stays bound for perfbench's tracer (eaqhm resynthesizes in adapt)
+from .core import PartialTrack, SampledSignal, check_count, srer, synthesize_tracks  # noqa: F401
 from .eaqhm import EaQHMConfig, adapt, init_harmonic
 from .edsm import (EDSMConfig, EDSMFrames, edsm_analyze, edsm_synthesize,
                    full_band_orders)
@@ -111,7 +112,7 @@ MODEL_TABLE = {
         sweep_fields=lambda t_min: {"init_window_kind": "hamming", "f_guard_hz": 1.0 / t_min},
         window_floor=lambda w: max(9, w | 1),
         analyze=lambda sig, f0, cfg: adapt(sig, init_harmonic(sig, f0, cfg), f0, cfg),
-        resynthesize=lambda r, n, fs: synthesize_tracks(r.tracks, n, fs),
+        resynthesize=lambda r, n, fs: r.synthesis,
         params=lambda r: _track_param_count(r.tracks),
         dump=lambda path, r, fs: _io().write_eaqhm_json(path, r.tracks, r.srer_history,
                                                         r.iteration, fs)),

@@ -105,31 +105,57 @@ def _solve_mirrored(seg, cos_cols, sin_cols, window, t):
     return QHMFrameSolution(a=a, b=b, eta=eta)
 
 
+def _equilibrated(r):
+    """1 / sqrt(r_jj) (1 where r_jj is 0) and the 1-norm of the equilibrated
+    DRD, formed as ls_solve forms them."""
+    d = np.sqrt(np.diag(r))
+    d[d == 0.0] = 1.0
+    d = 1.0 / d
+    return d, float(np.max(np.matmul(np.abs(r)[None], d[None, :, None])[0, :, 0] * d))
+
+
 def _reference_ls_solve(e, window, target):
     """ls_solve as a function that leaves e alone: a fresh weighted copy of
-    the design (in e's layout), an equilibrated copy of the normal equations
-    and a copied factor, solved by potrf and potrs."""
+    the design (in e's layout), copies of the normal equations and factor,
+    solved by potrf and potrs; the condition is pocon's on D L and ||DRD||_1."""
     w = np.asarray(window, dtype=np.float64)
     es = e * w[:, None]
     yw = np.asarray(target, dtype=np.float64) * w
     r = es.T @ es
     rhs = es.T @ yw
-    scale = np.sqrt(np.diag(r))
-    scale[scale == 0.0] = 1.0
-    r = r / np.multiply.outer(scale, scale)
-    rhs = rhs / scale
+    d, anorm = _equilibrated(r)
     chol, info = dpotrf(r, lower=1)
     if info != 0:
         raise IllConditionedError("normal equations not positive definite", np.inf)
-    anorm = float(np.max(np.sum(np.abs(r), axis=0)))
-    rcond, info = _lapack.dpocon(chol, anorm, uplo=b"L")
+    rcond, info = _lapack.dpocon(chol * d[:, None], anorm, uplo=b"L")
     cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
     if info != 0 or not np.isfinite(cond) or cond > eaqhm.COND_BOUND:
         raise IllConditionedError("condition exceeds bound", cond)
     c, info = dpotrs(chol, rhs[:, None], lower=1)
-    c = c[:, 0] / scale
+    c = c[:, 0]
     m = e.shape[1] // 2
     return c[:m], c[m:]
+
+
+def _explicitly_equilibrated_ls_solve(e, window, target):
+    """The weighted LS of target ~ E [a; b] with the normal equations
+    equilibrated to a unit diagonal before they are factored: the solution
+    (NaN past COND_BOUND) and pocon's condition of the equilibrated matrix."""
+    w = np.asarray(window, dtype=np.float64)
+    es = e * w[:, None]
+    r = es.T @ es
+    rhs = es.T @ (np.asarray(target, dtype=np.float64) * w)
+    scale = np.sqrt(np.diag(r))
+    scale[scale == 0.0] = 1.0
+    r = r / np.multiply.outer(scale, scale)
+    chol, info = dpotrf(r, lower=1)
+    if info != 0:
+        return np.full(e.shape[1], np.nan), np.inf
+    rcond, info = _lapack.dpocon(chol, float(np.max(np.sum(np.abs(r), axis=0))), uplo=b"L")
+    cond = np.inf if info != 0 or rcond == 0.0 else 1.0 / float(rcond)
+    if not cond <= eaqhm.COND_BOUND:
+        return np.full(e.shape[1], np.nan), cond
+    return dpotrs(chol, (rhs / scale)[:, None], lower=1)[0][:, 0] / scale, cond
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +216,18 @@ def _per_frame_ls_solve(e, window, target):
     yw = np.asarray(target, dtype=np.float64) * w
     r = e.T @ e
     rhs = e.T @ yw
-    scale = np.sqrt(np.diag(r))
-    scale[scale == 0.0] = 1.0
-    r /= np.multiply.outer(scale, scale)
-    rhs /= scale
-    anorm = float(np.max(np.sum(np.abs(r), axis=0)))
+    d, anorm = _equilibrated(r)
     chol, info = dpotrf(r.T, lower=1, overwrite_a=1)
     if info != 0:
         raise IllConditionedError("normal equations not positive definite", np.inf)
-    rcond, info = _lapack.dpocon(chol, anorm, uplo=b"L")
+    rcond, info = _lapack.dpocon(chol * d[:, None], anorm, uplo=b"L")
     cond = np.inf if rcond == 0.0 else 1.0 / float(rcond)
     if info != 0 or not np.isfinite(cond) or cond > eaqhm.COND_BOUND:
         raise IllConditionedError("condition exceeds bound", cond)
     c, info = dpotrs(chol, rhs[:, None], lower=1)
     if info != 0:
         raise IllConditionedError("normal-equations solve failed", cond)
-    c = c[:, 0] / scale
+    c = c[:, 0]
     m = q // 2
     return c[:m], c[m:]
 
@@ -214,6 +236,21 @@ def _per_frame_complete_design(e, t):
     p = e.shape[1] // 2
     e[:, 0] = 1.0
     np.multiply(t[:, None], e[:, :p], out=e[:, p:])
+
+
+def _per_frame_harmonics(cos_cols, sin_cols, wt):
+    """cos(j wt) and sin(j wt), j = 1..k, into the (n, k) columns by angle
+    addition: harmonics j+1..2j are harmonics 1..j times harmonic j."""
+    k = cos_cols.shape[1]
+    cos_cols[:, 0], sin_cols[:, 0] = np.cos(wt), np.sin(wt)
+    j = 1
+    while j < k:
+        h = min(j, k - j)
+        c, s = cos_cols[:, :h], sin_cols[:, :h]
+        c_j, s_j = cos_cols[:, j - 1:j], sin_cols[:, j - 1:j]
+        cos_cols[:, j:j + h] = c * c_j - s * s_j
+        sin_cols[:, j:j + h] = s * c_j + c * s_j
+        j += h
 
 
 def _per_frame_init_harmonic(signal, f0track, config):
@@ -238,9 +275,7 @@ def _per_frame_init_harmonic(signal, f0track, config):
             w_len = fr.hi - fr.lo + 1
             t = np.arange(fr.lo - fr.center, fr.hi - fr.center + 1) / fs
             e = np.empty((2 * (2 * k + 1), w_len)).T   # the block layout: columns contiguous
-            phase = np.multiply(2.0 * np.pi * fr.f0 * t[:, None], harmonics[:k])
-            e[:, 1:k + 1] = np.cos(phase)
-            e[:, k + 1:2 * k + 1] = np.sin(phase)
+            _per_frame_harmonics(e[:, 1:k + 1], e[:, k + 1:2 * k + 1], 2.0 * np.pi * fr.f0 * t)
             _per_frame_complete_design(e, t)
             try:
                 c, _ = _per_frame_ls_solve(e, make_window(config.init_window_kind, w_len),
@@ -268,7 +303,8 @@ def _per_frame_init_harmonic(signal, f0track, config):
 
 
 def _per_frame_adaptation_pass(x, fs, tracks, sampled, layout, config):
-    """eaqhm._adaptation_pass with one gather, rotation and solve per frame."""
+    """eaqhm._adaptation_pass with one gather and solve per frame, and the
+    coefficients then turned to the frame centers."""
     frames = _frames_of(layout)
     n_frames, n_tracks = sampled.freq_c.shape
     budget = np.array([fr.k_budget for fr in frames], dtype=np.int64)
@@ -278,7 +314,6 @@ def _per_frame_adaptation_pass(x, fs, tracks, sampled, layout, config):
     below = sampled.freq_c < fs / 2.0 - eaqhm.NYQUIST_MARGIN_HZ
     count = np.minimum(np.count_nonzero(below, axis=1), budget)
     fitted = np.flatnonzero(count)
-    cc, sc = eaqhm._rotation_factors(sampled.amp_c, sampled.phase_c, sampled.eps)
     coef = np.full((4, n_frames, n_tracks), np.nan)
     ill = np.zeros(n_frames, dtype=bool)
     with single_threaded_blas():
@@ -287,14 +322,8 @@ def _per_frame_adaptation_pass(x, fs, tracks, sampled, layout, config):
             w_len = fr.hi - fr.lo + 1
             idx = order[j, :m]
             e = np.empty((2 * (2 * m + 1), w_len)).T   # the block layout: columns contiguous
-            c_rows = sampled.c_rows[idx, fr.lo:fr.hi + 1].T
-            s_rows = sampled.s_rows[idx, fr.lo:fr.hi + 1].T
-            p = 2 * m + 1
-            cos_cols, sin_cols, scratch = e[:, 1:m + 1], e[:, m + 1:p], e[:, p + 1:p + m + 1]
-            np.multiply(c_rows, cc[j, idx], out=cos_cols)
-            cos_cols += np.multiply(s_rows, sc[j, idx], out=scratch)
-            np.multiply(s_rows, cc[j, idx], out=sin_cols)
-            sin_cols -= np.multiply(c_rows, sc[j, idx], out=scratch)
+            e[:, 1:m + 1] = sampled.c_rows[idx, fr.lo:fr.hi + 1].T
+            e[:, m + 1:2 * m + 1] = sampled.s_rows[idx, fr.lo:fr.hi + 1].T
             _per_frame_complete_design(e, np.arange(fr.lo - fr.center, fr.hi - fr.center + 1) / fs)
             try:
                 c, d = _per_frame_ls_solve(e, make_window(eaqhm.ADAPT_WINDOW_KIND, w_len),
@@ -307,9 +336,14 @@ def _per_frame_adaptation_pass(x, fs, tracks, sampled, layout, config):
     if ill[fitted].all():
         raise AnalysisError("adaptation pass failed on every frame")
     sampled.c_rows = sampled.s_rows = None
-    amps, phases = amp_phase(coef[0], coef[1])
     half_f0 = np.array([fr.f0 for fr in frames])[:, None] / 2.0
     eta = np.clip(eaqhm._freq_correction(*coef), -half_f0, half_f0)
+    # the coefficients of the columns turned by the center phase and divided
+    # by A_c + eps
+    gain = sampled.amp_c + sampled.eps
+    g_cos, g_sin = np.cos(sampled.phase_c) * gain, np.sin(sampled.phase_c) * gain
+    amps, phases = amp_phase(coef[0] * g_cos + coef[1] * g_sin,
+                             coef[1] * g_cos - coef[0] * g_sin)
     freqs = np.clip(sampled.freq_c + eta, 1.0, fs / 2.0 - 1.0)
     kept = np.zeros_like(ill, shape=amps.shape)
     np.put_along_axis(kept, order, (np.arange(n_tracks) < count[:, None]) & ill[:, None],
@@ -496,6 +530,49 @@ def test_ls_solve_reports_the_reference_condition():
     assert np.isnan(c).all() and np.isnan(d).all()
 
 
+@pytest.mark.parametrize("n, q", [(321, 174), (200, 6), (640, 30), (161, 14), (300, 102)])
+def test_ls_solve_condition_matches_explicit_equilibration(n, q):
+    # cond is pocon's estimate on D L and ||DRD||_1, not on a factor of the
+    # equilibrated DRD itself; on well-conditioned frames with columns scaled
+    # over 12 decades both estimates and solutions agree to rounding
+    rng = np.random.default_rng(n + q)
+    t = (np.arange(n) - n // 2) / FS
+    for _ in range(4):
+        e = rng.normal(size=(q, n)).T
+        e[:, :q // 2] *= 10.0 ** rng.uniform(-6, 6, size=q // 2)
+        e[:, q // 2:] = t[:, None] * e[:, :q // 2]
+        w, y = np.hamming(n), rng.normal(size=n)
+        want, want_cond = _explicitly_equilibrated_ls_solve(e, w, y)
+        c, d, cond = ls_solve(e.T.copy().T, w, y)
+        assert want_cond < 1e3
+        assert cond[0] == pytest.approx(want_cond, rel=1e-12, abs=0)
+        got = np.concatenate((c[0], d[0]))
+        # relative to each column's scale, as the unknowns span 12 decades
+        scale = np.linalg.norm(e * w[:, None], axis=0)
+        assert np.max(np.abs((got - want) * scale)) <= 1e-10 * np.max(np.abs(want * scale))
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-4, 3.5e-5, 3e-5, 1e-5, 1e-6])
+def test_ls_solve_keeps_the_bound_decision_of_explicit_equilibration(delta):
+    # two columns that differ by delta: cond ~ 1e-3 / delta^2, from 1e3 to
+    # 1e9 below COND_BOUND (1e10) and from 1.2e10 to 1e13 above it.  A
+    # perturbation of the normal matrix by a few eps moves its inverse, and so
+    # the estimate, by about cond * eps relative
+    n = 64
+    t = (np.arange(n) - n // 2) / FS
+    col = np.cos(2 * np.pi * 100.0 * t)
+    e = np.stack([col, col + delta * np.sin(2 * np.pi * 900.0 * t), np.ones(n)], axis=1)
+    e = np.hstack([e, t[:, None] * e[:, :1]])
+    for gain in (1.0, 1e-5, 1e5):
+        scaled = e * np.array([1.0, gain, 1.0, 1.0])
+        want, want_cond = _explicitly_equilibrated_ls_solve(scaled, np.hamming(n), col)
+        c, d, cond = ls_solve(scaled.copy(), np.hamming(n), col)
+        assert (cond[0] <= eaqhm.COND_BOUND) == (want_cond <= eaqhm.COND_BOUND)
+        assert (want_cond <= eaqhm.COND_BOUND) == (delta > 3.2e-5)
+        assert cond[0] == pytest.approx(want_cond, rel=want_cond * 1e-14, abs=0)
+        assert np.isnan(c).all() == np.isnan(want).all()
+
+
 def test_ls_solve_allocates_no_design_sized_temporaries():
     import tracemalloc
 
@@ -574,35 +651,62 @@ def test_real_frame_design_matches_complex_mirrored_system():
 # adaptation pass against a per-frame cos(phase - phase_c) reference
 # ---------------------------------------------------------------------------
 
-def test_rotated_columns_match_direct_trig_over_60s():
-    # phases reach 3e6 rad over 60 s; rotating the once-sampled (A+eps) cos/sin
-    # rows by the center phase must match cos/sin of the phase difference
-    f = np.array([7900.0, 4000.5, 123.4])
-    f_am = np.array([0.7, 2.0, 5.0])
-    top = 0.0
-    for center in np.linspace(160, 60 * FS - 161, 40).astype(int):
-        t = np.arange(center - 160, center + 161) / FS   # one 321-sample frame
-        phase = 2 * np.pi * f[:, None] * t + 0.3 * np.sin(2 * np.pi * 3.0 * t)
-        amp = 1.0 + 0.5 * np.cos(2 * np.pi * f_am[:, None] * t)
-        top = max(top, phase.max())
-        design = np.empty((2 * (2 * 3 + 1), 1, 321))   # one frame's (q, G, n) design
-        cc, sc = eaqhm._rotation_factors(amp[:, 160], phase[:, 160], eaqhm._AMP_EPS)
-        eaqhm._rotate_into(design.transpose(1, 0, 2),
-                           (amp + eaqhm._AMP_EPS)[None] * np.cos(phase),
-                           (amp + eaqhm._AMP_EPS)[None] * np.sin(phase),
-                           cc[None, :, None], sc[None, :, None])
-        times = (np.arange(321) - 160) / FS
-        eaqhm._complete_design(design, times)
-        e = design[:, 0].T
-        cos_cols, sin_cols = e[:, 1:4], e[:, 4:7]
-        # the DC column and the slope twins, bit for bit
-        assert (e[:, 0] == 1.0).all() and (e[:, 7] == times).all()
-        assert (e[:, 8:14] == times[:, None] * e[:, 1:7]).all()
-        ratio = ((amp + eaqhm._AMP_EPS) / (amp[:, 160:161] + eaqhm._AMP_EPS)).T
-        diff = (phase - phase[:, 160:161]).T
-        np.testing.assert_allclose(cos_cols, ratio * np.cos(diff), rtol=0, atol=1e-8)
-        np.testing.assert_allclose(sin_cols, ratio * np.sin(diff), rtol=0, atol=1e-8)
-    assert top > 2.9e6
+def test_turned_coefficients_match_the_normalized_design_over_60s():
+    # a pass fits the raw C and S rows and turns each frame's coefficients by
+    # its center phase; on random tracks whose phases reach 3e6 rad (the last
+    # 0.1 s of a minute) its anchors must match per-frame fits of the
+    # normalized columns (A+eps)/(A_c+eps) cos(phase - phase_c) and sin(...)
+    # to 1e-12 (they read 2.4e-15 in amplitude, 1.6e-15 rad in phase)
+    rng = np.random.default_rng(32)
+    n, m, eps = 1600, 4, eaqhm._AMP_EPS
+    t = (np.arange(n) + 60 * FS - n) / FS
+    f = np.sort(np.r_[rng.uniform(100.0, 7700.0, m - 1), 7700.0])[:, None]
+    phase = (2 * np.pi * f * t + 0.3 * np.sin(2 * np.pi * 3.0 * t)
+             + rng.uniform(-np.pi, np.pi, (m, 1)))
+    freq = f + 0.9 * np.cos(2 * np.pi * 3.0 * t)
+    f_am = rng.uniform(1.0, 8.0, (m, 1))
+    amp = rng.uniform(0.2, 1.0, (m, 1)) * (1.0 + 0.5 * np.cos(2 * np.pi * f_am * t))
+    x = np.sum(amp * np.cos(phase), axis=0) + 0.01 * rng.normal(size=n)
+    centers = np.arange(160, n - 160, 80)
+    layout = eaqhm._Layout(center=centers, lo=centers - 160, hi=centers + 160,
+                           f0=np.full(centers.size, 100.0), k_budget=np.full(centers.size, m))
+    sampled = eaqhm._Sampled(c_rows=(amp + eps) * np.cos(phase),
+                             s_rows=(amp + eps) * np.sin(phase),
+                             amp_c=amp[:, centers].T, freq_c=freq[:, centers].T,
+                             phase_c=phase[:, centers].T, eps=eps)
+    unfitted = PartialTrack(times=[0.0, 0.1], amps=[0.0, 0.0], freqs=[1.0, 1.0],
+                            phases=[0.0, 0.0])
+    got = eaqhm._adaptation_pass(x, FS, [unfitted] * m, sampled, layout, EaQHMConfig())
+    assert phase.max() > 2.9e6
+    ts = (np.arange(321) - 160) / FS
+    w = make_window(eaqhm.ADAPT_WINDOW_KIND, 321)
+    for j, c in enumerate(centers.tolist()):
+        span = slice(c - 160, c + 161)
+        ratio = ((amp[:, span] + eps) / (amp[:, c:c + 1] + eps)).T
+        diff = (phase[:, span] - phase[:, c:c + 1]).T
+        sol = _solve_mirrored(x[span], ratio * np.cos(diff), ratio * np.sin(diff), w, ts)
+        for k, tr in enumerate(got):
+            assert tr.times[j] == c / FS
+            assert tr.amps[j] == pytest.approx(2.0 * abs(sol.a[k + 1]), rel=1e-12, abs=0)
+            assert abs(wrap_phase(tr.phases[j] - np.angle(sol.a[k + 1]))) <= 1e-12
+            want_f = freq[k, c] + np.clip(sol.eta[k + 1], -50.0, 50.0)
+            assert tr.freqs[j] == pytest.approx(want_f, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 52])
+def test_angle_addition_harmonics_match_direct_trig(k):
+    # 52 components is the largest init budget of the 1 s stand-ins (seeds
+    # 0-2); a frame spans three periods, so |wt| <= 3 pi
+    rng = np.random.default_rng(k)
+    f0 = rng.uniform(70.0, 400.0, 4)
+    n = 3 * int(FS / 70.0) + 1
+    wt = 2.0 * np.pi * f0[:, None] * np.linspace(-1.5, 1.5, n) / f0[:, None]
+    wt *= rng.uniform(0.5, 1.0, (4, 1))
+    cos_rows, sin_rows = np.empty((4, k, n)), np.empty((4, k, n))
+    eaqhm._harmonic_rows(cos_rows, sin_rows, wt)
+    phase = wt[:, None] * np.arange(1, k + 1, dtype=np.float64)[:, None]
+    np.testing.assert_allclose(cos_rows, np.cos(phase), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(sin_rows, np.sin(phase), rtol=0, atol=1e-13)
 
 
 def _reference_adaptation_pass(x, fs, tracks, f0track, config):

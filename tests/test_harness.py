@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from sinemodel import audio_io, eaqhm, harness, sm
-from sinemodel.core import PartialTrack, SampledSignal
+from sinemodel.core import PartialTrack, SampledSignal, synthesize_tracks
 from sinemodel.eaqhm import ADAPT_WINDOW_KIND, EaQHMConfig
 from sinemodel.edsm import EDSMConfig, EDSMFrames, full_band_orders
 from sinemodel.errors import AnalysisError, UsageError
+from sinemodel.generators import AMFMSpec, gen_amfm
 from sinemodel.harness import (MODEL_TABLE, MODELS, PITCH_BAND_HZ, ComparisonRow,
                                SRERCurve, SweepCell, SweepSpec, _frame_param_count,
                                _track_param_count, export, generate_standins,
@@ -491,3 +492,31 @@ def test_export_rejects_bad_inputs(tmp_path):
         export(SRERCurve(rows=()), tmp_path / "c.csv")
     with pytest.raises(UsageError):
         export(object(), tmp_path / "c.csv")
+
+
+def test_eaqhm_resynthesis_is_synthesize_tracks_of_the_kept_tracks():
+    # the harness takes eaqhm's resynthesis from adapt's render of its best
+    # iterate, not from a second render: on 0.1 s of the AM-FM input the
+    # protocol rejects its first iterate, so the kept render is the start's;
+    # from a detuned start the loop accepts iterates, so it is a pass's
+    amfm = gen_amfm(AMFMSpec(duration=0.1, seed=1))[0]
+    srer_db, rejected, y, _ = harness.run_model("eaqhm", amfm, estimate_f0(amfm, *PITCH_BAND_HZ),
+                                                EaQHMConfig())
+    assert (rejected.iteration, len(rejected.srer_history)) == (1, 1)
+    assert y.tobytes() == synthesize_tracks(rejected.tracks, 1600, FS).tobytes()
+    assert srer_db == rejected.srer_history[-1]
+    n = 3200
+    t = np.arange(n) / FS
+    times = np.arange(0, n, 80) / FS
+
+    def f0_at(f0):
+        return F0Track(times=times, f0=np.full(times.size, f0), voiced=np.ones(times.size, bool))
+
+    harmonic = SampledSignal(samples=sum(np.cos(2 * np.pi * 150.0 * k * t + 0.2 * k) / k
+                                         for k in (1, 2, 3)), fs=FS)
+    cfg = EaQHMConfig(max_partials=3, max_adaptations=3)
+    accepted = eaqhm.adapt(harmonic, eaqhm.init_harmonic(harmonic, f0_at(151.5), cfg),
+                           f0_at(150.0), cfg)
+    assert (accepted.iteration, len(accepted.srer_history)) == (3, 4)
+    y = MODEL_TABLE["eaqhm"].resynthesize(accepted, n, FS)
+    assert y.tobytes() == synthesize_tracks(accepted.tracks, n, FS).tobytes()
